@@ -21,10 +21,8 @@ from .reference import (
     finite_diff_grad,
 )
 from .blocked import (
-    FilterConfig,
     blocked_forward,
     blocked_backward,
-    plan_vocab_order,
     loss_and_grad,
 )
 from .memtrack import MemoryStats, TrackingAllocator

@@ -14,12 +14,17 @@ three parts:
   target part    a scatter of -(1-beta) times the target rows/columns,
   smoothing part a closed-form rank-one update worth -beta/|V| everywhere.
 
-Filtering touches only the softmax part, so skipped tiles can never drop the
+Filtering is one number, `filter_epsilon`: 0 (the default) skips nothing.
+It touches only the softmax part, so skipped tiles can never drop the
 target or smoothing contributions, whose magnitudes do not shrink with the
 probabilities.
 
-All transient buffers flow through a TrackingAllocator; peak auxiliary bytes
-stay O(N + N_B*V_B + D_B*(N_B+V_B)) regardless of |V|.
+Tiles are visited token block by token block, vocabulary blocks in index
+order. Every tile-sized buffer flows through a TrackingAllocator; peak
+auxiliary bytes stay O(N + N_B*V_B + D_B*(N_B+V_B)) per tile in flight
+regardless of |V| (one tile in deterministic mode, one per worker on the
+thread pool). The returned outputs and O(D) or O(N_B) temporaries are not
+tracked.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.blas import dgemm
@@ -37,33 +41,24 @@ from .memtrack import MemoryStats, TrackingAllocator
 from .reference import Gradients, LossOutput, _validate, token_weights
 from .tensors import BlockPlan, DenseMatrix, TokenSequence, plan_working_set_bytes
 
-__all__ = ["FilterConfig", "blocked_forward", "blocked_backward",
-           "plan_vocab_order", "loss_and_grad", "aux_bound_bytes"]
-
-DEFAULT_FILTER_EPSILON = 2.0 ** -12
+__all__ = ["blocked_forward", "blocked_backward", "loss_and_grad",
+           "aux_bound_bytes"]
 
 
-@dataclass(frozen=True)
-class FilterConfig:
-    """Backward-pass gradient filtering knobs.
-
-    `epsilon` is the probability bound below which a tile's softmax
-    contribution is dropped; 0 skips nothing even when enabled.
-    `vocab_sorting` asks loss_and_grad to order vocabulary blocks by
-    estimated mean logit before running.
-    """
-
-    enabled: bool = False
-    epsilon: float = DEFAULT_FILTER_EPSILON
-    vocab_sorting: bool = False
+def _pool_size(workers: int | None) -> int:
+    """Threads the non-deterministic path runs tiles on."""
+    return workers or os.cpu_count() or 1
 
 
-def aux_bound_bytes(plan: BlockPlan, n: int, v: int, d: int) -> int:
-    """Ceiling for deterministic-mode peak auxiliary bytes of one engine
-    call: the tile working set plus the per-token weight vector and a fixed
+def aux_bound_bytes(plan: BlockPlan, n: int, v: int, d: int,
+                    workers: int | None = None) -> int:
+    """Ceiling for the peak auxiliary bytes of one engine call: the tile
+    working set times the tiles in flight (1 in deterministic mode, else the
+    pool size for `workers`), plus the per-token weight vector and a fixed
     bookkeeping allowance."""
     eff = plan.clamped(n, v, d)
-    return plan_working_set_bytes(eff) + 8 * n + 4096
+    in_flight = 1 if eff.deterministic else _pool_size(workers)
+    return in_flight * plan_working_set_bytes(eff) + 8 * n + 4096
 
 
 def _alloc_limit(n: int, v: int, d: int, eff: BlockPlan) -> int | None:
@@ -78,12 +73,10 @@ def _alloc_limit(n: int, v: int, d: int, eff: BlockPlan) -> int | None:
 
 
 def _tile_ranges(n: int, v: int, eff: BlockPlan):
-    n_starts = range(0, n, eff.n_block)
     return [
-        (n0, min(eff.n_block, n - n0), vi * eff.v_block,
-         min(eff.v_block, v - vi * eff.v_block))
-        for n0 in n_starts
-        for vi in eff.vocab_order
+        (n0, min(eff.n_block, n - n0), v0, min(eff.v_block, v - v0))
+        for n0 in range(0, n, eff.n_block)
+        for v0 in range(0, v, eff.v_block)
     ]
 
 
@@ -115,8 +108,7 @@ def _run_tiles(tiles, work, deterministic: bool, workers: int | None):
     # Scrambled submission plus completion-order accumulation: merge order
     # is whatever the pool produces, which the LSE merge tolerates.
     scrambled = sorted(tiles, key=lambda t: (t[0] * 2654435761 + t[2] * 40503) & 0xFFFFFFFF)
-    max_workers = workers or os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    with ThreadPoolExecutor(max_workers=_pool_size(workers)) as pool:
         for _ in pool.map(lambda t: work(*t), scrambled):
             pass
 
@@ -188,22 +180,21 @@ def blocked_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: floa
 
 def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
                      plan: BlockPlan, lse: np.ndarray, upstream: float = 1.0,
-                     filter_config: FilterConfig | None = None,
+                     filter_epsilon: float = 0.0,
                      reduction: str = "sum", workers: int | None = None):
     """Tiled backward pass from inputs plus the forward's LSE vector.
 
-    With filtering disabled the result matches naive_backward; with it
-    enabled, tiles whose probability upper bound exp(max z - lse) falls
-    below epsilon contribute nothing to the softmax part.
+    At `filter_epsilon` 0 the result matches naive_backward; above it, tiles
+    whose probability upper bound exp(max z - lse) falls below the epsilon
+    contribute nothing to the softmax part.
     """
     Ea, Ca, xa, n, v, d, _ = _validate(E, C, x, beta, reduction)
     eff = plan.clamped(n, v, d)
     lse = np.asarray(lse, dtype=np.float64)
     if lse.shape != (n,):
         raise ValueError(f"lse must have length {n}, got shape {lse.shape}")
-    filt = filter_config or FilterConfig()
-    if not 0.0 <= filt.epsilon < 1.0:
-        raise ValueError(f"filter epsilon must lie in [0, 1), got {filt.epsilon}")
+    if not 0.0 <= filter_epsilon < 1.0:
+        raise ValueError(f"filter epsilon must lie in [0, 1), got {filter_epsilon}")
 
     alloc = TrackingAllocator(_alloc_limit(n, v, d, eff))
     grad_e = np.zeros((d, n))
@@ -221,7 +212,7 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
         tile = alloc.empty((vb, nb))
         _accumulate_logit_tile(alloc, Ea, Ca, n0, nb, v0, vb, d, eff.d_block, tile)
         tile -= lse[n0:n0 + nb]
-        if filt.enabled and math.exp(float(tile.max())) < filt.epsilon:
+        if filter_epsilon and math.exp(float(tile.max())) < filter_epsilon:
             alloc.release(tile)
             with count_lock:
                 counts[1] += 1
@@ -284,39 +275,15 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
     return grads, MemoryStats(alloc.peak_bytes, counts[0], counts[1])
 
 
-def plan_vocab_order(E_sample: DenseMatrix, C: DenseMatrix,
-                     plan: BlockPlan) -> BlockPlan:
-    """Order vocabulary blocks by descending estimated mean logit.
-
-    The estimate dots the mean embedding with each classifier column and
-    max-pools per block. Purely a permutation: forward/backward results are
-    unchanged beyond accumulation order.
-    """
-    if E_sample.rows != C.rows:
-        raise ValueError(
-            f"embedding dim {E_sample.rows} does not match classifier dim {C.rows}")
-    v = C.cols
-    vb = min(plan.v_block, v)
-    if vb < 1:
-        raise ValueError(f"v_block must be >= 1, got {plan.v_block}")
-    mu = E_sample.data.mean(axis=1)
-    scores = mu @ C.data
-    block_scores = np.array([scores[v0:v0 + vb].max() for v0 in range(0, v, vb)])
-    order = np.argsort(-block_scores, kind="stable")
-    return replace(plan, vocab_order=tuple(int(i) for i in order))
-
-
 def loss_and_grad(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
-                  plan: BlockPlan, filter_config: FilterConfig | None = None,
+                  plan: BlockPlan, filter_epsilon: float = 0.0,
                   reduction: str = "sum", upstream: float = 1.0,
                   workers: int | None = None):
     """Forward followed by recompute-based backward; stats take the max of
     the two peaks and sum the tile counters."""
-    if filter_config is not None and filter_config.vocab_sorting:
-        plan = plan_vocab_order(E, C, plan)
     out, fstats = blocked_forward(E, C, x, beta, plan, reduction, workers)
     grads, bstats = blocked_backward(E, C, x, beta, plan, out.lse, upstream,
-                                     filter_config, reduction, workers)
+                                     filter_epsilon, reduction, workers)
     stats = MemoryStats(
         max(fstats.peak_auxiliary_bytes, bstats.peak_auxiliary_bytes),
         fstats.tiles_processed + bstats.tiles_processed,

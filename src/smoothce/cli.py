@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocked import (FilterConfig, aux_bound_bytes, blocked_backward,
-                      blocked_forward, loss_and_grad)
+from .blocked import (aux_bound_bytes, blocked_backward, blocked_forward,
+                      loss_and_grad)
 from .calibration import (RecordError, ace, bin_records, ece, ingest_records,
                           reliability_data, rms_ce, sce)
 from .entropy import (BoundParams, effective_params, entropy_lower_bound,
@@ -185,7 +185,6 @@ def cmd_gradcheck(args) -> int:
     emb, cls, tgt = random_instance(args.seed, args.n, args.v, args.d, args.scale)
     plan = _make_plan(args, args.n, args.v, args.d)
     threads = _resolve_threads(args)
-    filt = FilterConfig(enabled=args.filter_eps > 0, epsilon=args.filter_eps or 0.0)
     tol_analytic = args.tol_analytic
     if tol_analytic is None:
         tol_analytic = 1e-3 if args.filter_eps > 0 else 1e-9
@@ -194,7 +193,8 @@ def cmd_gradcheck(args) -> int:
     out, _ = blocked_forward(emb, cls, tgt, args.beta, plan,
                              reduction=args.reduction, workers=threads)
     grads, stats = blocked_backward(emb, cls, tgt, args.beta, plan, out.lse,
-                                    filter_config=filt, reduction=args.reduction,
+                                    filter_epsilon=args.filter_eps,
+                                    reduction=args.reduction,
                                     workers=threads)
     if args.corrupt:
         bad = grads.grad_e.data.copy()
@@ -206,7 +206,7 @@ def cmd_gradcheck(args) -> int:
 
     err_analytic = _grad_error(grads, analytic)
     print(f"blocked vs analytic relative error: {err_analytic:.3e} (tol {tol_analytic:g})")
-    if filt.enabled:
+    if args.filter_eps > 0:
         print(f"tiles skipped by filter: {stats.tiles_skipped_by_filter}")
     ok = err_analytic <= tol_analytic
 
@@ -258,7 +258,7 @@ def cmd_bench(args) -> int:
 
     emb, cls, tgt = random_instance(args.seed, n, v, d, args.scale)
     reports: list[BenchReport] = []
-    ceiling = aux_bound_bytes(plan, n, v, d)
+    ceiling = aux_bound_bytes(plan, n, v, d, workers=threads)
 
     for beta in args.betas:
         lse_out, fstats = blocked_forward(emb, cls, tgt, beta, plan, workers=threads)

@@ -1,8 +1,10 @@
 """Allocation instrumentation for the blocked engine.
 
-Every transient buffer the engine uses is requested through a
-TrackingAllocator, so the reported peak covers the engine's full auxiliary
-footprint (inputs and returned outputs are excluded by construction).
+Every tile-sized buffer the engine uses is requested through a
+TrackingAllocator, so the reported peak covers every auxiliary buffer that
+grows with the tile plan. Inputs and returned outputs are excluded by
+construction; O(D) and O(N_B) temporaries and numpy's internal ufunc
+buffers are not tracked.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
 """Dense matrix storage, deterministic instance generation, block planning,
 and the SCE1 binary matrix file format.
 
+A block plan holds only what can change a result or a cost: the three tile
+sizes and the serial/thread-pool switch.
+
 All numeric payloads are held in 64-bit floats internally; 32-bit storage is
 supported at the file boundary only (widened on load). Every container in
 this module is immutable after construction and safe to share across threads.
@@ -89,8 +92,10 @@ class DenseMatrix:
 
     @classmethod
     def _wrap(cls, a: np.ndarray, require_finite: bool = True) -> "DenseMatrix":
-        # Takes ownership of `a`; no copy.
-        if require_finite and not np.isfinite(a).all():
+        # Takes ownership of `a`; no copy. min and max propagate NaN and
+        # surface +-inf, so the check allocates nothing the size of `a`.
+        if require_finite and a.size and not (np.isfinite(a.min())
+                                              and np.isfinite(a.max())):
             raise ValueError("matrix contains non-finite entries")
         a.setflags(write=False)
         return cls(a.shape[0], a.shape[1], a)
@@ -129,42 +134,26 @@ class TokenSequence:
 
 @dataclass(frozen=True)
 class BlockPlan:
-    """Tile sizes for the blocked engine, plus an optional processing order
-    for vocabulary blocks.
+    """Tile sizes for the blocked engine.
 
-    `vocab_order` permutes which vocabulary block is visited first; it never
-    changes results beyond floating-point accumulation order. `deterministic`
-    selects strictly serial tile processing (bit-reproducible) over the
-    thread-pool path.
+    `deterministic` selects strictly serial tile processing
+    (bit-reproducible) over the thread-pool path.
     """
 
     n_block: int
     v_block: int
     d_block: int
-    vocab_order: tuple[int, ...] | None = None
     deterministic: bool = True
 
     def clamped(self, n: int, v: int, d: int) -> "BlockPlan":
-        """Effective plan for concrete extents; validates the permutation."""
+        """Effective plan for concrete extents; rejects non-positive sizes."""
         for name, size in (("n_block", self.n_block),
                            ("v_block", self.v_block),
                            ("d_block", self.d_block)):
             if size < 1:
                 raise InvalidPlanError(f"{name} must be >= 1, got {size}")
-        nb = min(self.n_block, n)
-        vb = min(self.v_block, v)
-        db = min(self.d_block, d)
-        num_vblocks = -(-v // vb)
-        if self.vocab_order is None:
-            order = tuple(range(num_vblocks))
-        else:
-            order = tuple(int(i) for i in self.vocab_order)
-            if sorted(order) != list(range(num_vblocks)):
-                raise InvalidPlanError(
-                    f"vocab_order must be a permutation of {num_vblocks} "
-                    f"block indices, got {order}"
-                )
-        return BlockPlan(nb, vb, db, order, self.deterministic)
+        return BlockPlan(min(self.n_block, n), min(self.v_block, v),
+                         min(self.d_block, d), self.deterministic)
 
 
 # ---------------------------------------------------------------------------
@@ -425,5 +414,4 @@ def plan_blocks(
                 )
         nb, vb, db = plan.n_block, plan.v_block, plan.d_block
 
-    num_vblocks = -(-v // vb)
-    return BlockPlan(nb, vb, db, tuple(range(num_vblocks)), deterministic)
+    return BlockPlan(nb, vb, db, deterministic)

@@ -1,5 +1,5 @@
-"""Blocked engine against the naive oracle: tiling equivalence, vocabulary
-ordering, gradient filtering, memory instrumentation, and determinism."""
+"""Blocked engine against the naive oracle: tiling equivalence, gradient
+filtering, memory instrumentation, and determinism."""
 
 import tracemalloc
 
@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from _util import grad_rel_err
 from smoothce.blocked import (
-    FilterConfig,
     aux_bound_bytes,
     blocked_backward,
     blocked_forward,
     loss_and_grad,
-    plan_vocab_order,
 )
 from smoothce.memtrack import SingleAllocationLimitError, TrackingAllocator
 from smoothce.reference import naive_backward, naive_forward
@@ -117,8 +115,6 @@ class TestForward:
         e, c, x, _, _ = medium
         with pytest.raises(InvalidPlanError):
             blocked_forward(e, c, x, 0.1, BlockPlan(0, 4, 4))
-        with pytest.raises(InvalidPlanError):
-            blocked_forward(e, c, x, 0.1, BlockPlan(8, 64, 8, vocab_order=(1, 0)))
 
 
 class TestBackward:
@@ -169,7 +165,7 @@ class TestBackward:
         plan = plan_blocks(64, 512, 32)
         with pytest.raises(ValueError):
             blocked_backward(e, c, x, 0.1, plan, fwd[0.1].lse,
-                             filter_config=FilterConfig(enabled=True, epsilon=1.0))
+                             filter_epsilon=1.0)
 
     def test_parallel_mode_agrees(self, medium):
         e, c, x, fwd, bwd = medium
@@ -200,7 +196,7 @@ class TestFiltering:
         e, c, x, plan, lse, want = concentrated
         g, stats = blocked_backward(
             e, c, x, 0.1, plan, lse,
-            filter_config=FilterConfig(enabled=True, epsilon=0.0))
+            filter_epsilon=0.0)
         assert stats.tiles_skipped_by_filter == 0
         assert grad_rel_err(g, want) <= 1e-9
 
@@ -208,7 +204,7 @@ class TestFiltering:
         e, c, x, plan, lse, want = concentrated
         g, stats = blocked_backward(
             e, c, x, 0.1, plan, lse,
-            filter_config=FilterConfig(enabled=True, epsilon=2.0 ** -12))
+            filter_epsilon=2.0 ** -12)
         assert stats.tiles_skipped_by_filter > 0
         assert grad_rel_err(g, want) <= 1e-3
 
@@ -218,57 +214,21 @@ class TestFiltering:
         for eps in (0.0, 2.0 ** -16, 2.0 ** -12, 2.0 ** -8, 0.5):
             _, stats = blocked_backward(
                 e, c, x, 0.1, plan, lse,
-                filter_config=FilterConfig(enabled=True, epsilon=eps))
+                filter_epsilon=eps)
             skips.append(stats.tiles_skipped_by_filter)
         assert skips == sorted(skips)
         assert skips[0] == 0
 
     def test_disabled_filter_ignores_epsilon(self, concentrated):
+        """The default `filter_epsilon` is 0: nothing is filtered unless
+        asked for, by both entry points."""
         e, c, x, plan, lse, want = concentrated
-        g, stats = blocked_backward(
-            e, c, x, 0.1, plan, lse,
-            filter_config=FilterConfig(enabled=False, epsilon=0.9))
+        g, stats = blocked_backward(e, c, x, 0.1, plan, lse)
         assert stats.tiles_skipped_by_filter == 0
         assert grad_rel_err(g, want) <= 1e-9
-
-
-class TestVocabOrder:
-    def test_results_invariant_under_permutation(self, medium):
-        e, c, x, fwd, bwd = medium
-        rng = np.random.default_rng(3)
-        base = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
-        for _ in range(4):
-            order = tuple(rng.permutation(len(base.vocab_order)).tolist())
-            plan = BlockPlan(16, 64, 8, vocab_order=order)
-            out, _ = blocked_forward(e, c, x, 0.1, plan)
-            np.testing.assert_allclose(
-                out.per_token_loss, fwd[0.1].per_token_loss, rtol=1e-9)
-            g, _ = blocked_backward(e, c, x, 0.1, plan, out.lse)
-            assert grad_rel_err(g, bwd[0.1]) <= 1e-9
-
-    def test_tie_case_returns_identity(self):
-        e = DenseMatrix.from_array(np.ones((3, 4)))
-        c = DenseMatrix.from_array(np.tile([[1.0], [2.0], [3.0]], (1, 12)))
-        plan = plan_vocab_order(e, c, plan_blocks(4, 12, 3, v_block=4))
-        assert plan.vocab_order == (0, 1, 2)
-
-    def test_aligned_block_sorts_first(self):
-        rng = np.random.default_rng(4)
-        e = DenseMatrix.from_array(rng.standard_normal((5, 8)) + 1.0)
-        c_arr = rng.standard_normal((5, 12)) * 0.1
-        mu = e.data.mean(axis=1)
-        c_arr[:, 8:] += 10.0 * mu[:, None]  # last block aligned and large
-        c = DenseMatrix.from_array(c_arr)
-        plan = plan_vocab_order(e, c, plan_blocks(8, 12, 5, v_block=4))
-        assert plan.vocab_order[0] == 2
-
-    def test_sorted_plan_changes_nothing(self, medium):
-        e, c, x, fwd, _ = medium
-        base = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
-        sorted_plan = plan_vocab_order(e, c, base)
-        out, _ = blocked_forward(e, c, x, 0.1, sorted_plan)
-        np.testing.assert_allclose(
-            out.per_token_loss, fwd[0.1].per_token_loss, rtol=1e-9)
+        _, g, stats = loss_and_grad(e, c, x, 0.1, plan)
+        assert stats.tiles_skipped_by_filter == 0
+        assert grad_rel_err(g, want) <= 1e-9
 
 
 class TestMemory:
@@ -309,6 +269,40 @@ class TestMemory:
         ceiling = aux_bound_bytes(plan, 128, 2048, 64) + 4 * 128 * 8 + 65536
         assert observed <= ceiling
 
+    def test_pool_peak_under_worker_scaled_ceiling(self, medium):
+        """On the thread pool each worker holds one tile's working set, so
+        the ceiling scales with the worker count."""
+        e, c, x, fwd, _ = medium
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8,
+                           deterministic=False)
+        bound = aux_bound_bytes(plan, 64, 512, 32, workers=3)
+        assert bound > aux_bound_bytes(plan, 64, 512, 32, workers=1)
+        _, stats = blocked_forward(e, c, x, 0.1, plan, workers=3)
+        assert 0 < stats.peak_auxiliary_bytes <= bound
+        _, bstats = blocked_backward(e, c, x, 0.1, plan, fwd[0.1].lse, workers=3)
+        assert 0 < bstats.peak_auxiliary_bytes <= bound
+
+    @pytest.mark.parametrize("beta", [0.0, 0.1])
+    def test_untracked_bytes_do_not_scale_with_vocab(self, beta):
+        """What tracemalloc sees beyond the outputs and the reported peak
+        stays flat while |V| grows fourfold."""
+        def untracked(v):
+            e, c, x = random_instance(9, n=128, v=v, d=64, scale=0.5)
+            plan = plan_blocks(128, v, 64)
+            loss_and_grad(e, c, x, beta, plan)  # warm numpy internals
+            tracemalloc.start()
+            try:
+                base, _ = tracemalloc.get_traced_memory()
+                out, g, stats = loss_and_grad(e, c, x, beta, plan)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            outputs = (out.lse.nbytes + out.o.nbytes + out.per_token_loss.nbytes
+                       + g.grad_e.data.nbytes + g.grad_c.data.nbytes)
+            return peak - base - outputs - stats.peak_auxiliary_bytes
+
+        assert untracked(32768) - untracked(8192) < 64 * 1024
+
     def test_beta_does_not_move_the_peak(self):
         e, c, x = random_instance(8, n=128, v=1024, d=32, scale=0.5)
         plan = plan_blocks(128, 1024, 32)
@@ -344,16 +338,6 @@ class TestComposition:
             out.per_token_loss, fwd[0.1].per_token_loss, rtol=1e-9)
         assert grad_rel_err(g, bwd[0.1]) <= 1e-9
         assert stats.tiles_processed == 2 * 4 * 8
-
-    def test_vocab_sorting_flag_applies(self, medium):
-        e, c, x, fwd, bwd = medium
-        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
-        out, g, _ = loss_and_grad(
-            e, c, x, 0.1, plan,
-            filter_config=FilterConfig(enabled=True, epsilon=0.0, vocab_sorting=True))
-        np.testing.assert_allclose(
-            out.per_token_loss, fwd[0.1].per_token_loss, rtol=1e-9)
-        assert grad_rel_err(g, bwd[0.1]) <= 1e-9
 
     def test_deterministic_composition_reproducible(self, medium):
         e, c, x, _, _ = medium

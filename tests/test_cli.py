@@ -152,6 +152,18 @@ class TestBench:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert all(float(r[7]) > 0 for r in rows)
 
+    def test_pool_mode_stays_under_its_ceiling(self, tmp_path):
+        """With two workers two tiles are in flight; the ceiling counts
+        both."""
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--n", "128", "--v", "2048", "--d", "16",
+                "--betas", "0,0.1", "--skip-naive", "--no-deterministic",
+                "--threads", "2", "--repetitions", "3", "--warmups", "0",
+                "--out", str(out)]
+        assert main(argv) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 6 and all(float(r[7]) > 0 for r in rows)
+
     def test_too_few_repetitions_is_usage_error(self):
         assert main(["bench", "--repetitions", "2"]) == 2
 
