@@ -1,12 +1,12 @@
 """Tiled forward and backward passes for smoothed cross-entropy that never
 materialize the full |V| x N logit matrix.
 
-The forward walks (token-block, vocab-block) tile pairs, accumulating each
-V_B x N_B logit tile over depth chunks directly in BLAS (in-place dgemm into
-a Fortran-ordered scratch tile), then folds the tile into running per-token
-log-sum-exp and smoothed-target-score accumulators. The backward recomputes
-tiles from the inputs plus the saved LSE vector and splits the gradient into
-three parts:
+The forward walks (token-block, vocab-block) tile pairs, computing each
+V_B x N_B logit tile in one full-depth GEMM that reads strided views of the
+classifier and embedding matrices in place (no staged copies), then folds
+the tile into running per-token log-sum-exp and smoothed-target-score
+accumulators. The backward recomputes tiles the same way from the inputs
+plus the saved LSE vector and splits the gradient into three parts:
 
   softmax part   per-tile P = exp(z - lse) contributions; a tile whose
                  largest probability bound falls below the filter threshold
@@ -20,11 +20,12 @@ target or smoothing contributions, whose magnitudes do not shrink with the
 probabilities.
 
 Tiles are visited token block by token block, vocabulary blocks in index
-order. Every tile-sized buffer flows through a TrackingAllocator; peak
-auxiliary bytes stay O(N + N_B*V_B + D_B*(N_B+V_B)) per tile in flight
-regardless of |V| (one tile in deterministic mode, one per worker on the
-thread pool). The returned outputs and O(D) or O(N_B) temporaries are not
-tracked.
+order. Every GEMM goes through `dgemm`, numpy's BLAS via `np.matmul`; the
+backward's two products are chunked over depth, D_B rows at a time. Every
+tile-sized buffer flows through a TrackingAllocator; peak auxiliary bytes
+stay O(N + N_B*V_B + D_B*max(N_B, V_B)) per tile in flight regardless of
+|V| (one tile in deterministic mode, one per worker on the thread pool).
+The returned outputs and O(D) or O(N_B) temporaries are not tracked.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 
 from .memtrack import MemoryStats, TrackingAllocator
 from .reference import Gradients, LossOutput, _validate, token_weights
@@ -80,24 +80,23 @@ def _tile_ranges(n: int, v: int, eff: BlockPlan):
     ]
 
 
-def _accumulate_logit_tile(alloc, Ea, Ca, n0, nb, v0, vb, d, db_sz, tile):
-    """tile[v, i] = sum_d C[d, v0+v] * E[d, n0+i], chunked over depth."""
-    first = True
-    for d0 in range(0, d, db_sz):
-        db = min(db_sz, d - d0)
-        cs = alloc.empty((db, vb))
-        np.copyto(cs, Ca[d0:d0 + db, v0:v0 + vb])
-        es = alloc.empty((db, nb))
-        np.copyto(es, Ea[d0:d0 + db, n0:n0 + nb])
-        res = dgemm(1.0, cs, es, beta=0.0 if first else 1.0, c=tile,
-                    overwrite_c=1, trans_a=1)
-        if res is not tile:
-            raise RuntimeError("BLAS produced a copy; the tile accumulator "
-                               "must stay Fortran-contiguous")
-        alloc.release(es)
-        alloc.release(cs)
-        first = False
-    return tile
+def dgemm(alpha, a, b, c, trans_a=0, trans_b=0):
+    """c = alpha * op(a) @ op(b), written into the C-ordered buffer `c`.
+
+    The engine's only GEMM entry. `a` and `b` may be strided views of the
+    inputs: with one unit stride numpy passes them to BLAS with a leading
+    dimension instead of copying them.
+    """
+    np.matmul(a.T if trans_a else a, b.T if trans_b else b, out=c)
+    if alpha != 1.0:
+        c *= alpha
+    return c
+
+
+def _logit_tile(alloc, Ea, Ca, n0, nb, v0, vb):
+    """tile[v, i] = sum_d C[d, v0+v] * E[d, n0+i], in one full-depth GEMM."""
+    tile = alloc.empty((vb, nb), order="C")
+    return dgemm(1.0, Ca[:, v0:v0 + vb], Ea[:, n0:n0 + nb], tile, trans_a=1)
 
 
 def _run_tiles(tiles, work, deterministic: bool, workers: int | None):
@@ -132,8 +131,7 @@ def blocked_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: floa
     count_lock = threading.Lock()
 
     def run_tile(n0, nb, v0, vb):
-        tile = alloc.empty((vb, nb))
-        _accumulate_logit_tile(alloc, Ea, Ca, n0, nb, v0, vb, d, eff.d_block, tile)
+        tile = _logit_tile(alloc, Ea, Ca, n0, nb, v0, vb)
         tgt = xa[n0:n0 + nb]
         in_block = (tgt >= v0) & (tgt < v0 + vb)
         with n_locks[n0]:
@@ -209,8 +207,7 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
     count_lock = threading.Lock()
 
     def run_tile(n0, nb, v0, vb):
-        tile = alloc.empty((vb, nb))
-        _accumulate_logit_tile(alloc, Ea, Ca, n0, nb, v0, vb, d, eff.d_block, tile)
+        tile = _logit_tile(alloc, Ea, Ca, n0, nb, v0, vb)
         tile -= lse[n0:n0 + nb]
         if filter_epsilon and math.exp(float(tile.max())) < filter_epsilon:
             alloc.release(tile)
@@ -219,24 +216,19 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
             return
         np.exp(tile, out=tile)
         tile *= w[n0:n0 + nb]
+        # D_B-deep product chunks, C-ordered like grad_e and grad_c
         for d0 in range(0, d, eff.d_block):
             db = min(eff.d_block, d - d0)
-            cs = alloc.empty((db, vb))
-            np.copyto(cs, Ca[d0:d0 + db, v0:v0 + vb])
-            pe = alloc.empty((db, nb))
-            dgemm(1.0, cs, tile, beta=0.0, c=pe, overwrite_c=1)
+            pe = dgemm(1.0, Ca[d0:d0 + db, v0:v0 + vb], tile,
+                       alloc.empty((db, nb), order="C"))
             with n_locks[n0]:
                 grad_e[d0:d0 + db, n0:n0 + nb] += pe
             alloc.release(pe)
-            alloc.release(cs)
-            es = alloc.empty((db, nb))
-            np.copyto(es, Ea[d0:d0 + db, n0:n0 + nb])
-            pc = alloc.empty((db, vb))
-            dgemm(1.0, es, tile, beta=0.0, c=pc, overwrite_c=1, trans_b=1)
+            pc = dgemm(1.0, Ea[d0:d0 + db, n0:n0 + nb], tile,
+                       alloc.empty((db, vb), order="C"), trans_b=1)
             with v_locks[v0]:
                 grad_c[d0:d0 + db, v0:v0 + vb] += pc
             alloc.release(pc)
-            alloc.release(es)
         alloc.release(tile)
         with count_lock:
             counts[0] += 1
@@ -262,7 +254,7 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
             nb = min(eff.n_block, n - n0)
             for d0 in range(0, d, eff.d_block):
                 db = min(eff.d_block, d - d0)
-                pe = alloc.empty((db, nb))
+                pe = alloc.empty((db, nb), order="C")
                 np.multiply(col_c[d0:d0 + db, None], w[None, n0:n0 + nb], out=pe)
                 pe *= coef
                 grad_e[d0:d0 + db, n0:n0 + nb] -= pe

@@ -3,8 +3,13 @@
 Every tile-sized buffer the engine uses is requested through a
 TrackingAllocator, so the reported peak covers every auxiliary buffer that
 grows with the tile plan. Inputs and returned outputs are excluded by
-construction; O(D) and O(N_B) temporaries and numpy's internal ufunc
-buffers are not tracked.
+construction; O(D) and O(N_B) temporaries are not tracked.
+
+Nor are numpy's internal ufunc buffers, at most 8192 elements per operand,
+that the engine's in-place updates still cause: the broadcast `tile -= lse`
+and `tile *= w` in the backward, and the `+=` of a product chunk into a
+strided slice of `grad_e` or `grad_c`. The GEMMs themselves read strided
+views of the inputs and write into tracked buffers, so they add nothing.
 """
 
 from __future__ import annotations

@@ -366,9 +366,12 @@ _WORD = 8  # engine buffers are float64
 
 def plan_working_set_bytes(plan: BlockPlan) -> int:
     """Transient bytes the blocked engine needs for one in-flight tile:
-    the V_B x N_B tile, two staged input chunks, and four N_B scratch rows."""
+    the V_B x N_B logit tile, one D_B-deep GEMM product chunk (the backward
+    holds D_B x N_B for the embedding gradient, then D_B x V_B for the
+    classifier gradient, never both), and the forward's four N_B scratch
+    rows for the LSE merge."""
     nb, vb, db = plan.n_block, plan.v_block, plan.d_block
-    return _WORD * (nb * vb + db * (nb + vb) + 4 * nb)
+    return _WORD * (nb * vb + db * max(nb, vb) + 4 * nb)
 
 
 def plan_blocks(

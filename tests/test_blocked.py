@@ -1,13 +1,18 @@
 """Blocked engine against the naive oracle: tiling equivalence, gradient
 filtering, memory instrumentation, and determinism."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smoothce.blocked
 from _util import grad_rel_err
 from smoothce.blocked import (
     aux_bound_bytes,
@@ -25,6 +30,22 @@ from smoothce.tensors import (
     plan_blocks,
     random_instance,
 )
+
+
+def untracked_bytes(e, c, x, beta, plan):
+    """(tracemalloc peak of one loss_and_grad beyond its outputs minus the
+    reported peak, the reported peak)."""
+    loss_and_grad(e, c, x, beta, plan)  # warm numpy internals
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        out, g, stats = loss_and_grad(e, c, x, beta, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outputs = (out.lse.nbytes + out.o.nbytes + out.per_token_loss.nbytes
+               + g.grad_e.data.nbytes + g.grad_c.data.nbytes)
+    return peak - base - outputs - stats.peak_auxiliary_bytes, stats.peak_auxiliary_bytes
 
 
 @pytest.fixture(scope="module")
@@ -288,20 +309,32 @@ class TestMemory:
         stays flat while |V| grows fourfold."""
         def untracked(v):
             e, c, x = random_instance(9, n=128, v=v, d=64, scale=0.5)
-            plan = plan_blocks(128, v, 64)
-            loss_and_grad(e, c, x, beta, plan)  # warm numpy internals
-            tracemalloc.start()
-            try:
-                base, _ = tracemalloc.get_traced_memory()
-                out, g, stats = loss_and_grad(e, c, x, beta, plan)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            outputs = (out.lse.nbytes + out.o.nbytes + out.per_token_loss.nbytes
-                       + g.grad_e.data.nbytes + g.grad_c.data.nbytes)
-            return peak - base - outputs - stats.peak_auxiliary_bytes
+            return untracked_bytes(e, c, x, beta, plan_blocks(128, v, 64))[0]
 
         assert untracked(32768) - untracked(8192) < 64 * 1024
+
+    def test_untracked_bytes_stay_under_half_the_reported_peak(self):
+        """Product chunks share the C layout of the gradient slices they are
+        added into, so those adds need no full-chunk ufunc buffers and the
+        untracked bytes stay well under what the allocator reports."""
+        e, c, x = random_instance(9, n=512, v=8192, d=64, scale=0.5)
+        untracked, reported = untracked_bytes(e, c, x, 0.1, plan_blocks(512, 8192, 64))
+        assert untracked < 0.5 * reported
+
+    @pytest.mark.parametrize("n, v, d, blocks", [
+        (64, 512, 32, (16, 64, 8)),
+        (64, 512, 32, (48, 100, 13)),
+        (512, 8192, 64, (None, None, None)),
+    ])
+    def test_deterministic_bound_is_tight(self, n, v, d, blocks):
+        """The serial ceiling overshoots the reported peak by at most the
+        fixed allowance plus the forward's four N_B rows, which the backward
+        (where the peak falls) does not hold."""
+        e, c, x = random_instance(11, n=n, v=v, d=d, scale=0.5)
+        plan = plan_blocks(n, v, d, *blocks)
+        _, _, stats = loss_and_grad(e, c, x, 0.1, plan)
+        bound = aux_bound_bytes(plan, n, v, d)
+        assert 0 <= bound - stats.peak_auxiliary_bytes <= 4096 + 8 * 4 * plan.n_block
 
     def test_beta_does_not_move_the_peak(self):
         e, c, x = random_instance(8, n=128, v=1024, d=32, scale=0.5)
@@ -327,6 +360,62 @@ class TestMemory:
         alloc.release(c_buf)
         assert alloc.peak_bytes == 2 * 800
         assert alloc.current_bytes == 0
+
+
+class TestGemmContract:
+    """Every GEMM goes through `smoothce.blocked.dgemm` and reads the inputs
+    in place: an operand is either a view of E or C, or the logit tile an
+    earlier call wrote. The flop total is the one the per-layer benchmark
+    counts: the forward tile, its backward recompute and the two backward
+    products, each 2 n |V| d."""
+
+    @pytest.mark.parametrize("deterministic", [True, False])
+    def test_operands_are_input_views_and_flops_add_up(self, monkeypatch, deterministic):
+        n, v, d = 64, 512, 32
+        e, c, x = random_instance(12, n=n, v=v, d=d, scale=0.5)
+        plan = plan_blocks(n, v, d, n_block=16, v_block=128, d_block=16,
+                           deterministic=deterministic)
+        assert d > plan.d_block  # two depth chunks in the backward
+        calls = []
+        original = smoothce.blocked.dgemm
+
+        def recorder(alpha, a, b, out, trans_a=0, trans_b=0):
+            calls.append((a, b, out, trans_a, trans_b))
+            return original(alpha, a, b, out, trans_a=trans_a, trans_b=trans_b)
+
+        monkeypatch.setattr(smoothce.blocked, "dgemm", recorder)
+        loss_and_grad(e, c, x, 0.1, plan, workers=2)
+
+        outputs = [out for _, _, out, _, _ in calls]
+        flop = 0
+        for a, b, out, trans_a, trans_b in calls:
+            assert out.flags.c_contiguous
+            assert np.shares_memory(a, e.data) or np.shares_memory(a, c.data)
+            from_input = np.shares_memory(b, e.data) or np.shares_memory(b, c.data)
+            assert from_input or any(b is t for t in outputs)
+            (m, k), (k2, p) = (a.T if trans_a else a).shape, (b.T if trans_b else b).shape
+            assert k == k2 and out.shape == (m, p)
+            flop += 2 * m * p * k
+        assert flop == 4 * 2 * n * v * d
+
+
+def test_engine_runs_without_scipy():
+    """scipy is a test-only dependency: the engine imports and runs with
+    every scipy import made to fail."""
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from smoothce import loss_and_grad, plan_blocks, random_instance\n"
+        "e, c, x = random_instance(1, n=8, v=64, d=8, scale=0.5)\n"
+        "out, g, _ = loss_and_grad(e, c, x, 0.1, plan_blocks(8, 64, 8))\n"
+        "assert abs(out.total) < float('inf')\n"
+    )
+    src = str(Path(smoothce.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestComposition:

@@ -251,6 +251,12 @@ class TestPlanning:
         with pytest.raises(InvalidPlanError):
             plan_blocks(8, 16, 4, n_block=0)
 
+    @pytest.mark.parametrize("n, v, d", [(1024, 16384, 64), (256, 65536, 128),
+                                         (256, 4096, 64)])
+    def test_default_plan_at_benchmark_shapes(self, n, v, d):
+        plan = plan_blocks(n, v, d)
+        assert (plan.n_block, plan.v_block, plan.d_block) == (128, 512, 64)
+
     def test_small_budget_shrinks_blocks(self):
         plan = plan_blocks(4096, 65536, 256, budget_bytes=256 * 1024)
         assert plan_working_set_bytes(plan) <= 256 * 1024
