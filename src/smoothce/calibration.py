@@ -6,12 +6,13 @@ Records arrive as JSONL, one prediction per line, in either of two forms:
     {"confidence": c, "correct": b}     already-summarized prediction
 
 Confidence-only records support ECE / RMS-CE and reliability tables; the
-class-wise metrics (SCE, ACE) need full probability vectors.
+class-wise metrics (SCE, ACE) need full probability vectors. Non-numeric
+(string, null) and non-finite probs entries are rejected at ingest.
 
 Binning convention: equal-width bins are [lo, hi) except the last, which is
 [lo, 1], so every record lands in exactly one bin. Equal-mass binning sorts
 by confidence and splits into near-equal-count groups with the remainder
-spread over the leading bins.
+spread over the leading bins; tied values keep record order.
 """
 
 from __future__ import annotations
@@ -65,9 +66,17 @@ class BinStats:
 
 
 def _record_from_probs(probs, label, where: str) -> CalibrationRecord:
-    p = np.asarray(probs, dtype=np.float64)
+    try:
+        p = np.asarray(probs)
+    except ValueError as exc:  # ragged nesting
+        raise RecordError(f"{where}: probs must be a non-empty vector") from exc
     if p.ndim != 1 or p.size == 0:
         raise RecordError(f"{where}: probs must be a non-empty vector")
+    if p.dtype.kind not in "biuf":  # strings and null give str/object arrays
+        raise RecordError(f"{where}: probs entries must be numbers")
+    p = p.astype(np.float64, copy=False)
+    if not np.isfinite(p).all():
+        raise RecordError(f"{where}: probs entries must be finite")
     if (p < 0).any() or (p > 1).any():
         raise RecordError(f"{where}: probs entries must lie in [0, 1]")
     if abs(float(p.sum()) - 1.0) > 1e-6:
@@ -80,7 +89,7 @@ def _record_from_probs(probs, label, where: str) -> CalibrationRecord:
     return CalibrationRecord(
         confidence=float(p[predicted]),
         correct=predicted == label,
-        probs=tuple(float(q) for q in p),
+        probs=tuple(p.tolist()),
         predicted=predicted,
         label=label,
     )
@@ -126,32 +135,29 @@ def ingest_records(path) -> list[CalibrationRecord]:
     return records
 
 
-def _equal_width_index(conf: float, m: int) -> int:
-    return min(int(conf * m), m - 1)
+def _bin_columns(values: np.ndarray, hit_col: np.ndarray, m: int, scheme: str):
+    """Bin every column of an (n, k) value matrix into m bins of `scheme`.
 
-
-def _bin_values(values, flags, m: int, scheme: str) -> list[tuple[float, float, list[int]]]:
-    """Group indices by bin; returns (lo, hi, member indices) per bin."""
-    n = len(values)
+    Record i counts as a hit in column hit_col[i] (none when negative).
+    Returns (k, m) arrays: per-bin record counts, value sums and hit counts.
+    """
+    n, k = values.shape
+    idx = np.empty((n, k), dtype=np.intp)
     if scheme == "equal_width":
-        members = [[] for _ in range(m)]
-        for i, c in enumerate(values):
-            members[_equal_width_index(c, m)].append(i)
-        return [(k / m, (k + 1) / m, members[k]) for k in range(m)]
-    # equal_mass
-    order = sorted(range(n), key=lambda i: (values[i], i))
-    base, rem = divmod(n, m)
-    out = []
-    pos = 0
-    for k in range(m):
-        size = base + (1 if k < rem else 0)
-        grp = order[pos:pos + size]
-        pos += size
-        if grp:
-            out.append((values[grp[0]], values[grp[-1]], grp))
-        else:
-            out.append((math.nan, math.nan, grp))
-    return out
+        np.multiply(values, m, out=idx, casting="unsafe")  # int(v * m)
+        np.minimum(idx, m - 1, out=idx)
+    else:
+        sizes = np.full(m, n // m)
+        sizes[:n % m] += 1
+        order = np.argsort(values, axis=0, kind="stable")  # ties keep record order
+        np.put_along_axis(idx, order, np.repeat(np.arange(m), sizes)[:, None], axis=0)
+    idx += m * np.arange(k)
+    flat = idx.ravel()
+    counts = np.bincount(flat, minlength=m * k)
+    sums = np.bincount(flat, weights=values.ravel(), minlength=m * k)
+    rows = np.flatnonzero(hit_col >= 0)
+    hits = np.bincount(idx[rows, hit_col[rows]], minlength=m * k)
+    return counts.reshape(k, m), sums.reshape(k, m), hits.reshape(k, m)
 
 
 def bin_records(records, m: int, scheme: str = "equal_width") -> list[BinStats]:
@@ -162,19 +168,21 @@ def bin_records(records, m: int, scheme: str = "equal_width") -> list[BinStats]:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if not records:
         raise ValueError("cannot bin an empty record set")
-    conf = [r.confidence for r in records]
-    corr = [r.correct for r in records]
+    conf = np.array([r.confidence for r in records], dtype=np.float64)
+    hit_col = np.array([0 if r.correct else -1 for r in records], dtype=np.intp)
+    (counts,), (sums,), (hits,) = _bin_columns(conf[:, None], hit_col, m, scheme)
+    if scheme == "equal_mass":  # bin b holds ranks ends[b] - count .. ends[b] - 1
+        ranked, ends = np.sort(conf).tolist(), np.cumsum(counts).tolist()
     bins = []
-    for lo, hi, grp in _bin_values(conf, corr, m, scheme):
-        if grp:
-            bins.append(BinStats(
-                lo=lo, hi=hi, count=len(grp),
-                mean_confidence=sum(conf[i] for i in grp) / len(grp),
-                accuracy=sum(1.0 for i in grp if corr[i]) / len(grp),
-            ))
+    for b, c in enumerate(counts.tolist()):
+        if scheme == "equal_width":
+            lo, hi = b / m, (b + 1) / m
+        elif c:
+            lo, hi = ranked[ends[b] - c], ranked[ends[b] - 1]
         else:
-            bins.append(BinStats(lo=lo, hi=hi, count=0,
-                                 mean_confidence=None, accuracy=None))
+            lo = hi = math.nan
+        mean, acc = (float(sums[b]) / c, int(hits[b]) / c) if c else (None, None)
+        bins.append(BinStats(lo=lo, hi=hi, count=c, mean_confidence=mean, accuracy=acc))
     return bins
 
 
@@ -203,7 +211,14 @@ def rms_ce(bins, n_total: int) -> float:
     ))
 
 
-def _class_probs(records) -> np.ndarray:
+def _class_gaps(records, m: int, scheme: str):
+    """Bin every class's probability column; returns (k, m) record counts
+    and |label hits - probability sum| per class and bin, which is the
+    bin's count times its frequency/probability gap."""
+    if m < 1:
+        raise ValueError(f"bin count must be >= 1, got {m}")
+    if not records:
+        raise ValueError("cannot score an empty record set")
     missing = [i for i, r in enumerate(records) if r.probs is None]
     if missing:
         raise ValueError(
@@ -211,7 +226,10 @@ def _class_probs(records) -> np.ndarray:
     k = len(records[0].probs)
     if any(len(r.probs) != k for r in records):
         raise ValueError("records disagree on the number of classes")
-    return np.array([r.probs for r in records])
+    p = np.array([r.probs for r in records], dtype=np.float64)
+    labels = np.array([r.label for r in records], dtype=np.intp)
+    counts, sums, hits = _bin_columns(p, labels, m, scheme)
+    return counts, np.abs(hits - sums)
 
 
 def sce(records, m: int) -> float:
@@ -219,23 +237,8 @@ def sce(records, m: int) -> float:
     probability into m equal-width bins, take the count-weighted absolute gap
     between the empirical label frequency and the mean probability, and
     average over classes."""
-    if m < 1:
-        raise ValueError(f"bin count must be >= 1, got {m}")
-    if not records:
-        raise ValueError("cannot score an empty record set")
-    p = _class_probs(records)
-    labels = np.array([r.label for r in records])
-    n, k = p.shape
-    total = 0.0
-    for cls in range(k):
-        hits = labels == cls
-        for lo, hi, grp in _bin_values(p[:, cls].tolist(), None, m, "equal_width"):
-            if not grp:
-                continue
-            freq = float(np.mean(hits[grp]))
-            mean_p = float(np.mean(p[grp, cls]))
-            total += (len(grp) / n) * abs(freq - mean_p)
-    return total / k
+    counts, weighted_gaps = _class_gaps(records, m, "equal_width")
+    return float(weighted_gaps.sum() / counts.sum())  # counts sum to n * k
 
 
 def ace(records, m: int, empty_bins: str = "skip") -> float:
@@ -246,28 +249,13 @@ def ace(records, m: int, empty_bins: str = "skip") -> float:
     whether their weight is renormalized away ("skip") or counted as zero
     gap ("zero").
     """
-    if m < 1:
-        raise ValueError(f"bin count must be >= 1, got {m}")
     if empty_bins not in ("skip", "zero"):
         raise ValueError(f"empty_bins must be 'skip' or 'zero', got {empty_bins!r}")
-    if not records:
-        raise ValueError("cannot score an empty record set")
-    p = _class_probs(records)
-    labels = np.array([r.label for r in records])
-    n, k = p.shape
-    total = 0.0
-    for cls in range(k):
-        hits = labels == cls
-        gaps = []
-        for lo, hi, grp in _bin_values(p[:, cls].tolist(), None, m, "equal_mass"):
-            if not grp:
-                continue
-            freq = float(np.mean(hits[grp]))
-            mean_p = float(np.mean(p[grp, cls]))
-            gaps.append(abs(freq - mean_p))
-        denom = len(gaps) if empty_bins == "skip" else m
-        total += sum(gaps) / denom if denom else 0.0
-    return total / k
+    counts, weighted_gaps = _class_gaps(records, m, "equal_mass")
+    filled = counts > 0
+    gaps = np.divide(weighted_gaps, counts, out=np.zeros(counts.shape), where=filled)
+    denom = filled.sum(axis=1) if empty_bins == "skip" else m
+    return float(np.mean(gaps.sum(axis=1) / denom))
 
 
 def reliability_data(bins) -> list[tuple]:

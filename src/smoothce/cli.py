@@ -338,15 +338,22 @@ def cmd_calibrate(args) -> int:
 
     n = len(records)
     m = args.bins
+    binned = {}
+
+    def bins_for(scheme):
+        if scheme not in binned:
+            binned[scheme] = bin_records(records, m, scheme)
+        return binned[scheme]
+
     rows = []
     try:
         for name in wanted:
             if name == "ece":
                 for scheme in ("equal_width", "equal_mass"):
-                    rows.append(("ece", m, scheme, ece(bin_records(records, m, scheme), n)))
+                    rows.append(("ece", m, scheme, ece(bins_for(scheme), n)))
             elif name == "rms_ce":
                 for scheme in ("equal_width", "equal_mass"):
-                    rows.append(("rms_ce", m, scheme, rms_ce(bin_records(records, m, scheme), n)))
+                    rows.append(("rms_ce", m, scheme, rms_ce(bins_for(scheme), n)))
             elif name == "sce":
                 rows.append(("sce", m, "equal_width", sce(records, m)))
             elif name == "ace":
@@ -360,10 +367,9 @@ def cmd_calibrate(args) -> int:
 
     _write_csv(args.out, ("metric", "bins", "scheme", "value"), rows)
     if args.reliability_csv:
-        bins = bin_records(records, m, args.reliability_scheme)
         _write_csv(args.reliability_csv,
                    ("lo", "hi", "count", "mean_confidence", "accuracy", "gap"),
-                   reliability_data(bins))
+                   reliability_data(bins_for(args.reliability_scheme)))
     return 0
 
 

@@ -87,6 +87,14 @@ class TestIngestion:
         with pytest.raises(ValueError, match="probs"):
             ace(records, 2)
 
+    @pytest.mark.parametrize("entry", ["NaN", "null", '"a"'], ids=["nan", "null", "string"])
+    def test_non_numeric_probs_entry_names_line(self, tmp_path, entry):
+        p = tmp_path / "r.jsonl"
+        p.write_text('{"probs": [0.5, 0.5], "label": 0}\n'
+                     f'{{"probs": [{entry}, 1.0], "label": 1}}\n')
+        with pytest.raises(RecordError, match=":2"):
+            ingest_records(p)
+
 
 class TestBinning:
     def test_single_bin_aggregates_everything(self):
@@ -111,6 +119,17 @@ class TestBinning:
     def test_equal_mass_remainder_leads(self):
         bins = bin_records(FIXTURE + [summary(0.5, True)], 2, "equal_mass")
         assert [b.count for b in bins] == [3, 2]
+
+    def test_equal_mass_ties_keep_record_order(self):
+        """Three tied confidences straddle the boundary; the first-listed
+        (correct) one fills the lower bin."""
+        records = [summary(0.2, False), summary(0.5, True),
+                   summary(0.5, False), summary(0.5, False)]
+        bins = bin_records(records, 2, "equal_mass")
+        assert [b.count for b in bins] == [2, 2]
+        assert [b.accuracy for b in bins] == [0.5, 0.0]
+        assert [b.mean_confidence for b in bins] == pytest.approx([0.35, 0.5])
+        assert (bins[0].lo, bins[0].hi, bins[1].lo, bins[1].hi) == (0.2, 0.5, 0.5, 0.5)
 
     def test_confidence_one_lands_in_last_bin(self):
         bins = bin_records([summary(1.0, True)], 4)
@@ -263,13 +282,23 @@ class TestClassWiseMetrics:
             class0 += (len(members) / n) * abs(freq - mean_p)
         assert sce(records, m) == pytest.approx(class0, abs=1e-12)
 
-    @pytest.mark.parametrize("n,k,m,seed", [(10, 2, 2, 0), (37, 3, 4, 1),
-                                            (100, 5, 4, 2), (64, 4, 3, 3)])
-    def test_against_brute_force(self, n, k, m, seed):
+    @pytest.mark.parametrize("n,k,m,seed,decimals", [
+        pytest.param(10, 2, 2, 0, None, id="10-2-2-0"),
+        pytest.param(37, 3, 4, 1, None, id="37-3-4-1"),
+        pytest.param(100, 5, 4, 2, None, id="100-5-4-2"),
+        pytest.param(64, 4, 3, 3, None, id="64-4-3-3"),
+        # probabilities on a 0.1 grid: tied values with different labels
+        # straddle the equal-mass boundaries, so ACE pins the tie order
+        pytest.param(40, 3, 4, 4, 1, id="ties-40-3-4-4"),
+    ])
+    def test_against_brute_force(self, n, k, m, seed, decimals):
         rng = np.random.default_rng(seed)
         records = []
         for _ in range(n):
             raw = rng.dirichlet(np.ones(k))
+            if decimals is not None:
+                raw = np.round(raw, decimals)
+                raw[np.argmax(raw)] += 1.0 - raw.sum()
             records.append(probs_record([float(q) for q in raw],
                                         int(rng.integers(0, k))))
         assert sce(records, m) == pytest.approx(brute_force_sce(records, m), abs=1e-12)
