@@ -77,8 +77,13 @@ def _record_from_probs(probs, label, where: str) -> CalibrationRecord:
     p = p.astype(np.float64, copy=False)
     if not np.isfinite(p).all():
         raise RecordError(f"{where}: probs entries must be finite")
-    if (p < 0).any() or (p > 1).any():
+    lo, hi = p.min(), p.max()
+    if lo < 0 or hi > 1:
         raise RecordError(f"{where}: probs entries must lie in [0, 1]")
+    # a JSON boolean reads as 0 or 1, also mixed into numbers, so only a
+    # record holding an exact 0 or 1 needs its entries' types checked
+    if (lo == 0 or hi == 1) and bool in map(type, probs):
+        raise RecordError(f"{where}: probs entries must be numbers, not booleans")
     if abs(float(p.sum()) - 1.0) > 1e-6:
         raise RecordError(f"{where}: probs sum to {float(p.sum())}, expected 1")
     if not isinstance(label, int) or isinstance(label, bool):

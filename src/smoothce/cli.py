@@ -144,13 +144,13 @@ def _grad_error(got, want) -> float:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _make_plan(args, n, v, d):
+def _make_plan(args, n, v, d, threads):
     return plan_blocks(
         n, v, d,
         n_block=getattr(args, "n_block", None),
         v_block=getattr(args, "v_block", None),
         d_block=getattr(args, "d_block", None),
-        deterministic=args.deterministic,
+        workers=threads,
     )
 
 
@@ -165,7 +165,7 @@ def cmd_loss(args) -> int:
     threads = _resolve_threads(args)
     try:
         if args.engine == "blocked":
-            plan = _make_plan(args, emb.cols, cls.cols, emb.rows)
+            plan = _make_plan(args, emb.cols, cls.cols, emb.rows, threads)
             out, _ = blocked_forward(emb, cls, tgt, args.beta, plan,
                                      reduction=args.reduction, workers=threads)
         else:
@@ -183,8 +183,8 @@ def cmd_loss(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     emb, cls, tgt = random_instance(args.seed, args.n, args.v, args.d, args.scale)
-    plan = _make_plan(args, args.n, args.v, args.d)
     threads = _resolve_threads(args)
+    plan = _make_plan(args, args.n, args.v, args.d, threads)
     tol_analytic = args.tol_analytic
     if tol_analytic is None:
         tol_analytic = 1e-3 if args.filter_eps > 0 else 1e-9
@@ -249,7 +249,7 @@ def _tracemalloc_peak(fn) -> int:
 def cmd_bench(args) -> int:
     n, v, d = args.n, args.v, args.d
     threads = _resolve_threads(args)
-    plan = _make_plan(args, n, v, d)
+    plan = _make_plan(args, n, v, d, threads)
     phases = [p.strip() for p in args.phases.split(",") if p.strip()]
     for p in phases:
         if p not in ("fwd", "bwd", "fwd_bwd"):
@@ -421,10 +421,12 @@ _BOOL = argparse.BooleanOptionalAction
 def _add_common(sub):
     sub.add_argument("--config", help="key=value file mirroring every flag")
     sub.add_argument("--threads", type=_positive_int, default=None,
-                     help="worker cap for non-deterministic engine runs "
-                          "(falls back to SCE_THREADS)")
+                     help="engine worker threads (falls back to SCE_THREADS, "
+                          "then every available CPU); for given tile sizes "
+                          "results are bit-identical for any count")
     sub.add_argument("--deterministic", action=_BOOL, default=True,
-                     help="strictly serial, bit-reproducible execution")
+                     help="leave bench wall times empty so that every output "
+                          "is byte-identical across reruns")
 
 
 def _add_tiles(sub):

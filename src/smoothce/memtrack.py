@@ -5,11 +5,16 @@ TrackingAllocator, so the reported peak covers every auxiliary buffer that
 grows with the tile plan. Inputs and returned outputs are excluded by
 construction; O(D) and O(N_B) temporaries are not tracked.
 
-Nor are numpy's internal ufunc buffers, at most 8192 elements per operand,
-that the engine's in-place updates still cause: the broadcast `tile -= lse`
-and `tile *= w` in the backward, and the `+=` of a product chunk into a
-strided slice of `grad_e` or `grad_c`. The GEMMs themselves read strided
-views of the inputs and write into tracked buffers, so they add nothing.
+Nor are numpy's internal ufunc buffers. numpy allocates them even for
+same-dtype operations, up to 8192 elements per operand by default, for the
+broadcast `tile -= lse` and `tile *= w` and the `+=` of a product chunk
+into a strided gradient slice. The engine runs its tile work with the
+buffer size at 16 elements, per worker thread, so they stay a few hundred
+bytes. The GEMMs read strided views of the inputs and write into tracked
+buffers, so they add nothing.
+
+A buffer is counted from `empty` to `release`; the engine drops its last
+reference at `release`, so the reported peak is what is actually held.
 """
 
 from __future__ import annotations
@@ -28,11 +33,17 @@ class SingleAllocationLimitError(MemoryError):
 
 @dataclass(frozen=True)
 class MemoryStats:
-    """Auxiliary-memory and tiling counters for one engine call."""
+    """Auxiliary-memory and tiling counters for one engine call.
+
+    `tiles_in_flight` is how many tiles the call held at once, one per
+    worker thread: the factor `aux_bound_bytes` multiplies the tile working
+    set by.
+    """
 
     peak_auxiliary_bytes: int
     tiles_processed: int
     tiles_skipped_by_filter: int
+    tiles_in_flight: int
 
 
 class TrackingAllocator:

@@ -1,8 +1,9 @@
 """Dense matrix storage, deterministic instance generation, block planning,
 and the SCE1 binary matrix file format.
 
-A block plan holds only what can change a result or a cost: the three tile
-sizes and the serial/thread-pool switch.
+A block plan holds only what can change a cost: the three tile sizes. The
+default plan depends on how many tiles the engine holds at once
+(`tiles_in_flight`), which depends on the worker count.
 
 All numeric payloads are held in 64-bit floats internally; 32-bit storage is
 supported at the file boundary only (widened on load). Every container in
@@ -11,6 +12,7 @@ this module is immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -33,6 +35,7 @@ __all__ = [
     "random_instance",
     "plan_blocks",
     "plan_working_set_bytes",
+    "tiles_in_flight",
     "DEFAULT_TILE_BUDGET_BYTES",
 ]
 
@@ -134,16 +137,12 @@ class TokenSequence:
 
 @dataclass(frozen=True)
 class BlockPlan:
-    """Tile sizes for the blocked engine.
-
-    `deterministic` selects strictly serial tile processing
-    (bit-reproducible) over the thread-pool path.
-    """
+    """Tile sizes for the blocked engine. They fix the order of every sum,
+    so results depend on them but never on the worker count."""
 
     n_block: int
     v_block: int
     d_block: int
-    deterministic: bool = True
 
     def clamped(self, n: int, v: int, d: int) -> "BlockPlan":
         """Effective plan for concrete extents; rejects non-positive sizes."""
@@ -153,7 +152,7 @@ class BlockPlan:
             if size < 1:
                 raise InvalidPlanError(f"{name} must be >= 1, got {size}")
         return BlockPlan(min(self.n_block, n), min(self.v_block, v),
-                         min(self.d_block, d), self.deterministic)
+                         min(self.d_block, d))
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +373,20 @@ def plan_working_set_bytes(plan: BlockPlan) -> int:
     return _WORD * (nb * vb + db * max(nb, vb) + 4 * nb)
 
 
+def tiles_in_flight(n: int, n_block: int, workers: int | None = None) -> int:
+    """Tiles the blocked engine holds at once: one per worker thread, with
+    no more workers than token blocks. `workers=None` means every CPU this
+    process may run on."""
+    if workers is None:
+        try:
+            workers = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            workers = os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return min(workers, -(-n // n_block))
+
+
 def plan_blocks(
     n: int,
     v: int,
@@ -382,13 +395,16 @@ def plan_blocks(
     v_block: int | None = None,
     d_block: int | None = None,
     budget_bytes: int = DEFAULT_TILE_BUDGET_BYTES,
-    deterministic: bool = True,
+    workers: int | None = None,
 ) -> BlockPlan:
     """Choose tile sizes for an N-token, |V|-vocabulary, D-dimensional
-    instance.
+    instance run on `workers` threads (None: every available CPU).
 
     Defaults are clamped to the extents and shrunk until the per-tile working
-    set fits `budget_bytes`. Explicit overrides are clamped but never shrunk.
+    set fits `budget_bytes`. Then V_B is halved, down to N_B, until the
+    V_B-proportional buffers of all tiles in flight (logit tiles and product
+    chunks) fit those of one serial tile, so more workers do not multiply the
+    working set. Explicit overrides are clamped but never shrunk.
     """
     if n < 1 or v < 1 or d < 1:
         raise ValueError("matrix extents must be >= 1")
@@ -416,5 +432,8 @@ def plan_blocks(
                     f"budget of {budget_bytes} bytes cannot fit even a 1x1 tile"
                 )
         nb, vb, db = plan.n_block, plan.v_block, plan.d_block
+        in_flight, serial_vb = tiles_in_flight(n, nb, workers), vb
+        while vb // 2 >= nb and in_flight * vb > serial_vb:
+            vb //= 2
 
-    return BlockPlan(nb, vb, db, deterministic)
+    return BlockPlan(nb, vb, db)

@@ -4,6 +4,7 @@ filtering, memory instrumentation, and determinism."""
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from smoothce.tensors import (
     InvalidPlanError,
     TokenSequence,
     plan_blocks,
+    plan_working_set_bytes,
     random_instance,
 )
 
@@ -114,17 +116,15 @@ class TestForward:
         assert a.total == b.total
 
     def test_parallel_mode_agrees(self, medium):
-        """Merge-order robustness: the thread-pool path lands within 1e-9 of
-        the serial one per token."""
-        e, c, x, fwd, _ = medium
-        serial = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
-        pooled = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8,
-                             deterministic=False)
-        det, _ = blocked_forward(e, c, x, 0.1, serial)
-        out, _ = blocked_forward(e, c, x, 0.1, pooled, workers=3)
-        np.testing.assert_allclose(
-            out.per_token_loss, det.per_token_loss, rtol=1e-9)
-        np.testing.assert_allclose(out.lse, det.lse, rtol=1e-9)
+        """Worker-owned token blocks: three workers give the one-worker
+        result bit for bit."""
+        e, c, x, _, _ = medium
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
+        det, _ = blocked_forward(e, c, x, 0.1, plan, workers=1)
+        out, stats = blocked_forward(e, c, x, 0.1, plan, workers=3)
+        assert stats.tiles_in_flight == 3
+        assert np.array_equal(out.per_token_loss, det.per_token_loss)
+        assert np.array_equal(out.lse, det.lse)
 
     def test_reduction_mean(self, medium):
         e, c, x, _, _ = medium
@@ -190,9 +190,11 @@ class TestBackward:
 
     def test_parallel_mode_agrees(self, medium):
         e, c, x, fwd, bwd = medium
-        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8,
-                           deterministic=False)
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
+        det, _ = blocked_backward(e, c, x, 0.1, plan, fwd[0.1].lse, workers=1)
         g, _ = blocked_backward(e, c, x, 0.1, plan, fwd[0.1].lse, workers=3)
+        assert np.array_equal(g.grad_e.data, det.grad_e.data)
+        assert np.array_equal(g.grad_c.data, det.grad_c.data)
         assert grad_rel_err(g, bwd[0.1]) <= 1e-9
 
 
@@ -291,11 +293,10 @@ class TestMemory:
         assert observed <= ceiling
 
     def test_pool_peak_under_worker_scaled_ceiling(self, medium):
-        """On the thread pool each worker holds one tile's working set, so
-        the ceiling scales with the worker count."""
+        """Each worker holds one tile's working set, so the ceiling scales
+        with the worker count."""
         e, c, x, fwd, _ = medium
-        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8,
-                           deterministic=False)
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
         bound = aux_bound_bytes(plan, 64, 512, 32, workers=3)
         assert bound > aux_bound_bytes(plan, 64, 512, 32, workers=1)
         _, stats = blocked_forward(e, c, x, 0.1, plan, workers=3)
@@ -332,9 +333,38 @@ class TestMemory:
         (where the peak falls) does not hold."""
         e, c, x = random_instance(11, n=n, v=v, d=d, scale=0.5)
         plan = plan_blocks(n, v, d, *blocks)
-        _, _, stats = loss_and_grad(e, c, x, 0.1, plan)
-        bound = aux_bound_bytes(plan, n, v, d)
+        _, _, stats = loss_and_grad(e, c, x, 0.1, plan, workers=1)
+        bound = aux_bound_bytes(plan, n, v, d, workers=1)
         assert 0 <= bound - stats.peak_auxiliary_bytes <= 4096 + 8 * 4 * plan.n_block
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_peak_within_tiles_in_flight(self, medium, workers):
+        """The reported in-flight count is one tile per worker, and the peak
+        stays within that many tile working sets."""
+        e, c, x, _, _ = medium
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
+        _, _, stats = loss_and_grad(e, c, x, 0.1, plan, workers=workers)
+        assert stats.tiles_in_flight == workers
+        ceiling = stats.tiles_in_flight * plan_working_set_bytes(plan) + 8 * 64 + 4096
+        assert 0 < stats.peak_auxiliary_bytes <= ceiling
+        assert ceiling == aux_bound_bytes(plan, 64, 512, 32, workers=workers)
+
+    def test_product_chunks_do_not_outlive_release(self):
+        """With two depth chunks per tile, a released chunk is gone before
+        the next one is allocated, so the reported peak is what is held."""
+        e, c, x = random_instance(9, n=128, v=8192, d=128, scale=0.5)
+        plan = plan_blocks(128, 8192, 128)
+        assert plan.d_block < 128
+        untracked, _ = untracked_bytes(e, c, x, 0.1, plan)
+        assert untracked < 64 * 1024
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_engine_restores_ufunc_buffer_size(self, medium, workers):
+        e, c, x, _, _ = medium
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
+        before = np.getbufsize()
+        loss_and_grad(e, c, x, 0.1, plan, workers=workers)
+        assert np.getbufsize() == before
 
     def test_beta_does_not_move_the_peak(self):
         e, c, x = random_instance(8, n=128, v=1024, d=32, scale=0.5)
@@ -369,12 +399,11 @@ class TestGemmContract:
     counts: the forward tile, its backward recompute and the two backward
     products, each 2 n |V| d."""
 
-    @pytest.mark.parametrize("deterministic", [True, False])
-    def test_operands_are_input_views_and_flops_add_up(self, monkeypatch, deterministic):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_operands_are_input_views_and_flops_add_up(self, monkeypatch, workers):
         n, v, d = 64, 512, 32
         e, c, x = random_instance(12, n=n, v=v, d=d, scale=0.5)
-        plan = plan_blocks(n, v, d, n_block=16, v_block=128, d_block=16,
-                           deterministic=deterministic)
+        plan = plan_blocks(n, v, d, n_block=16, v_block=128, d_block=16)
         assert d > plan.d_block  # two depth chunks in the backward
         calls = []
         original = smoothce.blocked.dgemm
@@ -384,7 +413,7 @@ class TestGemmContract:
             return original(alpha, a, b, out, trans_a=trans_a, trans_b=trans_b)
 
         monkeypatch.setattr(smoothce.blocked, "dgemm", recorder)
-        loss_and_grad(e, c, x, 0.1, plan, workers=2)
+        loss_and_grad(e, c, x, 0.1, plan, workers=workers)
 
         outputs = [out for _, _, out, _, _ in calls]
         flop = 0
@@ -397,6 +426,128 @@ class TestGemmContract:
             assert k == k2 and out.shape == (m, p)
             flop += 2 * m * p * k
         assert flop == 4 * 2 * n * v * d
+
+
+def run_bounded(fn, timeout=120.0):
+    """fn() on a separate thread joined with a timeout, so that a worker
+    waiting for a turn that never comes fails the test instead of hanging."""
+    result, error = [], []
+
+    def target():
+        try:
+            result.append(fn())
+        except BaseException as exc:
+            error.append(exc)
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    t.join(timeout)
+    assert not t.is_alive(), "engine call did not finish: turn-order deadlock?"
+    if error:
+        raise error[0]
+    return result[0]
+
+
+@pytest.fixture(scope="module")
+def skipping():
+    """Peaked enough that `filter_epsilon` 0.5 skips a few backward tiles,
+    which must still pass their turn to the next token block."""
+    return random_instance(42, n=64, v=512, d=32, scale=1.5)
+
+
+def openblas_threads():
+    calls = smoothce.blocked._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's BLAS exposes no thread-count calls")
+    return calls
+
+
+class TestRunner:
+    """One runner for every worker count: token blocks owned by workers,
+    `grad_c` summed in token-block order, so results never depend on the
+    worker count."""
+
+    @pytest.mark.parametrize("blocks", [(16, 64, 8), (48, 100, 13)])
+    def test_workers_are_bit_identical(self, skipping, blocks):
+        e, c, x = skipping
+        plan = plan_blocks(64, 512, 32, *blocks)
+        eps = 0.5
+        results = []
+        for workers in (1, 2, 3):
+            out, fstats = blocked_forward(e, c, x, 0.1, plan, workers=workers)
+            g, bstats = run_bounded(lambda: blocked_backward(
+                e, c, x, 0.1, plan, out.lse, filter_epsilon=eps, workers=workers))
+            lg = run_bounded(lambda: loss_and_grad(
+                e, c, x, 0.1, plan, filter_epsilon=eps, workers=workers))
+            assert bstats.tiles_skipped_by_filter > 0
+            assert lg[2].tiles_skipped_by_filter == bstats.tiles_skipped_by_filter
+            results.append((out.lse, out.o, g.grad_e.data, g.grad_c.data,
+                            lg[0].per_token_loss, lg[1].grad_e.data, lg[1].grad_c.data))
+        for other in results[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(other, results[0]))
+
+    def test_more_workers_than_cores_with_frequent_switches(self, skipping):
+        """Stress: eight workers, one per token block and more than there
+        are cores, with a thread switch asked for every microsecond; a lost
+        update or an add out of turn would change the bits."""
+        e, c, x = skipping
+        plan = plan_blocks(64, 512, 32, n_block=8, v_block=64, d_block=8)
+        want = loss_and_grad(e, c, x, 0.1, plan, filter_epsilon=0.5, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run_bounded(lambda: loss_and_grad(e, c, x, 0.1, plan,
+                                                    filter_epsilon=0.5, workers=8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got[2].tiles_in_flight == 8
+        assert np.array_equal(got[1].grad_c.data, want[1].grad_c.data)
+        assert np.array_equal(got[1].grad_e.data, want[1].grad_e.data)
+        assert np.array_equal(got[0].lse, want[0].lse)
+
+    def test_multi_worker_call_holds_one_blas_thread_and_restores(
+            self, medium, monkeypatch):
+        get, set_ = openblas_threads()
+        e, c, x, _, _ = medium
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
+        saved = get()
+        seen = set()
+        original = smoothce.blocked.dgemm
+
+        def spy(*args, **kwargs):
+            seen.add(get())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(smoothce.blocked, "dgemm", spy)
+        try:
+            set_(2)
+            loss_and_grad(e, c, x, 0.1, plan, workers=2)
+            assert seen == {1}
+            assert get() == 2
+        finally:
+            set_(saved)
+
+    def test_worker_failure_propagates_without_hanging(self, medium, monkeypatch):
+        """A worker that raises stops the others, even one waiting for its
+        turn, and the call re-raises with the BLAS thread count restored."""
+        get, _ = openblas_threads()
+        e, c, x, fwd, _ = medium
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
+        saved = get()
+        calls = []
+        original = smoothce.blocked.dgemm
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 7:
+                raise RuntimeError("injected")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(smoothce.blocked, "dgemm", failing)
+        with pytest.raises(RuntimeError, match="injected"):
+            run_bounded(lambda: blocked_backward(e, c, x, 0.1, plan, fwd[0.1].lse,
+                                                 workers=3))
+        assert get() == saved
 
 
 def test_engine_runs_without_scipy():

@@ -95,6 +95,17 @@ class TestIngestion:
         with pytest.raises(RecordError, match=":2"):
             ingest_records(p)
 
+    @pytest.mark.parametrize("probs", ["[true, false]", "[false, 0.25, 0.75]"],
+                             ids=["all", "mixed"])
+    def test_boolean_probs_entry_names_line(self, tmp_path, probs):
+        """JSON booleans are not probabilities, even where they would sum
+        to 1 read as 0/1; the summary form rejects them the same way."""
+        p = tmp_path / "r.jsonl"
+        p.write_text('{"probs": [0.5, 0.5], "label": 0}\n'
+                     f'{{"probs": {probs}, "label": 0}}\n')
+        with pytest.raises(RecordError, match=":2"):
+            ingest_records(p)
+
 
 class TestBinning:
     def test_single_bin_aggregates_everything(self):

@@ -2,6 +2,7 @@
 and block planning."""
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -26,6 +27,7 @@ from smoothce.tensors import (
     save_matrix,
     save_tokens,
     splitmix64,
+    tiles_in_flight,
 )
 
 
@@ -254,7 +256,7 @@ class TestPlanning:
     @pytest.mark.parametrize("n, v, d", [(1024, 16384, 64), (256, 65536, 128),
                                          (256, 4096, 64)])
     def test_default_plan_at_benchmark_shapes(self, n, v, d):
-        plan = plan_blocks(n, v, d)
+        plan = plan_blocks(n, v, d, workers=1)
         assert (plan.n_block, plan.v_block, plan.d_block) == (128, 512, 64)
 
     def test_small_budget_shrinks_blocks(self):
@@ -269,6 +271,22 @@ class TestPlanning:
         assert 1 <= plan.v_block <= v
         assert 1 <= plan.d_block <= d
 
-    def test_deterministic_flag_carried(self):
-        assert plan_blocks(4, 4, 4).deterministic
-        assert not plan_blocks(4, 4, 4, deterministic=False).deterministic
+    @pytest.mark.parametrize("workers, v_block", [(1, 512), (2, 256), (3, 128),
+                                                  (4, 128), (16, 128)])
+    def test_workers_split_the_vocab_block(self, workers, v_block):
+        """V_B shrinks so that the tiles in flight hold about what one
+        serial tile holds, but never below N_B."""
+        plan = plan_blocks(1024, 16384, 64, workers=workers)
+        assert (plan.n_block, plan.v_block, plan.d_block) == (128, v_block, 64)
+
+    def test_one_token_block_keeps_the_serial_plan(self):
+        assert plan_blocks(128, 16384, 64, workers=4) == plan_blocks(128, 16384, 64, workers=1)
+
+    def test_tiles_in_flight(self):
+        assert tiles_in_flight(1024, 128, 3) == 3
+        assert tiles_in_flight(200, 128, 8) == 2
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+            else os.cpu_count()
+        assert tiles_in_flight(200, 128, None) == min(cpus, 2)
+        with pytest.raises(ValueError):
+            tiles_in_flight(8, 4, 0)
