@@ -12,7 +12,7 @@ from .tensors import (
     random_instance,
     plan_blocks,
 )
-from .reductions import lse_merge, row_lse, softmax, logit_distance, kl_uniform
+from .reductions import softmax, logit_distance, kl_uniform
 from .reference import (
     LossOutput,
     Gradients,
@@ -27,7 +27,7 @@ from .blocked import (
 )
 from .memtrack import MemoryStats, TrackingAllocator
 from .calibration import (
-    CalibrationRecord,
+    CalibrationSet,
     BinStats,
     ingest_records,
     bin_records,

@@ -5,9 +5,14 @@ Records arrive as JSONL, one prediction per line, in either of two forms:
     {"probs": [...], "label": k}        full probability vector
     {"confidence": c, "correct": b}     already-summarized prediction
 
-Confidence-only records support ECE / RMS-CE and reliability tables; the
-class-wise metrics (SCE, ACE) need full probability vectors. Non-numeric
-(string, null) and non-finite probs entries are rejected at ingest.
+Ingest validates each line and returns one columnar `CalibrationSet`: a
+confidence and a correct flag per record, and, when every line is in probs
+form, the (n, k) probability matrix and the labels. The metrics take these
+arrays directly. Confidence-only records support ECE / RMS-CE and
+reliability tables; the class-wise metrics (SCE, ACE) need full probability
+vectors. Non-numeric (string, null, boolean) and non-finite probs entries,
+and a probs line whose class count differs from the first probs line's, are
+rejected at ingest.
 
 Binning convention: equal-width bins are [lo, hi) except the last, which is
 [lo, 1], so every record lands in exactly one bin. Equal-mass binning sorts
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "CalibrationRecord",
+    "CalibrationSet",
     "BinStats",
     "RecordError",
     "ingest_records",
@@ -44,16 +49,19 @@ class RecordError(ValueError):
 
 
 @dataclass(frozen=True)
-class CalibrationRecord:
-    """One prediction: its confidence, whether it was right, and (when the
-    source line carried them) the full probability vector, the argmax class,
-    and the true label."""
+class CalibrationSet:
+    """Validated calibration evidence for n records: each record's top-class
+    confidence and whether that class was right, plus, when every record
+    carried one, the (n, k) probability matrix and the true labels (None
+    otherwise)."""
 
-    confidence: float
-    correct: bool
-    probs: tuple[float, ...] | None = None
-    predicted: int | None = None
-    label: int | None = None
+    confidence: np.ndarray  # (n,) float64
+    correct: np.ndarray  # (n,) bool
+    probs: np.ndarray | None = None  # (n, k) float64
+    labels: np.ndarray | None = None  # (n,) intp
+
+    def __len__(self) -> int:
+        return len(self.confidence)
 
 
 @dataclass(frozen=True)
@@ -65,7 +73,8 @@ class BinStats:
     accuracy: float | None
 
 
-def _record_from_probs(probs, label, where: str) -> CalibrationRecord:
+def _probs_row(probs, label, where: str) -> np.ndarray:
+    """The validated float64 probability vector of one probs-form line."""
     try:
         p = np.asarray(probs)
     except ValueError as exc:  # ragged nesting
@@ -90,30 +99,23 @@ def _record_from_probs(probs, label, where: str) -> CalibrationRecord:
         raise RecordError(f"{where}: label must be an integer")
     if not 0 <= label < p.size:
         raise RecordError(f"{where}: label {label} out of range for {p.size} classes")
-    predicted = int(np.argmax(p))  # first index wins on ties
-    return CalibrationRecord(
-        confidence=float(p[predicted]),
-        correct=predicted == label,
-        probs=tuple(p.tolist()),
-        predicted=predicted,
-        label=label,
-    )
+    return p
 
 
-def _record_from_summary(confidence, correct, where: str) -> CalibrationRecord:
+def _check_summary(confidence, correct, where: str) -> None:
     if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
         raise RecordError(f"{where}: confidence must be a number")
     if not 0.0 <= confidence <= 1.0:
         raise RecordError(f"{where}: confidence {confidence} outside [0, 1]")
     if not isinstance(correct, bool):
         raise RecordError(f"{where}: correct must be a boolean")
-    return CalibrationRecord(confidence=float(confidence), correct=correct)
 
 
-def ingest_records(path) -> list[CalibrationRecord]:
+def ingest_records(path) -> CalibrationSet:
     """Parse and validate a JSONL calibration file; both record forms may
-    coexist. Errors name the offending line."""
-    records = []
+    coexist, and every probs line must have as many classes as the first.
+    Errors name the offending line."""
+    confidence, correct, rows, labels = [], [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -129,15 +131,44 @@ def ingest_records(path) -> list[CalibrationRecord]:
             if "probs" in obj:
                 if "label" not in obj:
                     raise RecordError(f"{where}: probs form requires a label")
-                records.append(_record_from_probs(obj["probs"], obj["label"], where))
+                p = _probs_row(obj["probs"], obj["label"], where)
+                if rows and p.size != rows[0].size:
+                    raise RecordError(f"{where}: {p.size} classes, but the first "
+                                      f"probs line has {rows[0].size}")
+                predicted = int(np.argmax(p))  # first index wins on ties
+                rows.append(p)
+                labels.append(obj["label"])
+                confidence.append(float(p[predicted]))
+                correct.append(predicted == obj["label"])
             elif "confidence" in obj:
                 if "correct" not in obj:
                     raise RecordError(f"{where}: confidence form requires correct")
-                records.append(
-                    _record_from_summary(obj["confidence"], obj["correct"], where))
+                _check_summary(obj["confidence"], obj["correct"], where)
+                confidence.append(float(obj["confidence"]))
+                correct.append(obj["correct"])
             else:
                 raise RecordError(f"{where}: need either probs or confidence")
-    return records
+    every_probs = 0 < len(rows) == len(confidence)
+    return CalibrationSet(
+        confidence=np.array(confidence, dtype=np.float64),
+        correct=np.array(correct, dtype=bool),
+        probs=np.stack(rows) if every_probs else None,
+        labels=np.array(labels, dtype=np.intp) if every_probs else None,
+    )
+
+
+def _check_inputs(values, per_record, m: int) -> None:
+    """Argument checks shared by the binned metrics: values holds one entry
+    (or row) per record, per_record one outcome or label per record."""
+    if m < 1:
+        raise ValueError(f"bin count must be >= 1, got {m}")
+    if values is None or per_record is None:
+        raise ValueError("class-wise metrics need probs and a label on every record")
+    if len(values) != len(per_record):
+        raise ValueError(f"{len(values)} records but {len(per_record)} "
+                         "outcomes or labels")
+    if not len(values):
+        raise ValueError("cannot score an empty record set")
 
 
 def _bin_columns(values: np.ndarray, hit_col: np.ndarray, m: int, scheme: str):
@@ -165,16 +196,15 @@ def _bin_columns(values: np.ndarray, hit_col: np.ndarray, m: int, scheme: str):
     return counts.reshape(k, m), sums.reshape(k, m), hits.reshape(k, m)
 
 
-def bin_records(records, m: int, scheme: str = "equal_width") -> list[BinStats]:
-    """Aggregate records into m confidence bins of the requested scheme."""
-    if m < 1:
-        raise ValueError(f"bin count must be >= 1, got {m}")
+def bin_records(confidence, correct, m: int,
+                scheme: str = "equal_width") -> list[BinStats]:
+    """Aggregate records, given as their confidences and whether each was
+    right, into m confidence bins of the requested scheme."""
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    if not records:
-        raise ValueError("cannot bin an empty record set")
-    conf = np.array([r.confidence for r in records], dtype=np.float64)
-    hit_col = np.array([0 if r.correct else -1 for r in records], dtype=np.intp)
+    _check_inputs(confidence, correct, m)
+    conf = np.asarray(confidence, dtype=np.float64)
+    hit_col = np.asarray(correct, dtype=np.intp) - 1  # 0 on a hit, else -1
     (counts,), (sums,), (hits,) = _bin_columns(conf[:, None], hit_col, m, scheme)
     if scheme == "equal_mass":  # bin b holds ranks ends[b] - count .. ends[b] - 1
         ranked, ends = np.sort(conf).tolist(), np.cumsum(counts).tolist()
@@ -216,37 +246,26 @@ def rms_ce(bins, n_total: int) -> float:
     ))
 
 
-def _class_gaps(records, m: int, scheme: str):
+def _class_gaps(probs, labels, m: int, scheme: str):
     """Bin every class's probability column; returns (k, m) record counts
     and |label hits - probability sum| per class and bin, which is the
     bin's count times its frequency/probability gap."""
-    if m < 1:
-        raise ValueError(f"bin count must be >= 1, got {m}")
-    if not records:
-        raise ValueError("cannot score an empty record set")
-    missing = [i for i, r in enumerate(records) if r.probs is None]
-    if missing:
-        raise ValueError(
-            f"record {missing[0]} lacks probs, required for class-wise metrics")
-    k = len(records[0].probs)
-    if any(len(r.probs) != k for r in records):
-        raise ValueError("records disagree on the number of classes")
-    p = np.array([r.probs for r in records], dtype=np.float64)
-    labels = np.array([r.label for r in records], dtype=np.intp)
-    counts, sums, hits = _bin_columns(p, labels, m, scheme)
+    counts, sums, hits = _bin_columns(probs, labels, m, scheme)
     return counts, np.abs(hits - sums)
 
 
-def sce(records, m: int) -> float:
-    """Static calibration error: per class, bin every record by that class's
-    probability into m equal-width bins, take the count-weighted absolute gap
-    between the empirical label frequency and the mean probability, and
-    average over classes."""
-    counts, weighted_gaps = _class_gaps(records, m, "equal_width")
+def sce(probs, labels, m: int) -> float:
+    """Static calibration error over an (n, k) probability matrix and n
+    labels: per class, bin every record by that class's probability into m
+    equal-width bins, take the count-weighted absolute gap between the
+    empirical label frequency and the mean probability, and average over
+    classes."""
+    _check_inputs(probs, labels, m)
+    counts, weighted_gaps = _class_gaps(probs, labels, m, "equal_width")
     return float(weighted_gaps.sum() / counts.sum())  # counts sum to n * k
 
 
-def ace(records, m: int, empty_bins: str = "skip") -> float:
+def ace(probs, labels, m: int, empty_bins: str = "skip") -> float:
     """Adaptive calibration error: like sce but with equal-mass bins per
     class and uniform bin weights.
 
@@ -256,7 +275,8 @@ def ace(records, m: int, empty_bins: str = "skip") -> float:
     """
     if empty_bins not in ("skip", "zero"):
         raise ValueError(f"empty_bins must be 'skip' or 'zero', got {empty_bins!r}")
-    counts, weighted_gaps = _class_gaps(records, m, "equal_mass")
+    _check_inputs(probs, labels, m)
+    counts, weighted_gaps = _class_gaps(probs, labels, m, "equal_mass")
     filled = counts > 0
     gaps = np.divide(weighted_gaps, counts, out=np.zeros(counts.shape), where=filled)
     denom = filled.sum(axis=1) if empty_bins == "skip" else m

@@ -15,7 +15,6 @@ import statistics
 import sys
 import time
 import tracemalloc
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,22 +29,7 @@ from .reference import finite_diff_grad, naive_backward, naive_forward
 from .tensors import (InvalidPlanError, MatrixFileError, load_matrix,
                       load_tokens, plan_blocks, random_instance)
 
-__all__ = ["main", "entry", "BenchReport"]
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    """One timed benchmark row; wall time is the median over repetitions."""
-
-    method: str
-    phase: str
-    n: int
-    v: int
-    d: int
-    beta: float
-    repetitions: int
-    wall_time_ms: float | None
-    peak_auxiliary_bytes: int
+__all__ = ["main", "entry"]
 
 
 class UsageError(Exception):
@@ -100,7 +84,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _resolve_threads(args) -> int | None:
-    if getattr(args, "threads", None):
+    if args.threads:
         return args.threads
     env = os.environ.get("SCE_THREADS")
     if env:
@@ -147,9 +131,9 @@ def _grad_error(got, want) -> float:
 def _make_plan(args, n, v, d, threads):
     return plan_blocks(
         n, v, d,
-        n_block=getattr(args, "n_block", None),
-        v_block=getattr(args, "v_block", None),
-        d_block=getattr(args, "d_block", None),
+        n_block=args.n_block,
+        v_block=args.v_block,
+        d_block=args.d_block,
         workers=threads,
     )
 
@@ -257,7 +241,7 @@ def cmd_bench(args) -> int:
             return 1
 
     emb, cls, tgt = random_instance(args.seed, n, v, d, args.scale)
-    reports: list[BenchReport] = []
+    rows = []
     ceiling = aux_bound_bytes(plan, n, v, d, workers=threads)
 
     for beta in args.betas:
@@ -284,8 +268,8 @@ def cmd_bench(args) -> int:
                 wall = None
             else:
                 wall = _time_runs(runners[phase], args.repetitions, args.warmups)
-            reports.append(BenchReport("blocked", phase, n, v, d, beta,
-                                       args.repetitions, wall, peaks[phase]))
+            rows.append(("blocked", phase, n, v, d, beta, args.repetitions, wall,
+                         peaks[phase]))
             if peaks[phase] > ceiling:
                 print(f"error: blocked {phase} peak {peaks[phase]} bytes exceeds "
                       f"the {ceiling}-byte ceiling", file=sys.stderr)
@@ -309,13 +293,11 @@ def cmd_bench(args) -> int:
                     wall = None
                 else:
                     wall = _time_runs(nrunners[phase], args.repetitions, args.warmups)
-                reports.append(BenchReport("naive", phase, n, v, d, beta,
-                                           args.repetitions, wall, peak))
+                rows.append(("naive", phase, n, v, d, beta, args.repetitions, wall,
+                             peak))
 
     header = ("method", "phase", "n", "v", "d", "beta", "repetitions",
               "wall_time_ms", "peak_auxiliary_bytes")
-    rows = [(r.method, r.phase, r.n, r.v, r.d, r.beta, r.repetitions,
-             r.wall_time_ms, r.peak_auxiliary_bytes) for r in reports]
     _write_csv(args.out, header, rows)
     return 0
 
@@ -330,11 +312,10 @@ def cmd_calibrate(args) -> int:
         print(f"error: {args.records} holds no records", file=sys.stderr)
         return 1
 
-    have_probs = all(r.probs is not None for r in records)
     if args.metrics:
         wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
     else:
-        wanted = ["ece", "rms_ce"] + (["sce", "ace"] if have_probs else [])
+        wanted = ["ece", "rms_ce"] + (["sce", "ace"] if records.probs is not None else [])
 
     n = len(records)
     m = args.bins
@@ -342,7 +323,7 @@ def cmd_calibrate(args) -> int:
 
     def bins_for(scheme):
         if scheme not in binned:
-            binned[scheme] = bin_records(records, m, scheme)
+            binned[scheme] = bin_records(records.confidence, records.correct, m, scheme)
         return binned[scheme]
 
     rows = []
@@ -355,9 +336,11 @@ def cmd_calibrate(args) -> int:
                 for scheme in ("equal_width", "equal_mass"):
                     rows.append(("rms_ce", m, scheme, rms_ce(bins_for(scheme), n)))
             elif name == "sce":
-                rows.append(("sce", m, "equal_width", sce(records, m)))
+                rows.append(("sce", m, "equal_width",
+                             sce(records.probs, records.labels, m)))
             elif name == "ace":
-                rows.append(("ace", m, "equal_mass", ace(records, m, args.ace_empty)))
+                rows.append(("ace", m, "equal_mass",
+                             ace(records.probs, records.labels, m, args.ace_empty)))
             else:
                 print(f"error: unknown metric {name!r}", file=sys.stderr)
                 return 1
@@ -418,21 +401,14 @@ def cmd_entropy(args) -> int:
 _BOOL = argparse.BooleanOptionalAction
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="key=value file mirroring every flag")
+def _add_engine(sub):
+    sub.add_argument("--n-block", type=_positive_int, default=None)
+    sub.add_argument("--v-block", type=_positive_int, default=None)
+    sub.add_argument("--d-block", type=_positive_int, default=None)
     sub.add_argument("--threads", type=_positive_int, default=None,
                      help="engine worker threads (falls back to SCE_THREADS, "
                           "then every available CPU); for given tile sizes "
                           "results are bit-identical for any count")
-    sub.add_argument("--deterministic", action=_BOOL, default=True,
-                     help="leave bench wall times empty so that every output "
-                          "is byte-identical across reruns")
-
-
-def _add_tiles(sub):
-    sub.add_argument("--n-block", type=_positive_int, default=None)
-    sub.add_argument("--v-block", type=_positive_int, default=None)
-    sub.add_argument("--d-block", type=_positive_int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,8 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=("blocked", "naive"), default="blocked")
     p.add_argument("--reduction", choices=("sum", "mean"), default="sum")
     p.add_argument("--per-token-csv", default=None)
-    _add_tiles(p)
-    _add_common(p)
+    _add_engine(p)
     p.set_defaults(func=cmd_loss)
 
     p = subs.add_parser("gradcheck", help="cross-check gradients against oracles")
@@ -470,8 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter-eps", type=float, default=0.0)
     p.add_argument("--skip-fd", action=_BOOL, default=False)
     p.add_argument("--corrupt", action=_BOOL, default=False, help=argparse.SUPPRESS)
-    _add_tiles(p)
-    _add_common(p)
+    _add_engine(p)
     p.set_defaults(func=cmd_gradcheck)
 
     p = subs.add_parser("bench", help="time and meter both engines")
@@ -486,8 +460,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=0.02)
     p.add_argument("--skip-naive", action=_BOOL, default=False)
     p.add_argument("--out", default="-")
-    _add_tiles(p)
-    _add_common(p)
+    _add_engine(p)
+    p.add_argument("--deterministic", action=_BOOL, default=True,
+                   help="leave wall times empty so that every output is "
+                        "byte-identical across reruns")
     p.set_defaults(func=cmd_bench)
 
     p = subs.add_parser("calibrate", help="calibration metrics from JSONL records")
@@ -500,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reliability-csv", default=None)
     p.add_argument("--reliability-scheme", choices=("equal_width", "equal_mass"),
                    default="equal_width")
-    _add_common(p)
     p.set_defaults(func=cmd_calibrate)
 
     p = subs.add_parser("entropy", help="entropy-floor sweeps over (d, v, rho)")
@@ -516,9 +491,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=_positive_int, default=16)
     p.add_argument("--iterations", type=_positive_int, default=1500)
     p.add_argument("--oracle-seed", type=int, default=0)
-    _add_common(p)
     p.set_defaults(func=cmd_entropy)
 
+    for p in subs.choices.values():
+        p.add_argument("--config", help="key=value file mirroring every flag")
     return parser
 
 

@@ -181,6 +181,4 @@ def effective_params(p: BoundParams, temperature: float | None = None,
         r_new = r_new / temperature
     if r_new == p.r:
         return p
-    if p.r == 0:
-        return p
     return replace(p, sigma_h=p.sigma_h * (r_new / p.r))

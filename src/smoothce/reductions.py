@@ -1,8 +1,9 @@
-"""Numerically stable scalar and vector reductions over logits.
+"""Numerically stable vector reductions over logits: column-wise
+log-sum-exp, softmax, logit distances, and KL to the uniform distribution.
 
-The log-sum-exp here is the online form: a running value can absorb the LSE
-of a new batch through `lse_merge` without revisiting old terms, with -inf
-as the identity element.
+Every log-sum-exp and softmax shifts by the maximum before exponentiating,
+so finite logits never overflow. The blocked engine's online LSE merge
+lives in `blocked_forward`, where it writes into tracked scratch rows.
 """
 
 from __future__ import annotations
@@ -12,44 +13,11 @@ import math
 import numpy as np
 
 __all__ = [
-    "lse_merge",
-    "row_lse",
     "lse_columns",
     "softmax",
     "logit_distance",
     "kl_uniform",
 ]
-
-
-def lse_merge(a, b):
-    """log(exp(a) + exp(b)) via max shift.
-
-    Accepts scalars or same-shape arrays. -inf is the identity; NaN inputs
-    propagate. Never overflows for |a|, |b| <= 1e8.
-    """
-    hi = np.maximum(a, b)
-    lo = np.minimum(a, b)
-    with np.errstate(invalid="ignore"):
-        out = hi + np.log1p(np.exp(lo - hi))
-    # both inputs -inf: lo - hi is NaN, but the merge of two empty sums is -inf
-    out = np.where(np.isneginf(hi), -np.inf, out)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
-
-
-def row_lse(z) -> float:
-    """log sum exp of a vector; equals folding lse_merge over the entries
-    and is exact for a single entry."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.size == 0:
-        raise ValueError("row_lse needs a non-empty 1-D vector")
-    m = z.max()
-    if np.isnan(m):
-        return float("nan")
-    if np.isneginf(m):
-        return float("-inf")
-    return float(m + np.log(np.exp(z - m).sum()))
 
 
 def lse_columns(z: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "plan_blocks",
     "plan_working_set_bytes",
     "tiles_in_flight",
-    "DEFAULT_TILE_BUDGET_BYTES",
 ]
 
 
@@ -354,10 +353,8 @@ def random_instance(seed: int, n: int, v: int, d: int, scale: float):
 # ---------------------------------------------------------------------------
 # block planning
 
-DEFAULT_TILE_BUDGET_BYTES = 4 * 1024 * 1024
-
-# Base tile sizes (N_B, V_B, D_B) before clamping; sized so the working set
-# sits well under the default budget while tiles stay BLAS-friendly.
+# Default tile sizes (N_B, V_B, D_B) before clamping: BLAS-friendly tiles
+# whose one-tile working set is 790 528 bytes.
 _BASE_BLOCKS = (128, 512, 64)
 
 _WORD = 8  # engine buffers are float64
@@ -394,17 +391,16 @@ def plan_blocks(
     n_block: int | None = None,
     v_block: int | None = None,
     d_block: int | None = None,
-    budget_bytes: int = DEFAULT_TILE_BUDGET_BYTES,
     workers: int | None = None,
 ) -> BlockPlan:
     """Choose tile sizes for an N-token, |V|-vocabulary, D-dimensional
     instance run on `workers` threads (None: every available CPU).
 
-    Defaults are clamped to the extents and shrunk until the per-tile working
-    set fits `budget_bytes`. Then V_B is halved, down to N_B, until the
-    V_B-proportional buffers of all tiles in flight (logit tiles and product
-    chunks) fit those of one serial tile, so more workers do not multiply the
-    working set. Explicit overrides are clamped but never shrunk.
+    Defaults are clamped to the extents. Then V_B is halved, down to N_B,
+    until the V_B-proportional buffers of all tiles in flight (logit tiles
+    and product chunks) fit those of one serial tile, so more workers do not
+    multiply the working set. Explicit overrides are clamped but never
+    shrunk.
     """
     if n < 1 or v < 1 or d < 1:
         raise ValueError("matrix extents must be >= 1")
@@ -418,20 +414,6 @@ def plan_blocks(
     db = min(d_block if d_block is not None else _BASE_BLOCKS[2], d)
 
     if all(o is None for o in overrides):
-        plan = BlockPlan(nb, vb, db)
-        while plan_working_set_bytes(plan) > budget_bytes:
-            nb, vb, db = plan.n_block, plan.v_block, plan.d_block
-            if vb > 1 and vb >= nb:
-                plan = replace(plan, v_block=vb // 2)
-            elif nb > 1:
-                plan = replace(plan, n_block=nb // 2)
-            elif db > 1:
-                plan = replace(plan, d_block=db // 2)
-            else:
-                raise InvalidPlanError(
-                    f"budget of {budget_bytes} bytes cannot fit even a 1x1 tile"
-                )
-        nb, vb, db = plan.n_block, plan.v_block, plan.d_block
         in_flight, serial_vb = tiles_in_flight(n, nb, workers), vb
         while vb // 2 >= nb and in_flight * vb > serial_vb:
             vb //= 2

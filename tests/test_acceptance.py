@@ -19,14 +19,13 @@ import numpy as np
 import pytest
 
 from _util import grad_rel_err
-from test_calibration import brute_force_ace, brute_force_sce, probs_record
+from test_calibration import brute_force_ace, brute_force_sce, columns, probs_record
 from smoothce.blocked import (
     aux_bound_bytes,
     blocked_backward,
     blocked_forward,
 )
 from smoothce.calibration import (
-    CalibrationRecord,
     ace,
     bin_records,
     ece,
@@ -268,18 +267,15 @@ def test_criterion_8_norm_bound_sampling():
 def test_criterion_9_calibration_metrics():
     with criterion(9, "hand fixture ECE/RMS exact; calibrated synthetic ECE "
                       "< 0.02; SCE/ACE match brute force to 1e-12"):
-        fixture = [CalibrationRecord(0.9, True), CalibrationRecord(0.8, False),
-                   CalibrationRecord(0.3, True), CalibrationRecord(0.1, False)]
-        bins = bin_records(fixture, 2, "equal_width")
+        bins = bin_records(np.array([0.9, 0.8, 0.3, 0.1]),
+                           np.array([True, False, True, False]), 2, "equal_width")
         assert abs(ece(bins, 4) - 0.325) <= 1e-12
         assert abs(rms_ce(bins, 4) - math.sqrt(0.10625)) <= 1e-12
 
         rng = np.random.default_rng(99)
         conf = rng.uniform(0.0, 1.0, size=10_000)
         correct = rng.uniform(0.0, 1.0, size=10_000) < conf
-        synthetic = [CalibrationRecord(float(cv), bool(ok))
-                     for cv, ok in zip(conf, correct)]
-        assert ece(bin_records(synthetic, 10), 10_000) < 0.02
+        assert ece(bin_records(conf, correct, 10), 10_000) < 0.02
 
         for n, k, m, seed in ((40, 3, 4, 0), (100, 5, 4, 1), (64, 2, 3, 2)):
             r2 = np.random.default_rng(seed)
@@ -288,8 +284,9 @@ def test_criterion_9_calibration_metrics():
                 q = r2.dirichlet(np.ones(k))
                 records.append(probs_record([float(t) for t in q],
                                             int(r2.integers(0, k))))
-            assert abs(sce(records, m) - brute_force_sce(records, m)) <= 1e-12
-            assert abs(ace(records, m) - brute_force_ace(records, m)) <= 1e-12
+            probs, labels = columns(records)
+            assert abs(sce(probs, labels, m) - brute_force_sce(records, m)) <= 1e-12
+            assert abs(ace(probs, labels, m) - brute_force_ace(records, m)) <= 1e-12
 
 
 def run_cli(argv, cwd):

@@ -107,6 +107,27 @@ class TestForward:
         np.testing.assert_allclose(
             out.per_token_loss, want.per_token_loss, rtol=1e-9, atol=1e-12)
 
+    def test_huge_logits_do_not_overflow(self):
+        """Logits past +-709, where an unshifted exp overflows, merged
+        online across 8 vocabulary blocks stay finite and match naive."""
+        rng = np.random.default_rng(11)
+        e = rng.standard_normal((4, 16))
+        c = rng.standard_normal((4, 64))
+        c *= 800.0 / np.abs(c.T @ e).max()
+        z = c.T @ e
+        assert z.max() > 709 and z.min() < -709
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.exp(z)).all()
+        e, c = DenseMatrix.from_array(e), DenseMatrix.from_array(c)
+        x = TokenSequence(rng.integers(0, 64, size=16))
+        want = naive_forward(e, c, x, 0.1)
+        plan = plan_blocks(16, 64, 4, n_block=8, v_block=8, d_block=4)
+        out, stats = blocked_forward(e, c, x, 0.1, plan)
+        assert stats.tiles_processed == 2 * 8
+        assert np.isfinite(out.lse).all() and np.isfinite(out.per_token_loss).all()
+        np.testing.assert_allclose(out.lse, want.lse, rtol=1e-9)
+        np.testing.assert_allclose(out.per_token_loss, want.per_token_loss, rtol=1e-9)
+
     def test_deterministic_mode_is_bit_reproducible(self, medium):
         e, c, x, _, _ = medium
         plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)

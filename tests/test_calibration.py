@@ -3,12 +3,12 @@ checked against hand enumeration and an independent brute-force oracle."""
 
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from smoothce.calibration import (
-    CalibrationRecord,
     RecordError,
     ace,
     bin_records,
@@ -24,30 +24,35 @@ def write_jsonl(path, objs):
     path.write_text("\n".join(json.dumps(o) for o in objs) + "\n")
 
 
-def summary(conf, correct):
-    return CalibrationRecord(confidence=conf, correct=correct)
+def summaries(*pairs):
+    """(confidence, correct) arrays of summary-form records, one
+    (confidence, correct) pair each."""
+    conf, correct = zip(*pairs)
+    return np.array(conf, dtype=np.float64), np.array(correct, dtype=bool)
 
 
-FIXTURE = [summary(0.9, True), summary(0.8, False),
-           summary(0.3, True), summary(0.1, False)]
+FIXTURE_PAIRS = [(0.9, True), (0.8, False), (0.3, True), (0.1, False)]
+FIXTURE = summaries(*FIXTURE_PAIRS)
 
 
 class TestIngestion:
     def test_probs_form_derivation(self, tmp_path):
         p = tmp_path / "r.jsonl"
         write_jsonl(p, [{"probs": [0.1, 0.9], "label": 1}])
-        (rec,) = ingest_records(p)
-        assert rec.confidence == 0.9
-        assert rec.predicted == 1
-        assert rec.correct is True
-        assert rec.probs == (0.1, 0.9)
+        records = ingest_records(p)
+        assert records.confidence.tolist() == [0.9]
+        assert records.correct.tolist() == [True]
+        assert records.probs.tolist() == [[0.1, 0.9]]
+        assert records.labels.tolist() == [1]
+        assert (records.confidence.dtype, records.correct.dtype,
+                records.probs.dtype, records.labels.dtype) == (
+                    np.float64, np.bool_, np.float64, np.intp)
 
     def test_argmax_tie_takes_first_index(self, tmp_path):
         p = tmp_path / "r.jsonl"
         write_jsonl(p, [{"probs": [0.5, 0.5], "label": 1}])
-        (rec,) = ingest_records(p)
-        assert rec.predicted == 0
-        assert rec.correct is False
+        records = ingest_records(p)
+        assert records.correct.tolist() == [False]
 
     def test_confidence_out_of_range_names_line(self, tmp_path):
         p = tmp_path / "r.jsonl"
@@ -80,12 +85,21 @@ class TestIngestion:
                         {"confidence": 0.7, "correct": False}])
         records = ingest_records(p)
         assert len(records) == 2
-        assert records[0].probs is not None and records[1].probs is None
-        # class-wise metrics then refuse the summary-form record by name
+        assert records.confidence.tolist() == [0.8, 0.7]
+        assert records.correct.tolist() == [True, False]
+        assert records.probs is None and records.labels is None
+        # class-wise metrics then refuse the set by the missing field's name
         with pytest.raises(ValueError, match="probs"):
-            sce(records, 2)
+            sce(records.probs, records.labels, 2)
         with pytest.raises(ValueError, match="probs"):
-            ace(records, 2)
+            ace(records.probs, records.labels, 2)
+
+    def test_class_count_mismatch_names_line(self, tmp_path):
+        p = tmp_path / "r.jsonl"
+        write_jsonl(p, [{"probs": [0.7, 0.3], "label": 0},
+                        {"probs": [0.2, 0.3, 0.5], "label": 2}])
+        with pytest.raises(RecordError, match=":2: .*classes"):
+            ingest_records(p)
 
     @pytest.mark.parametrize("entry", ["NaN", "null", '"a"'], ids=["nan", "null", "string"])
     def test_non_numeric_probs_entry_names_line(self, tmp_path, entry):
@@ -109,116 +123,126 @@ class TestIngestion:
 
 class TestBinning:
     def test_single_bin_aggregates_everything(self):
-        (b,) = bin_records(FIXTURE, 1)
+        (b,) = bin_records(*FIXTURE, 1)
         assert b.count == 4
         assert b.mean_confidence == pytest.approx((0.9 + 0.8 + 0.3 + 0.1) / 4)
         assert b.accuracy == pytest.approx(0.5)
 
     def test_equal_width_split(self):
-        bins = bin_records(FIXTURE, 2, "equal_width")
+        bins = bin_records(*FIXTURE, 2, "equal_width")
         assert [b.count for b in bins] == [2, 2]
         assert bins[0].lo == 0.0 and bins[0].hi == 0.5
         assert bins[0].mean_confidence == pytest.approx(0.2)
         assert bins[1].mean_confidence == pytest.approx(0.85)
 
     def test_equal_mass_split(self):
-        bins = bin_records(FIXTURE, 2, "equal_mass")
+        bins = bin_records(*FIXTURE, 2, "equal_mass")
         assert [b.count for b in bins] == [2, 2]
         assert bins[0].lo == 0.1 and bins[0].hi == 0.3
         assert bins[1].lo == 0.8 and bins[1].hi == 0.9
 
     def test_equal_mass_remainder_leads(self):
-        bins = bin_records(FIXTURE + [summary(0.5, True)], 2, "equal_mass")
+        bins = bin_records(*summaries(*FIXTURE_PAIRS, (0.5, True)), 2, "equal_mass")
         assert [b.count for b in bins] == [3, 2]
 
     def test_equal_mass_ties_keep_record_order(self):
         """Three tied confidences straddle the boundary; the first-listed
         (correct) one fills the lower bin."""
-        records = [summary(0.2, False), summary(0.5, True),
-                   summary(0.5, False), summary(0.5, False)]
-        bins = bin_records(records, 2, "equal_mass")
+        records = summaries((0.2, False), (0.5, True), (0.5, False), (0.5, False))
+        bins = bin_records(*records, 2, "equal_mass")
         assert [b.count for b in bins] == [2, 2]
         assert [b.accuracy for b in bins] == [0.5, 0.0]
         assert [b.mean_confidence for b in bins] == pytest.approx([0.35, 0.5])
         assert (bins[0].lo, bins[0].hi, bins[1].lo, bins[1].hi) == (0.2, 0.5, 0.5, 0.5)
 
     def test_confidence_one_lands_in_last_bin(self):
-        bins = bin_records([summary(1.0, True)], 4)
+        bins = bin_records(*summaries((1.0, True)), 4)
         assert [b.count for b in bins] == [0, 0, 0, 1]
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            bin_records([], 2)
+            bin_records(np.array([]), np.array([], dtype=bool), 2)
+
+    def test_length_mismatch_rejected(self):
+        conf, correct = FIXTURE
+        with pytest.raises(ValueError, match="records"):
+            bin_records(conf, correct[:3], 2)
 
 
 class TestEceRms:
     def test_hand_enumeration(self):
-        bins = bin_records(FIXTURE, 2, "equal_width")
+        bins = bin_records(*FIXTURE, 2, "equal_width")
         assert ece(bins, 4) == pytest.approx(0.325, abs=1e-12)
         assert rms_ce(bins, 4) == pytest.approx(math.sqrt(0.10625), abs=1e-12)
 
     def test_perfectly_calibrated_synthetic(self):
         """Constructed bins where confidence equals empirical accuracy."""
-        records = []
+        pairs = []
         for conf, hits, total in ((0.25, 1, 4), (0.75, 3, 4)):
-            records += [summary(conf, i < hits) for i in range(total)]
-        bins = bin_records(records, 2, "equal_width")
-        assert ece(bins, len(records)) == pytest.approx(0.0, abs=1e-12)
-        assert rms_ce(bins, len(records)) == pytest.approx(0.0, abs=1e-12)
+            pairs += [(conf, i < hits) for i in range(total)]
+        bins = bin_records(*summaries(*pairs), 2, "equal_width")
+        assert ece(bins, len(pairs)) == pytest.approx(0.0, abs=1e-12)
+        assert rms_ce(bins, len(pairs)) == pytest.approx(0.0, abs=1e-12)
 
     def test_all_wrong_full_confidence(self):
-        records = [summary(1.0, False)] * 5
-        bins = bin_records(records, 3)
+        records = summaries(*[(1.0, False)] * 5)
+        bins = bin_records(*records, 3)
         assert ece(bins, 5) == 1.0
         assert rms_ce(bins, 5) == 1.0
 
     def test_single_bin_rms_is_absolute_gap(self):
-        records = [summary(0.8, True), summary(0.6, False)]
-        (b,) = bin_records(records, 1)
+        records = summaries((0.8, True), (0.6, False))
+        (b,) = bin_records(*records, 1)
         gap = abs(b.accuracy - b.mean_confidence)
         assert rms_ce([b], 2) == pytest.approx(gap, abs=1e-15)
 
     def test_rms_dominates_ece(self):
         rng = np.random.default_rng(0)
-        records = [summary(float(c), bool(k))
-                   for c, k in zip(rng.uniform(0, 1, 300), rng.integers(0, 2, 300))]
+        conf, correct = rng.uniform(0, 1, 300), rng.integers(0, 2, 300).astype(bool)
         for m in (1, 5, 10):
-            bins = bin_records(records, m)
+            bins = bin_records(conf, correct, m)
             assert rms_ce(bins, 300) >= ece(bins, 300) - 1e-12
 
     def test_count_mismatch_rejected(self):
-        bins = bin_records(FIXTURE, 2)
+        bins = bin_records(*FIXTURE, 2)
         with pytest.raises(ValueError):
             ece(bins, 5)
 
     def test_metrics_in_unit_interval(self):
         rng = np.random.default_rng(1)
-        records = [summary(float(c), bool(k))
-                   for c, k in zip(rng.uniform(0, 1, 200), rng.integers(0, 2, 200))]
-        bins = bin_records(records, 7)
+        conf, correct = rng.uniform(0, 1, 200), rng.integers(0, 2, 200).astype(bool)
+        bins = bin_records(conf, correct, 7)
         assert 0.0 <= ece(bins, 200) <= 1.0
         assert 0.0 <= rms_ce(bins, 200) <= 1.0
 
     def test_permutation_and_duplication_invariance(self):
         rng = np.random.default_rng(2)
-        records = [summary(float(c), bool(k))
-                   for c, k in zip(rng.uniform(0, 1, 64), rng.integers(0, 2, 64))]
-        base = ece(bin_records(records, 5), 64)
-        shuffled = list(records)
-        rng.shuffle(shuffled)
-        assert ece(bin_records(shuffled, 5), 64) == pytest.approx(base, abs=1e-15)
-        doubled = records + records
-        assert ece(bin_records(doubled, 5), 128) == pytest.approx(base, abs=1e-15)
+        conf, correct = rng.uniform(0, 1, 64), rng.integers(0, 2, 64).astype(bool)
+        base = ece(bin_records(conf, correct, 5), 64)
+        order = np.arange(64)
+        rng.shuffle(order)
+        shuffled = bin_records(conf[order], correct[order], 5)
+        assert ece(shuffled, 64) == pytest.approx(base, abs=1e-15)
+        doubled = bin_records(np.tile(conf, 2), np.tile(correct, 2), 5)
+        assert ece(doubled, 128) == pytest.approx(base, abs=1e-15)
+
+
+class ProbsRecord(NamedTuple):
+    """The brute-force oracles' per-record view of one probs-form record."""
+
+    probs: tuple
+    label: int
 
 
 def probs_record(probs, label):
-    return CalibrationRecord(
-        confidence=max(probs),
-        correct=int(np.argmax(probs)) == label,
-        probs=tuple(probs),
-        predicted=int(np.argmax(probs)),
-        label=label,
-    )
+    return ProbsRecord(tuple(probs), label)
+
+
+def columns(records):
+    """The metrics' inputs for the same records: the (n, k) probability
+    matrix and the labels."""
+    return (np.array([r.probs for r in records], dtype=np.float64),
+            np.array([r.label for r in records], dtype=np.intp))
 
 
 def brute_force_sce(records, m):
@@ -268,8 +292,8 @@ class TestClassWiseMetrics:
         records = [probs_record([1.0, 0.0, 0.0], 0),
                    probs_record([0.0, 1.0, 0.0], 1),
                    probs_record([0.0, 0.0, 1.0], 2)]
-        assert sce(records, 3) == pytest.approx(0.0, abs=1e-12)
-        assert ace(records, 1) == pytest.approx(0.0, abs=1e-12)
+        assert sce(*columns(records), 3) == pytest.approx(0.0, abs=1e-12)
+        assert ace(*columns(records), 1) == pytest.approx(0.0, abs=1e-12)
 
     def test_binary_symmetry(self):
         """With two classes the class-wise gaps mirror each other, so the
@@ -291,7 +315,7 @@ class TestClassWiseMetrics:
             freq = sum(1 for r in members if r.label == 0) / len(members)
             mean_p = sum(r.probs[0] for r in members) / len(members)
             class0 += (len(members) / n) * abs(freq - mean_p)
-        assert sce(records, m) == pytest.approx(class0, abs=1e-12)
+        assert sce(*columns(records), m) == pytest.approx(class0, abs=1e-12)
 
     @pytest.mark.parametrize("n,k,m,seed,decimals", [
         pytest.param(10, 2, 2, 0, None, id="10-2-2-0"),
@@ -312,27 +336,29 @@ class TestClassWiseMetrics:
                 raw[np.argmax(raw)] += 1.0 - raw.sum()
             records.append(probs_record([float(q) for q in raw],
                                         int(rng.integers(0, k))))
-        assert sce(records, m) == pytest.approx(brute_force_sce(records, m), abs=1e-12)
-        assert ace(records, m) == pytest.approx(brute_force_ace(records, m), abs=1e-12)
+        probs, labels = columns(records)
+        assert sce(probs, labels, m) == pytest.approx(brute_force_sce(records, m), abs=1e-12)
+        assert ace(probs, labels, m) == pytest.approx(brute_force_ace(records, m), abs=1e-12)
 
     def test_ace_empty_bin_modes(self):
         records = [probs_record([0.7, 0.3], 0), probs_record([0.4, 0.6], 1)]
-        skip = ace(records, 4, empty_bins="skip")
-        zero = ace(records, 4, empty_bins="zero")
+        skip = ace(*columns(records), 4, empty_bins="skip")
+        zero = ace(*columns(records), 4, empty_bins="zero")
         # two records for four bins: two bins empty per class; the zero mode
         # halves the renormalized value
         assert zero == pytest.approx(skip / 2.0, abs=1e-12)
 
-    def test_class_count_mismatch_rejected(self):
-        records = [probs_record([0.7, 0.3], 0),
-                   probs_record([0.2, 0.3, 0.5], 2)]
-        with pytest.raises(ValueError, match="classes"):
-            sce(records, 2)
+    def test_length_mismatch_rejected(self):
+        probs, labels = columns([probs_record([0.7, 0.3], 0),
+                                 probs_record([0.4, 0.6], 1)])
+        for metric in (sce, ace):
+            with pytest.raises(ValueError, match="records"):
+                metric(probs, labels[:1], 2)
 
 
 class TestReliability:
     def test_hand_rows(self):
-        rows = reliability_data(bin_records(FIXTURE, 2, "equal_width"))
+        rows = reliability_data(bin_records(*FIXTURE, 2, "equal_width"))
         lo, hi, count, conf, acc, gap = rows[1]
         assert (lo, hi, count) == (0.5, 1.0, 2)
         assert conf == pytest.approx(0.85)
@@ -341,12 +367,12 @@ class TestReliability:
         assert rows[0][5] == pytest.approx(0.3)
 
     def test_perfect_calibration_zero_gaps(self):
-        records = [summary(0.25, i < 1) for i in range(4)]
-        rows = reliability_data(bin_records(records, 2))
+        records = summaries(*[(0.25, i < 1) for i in range(4)])
+        rows = reliability_data(bin_records(*records, 2))
         assert rows[0][5] == pytest.approx(0.0, abs=1e-15)
 
     def test_empty_bin_emits_nulls(self):
-        rows = reliability_data(bin_records([summary(0.9, True)], 2))
+        rows = reliability_data(bin_records(*summaries((0.9, True)), 2))
         lo, hi, count, conf, acc, gap = rows[0]
         assert count == 0
         assert conf is None and acc is None and gap is None

@@ -288,8 +288,7 @@ class TestConfigAndEnv:
 
     def test_env_thread_fallback(self, instance_files, capsys, monkeypatch):
         monkeypatch.setenv("SCE_THREADS", "2")
-        assert main(loss_args(instance_files, beta=0.1)
-                    + ["--no-deterministic"]) == 0
+        assert main(loss_args(instance_files, beta=0.1)) == 0
         threaded = total_from(capsys)
         monkeypatch.delenv("SCE_THREADS")
         assert main(loss_args(instance_files, beta=0.1)) == 0
@@ -306,6 +305,13 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert main(["loss", "--beta", "0.1"]) == 2
+
+    def test_engine_flags_only_where_they_act(self, calibration_file, tmp_path):
+        """calibrate and entropy run no engine, so they take neither flag."""
+        assert main(["calibrate", "--records", calibration_file,
+                     "--threads", "2"]) == 2
+        assert main(["entropy", "--out", str(tmp_path / "s.csv"),
+                     "--no-deterministic"]) == 2
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -1,5 +1,5 @@
-"""Stable reductions: online log-sum-exp, softmax, logit distances, and
-KL to the uniform distribution."""
+"""Stable reductions: softmax, logit distances, and KL to the uniform
+distribution."""
 
 import math
 
@@ -11,76 +11,11 @@ from hypothesis import strategies as st
 from smoothce.reductions import (
     kl_uniform,
     logit_distance,
-    lse_merge,
-    row_lse,
+    lse_columns,
     softmax,
 )
 
 finite_logit = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
-
-
-class TestLseMerge:
-    def test_neg_inf_is_identity(self):
-        assert lse_merge(float("-inf"), 3.0) == 3.0
-        assert lse_merge(3.0, float("-inf")) == 3.0
-        assert lse_merge(float("-inf"), float("-inf")) == float("-inf")
-
-    def test_equal_inputs(self):
-        assert lse_merge(0.0, 0.0) == pytest.approx(math.log(2.0), abs=1e-15)
-
-    def test_matches_direct_evaluation_to_one_ulp(self):
-        got = lse_merge(1.0, 2.0)
-        want = math.log(math.exp(1.0) + math.exp(2.0))
-        assert abs(got - want) <= math.ulp(want)
-
-    def test_huge_inputs_do_not_overflow(self):
-        assert lse_merge(1e8, 1e8) == pytest.approx(1e8 + math.log(2.0))
-        assert lse_merge(-1e8, 1e8) == 1e8
-
-    def test_nan_propagates(self):
-        assert math.isnan(lse_merge(float("nan"), 1.0))
-
-    @settings(max_examples=200, deadline=None)
-    @given(a=finite_logit, b=finite_logit)
-    def test_commutative(self, a, b):
-        assert abs(lse_merge(a, b) - lse_merge(b, a)) <= 1e-12
-
-    @settings(max_examples=200, deadline=None)
-    @given(a=finite_logit, b=finite_logit, c=finite_logit)
-    def test_associative_within_tolerance(self, a, b, c):
-        left = lse_merge(lse_merge(a, b), c)
-        right = lse_merge(a, lse_merge(b, c))
-        assert abs(left - right) <= 1e-12
-
-
-class TestRowLse:
-    def test_single_entry_exact(self):
-        for x in (0.0, -17.25, 42.0, 1e8):
-            assert row_lse([x]) == x
-
-    def test_equal_entries(self):
-        assert row_lse([0.0, 0.0, 0.0, 0.0]) == pytest.approx(math.log(4.0), abs=1e-15)
-
-    def test_against_extended_precision(self):
-        rng = np.random.default_rng(5)
-        z = rng.uniform(-50, 50, size=1000)
-        got = row_lse(z)
-        zl = z.astype(np.longdouble)
-        m = zl.max()
-        want = float(m + np.log(np.exp(zl - m).sum()))
-        assert abs(got - want) <= 1e-12 * abs(want)
-
-    def test_equals_fold_of_merge(self):
-        rng = np.random.default_rng(6)
-        z = rng.uniform(-50, 50, size=257)
-        folded = float("-inf")
-        for entry in z:
-            folded = lse_merge(folded, float(entry))
-        assert abs(row_lse(z) - folded) <= 1e-12
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            row_lse([])
 
 
 class TestSoftmax:
@@ -166,7 +101,7 @@ class TestKlUniform:
         for _ in range(100):
             p = softmax(rng.standard_normal(rng.integers(2, 30)) * 2)
             z = np.log(p)
-            want = row_lse(z) - z.mean() - math.log(p.size)
+            want = lse_columns(z[:, None])[0] - z.mean() - math.log(p.size)
             assert kl_uniform(p) == pytest.approx(want, abs=1e-12)
 
 

@@ -259,10 +259,6 @@ class TestPlanning:
         plan = plan_blocks(n, v, d, workers=1)
         assert (plan.n_block, plan.v_block, plan.d_block) == (128, 512, 64)
 
-    def test_small_budget_shrinks_blocks(self):
-        plan = plan_blocks(4096, 65536, 256, budget_bytes=256 * 1024)
-        assert plan_working_set_bytes(plan) <= 256 * 1024
-
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 5000), v=st.integers(1, 70000), d=st.integers(1, 300))
     def test_tiles_never_exceed_extents(self, n, v, d):
