@@ -4,20 +4,24 @@ materialize the full |V| x N logit matrix.
 The forward walks (token-block, vocab-block) tile pairs, computing each
 V_B x N_B logit tile in one full-depth GEMM that reads strided views of the
 classifier and embedding matrices in place (no staged copies), then folds
-the tile into running per-token log-sum-exp and smoothed-target-score
-accumulators. The backward recomputes tiles the same way from the inputs
-plus the saved LSE vector and splits the gradient into three parts:
+the tile into a running per-token log-sum-exp and gathers (1-beta) times
+the target logit. The backward recomputes tiles the same way from the
+inputs plus the saved LSE vector; a backward tile adds only its softmax
+part, from P = exp(z - lse), and one whose largest probability bound falls
+below the filter threshold may be skipped entirely.
 
-  softmax part   per-tile P = exp(z - lse) contributions; a tile whose
-                 largest probability bound falls below the filter threshold
-                 may be skipped entirely,
-  target part    a scatter of -(1-beta) times the target rows/columns,
-  smoothing part a closed-form rank-one update worth -beta/|V| everywhere.
+The smoothed target q_i = (1-beta) e_{x_i} + beta/|V| enters the loss and
+both gradients linearly, and its uniform share of the target score is
+sum_v z_vi / |V| = (sum_v C_v / |V|) . E_i. So beta enters through one
+row, `_smoothing_row` = (beta/|V|) sum_v C[:, v] (D floats): the forward
+adds its product with E to the target score after the tiles, and the
+backward subtracts the whole target part in one closed-form pass after
+them, per token for the target columns and as a rank-one update of
+`grad_c` for the uniform share.
 
 Filtering is one number, `filter_epsilon`: 0 (the default) skips nothing.
 It touches only the softmax part, so skipped tiles can never drop the
-target or smoothing contributions, whose magnitudes do not shrink with the
-probabilities.
+target part, whose magnitude does not shrink with the probabilities.
 
 Tiles run on `workers` threads (default: every CPU this process may run
 on), one token block per worker at a time, handed out in index order; a
@@ -68,15 +72,10 @@ def aux_bound_bytes(plan: BlockPlan, n: int, v: int, d: int,
     return in_flight * plan_working_set_bytes(eff) + 8 * n + 4096
 
 
-def _alloc_limit(n: int, v: int, d: int, eff: BlockPlan) -> int | None:
-    # Refuse any single transient buffer within 1/8 of the full logit
-    # matrix's bytes. Only meaningful when the planned buffers themselves
-    # sit below that line; a deliberately degenerate plan (single tile over
-    # a tiny instance) disables the guard because its tile IS the matrix.
-    limit = n * v  # == bytes(N x |V| float64) / 8
-    nb, vb, db = eff.n_block, eff.v_block, eff.d_block
-    largest = 8 * max(nb * vb, db * vb, db * nb, n)
-    return limit if limit > largest else None
+def _smoothing_row(Ca, beta: float, v: int) -> np.ndarray:
+    """(beta/|V|) * sum_v C[:, v]: the uniform share of the smoothed target
+    seen from the embedding side, D floats."""
+    return (beta / v) * Ca.sum(axis=1)
 
 
 def dgemm(alpha, a, b, c, trans_a=0, trans_b=0):
@@ -277,7 +276,7 @@ def blocked_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: floa
     """
     Ea, Ca, xa, n, v, d, _ = _validate(E, C, x, beta, reduction)
     eff = plan.clamped(n, v, d)
-    alloc = TrackingAllocator(_alloc_limit(n, v, d, eff))
+    alloc = TrackingAllocator()
     runner = _TileRunner(n, v, eff, workers)
 
     lse = np.full(n, -np.inf)
@@ -291,15 +290,10 @@ def blocked_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: floa
         s = alloc.empty(nb)
         t1 = alloc.empty(nb)
         t2 = alloc.empty(nb)
-        o_view = o[n0:n0 + nb]
         lse_view = lse[n0:n0 + nb]
-        if beta != 0.0:
-            np.sum(tile, axis=0, out=t1)
-            t1 *= beta / v
-            o_view += t1
         if in_block.any():
             idx = np.nonzero(in_block)[0]
-            o_view[idx] += (1.0 - beta) * tile[tgt[idx] - v0, idx]
+            o[n0 + idx] = (1.0 - beta) * tile[tgt[idx] - v0, idx]
         # per-tile LSE, destroying the tile, then online merge
         np.max(tile, axis=0, out=m)
         tile -= m
@@ -318,6 +312,7 @@ def blocked_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: floa
             alloc.release(buf)
 
     processed, _ = runner.run(run_tile)
+    o += _smoothing_row(Ca, beta, v) @ Ea
 
     per_token = lse - o
     total = float(per_token.sum()) if reduction == "sum" else float(per_token.mean())
@@ -345,7 +340,7 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
     if not 0.0 <= filter_epsilon < 1.0:
         raise ValueError(f"filter epsilon must lie in [0, 1), got {filter_epsilon}")
 
-    alloc = TrackingAllocator(_alloc_limit(n, v, d, eff))
+    alloc = TrackingAllocator()
     runner = _TileRunner(n, v, eff, workers)
     grad_e = np.zeros((d, n))
     grad_c = np.zeros((d, v))
@@ -386,33 +381,14 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
 
     processed, skipped = runner.run(run_tile)
 
-    # target part: scatter -(1-beta) * w_i into the target row/column pair
-    if beta != 1.0:
-        coef = 1.0 - beta
-        for i in range(n):
-            wi = w[i]
-            if wi == 0.0:
-                continue
-            ti = xa[i]
-            grad_e[:, i] -= (coef * wi) * Ca[:, ti]
-            grad_c[:, ti] -= (coef * wi) * Ea[:, i]
-
-    # smoothing part: exact rank-one update, never filtered
-    if beta != 0.0:
-        coef = beta / v
-        col_c = Ca.sum(axis=1)
-        for n0 in range(0, n, eff.n_block):
-            nb = min(eff.n_block, n - n0)
-            for d0 in range(0, d, eff.d_block):
-                db = min(eff.d_block, d - d0)
-                pe = alloc.empty((db, nb), order="C")
-                np.multiply(col_c[d0:d0 + db, None], w[None, n0:n0 + nb], out=pe)
-                pe *= coef
-                grad_e[d0:d0 + db, n0:n0 + nb] -= pe
-                alloc.release(pe)
-                del pe
-        row_e = Ea @ w
-        np.subtract(grad_c, (coef * row_e)[:, None], out=grad_c)
+    # target part, never filtered: -w_i q_i, with q_i = (1-beta) e_{x_i} + beta/|V|
+    keep = 1.0 - beta
+    u = _smoothing_row(Ca, beta, v)
+    for i in range(n):
+        ti = xa[i]
+        grad_e[:, i] -= w[i] * (keep * Ca[:, ti] + u)
+        grad_c[:, ti] -= (keep * w[i]) * Ea[:, i]
+    grad_c -= (beta / v) * (Ea @ w)[:, None]
 
     alloc.release(w)
     grads = Gradients(DenseMatrix._wrap(grad_e), DenseMatrix._wrap(grad_c))

@@ -24,7 +24,6 @@ from .calibration import (RecordError, ace, bin_records, ece, ingest_records,
                           reliability_data, rms_ce, sce)
 from .entropy import (BoundParams, effective_params, entropy_lower_bound,
                       normalized_gap, numeric_min_entropy)
-from .memtrack import SingleAllocationLimitError
 from .reference import finite_diff_grad, naive_backward, naive_forward
 from .tensors import (InvalidPlanError, MatrixFileError, load_matrix,
                       load_tokens, plan_blocks, random_instance)
@@ -89,9 +88,12 @@ def _resolve_threads(args) -> int | None:
     env = os.environ.get("SCE_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            val = int(env)
         except ValueError:
             raise UsageError(f"SCE_THREADS must be an integer, got {env!r}")
+        if val < 1:
+            raise UsageError(f"SCE_THREADS must be a positive integer, got {env!r}")
+        return val
     return None
 
 
@@ -139,24 +141,16 @@ def _make_plan(args, n, v, d, threads):
 
 
 def cmd_loss(args) -> int:
-    try:
-        emb = load_matrix(args.embeddings)
-        cls = load_matrix(args.classifier)
-        tgt = load_tokens(args.targets)
-    except MatrixFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    emb = load_matrix(args.embeddings)
+    cls = load_matrix(args.classifier)
+    tgt = load_tokens(args.targets)
     threads = _resolve_threads(args)
-    try:
-        if args.engine == "blocked":
-            plan = _make_plan(args, emb.cols, cls.cols, emb.rows, threads)
-            out, _ = blocked_forward(emb, cls, tgt, args.beta, plan,
-                                     reduction=args.reduction, workers=threads)
-        else:
-            out = naive_forward(emb, cls, tgt, args.beta, reduction=args.reduction)
-    except (ValueError, InvalidPlanError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.engine == "blocked":
+        plan = _make_plan(args, emb.cols, cls.cols, emb.rows, threads)
+        out, _ = blocked_forward(emb, cls, tgt, args.beta, plan,
+                                 reduction=args.reduction, workers=threads)
+    else:
+        out = naive_forward(emb, cls, tgt, args.beta, reduction=args.reduction)
     print(f"total {_fmt(out.total)}")
     if args.per_token_csv:
         rows = [(i, out.lse[i], out.o[i], out.per_token_loss[i])
@@ -180,13 +174,6 @@ def cmd_gradcheck(args) -> int:
                                     filter_epsilon=args.filter_eps,
                                     reduction=args.reduction,
                                     workers=threads)
-    if args.corrupt:
-        bad = grads.grad_e.data.copy()
-        bad *= 1.001
-        bad += 1e-6
-        from .reference import Gradients
-        from .tensors import DenseMatrix
-        grads = Gradients(DenseMatrix._wrap(bad), grads.grad_c)
 
     err_analytic = _grad_error(grads, analytic)
     print(f"blocked vs analytic relative error: {err_analytic:.3e} (tol {tol_analytic:g})")
@@ -237,8 +224,7 @@ def cmd_bench(args) -> int:
     phases = [p.strip() for p in args.phases.split(",") if p.strip()]
     for p in phases:
         if p not in ("fwd", "bwd", "fwd_bwd"):
-            print(f"error: unknown phase {p!r}", file=sys.stderr)
-            return 1
+            raise ValueError(f"unknown phase {p!r}")
 
     emb, cls, tgt = random_instance(args.seed, n, v, d, args.scale)
     rows = []
@@ -303,14 +289,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    try:
-        records = ingest_records(args.records)
-    except (RecordError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    records = ingest_records(args.records)
     if not records:
-        print(f"error: {args.records} holds no records", file=sys.stderr)
-        return 1
+        raise ValueError(f"{args.records} holds no records")
 
     if args.metrics:
         wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
@@ -327,26 +308,21 @@ def cmd_calibrate(args) -> int:
         return binned[scheme]
 
     rows = []
-    try:
-        for name in wanted:
-            if name == "ece":
-                for scheme in ("equal_width", "equal_mass"):
-                    rows.append(("ece", m, scheme, ece(bins_for(scheme), n)))
-            elif name == "rms_ce":
-                for scheme in ("equal_width", "equal_mass"):
-                    rows.append(("rms_ce", m, scheme, rms_ce(bins_for(scheme), n)))
-            elif name == "sce":
-                rows.append(("sce", m, "equal_width",
-                             sce(records.probs, records.labels, m)))
-            elif name == "ace":
-                rows.append(("ace", m, "equal_mass",
-                             ace(records.probs, records.labels, m, args.ace_empty)))
-            else:
-                print(f"error: unknown metric {name!r}", file=sys.stderr)
-                return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    for name in wanted:
+        if name == "ece":
+            for scheme in ("equal_width", "equal_mass"):
+                rows.append(("ece", m, scheme, ece(bins_for(scheme), n)))
+        elif name == "rms_ce":
+            for scheme in ("equal_width", "equal_mass"):
+                rows.append(("rms_ce", m, scheme, rms_ce(bins_for(scheme), n)))
+        elif name == "sce":
+            rows.append(("sce", m, "equal_width",
+                         sce(records.probs, records.labels, m)))
+        elif name == "ace":
+            rows.append(("ace", m, "equal_mass",
+                         ace(records.probs, records.labels, m, args.ace_empty)))
+        else:
+            raise ValueError(f"unknown metric {name!r}")
 
     _write_csv(args.out, ("metric", "bins", "scheme", "value"), rows)
     if args.reliability_csv:
@@ -362,12 +338,10 @@ def cmd_entropy(args) -> int:
     for d in args.d:
         for v in args.v:
             if v < 2:
-                print(f"error: vocabulary sizes must be >= 2, got {v}", file=sys.stderr)
-                return 1
+                raise ValueError(f"vocabulary sizes must be >= 2, got {v}")
             for rho in args.rho:
                 if rho < 0:
-                    print(f"error: rho must be nonnegative, got {rho}", file=sys.stderr)
-                    return 1
+                    raise ValueError(f"rho must be nonnegative, got {rho}")
                 base = BoundParams(sigma_c=rho, sigma_h=1.0, d=d, v=v)
                 p = effective_params(base, args.temperature, args.softcap)
                 bound = entropy_lower_bound(p)
@@ -444,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-fd", type=float, default=1e-4)
     p.add_argument("--filter-eps", type=float, default=0.0)
     p.add_argument("--skip-fd", action=_BOOL, default=False)
-    p.add_argument("--corrupt", action=_BOOL, default=False, help=argparse.SUPPRESS)
     _add_engine(p)
     p.set_defaults(func=cmd_gradcheck)
 
@@ -555,7 +528,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (MatrixFileError, RecordError, InvalidPlanError, ValueError,
-            SingleAllocationLimitError, OSError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

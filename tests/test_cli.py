@@ -7,8 +7,11 @@ import math
 import numpy as np
 import pytest
 
+import smoothce.cli
+from smoothce.blocked import blocked_backward
 from smoothce.cli import main
-from smoothce.tensors import random_instance, save_matrix, save_tokens
+from smoothce.reference import Gradients
+from smoothce.tensors import DenseMatrix, random_instance, save_matrix, save_tokens
 
 
 @pytest.fixture()
@@ -103,8 +106,14 @@ class TestGradcheck:
         assert "PASS" in out
         assert "skipped" in out
 
-    def test_corrupted_gradient_fails(self, capsys):
-        assert main(["gradcheck", "--corrupt", "--skip-fd"]) == 1
+    def test_corrupted_gradient_fails(self, capsys, monkeypatch):
+        def corrupted(*args, **kwargs):
+            grads, stats = blocked_backward(*args, **kwargs)
+            bad = DenseMatrix._wrap(grads.grad_e.data * 1.001 + 1e-6)
+            return Gradients(bad, grads.grad_c), stats
+
+        monkeypatch.setattr(smoothce.cli, "blocked_backward", corrupted)
+        assert main(["gradcheck", "--skip-fd"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
 
@@ -297,6 +306,14 @@ class TestConfigAndEnv:
     def test_bad_env_threads_is_usage_error(self, instance_files, monkeypatch):
         monkeypatch.setenv("SCE_THREADS", "many")
         assert main(loss_args(instance_files)) == 2
+
+    @pytest.mark.parametrize("value", ["-3", "0"])
+    def test_env_threads_below_one_is_usage_error(self, instance_files, value,
+                                                  monkeypatch, capsys):
+        """Like `--threads`, SCE_THREADS takes positive integers only."""
+        monkeypatch.setenv("SCE_THREADS", value)
+        assert main(loss_args(instance_files)) == 2
+        assert "SCE_THREADS" in capsys.readouterr().err
 
 
 class TestUsage:
