@@ -2,7 +2,7 @@
 materialize the full |V| x N logit matrix.
 
 The forward walks (token-block, vocab-block) tile pairs, computing each
-V_B x N_B logit tile in one full-depth GEMM that reads strided views of the
+V_B x N_B logit tile in one full-depth GEMM that reads panels of the
 classifier and embedding matrices in place (no staged copies), then folds
 the tile into a running per-token log-sum-exp and gathers (1-beta) times
 the target logit. The backward recomputes tiles the same way from the
@@ -27,19 +27,28 @@ Tiles run on `workers` threads (default: every CPU this process may run
 on), one token block per worker at a time, handed out in index order; a
 worker walks its block's vocabulary blocks in index order. Per-token state
 (`lse`, `o`, `grad_e` columns) belongs to one token block, so it needs no
-locks, and each `grad_c[:, v-block]` takes its product chunks in
-token-block order through a per-vocabulary-block turn counter. Every sum
-therefore runs in the same order as on one worker, and for a given plan
-results are bit-identical for any worker count. While more than one
-worker runs, numpy's OpenBLAS is held at one thread, so BLAS threads do
-not compete with the workers.
+locks, and each `grad_c[:, v-block]` takes its products in token-block
+order through a per-vocabulary-block turn counter. Every sum therefore
+runs in the same order as on one worker, and for a given plan results are
+bit-identical for any worker count. While more than one worker runs,
+numpy's OpenBLAS is held at one thread, so BLAS threads do not compete
+with the workers.
 
-Every GEMM goes through `dgemm`, numpy's BLAS via `np.matmul`; the
-backward's two products are chunked over depth, D_B rows at a time. Every
-tile-sized buffer flows through a TrackingAllocator; peak auxiliary bytes
-stay O(N + N_B*V_B + D_B*max(N_B, V_B)) per tile in flight regardless of
-|V|, one tile per worker. The returned outputs and O(D) or O(N_B)
-temporaries are not tracked.
+Every GEMM goes through `dgemm`, c = alpha op(a) op(b) + beta c on the
+ILP64 `cblas_dgemm` of numpy's own OpenBLAS. A logit tile is written with
+beta 0; the backward adds its two products, with the uniform token weight
+as alpha, straight into the gradients with beta 1: C_panel P into
+`grad_e[:, token block]`, and E_panel P^T into `grad_c[:, vocab block]`
+inside that block's turn. E, C and both gradients are stored
+panel-contiguous (F-ordered D x N and D x |V|: each token's and each
+vocabulary entry's D-vector is contiguous), so every operand is one
+contiguous panel. Only where numpy's BLAS exports no such symbol does a
+product go through a tracked D_B-row chunk and a `+=` into the gradient.
+
+Every tile-sized buffer flows through a TrackingAllocator; peak auxiliary
+bytes stay O(N_B*V_B) per tile in flight regardless of |V| (plus
+D_B*max(N_B, V_B) for a staged product chunk), one tile per worker. The
+returned outputs and O(D) or O(N) temporaries are not tracked.
 """
 
 from __future__ import annotations
@@ -65,11 +74,13 @@ def aux_bound_bytes(plan: BlockPlan, n: int, v: int, d: int,
                     workers: int | None = None) -> int:
     """Ceiling for the peak auxiliary bytes of one engine call: the tile
     working set times the tiles in flight (one per worker, at most one per
-    token block), plus the per-token weight vector and a fixed bookkeeping
-    allowance."""
+    token block), plus a fixed bookkeeping allowance. Without the
+    accumulating kernel each tile also holds one staged product chunk."""
     eff = plan.clamped(n, v, d)
-    in_flight = tiles_in_flight(n, eff.n_block, workers)
-    return in_flight * plan_working_set_bytes(eff) + 8 * n + 4096
+    per_tile = plan_working_set_bytes(eff)
+    if _cblas_dgemm() is None:
+        per_tile += 8 * eff.d_block * max(eff.n_block, eff.v_block)
+    return tiles_in_flight(n, eff.n_block, workers) * per_tile + 4096
 
 
 def _smoothing_row(Ca, beta: float, v: int) -> np.ndarray:
@@ -78,16 +89,99 @@ def _smoothing_row(Ca, beta: float, v: int) -> np.ndarray:
     return (beta / v) * Ca.sum(axis=1)
 
 
-def dgemm(alpha, a, b, c, trans_a=0, trans_b=0):
-    """c = alpha * op(a) @ op(b), written into the C-ordered buffer `c`.
+@functools.cache
+def _blas_library():
+    """numpy's multiarray extension opened with ctypes, whose symbol lookup
+    covers the BLAS it links; None if it cannot be opened."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    try:
+        return ctypes.CDLL(umath.__file__)
+    except OSError:
+        return None
 
-    The engine's only GEMM entry. `a` and `b` may be strided views of the
-    inputs: with one unit stride numpy passes them to BLAS with a leading
-    dimension instead of copying them.
+
+@functools.cache
+def _cblas_dgemm():
+    """numpy's ILP64 `cblas_dgemm`, or None. Only a `64_`-suffixed symbol
+    is used: the integer width of an unsuffixed one is unknown."""
+    lib = _blas_library()
+    if lib is None:
+        return None
+    for name in ("scipy_cblas_dgemm64_", "cblas_dgemm64_"):
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            enum, i64, f64, ptr = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+            fn.argtypes = [enum, enum, enum, i64, i64, i64,
+                           f64, ptr, i64, ptr, i64, f64, ptr, i64]
+            fn.restype = None
+            return fn
+    return None
+
+
+_ROW_MAJOR, _COL_MAJOR, _NO_TRANS, _TRANS = 101, 102, 111, 112  # CBLAS enums
+
+
+def _blas_layout(x, name: str) -> tuple[bool, int]:
+    """(rows contiguous, leading dimension) under which BLAS reads the 2-D
+    float64 array `x` in place. As in numpy's blasable-2d rule, the stride
+    of an axis of extent 1 is never read, so that axis takes the smallest
+    legal leading dimension instead."""
+    if not (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.ndim == 2
+            and x.flags.aligned):
+        raise ValueError(f"dgemm operand {name} must be an aligned 2-D float64 array")
+    (r, c), (sr, sc) = x.shape, x.strides
+    unit = False
+    for rows, inner, outer, n_in, n_out in ((True, sc, sr, c, r), (False, sr, sc, r, c)):
+        if inner == 8 or n_in == 1:
+            unit = True
+            if n_out == 1:
+                return rows, max(1, n_in)
+            if outer % 8 == 0 and outer >= 8 * max(1, n_in):
+                return rows, outer // 8
+    if not unit:
+        raise ValueError(f"dgemm operand {name} has no unit stride (strides {x.strides})")
+    raise ValueError(f"dgemm operand {name} has a leading dimension below its "
+                     f"extent (shape {x.shape}, strides {x.strides})")
+
+
+def dgemm(alpha, a, b, c, trans_a=0, trans_b=0, beta=0.0):
+    """c = alpha * op(a) @ op(b) + beta * c, in place; returns `c`.
+
+    The engine's only GEMM entry, on numpy's ILP64 `cblas_dgemm`. Every
+    operand is read in place, so each needs one unit stride and a leading
+    dimension that covers its other extent, and `c` must be writable;
+    anything else raises ValueError before BLAS is called. Without the
+    kernel, np.matmul writes `c`, so beta must be 0.
     """
-    np.matmul(a.T if trans_a else a, b.T if trans_b else b, out=c)
-    if alpha != 1.0:
-        c *= alpha
+    opa = a.T if trans_a else a
+    opb = b.T if trans_b else b
+    a_rows, lda = _blas_layout(opa, "a")
+    b_rows, ldb = _blas_layout(opb, "b")
+    c_rows, ldc = _blas_layout(c, "c")
+    if not c.flags.writeable:
+        raise ValueError("dgemm output c is read-only")
+    (m, k), (k2, p) = opa.shape, opb.shape
+    if k != k2 or c.shape != (m, p):
+        raise ValueError(f"dgemm shapes {opa.shape} @ {opb.shape} -> {c.shape} do not match")
+    kernel = _cblas_dgemm()
+    if kernel is None:
+        if beta != 0.0:
+            raise ValueError("dgemm accumulates (beta != 0) only on an ILP64 cblas_dgemm")
+        if c_rows:
+            np.matmul(opa, opb, out=c)
+        else:
+            np.matmul(opb.T, opa.T, out=c.T)
+        if alpha != 1.0:
+            c *= alpha
+        return c
+    kernel(_ROW_MAJOR if c_rows else _COL_MAJOR,
+           _NO_TRANS if a_rows == c_rows else _TRANS,
+           _NO_TRANS if b_rows == c_rows else _TRANS,
+           m, p, k, alpha, opa.ctypes.data, lda, opb.ctypes.data, ldb,
+           beta, c.ctypes.data, ldc)
     return c
 
 
@@ -101,13 +195,8 @@ def _logit_tile(alloc, Ea, Ca, n0, nb, v0, vb):
 def _openblas_thread_calls():
     """(get, set) for numpy's OpenBLAS thread count, or None when numpy
     links a BLAS without them."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath as umath
-    try:
-        lib = ctypes.CDLL(umath.__file__)  # symbol lookup covers its BLAS
-    except OSError:
+    lib = _blas_library()
+    if lib is None:
         return None
     for prefix in ("scipy_openblas", "openblas"):
         for suffix in ("64_", ""):
@@ -342,11 +431,25 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
 
     alloc = TrackingAllocator()
     runner = _TileRunner(n, v, eff, workers)
-    grad_e = np.zeros((d, n))
-    grad_c = np.zeros((d, v))
+    grad_e = np.zeros((d, n), order="F")
+    grad_c = np.zeros((d, v), order="F")
+    # every token weighs the same, so the weight is the products' alpha
+    w = float(token_weights(n, reduction, upstream)[0])
+    staged = _cblas_dgemm() is None
 
-    w = alloc.empty(n)
-    w[:] = token_weights(n, reduction, upstream)
+    def add_products(a, b, out, trans_b):
+        """out += w a op(b), D_B rows at a time: straight into `out`, or
+        without the kernel through a tracked chunk laid out like `out`,
+        dropped at release so that the next one is not held beside it."""
+        for d0 in range(0, d, eff.d_block):
+            rows = slice(d0, d0 + eff.d_block)
+            if not staged:
+                dgemm(w, a[rows], b, out[rows], trans_b=trans_b, beta=1.0)
+                continue
+            chunk = dgemm(w, a[rows], b, alloc.empty(out[rows].shape), trans_b=trans_b)
+            out[rows] += chunk
+            alloc.release(chunk)
+            del chunk
 
     def run_tile(i, n0, nb, j, v0, vb):
         tile = _logit_tile(alloc, Ea, Ca, n0, nb, v0, vb)
@@ -358,39 +461,24 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
             runner.pass_turn(j)
             return True
         np.exp(tile, out=tile)
-        tile *= w[n0:n0 + nb]
-        # D_B-deep product chunks, C-ordered like grad_e and grad_c; each is
-        # dropped at release so that the next one is not held beside it
-        for d0 in range(0, d, eff.d_block):
-            db = min(eff.d_block, d - d0)
-            pe = dgemm(1.0, Ca[d0:d0 + db, v0:v0 + vb], tile,
-                       alloc.empty((db, nb), order="C"))
-            grad_e[d0:d0 + db, n0:n0 + nb] += pe
-            alloc.release(pe)
-            del pe
-            pc = dgemm(1.0, Ea[d0:d0 + db, n0:n0 + nb], tile,
-                       alloc.empty((db, vb), order="C"), trans_b=1)
-            if d0 == 0:
-                runner.wait_turn(i, j)
-            grad_c[d0:d0 + db, v0:v0 + vb] += pc
-            alloc.release(pc)
-            del pc
+        add_products(Ca[:, v0:v0 + vb], tile, grad_e[:, n0:n0 + nb], 0)
+        runner.wait_turn(i, j)
+        add_products(Ea[:, n0:n0 + nb], tile, grad_c[:, v0:v0 + vb], 1)
         runner.pass_turn(j)
         alloc.release(tile)
         return False
 
     processed, skipped = runner.run(run_tile)
 
-    # target part, never filtered: -w_i q_i, with q_i = (1-beta) e_{x_i} + beta/|V|
+    # target part, never filtered: -w q_i, with q_i = (1-beta) e_{x_i} + beta/|V|
     keep = 1.0 - beta
     u = _smoothing_row(Ca, beta, v)
     for i in range(n):
         ti = xa[i]
-        grad_e[:, i] -= w[i] * (keep * Ca[:, ti] + u)
-        grad_c[:, ti] -= (keep * w[i]) * Ea[:, i]
-    grad_c -= (beta / v) * (Ea @ w)[:, None]
+        grad_e[:, i] -= w * (keep * Ca[:, ti] + u)
+        grad_c[:, ti] -= (keep * w) * Ea[:, i]
+    grad_c -= ((beta / v) * w) * Ea.sum(axis=1)[:, None]
 
-    alloc.release(w)
     grads = Gradients(DenseMatrix._wrap(grad_e), DenseMatrix._wrap(grad_c))
     return grads, MemoryStats(alloc.peak_bytes, processed, skipped, runner.in_flight)
 

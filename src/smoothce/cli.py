@@ -68,18 +68,21 @@ def _reps_arg(text: str) -> int:
     return val
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+def _list_arg(cast, what: str):
+    """Type for a non-empty comma-separated list flag."""
+    def parse(text: str) -> list:
+        try:
+            vals = [cast(tok) for tok in text.split(",") if tok.strip() != ""]
+        except ValueError:
+            vals = []
+        if not vals:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+        return vals
+    return parse
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+_float_list = _list_arg(float, "numbers")
+_int_list = _list_arg(int, "integers")
 
 
 def _resolve_threads(args) -> int | None:
@@ -151,11 +154,12 @@ def cmd_loss(args) -> int:
                                  reduction=args.reduction, workers=threads)
     else:
         out = naive_forward(emb, cls, tgt, args.beta, reduction=args.reduction)
-    print(f"total {_fmt(out.total)}")
+    # the CSV first, so that a path it cannot write leaves no total behind
     if args.per_token_csv:
         rows = [(i, out.lse[i], out.o[i], out.per_token_loss[i])
                 for i in range(len(out.per_token_loss))]
         _write_csv(args.per_token_csv, ("token", "lse", "o", "loss"), rows)
+    print(f"total {_fmt(out.total)}")
     return 0
 
 
@@ -222,6 +226,8 @@ def cmd_bench(args) -> int:
     threads = _resolve_threads(args)
     plan = _make_plan(args, n, v, d, threads)
     phases = [p.strip() for p in args.phases.split(",") if p.strip()]
+    if not phases:
+        raise ValueError(f"--phases lists no phase: {args.phases!r}")
     for p in phases:
         if p not in ("fwd", "bwd", "fwd_bwd"):
             raise ValueError(f"unknown phase {p!r}")

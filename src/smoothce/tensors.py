@@ -6,8 +6,11 @@ default plan depends on how many tiles the engine holds at once
 (`tiles_in_flight`), which depends on the worker count.
 
 All numeric payloads are held in 64-bit floats internally; 32-bit storage is
-supported at the file boundary only (widened on load). Every container in
-this module is immutable after construction and safe to share across threads.
+supported at the file boundary only (widened on load). Matrices are stored
+column-major (F-ordered), so each column, one token's or one vocabulary
+entry's D-vector, is contiguous; SCE1 files stay row-major. Every container
+in this module is immutable after construction and safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -71,7 +74,9 @@ class InvalidPlanError(ValueError):
 
 @dataclass(frozen=True)
 class DenseMatrix:
-    """Row-major 2-D array of reals with 64-bit internal precision."""
+    """(rows, cols) matrix of reals with 64-bit internal precision. The
+    matrices this module builds store it column-major (F-ordered), so that
+    a column is contiguous; the engines accept either order."""
 
     rows: int
     cols: int
@@ -86,8 +91,8 @@ class DenseMatrix:
 
     @classmethod
     def from_array(cls, arr, require_finite: bool = True) -> "DenseMatrix":
-        """Copy a 2-D array-like into an immutable float64 matrix."""
-        a = np.array(arr, dtype=np.float64, order="C", copy=True)
+        """Copy a 2-D array-like into an immutable F-ordered float64 matrix."""
+        a = np.array(arr, dtype=np.float64, order="F", copy=True)
         if a.ndim != 2:
             raise ValueError(f"expected a 2-D array, got ndim={a.ndim}")
         return cls._wrap(a, require_finite=require_finite)
@@ -212,7 +217,7 @@ def load_matrix(path) -> DenseMatrix:
             f"{path}: dtype code 2 is a token sequence; use load_tokens"
         )
     values = _read_payload(raw, code, rows, cols, path)
-    out = values.astype(np.float64, copy=True)
+    out = values.astype(np.float64, order="F", copy=True)
     if not np.isfinite(out).all():
         raise NonFiniteDataError(f"{path}: payload contains non-finite entries")
     return DenseMatrix._wrap(out, require_finite=False)
@@ -273,8 +278,13 @@ _SM64_MIX2 = np.uint64(0x94D049BB133111EB)
 def splitmix64(seed: int, start: int, count: int) -> np.ndarray:
     """Return `count` raw 64-bit words of the splitmix64 stream for `seed`,
     beginning at counter `start`."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _SM64_GAMMA
+    return _splitmix64_at(seed, np.arange(start, start + count, dtype=np.uint64))
+
+
+def _splitmix64_at(seed: int, counters: np.ndarray) -> np.ndarray:
+    """The splitmix64 words of stream `seed` at the given uint64 counters,
+    in their shape."""
+    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + (counters + np.uint64(1)) * _SM64_GAMMA
     z = z ^ (z >> np.uint64(30))
     z = z * _SM64_MIX1
     z = z ^ (z >> np.uint64(27))
@@ -340,34 +350,39 @@ def random_instance(seed: int, n: int, v: int, d: int, scale: float):
         raise ValueError("n, v, d must all be >= 1")
     if not scale > 0:
         raise ValueError("scale must be positive")
-    n_e, n_c = d * n, d * v
-    bits = splitmix64(seed, 0, n_e + n_c + n)
-    gauss = normal_icdf(_uniform01(bits[: n_e + n_c])) * scale
-    e = gauss[:n_e].reshape(d, n).copy()
-    c = gauss[n_e:].reshape(d, v).copy()
-    u = _uniform01(bits[n_e + n_c:])
+    e = _gaussian_f(seed, 0, d, n, scale)
+    c = _gaussian_f(seed, d * n, d, v, scale)
+    u = _uniform01(splitmix64(seed, d * (n + v), n))
     targets = np.minimum((u * v).astype(np.int64), v - 1)
     return (DenseMatrix._wrap(e), DenseMatrix._wrap(c), TokenSequence(targets))
+
+
+def _gaussian_f(seed: int, start: int, rows: int, cols: int, scale: float) -> np.ndarray:
+    """F-ordered rows x cols normal draws whose entry (r, k) comes from
+    counter start + r * cols + k, the row-major position, filled in memory
+    order so that no transposing copy is made."""
+    counters = (np.arange(rows, dtype=np.uint64) * np.uint64(cols)
+                + np.arange(cols, dtype=np.uint64)[:, None] + np.uint64(start))
+    return (normal_icdf(_uniform01(_splitmix64_at(seed, counters))) * scale).T
 
 
 # ---------------------------------------------------------------------------
 # block planning
 
-# Default tile sizes (N_B, V_B, D_B) before clamping: BLAS-friendly tiles
-# whose one-tile working set is 790 528 bytes.
-_BASE_BLOCKS = (128, 512, 64)
+# Default tile sizes (N_B, V_B) before clamping: BLAS-friendly tiles whose
+# one-tile working set is 528 384 bytes. D_B defaults to the full depth D.
+_BASE_BLOCKS = (128, 512)
 
 _WORD = 8  # engine buffers are float64
 
 
 def plan_working_set_bytes(plan: BlockPlan) -> int:
     """Transient bytes the blocked engine needs for one in-flight tile:
-    the V_B x N_B logit tile, one D_B-deep GEMM product chunk (the backward
-    holds D_B x N_B for the embedding gradient, then D_B x V_B for the
-    classifier gradient, never both), and the forward's four N_B scratch
-    rows for the LSE merge."""
-    nb, vb, db = plan.n_block, plan.v_block, plan.d_block
-    return _WORD * (nb * vb + db * max(nb, vb) + 4 * nb)
+    the V_B x N_B logit tile and the forward's four N_B scratch rows for the
+    LSE merge. The backward adds its products straight into the gradients,
+    so D_B does not enter."""
+    nb, vb = plan.n_block, plan.v_block
+    return _WORD * (nb * vb + 4 * nb)
 
 
 def tiles_in_flight(n: int, n_block: int, workers: int | None = None) -> int:
@@ -396,9 +411,10 @@ def plan_blocks(
     """Choose tile sizes for an N-token, |V|-vocabulary, D-dimensional
     instance run on `workers` threads (None: every available CPU).
 
-    Defaults are clamped to the extents. Then V_B is halved, down to N_B,
-    until the V_B-proportional buffers of all tiles in flight (logit tiles
-    and product chunks) fit those of one serial tile, so more workers do not
+    Defaults are clamped to the extents; D_B defaults to D, one product
+    per backward tile and gradient, and an override splits the products'
+    rows. Then V_B is halved, down to N_B, until the logit tiles of all
+    tiles in flight fit that of one serial tile, so more workers do not
     multiply the working set. Explicit overrides are clamped but never
     shrunk.
     """
@@ -411,7 +427,7 @@ def plan_blocks(
 
     nb = min(n_block if n_block is not None else _BASE_BLOCKS[0], n)
     vb = min(v_block if v_block is not None else _BASE_BLOCKS[1], v)
-    db = min(d_block if d_block is not None else _BASE_BLOCKS[2], d)
+    db = min(d_block if d_block is not None else d, d)
 
     if all(o is None for o in overrides):
         in_flight, serial_vb = tiles_in_flight(n, nb, workers), vb

@@ -354,9 +354,9 @@ class TestMemory:
         assert untracked(32768) - untracked(8192) < 64 * 1024
 
     def test_untracked_bytes_stay_under_half_the_reported_peak(self):
-        """Product chunks share the C layout of the gradient slices they are
-        added into, so those adds need no full-chunk ufunc buffers and the
-        untracked bytes stay well under what the allocator reports."""
+        """The backward's products go straight into the gradients, so no add
+        needs a full-tile ufunc buffer and the untracked bytes stay well
+        under what the allocator reports."""
         e, c, x = random_instance(9, n=512, v=8192, d=64, scale=0.5)
         untracked, reported = untracked_bytes(e, c, x, 0.1, plan_blocks(512, 8192, 64))
         assert untracked < 0.5 * reported
@@ -368,8 +368,7 @@ class TestMemory:
     ])
     def test_deterministic_bound_is_tight(self, n, v, d, blocks):
         """The serial ceiling overshoots the reported peak by at most the
-        fixed allowance plus the forward's four N_B rows, which the backward
-        (where the peak falls) does not hold."""
+        fixed allowance plus the four N_B rows that only the forward holds."""
         e, c, x = random_instance(11, n=n, v=v, d=d, scale=0.5)
         plan = plan_blocks(n, v, d, *blocks)
         _, _, stats = loss_and_grad(e, c, x, 0.1, plan, workers=1)
@@ -384,18 +383,9 @@ class TestMemory:
         plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
         _, _, stats = loss_and_grad(e, c, x, 0.1, plan, workers=workers)
         assert stats.tiles_in_flight == workers
-        ceiling = stats.tiles_in_flight * plan_working_set_bytes(plan) + 8 * 64 + 4096
+        ceiling = stats.tiles_in_flight * plan_working_set_bytes(plan) + 4096
         assert 0 < stats.peak_auxiliary_bytes <= ceiling
         assert ceiling == aux_bound_bytes(plan, 64, 512, 32, workers=workers)
-
-    def test_product_chunks_do_not_outlive_release(self):
-        """With two depth chunks per tile, a released chunk is gone before
-        the next one is allocated, so the reported peak is what is held."""
-        e, c, x = random_instance(9, n=128, v=8192, d=128, scale=0.5)
-        plan = plan_blocks(128, 8192, 128)
-        assert plan.d_block < 128
-        untracked, _ = untracked_bytes(e, c, x, 0.1, plan)
-        assert untracked < 64 * 1024
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_engine_restores_ufunc_buffer_size(self, medium, workers):
@@ -428,37 +418,177 @@ class TestMemory:
 class TestGemmContract:
     """Every GEMM goes through `smoothce.blocked.dgemm` and reads the inputs
     in place: an operand is either a view of E or C, or the logit tile an
-    earlier call wrote. The flop total is the one the per-layer benchmark
-    counts: the forward tile, its backward recompute and the two backward
-    products, each 2 n |V| d."""
+    earlier call wrote. A call either writes a fresh logit tile (beta 0) or
+    adds into a view of `grad_e` or `grad_c` (beta 1). The flop total is
+    the one the per-layer benchmark counts: the forward tile, its backward
+    recompute and the two backward products, each 2 n |V| d."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_operands_are_input_views_and_flops_add_up(self, monkeypatch, workers):
         n, v, d = 64, 512, 32
         e, c, x = random_instance(12, n=n, v=v, d=d, scale=0.5)
         plan = plan_blocks(n, v, d, n_block=16, v_block=128, d_block=16)
-        assert d > plan.d_block  # two depth chunks in the backward
+        assert d > plan.d_block  # two row chunks per backward product
         calls = []
         original = smoothce.blocked.dgemm
 
-        def recorder(alpha, a, b, out, trans_a=0, trans_b=0):
-            calls.append((a, b, out, trans_a, trans_b))
-            return original(alpha, a, b, out, trans_a=trans_a, trans_b=trans_b)
+        def recorder(alpha, a, b, out, trans_a=0, trans_b=0, beta=0.0):
+            calls.append((a, b, out, trans_a, trans_b, beta))
+            return original(alpha, a, b, out, trans_a=trans_a, trans_b=trans_b, beta=beta)
 
         monkeypatch.setattr(smoothce.blocked, "dgemm", recorder)
-        loss_and_grad(e, c, x, 0.1, plan, workers=workers)
+        _, g, stats = loss_and_grad(e, c, x, 0.1, plan, workers=workers)
 
-        outputs = [out for _, _, out, _, _ in calls]
+        grads = (g.grad_e.data, g.grad_c.data)
+        tiles = [out for _, _, out, _, _, beta in calls if beta == 0.0]
+        assert len(tiles) == stats.tiles_processed
         flop = 0
-        for a, b, out, trans_a, trans_b in calls:
-            assert out.flags.c_contiguous
+        for a, b, out, trans_a, trans_b, beta in calls:
+            into_grads = any(np.shares_memory(out, gr) for gr in grads)
+            assert into_grads == (beta == 1.0)
+            if not into_grads:  # a tile: a fresh buffer shared with nothing
+                assert out.base is None and out.flags.c_contiguous
             assert np.shares_memory(a, e.data) or np.shares_memory(a, c.data)
             from_input = np.shares_memory(b, e.data) or np.shares_memory(b, c.data)
-            assert from_input or any(b is t for t in outputs)
+            assert from_input or any(b is t for t in tiles)
             (m, k), (k2, p) = (a.T if trans_a else a).shape, (b.T if trans_b else b).shape
             assert k == k2 and out.shape == (m, p)
             flop += 2 * m * p * k
         assert flop == 4 * 2 * n * v * d
+
+
+def laid_out(x, layout):
+    """`x` copied into one of the layouts the engine can hand to `dgemm`:
+    C- or F-contiguous, a C or F view into a padded buffer, or C-contiguous
+    with every extent-1 axis given a stride that addresses nothing."""
+    if layout in ("C", "F"):
+        return np.array(x, order=layout)
+    if layout == "odd":
+        y = np.array(x, order="C")
+        strides = [-8 * 1001 if size == 1 else s for size, s in zip(y.shape, y.strides)]
+        return np.lib.stride_tricks.as_strided(y, y.shape, strides)
+    big = np.zeros((x.shape[0] + 2, x.shape[1] + 3), order=layout[0])
+    view = big[1:-1, 2:-1]
+    view[:] = x
+    return view
+
+
+LAYOUTS = ("C", "F", "C-view", "F-view", "odd")
+
+
+class TestKernel:
+    """`dgemm` is c = alpha op(a) op(b) + beta c for every operand layout,
+    and refuses an operand BLAS could not read in place before calling it."""
+
+    @pytest.mark.parametrize("m, k, p", [(5, 4, 3), (1, 4, 3), (5, 1, 3), (5, 4, 1),
+                                         (1, 1, 1), (1, 4, 1)])
+    @pytest.mark.parametrize("beta", [0.0, 1.0, -0.5])
+    def test_matches_numpy_in_every_layout(self, m, k, p, beta):
+        if beta and smoothce.blocked._cblas_dgemm() is None:
+            pytest.skip("numpy's BLAS exports no ILP64 cblas_dgemm")
+        rng = np.random.default_rng(m * 100 + k * 10 + p)
+        opa, opb, c0 = (rng.standard_normal(s) for s in ((m, k), (k, p), (m, p)))
+        want = 1.5 * opa @ opb + beta * c0
+        for la in LAYOUTS:
+            for lb in LAYOUTS:
+                for lc in LAYOUTS:
+                    for trans_a in (0, 1):
+                        trans_b = 1 - trans_a
+                        a = laid_out(opa.T, la).T if trans_a else laid_out(opa, la)
+                        b = laid_out(opb.T, lb) if trans_b else laid_out(opb, lb)
+                        c = laid_out(c0, lc)
+                        got = smoothce.blocked.dgemm(1.5, a.T if trans_a else a, b, c,
+                                                     trans_a=trans_a, trans_b=trans_b,
+                                                     beta=beta)
+                        assert got is c
+                        np.testing.assert_allclose(c, want, rtol=1e-12, atol=1e-12,
+                                                   err_msg=f"{la} {lb} {lc} {trans_a}")
+
+    @pytest.mark.parametrize("case, match", [
+        ("float32", "float64"),
+        ("1-d", "2-D"),
+        ("unaligned", "aligned"),
+        ("no unit stride", "no unit stride"),
+        ("short leading dimension", "leading dimension"),
+        ("read-only c", "read-only"),
+        ("shapes", "do not match"),
+    ])
+    def test_bad_operands_rejected_before_blas(self, monkeypatch, case, match):
+        called = []
+        monkeypatch.setattr(smoothce.blocked, "_cblas_dgemm",
+                            lambda: lambda *args: called.append(args))
+        a, b, c = np.ones((4, 3)), np.ones((3, 2)), np.zeros((4, 2))
+        if case == "float32":
+            a = a.astype(np.float32)
+        elif case == "1-d":
+            b = np.ones(3)
+        elif case == "unaligned":
+            a = np.frombuffer(bytearray(8 * 12 + 4), np.float64, 12, offset=4).reshape(4, 3)
+        elif case == "no unit stride":
+            a = np.ones((8, 6))[::2, ::2]
+        elif case == "short leading dimension":  # rows 2 apart, 3 long
+            a = np.lib.stride_tricks.as_strided(np.ones(12), (4, 3), (16, 8))
+        elif case == "read-only c":
+            c.setflags(write=False)
+        else:
+            c = np.zeros((4, 3))
+        with pytest.raises(ValueError, match=match):
+            smoothce.blocked.dgemm(1.0, a, b, c)
+        assert called == []
+        smoothce.blocked.dgemm(1.0, np.ones((4, 3)), np.ones((3, 2)), np.zeros((4, 2)))
+        assert len(called) == 1
+
+    def test_accumulating_backward_holds_only_the_tile(self, medium):
+        """With the kernel the backward stages no product: on one worker
+        its peak is one logit tile, whatever D_B."""
+        if smoothce.blocked._cblas_dgemm() is None:
+            pytest.skip("numpy's BLAS exports no ILP64 cblas_dgemm")
+        e, c, x, fwd, _ = medium
+        for db in (8, 32):
+            plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=db)
+            _, stats = blocked_backward(e, c, x, 0.1, plan, fwd[0.1].lse, workers=1)
+            assert stats.peak_auxiliary_bytes == 8 * 16 * 64
+
+
+class TestStagedFallback:
+    """Where numpy's BLAS exports no ILP64 `cblas_dgemm`, each backward
+    product goes through a tracked D_B-row chunk and a `+=`; the bound
+    counts that chunk only there."""
+
+    @pytest.fixture
+    def staged(self, monkeypatch):
+        monkeypatch.setattr(smoothce.blocked, "_cblas_dgemm", lambda: None)
+
+    @pytest.mark.parametrize("blocks", [(16, 64, 8), (48, 100, 13)])
+    def test_matches_naive_bit_identical_and_bounded(self, staged, medium, blocks):
+        e, c, x, fwd, bwd = medium
+        plan = plan_blocks(64, 512, 32, *blocks)
+        nb, vb, db = plan.n_block, plan.v_block, plan.d_block
+        results = []
+        for workers in (1, 2, 3):
+            out, g, stats = run_bounded(lambda: loss_and_grad(e, c, x, 0.1, plan,
+                                                              workers=workers))
+            np.testing.assert_allclose(out.per_token_loss, fwd[0.1].per_token_loss,
+                                       rtol=1e-9)
+            assert grad_rel_err(g, bwd[0.1]) <= 1e-9
+            bound = aux_bound_bytes(plan, 64, 512, 32, workers=workers)
+            per_tile = plan_working_set_bytes(plan) + 8 * db * max(nb, vb)
+            assert bound == stats.tiles_in_flight * per_tile + 4096
+            assert 0 < stats.peak_auxiliary_bytes <= bound
+            results.append((out.per_token_loss, g.grad_e.data, g.grad_c.data))
+        for other in results[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(other, results[0]))
+
+    def test_chunk_is_tracked(self, staged, medium):
+        e, c, x, fwd, _ = medium
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
+        _, stats = blocked_backward(e, c, x, 0.1, plan, fwd[0.1].lse, workers=1)
+        assert stats.peak_auxiliary_bytes == 8 * (16 * 64 + 8 * 64)
+
+    def test_dgemm_does_not_accumulate(self, staged):
+        with pytest.raises(ValueError, match="beta"):
+            smoothce.blocked.dgemm(1.0, np.ones((2, 2)), np.ones((2, 2)), np.zeros((2, 2)),
+                                   beta=1.0)
 
 
 def run_bounded(fn, timeout=120.0):

@@ -91,6 +91,15 @@ class TestLoss:
         first = lines[1].split(",")
         assert float(first[1]) - float(first[2]) == pytest.approx(float(first[3]))
 
+    def test_unwritable_csv_leaves_no_total(self, instance_files, tmp_path, capsys):
+        """A per-token CSV that cannot be written fails the run before any
+        result-like line reaches stdout."""
+        bad = tmp_path / "missing-dir" / "per_token.csv"
+        assert main(loss_args(instance_files, per_token_csv=bad)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "missing-dir" in err
+
 
 class TestGradcheck:
     def test_default_passes(self, capsys):
@@ -175,6 +184,26 @@ class TestBench:
 
     def test_too_few_repetitions_is_usage_error(self):
         assert main(["bench", "--repetitions", "2"]) == 2
+
+    @pytest.mark.parametrize("flag, empty, bad", [
+        ("--phases", ",", "fwd,nope"), ("--betas", "", "0,x"), ("--betas", " , ", "0,x"),
+    ])
+    def test_empty_list_is_an_error_naming_the_flag(self, tmp_path, capsys,
+                                                    flag, empty, bad):
+        """An empty list fails with the exit code of the flag's other bad
+        values and writes no CSV, where it used to write a bare header."""
+        out = tmp_path / "bench.csv"
+
+        def run(value):
+            argv = ["bench", "--n", "8", "--v", "16", "--d", "4", "--skip-naive",
+                    flag, value, "--out", str(out)]
+            return main(argv), capsys.readouterr().err
+
+        code_bad, _ = run(bad)
+        code, err = run(empty)
+        assert code == code_bad != 0
+        assert flag in err
+        assert not out.exists()
 
 
 @pytest.fixture()

@@ -132,6 +132,18 @@ class TestFileFormat:
         save_matrix(back, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_column_major_storage_writes_row_major_payload(self, tmp_path):
+        """Matrices are stored F-ordered in memory, and the payload on disk
+        stays row-major."""
+        values = np.arange(6.0).reshape(2, 3)
+        m = DenseMatrix.from_array(values)
+        assert m.data.flags.f_contiguous
+        path = tmp_path / "m.sce1"
+        save_matrix(m, path)
+        assert path.read_bytes()[28:] == values.astype("<f8").tobytes()
+        back = load_matrix(path)
+        assert back.data.flags.f_contiguous and np.array_equal(back.data, values)
+
     def test_f32_file_roundtrip_bytes(self, tmp_path):
         rng = np.random.default_rng(0)
         m = DenseMatrix.from_array(rng.standard_normal((8, 5)).astype(np.float32))
@@ -175,6 +187,19 @@ class TestGenerator:
         for left, right in zip(a[:2], b[:2]):
             assert np.array_equal(left.data, right.data)
         assert np.array_equal(a[2].targets, b[2].targets)
+
+    def test_column_major_fill_keeps_the_row_major_stream(self):
+        """E and C are stored F-ordered, and entry (r, k) of each still comes
+        from the counter of its row-major position: E takes counters
+        0..d*n-1, C the next d*v, the targets the last n."""
+        n, v, d, scale = 5, 7, 3, 0.5
+        e, c, _ = random_instance(9, n, v, d, scale)
+        bits = splitmix64(9, 0, d * (n + v) + n)
+        gauss = normal_icdf((((bits >> np.uint64(11)).astype(np.float64) + 0.5)
+                             * 2.0 ** -53)[:d * (n + v)]) * scale
+        assert e.data.flags.f_contiguous and c.data.flags.f_contiguous
+        assert np.array_equal(e.data, gauss[:d * n].reshape(d, n))
+        assert np.array_equal(c.data, gauss[d * n:].reshape(d, v))
 
     def test_shapes(self):
         e, c, x = random_instance(7, n=8, v=16, d=4, scale=1.0)
@@ -257,7 +282,7 @@ class TestPlanning:
                                          (256, 4096, 64)])
     def test_default_plan_at_benchmark_shapes(self, n, v, d):
         plan = plan_blocks(n, v, d, workers=1)
-        assert (plan.n_block, plan.v_block, plan.d_block) == (128, 512, 64)
+        assert (plan.n_block, plan.v_block, plan.d_block) == (128, 512, d)
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 5000), v=st.integers(1, 70000), d=st.integers(1, 300))
