@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import statistics
 import sys
@@ -58,6 +59,16 @@ def _positive_int(text: str) -> int:
     val = int(text)
     if val < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return val
+
+
+def _positive_float(text: str) -> float:
+    try:
+        val = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not 0 < val < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text}")
     return val
 
 
@@ -346,8 +357,8 @@ def cmd_entropy(args) -> int:
             if v < 2:
                 raise ValueError(f"vocabulary sizes must be >= 2, got {v}")
             for rho in args.rho:
-                if rho < 0:
-                    raise ValueError(f"rho must be nonnegative, got {rho}")
+                if not 0 <= rho < math.inf:
+                    raise ValueError(f"rho must be finite and nonnegative, got {rho}")
                 base = BoundParams(sigma_c=rho, sigma_h=1.0, d=d, v=v)
                 p = effective_params(base, args.temperature, args.softcap)
                 bound = entropy_lower_bound(p)
@@ -417,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--scale", type=float, default=0.5)
     p.add_argument("--reduction", choices=("sum", "mean"), default="sum")
-    p.add_argument("--h", type=float, default=1e-3, help="finite-difference step")
+    p.add_argument("--h", type=_positive_float, default=1e-3,
+                   help="finite-difference step")
     p.add_argument("--tol-analytic", type=float, default=None,
                    help="blocked-vs-analytic tolerance (default 1e-9, or 1e-3 "
                         "when filtering)")

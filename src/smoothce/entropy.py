@@ -42,20 +42,24 @@ class BoundParams:
     r: float = field(init=False)
 
     def __post_init__(self):
-        if self.sigma_c < 0 or self.sigma_h < 0:
-            raise ValueError("sigma_c and sigma_h must be nonnegative")
+        for name, val in (("sigma_c", self.sigma_c), ("sigma_h", self.sigma_h)):
+            if not 0 <= val < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {val}")
         if self.d < 1:
             raise ValueError(f"hidden size must be >= 1, got {self.d}")
         if self.v < 2:
             raise ValueError(f"vocabulary size must be >= 2, got {self.v}")
         object.__setattr__(self, "rho", self.sigma_c * self.sigma_h)
         object.__setattr__(self, "r", self.rho * math.sqrt(self.d))
+        if self.r == math.inf:
+            raise ValueError(f"norm budget rho * sqrt(d) overflows: rho={self.rho}, "
+                             f"d={self.d}")
 
     @classmethod
     def from_budget(cls, r: float, v: int, d: int = 1) -> "BoundParams":
         """Parameters with logit-norm budget exactly r (sigma_h = 1)."""
-        if r < 0:
-            raise ValueError("norm budget must be nonnegative")
+        if not 0 <= r < math.inf:
+            raise ValueError(f"norm budget must be finite and nonnegative, got {r}")
         return cls(sigma_c=r / math.sqrt(d), sigma_h=1.0, d=d, v=v)
 
 
@@ -170,15 +174,17 @@ def effective_params(p: BoundParams, temperature: float | None = None,
     r' = r / tau, applied after the cap. The returned params absorb the new
     budget into sigma_h.
     """
-    if temperature is not None and not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    if softcap is not None and not softcap > 0:
-        raise ValueError(f"softcap must be positive, got {softcap}")
+    for name, val in (("temperature", temperature), ("softcap", softcap)):
+        if val is not None and not 0 < val < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {val}")
     r_new = p.r
     if softcap is not None:
         r_new = min(r_new, softcap * math.sqrt(p.v))
     if temperature is not None:
         r_new = r_new / temperature
+        if r_new == math.inf:
+            raise ValueError(f"norm budget {p.r} / temperature {temperature} "
+                             f"overflows")
     if r_new == p.r:
         return p
     return replace(p, sigma_h=p.sigma_h * (r_new / p.r))

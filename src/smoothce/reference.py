@@ -136,8 +136,8 @@ def finite_diff_grad(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
 
     Costs 2*D*(N+|V|) full forward passes; intended for small instances only.
     """
-    if not h > 0:
-        raise ValueError("step h must be positive")
+    if not 0 < h < np.inf:
+        raise ValueError(f"step h must be finite and positive, got {h}")
     Ea, Ca, xa, n, v, d, keep = _validate(E, C, x, beta, reduction, ignore_mask)
 
     def total(e_arr, c_arr) -> float:

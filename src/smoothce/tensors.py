@@ -15,6 +15,7 @@ threads.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -184,7 +185,16 @@ _PAYLOAD_DTYPES = {
 HEADER_BYTES = _HEADER.size  # 28
 
 
-def _read_header(raw: bytes, path) -> tuple[int, int, int]:
+# Payload bytes per block that load_matrix and save_matrix stream through,
+# so file I/O holds no second copy of the matrix. A block holds at least 8
+# rows, so the transposing copy moves whole 64-byte lines of each F-ordered
+# column: with 2-row blocks a 128 x 65536 load took twice as long.
+_IO_BLOCK_BYTES = 1 << 20
+_IO_MIN_ROWS = 8
+
+
+def _read_header(fh, path) -> tuple[int, int, int]:
+    raw = fh.read(HEADER_BYTES)
     if len(raw) < HEADER_BYTES:
         raise TruncatedPayloadError(f"{path}: file shorter than the 28-byte header")
     magic, code, rows, cols = _HEADER.unpack_from(raw)
@@ -195,62 +205,80 @@ def _read_header(raw: bytes, path) -> tuple[int, int, int]:
     return code, rows, cols
 
 
-def _read_payload(raw: bytes, code: int, rows: int, cols: int, path) -> np.ndarray:
+def _check_payload_size(fh, code: int, rows: int, cols: int, path) -> np.dtype:
+    """The payload dtype, once the file size matches the declared shape."""
     dtype = _PAYLOAD_DTYPES[code]
     expected = rows * cols * dtype.itemsize
-    actual = len(raw) - HEADER_BYTES
+    actual = os.fstat(fh.fileno()).st_size - HEADER_BYTES
     if actual != expected:
         raise TruncatedPayloadError(
             f"{path}: payload is {actual} bytes, header declares "
             f"{rows}x{cols} ({expected} bytes)"
         )
-    return np.frombuffer(raw, dtype=dtype, offset=HEADER_BYTES).reshape(rows, cols)
+    return dtype
+
+
+def _block_rows(cols: int, itemsize: int) -> int:
+    return max(_IO_MIN_ROWS, _IO_BLOCK_BYTES // max(1, cols * itemsize))
 
 
 def load_matrix(path) -> DenseMatrix:
-    """Read an SCE1 float matrix; 32-bit payloads are widened to 64-bit."""
+    """Read an SCE1 float matrix; 32-bit payloads are widened to 64-bit.
+    The payload is read a block of rows at a time into the F-ordered
+    result, so the peak is the matrix plus one block."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    code, rows, cols = _read_header(raw, path)
-    if code == _CODE_U32:
-        raise UnsupportedDtypeError(
-            f"{path}: dtype code 2 is a token sequence; use load_tokens"
-        )
-    values = _read_payload(raw, code, rows, cols, path)
-    out = values.astype(np.float64, order="F", copy=True)
-    if not np.isfinite(out).all():
-        raise NonFiniteDataError(f"{path}: payload contains non-finite entries")
+        code, rows, cols = _read_header(fh, path)
+        if code == _CODE_U32:
+            raise UnsupportedDtypeError(
+                f"{path}: dtype code 2 is a token sequence; use load_tokens"
+            )
+        dtype = _check_payload_size(fh, code, rows, cols, path)
+        out = np.empty((rows, cols), order="F")
+        step = _block_rows(cols, dtype.itemsize)
+        buf = np.empty(min(step, rows) * cols, dtype=dtype)
+        for r0 in range(0, rows, step):
+            r1 = min(r0 + step, rows)
+            block = buf[:(r1 - r0) * cols]
+            if fh.readinto(block) != block.nbytes:
+                raise TruncatedPayloadError(f"{path}: payload ended early")
+            if not np.isfinite(block).all():
+                raise NonFiniteDataError(f"{path}: payload contains non-finite entries")
+            out[r0:r1] = block.reshape(r1 - r0, cols)
     return DenseMatrix._wrap(out, require_finite=False)
 
 
 def save_matrix(m: DenseMatrix, path, dtype: str = "f64") -> None:
     """Write a matrix in SCE1 format; load_matrix(save_matrix(m)) is
-    bit-identical for f64, and value-exact for values representable in f32."""
-    if dtype == "f64":
-        code, payload = _CODE_F64, m.data.astype("<f8", copy=False)
-    elif dtype == "f32":
-        code, payload = _CODE_F32, m.data.astype("<f4")
-    else:
+    bit-identical for f64, and value-exact for values representable in f32.
+    Rows go out a block at a time through one buffer."""
+    codes = {"f64": _CODE_F64, "f32": _CODE_F32}
+    if dtype not in codes:
         raise ValueError(f"unsupported save dtype {dtype!r}")
-    header = _HEADER.pack(_MAGIC, code, m.rows, m.cols)
+    code = codes[dtype]
+    step = _block_rows(m.cols, _PAYLOAD_DTYPES[code].itemsize)
+    buf = np.empty(min(step, m.rows) * m.cols, dtype=_PAYLOAD_DTYPES[code])
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(payload).tobytes())
+        fh.write(_HEADER.pack(_MAGIC, code, m.rows, m.cols))
+        for r0 in range(0, m.rows, step):
+            part = m.data[r0:r0 + step]
+            block = buf[:part.size].reshape(part.shape)
+            np.copyto(block, part, casting="same_kind")
+            fh.write(block)
 
 
 def load_tokens(path) -> TokenSequence:
     """Read an SCE1 token sequence (dtype 2, single column)."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    code, rows, cols = _read_header(raw, path)
-    if code != _CODE_U32:
-        raise UnsupportedDtypeError(
-            f"{path}: dtype code {code} is a float matrix; use load_matrix"
-        )
-    if cols != 1:
-        raise UnsupportedDtypeError(f"{path}: token sequences require cols=1, got {cols}")
-    values = _read_payload(raw, code, rows, cols, path)
-    return TokenSequence(values.reshape(-1).astype(np.int64))
+        code, rows, cols = _read_header(fh, path)
+        if code != _CODE_U32:
+            raise UnsupportedDtypeError(
+                f"{path}: dtype code {code} is a float matrix; use load_matrix"
+            )
+        if cols != 1:
+            raise UnsupportedDtypeError(f"{path}: token sequences require cols=1, got {cols}")
+        dtype = _check_payload_size(fh, code, rows, cols, path)
+        values = np.frombuffer(fh.read(), dtype=dtype)
+    return TokenSequence(values.astype(np.int64))
 
 
 def save_tokens(x: TokenSequence, path) -> None:
@@ -281,22 +309,33 @@ def splitmix64(seed: int, start: int, count: int) -> np.ndarray:
     return _splitmix64_at(seed, np.arange(start, start + count, dtype=np.uint64))
 
 
-def _splitmix64_at(seed: int, counters: np.ndarray) -> np.ndarray:
+def _splitmix64_at(seed: int, counters: np.ndarray, *, out=None,
+                   scratch=None) -> np.ndarray:
     """The splitmix64 words of stream `seed` at the given uint64 counters,
-    in their shape."""
-    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + (counters + np.uint64(1)) * _SM64_GAMMA
-    z = z ^ (z >> np.uint64(30))
-    z = z * _SM64_MIX1
-    z = z ^ (z >> np.uint64(27))
-    z = z * _SM64_MIX2
-    z = z ^ (z >> np.uint64(31))
+    in their shape. They go to `out` (which may be `counters`); `scratch`,
+    a uint64 array of the same shape, holds the shifted words. Both are
+    allocated when not given."""
+    z = np.add(counters, np.uint64(1), out=out)
+    z *= _SM64_GAMMA
+    z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    shifted = np.empty_like(z) if scratch is None else scratch
+    for shift, mix in ((30, _SM64_MIX1), (27, _SM64_MIX2), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=shifted)
+        z ^= shifted
+        if mix is not None:
+            z *= mix
     return z
 
 
-def _uniform01(bits: np.ndarray) -> np.ndarray:
+def _uniform01(bits: np.ndarray, out=None) -> np.ndarray:
     # (0, 1) strictly: top 53 bits plus a half-ulp offset, so the inverse CDF
-    # below never sees 0 or 1.
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    # below never sees 0 or 1. Shifts `bits` in place.
+    bits >>= np.uint64(11)
+    u = np.empty(bits.shape) if out is None else out
+    np.copyto(u, bits)
+    u += 0.5
+    u *= 2.0 ** -53
+    return u
 
 
 # Rational approximation of the standard normal inverse CDF (Acklam's
@@ -304,37 +343,49 @@ def _uniform01(bits: np.ndarray) -> np.ndarray:
 _ICDF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
            1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
 _ICDF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-           6.680131188771972e+01, -1.328068155288572e+01)
+           6.680131188771972e+01, -1.328068155288572e+01, 1.0)
 _ICDF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
            -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
 _ICDF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-           3.754408661907416e+00)
+           3.754408661907416e+00, 1.0)
 _ICDF_P_LOW = 0.02425
 
 
-def normal_icdf(u: np.ndarray) -> np.ndarray:
-    """Standard normal quantile function, vectorized, for u in (0, 1)."""
+def _horner(coefs, x: np.ndarray, out=None) -> np.ndarray:
+    """(...(coefs[0] x + coefs[1]) x + ...) x + coefs[-1], into `out`."""
+    out = np.multiply(x, coefs[0], out=out)
+    for coef in coefs[1:-1]:
+        out += coef
+        out *= x
+    out += coefs[-1]
+    return out
+
+
+def normal_icdf(u: np.ndarray, *, out=None, scratch=None) -> np.ndarray:
+    """Standard normal quantile function, vectorized, for u in (0, 1).
+
+    The result goes to `out`; `scratch` is three float64 arrays shaped like
+    `u` for the central branch's terms. Both are allocated when not given.
+    """
     u = np.asarray(u, dtype=np.float64)
-    a, b, c, d = _ICDF_A, _ICDF_B, _ICDF_C, _ICDF_D
-    out = np.empty_like(u)
+    out = np.empty_like(u) if out is None else out
+    q, r, den = (np.empty_like(u) for _ in range(3)) if scratch is None else scratch
+
+    # The central branch runs over every entry, since the tails are rare
+    # and cheaper to overwrite than to pack out.
+    np.subtract(u, 0.5, out=q)
+    np.multiply(q, q, out=r)
+    _horner(_ICDF_A, r, out)
+    _horner(_ICDF_B, r, den)
+    out *= q
+    out /= den
 
     lo = u < _ICDF_P_LOW
     hi = u > 1.0 - _ICDF_P_LOW
-    mid = ~(lo | hi)
-
-    if mid.any():
-        q = u[mid] - 0.5
-        r = q * q
-        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        out[mid] = num * q / den
-
     for mask, sign, p in ((lo, 1.0, u[lo]), (hi, -1.0, 1.0 - u[hi])):
         if mask.any():
-            q = np.sqrt(-2.0 * np.log(p))
-            num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-            den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-            out[mask] = sign * num / den
+            t = np.sqrt(-2.0 * np.log(p))
+            out[mask] = sign * _horner(_ICDF_C, t) / _horner(_ICDF_D, t)
 
     return out
 
@@ -344,12 +395,13 @@ def random_instance(seed: int, n: int, v: int, d: int, scale: float):
 
     Returns (E, C, x): a D x N embedding matrix, a D x |V| classifier, and N
     uniform targets. Entries of E and C are i.i.d. normal with standard
-    deviation `scale`; everything is a pure function of the arguments.
+    deviation `scale`, which must be finite and positive; everything is a
+    pure function of the arguments.
     """
     if n < 1 or v < 1 or d < 1:
         raise ValueError("n, v, d must all be >= 1")
-    if not scale > 0:
-        raise ValueError("scale must be positive")
+    if not 0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and positive, got {scale}")
     e = _gaussian_f(seed, 0, d, n, scale)
     c = _gaussian_f(seed, d * n, d, v, scale)
     u = _uniform01(splitmix64(seed, d * (n + v), n))
@@ -357,13 +409,44 @@ def random_instance(seed: int, n: int, v: int, d: int, scale: float):
     return (DenseMatrix._wrap(e), DenseMatrix._wrap(c), TokenSequence(targets))
 
 
+# Values per generation chunk. A chunk's counters, words, uniforms and
+# inverse-CDF terms live in six scratch arrays of this length, which with
+# the counters' row and column offsets come to at most 1 MiB: small enough
+# to stay in cache.
+_GEN_CHUNK = 16384
+
+
 def _gaussian_f(seed: int, start: int, rows: int, cols: int, scale: float) -> np.ndarray:
     """F-ordered rows x cols normal draws whose entry (r, k) comes from
-    counter start + r * cols + k, the row-major position, filled in memory
-    order so that no transposing copy is made."""
-    counters = (np.arange(rows, dtype=np.uint64) * np.uint64(cols)
-                + np.arange(cols, dtype=np.uint64)[:, None] + np.uint64(start))
-    return (normal_icdf(_uniform01(_splitmix64_at(seed, counters))) * scale).T
+    counter start + r * cols + k, the row-major position.
+
+    The output is filled in memory order, _GEN_CHUNK values at a time:
+    whole columns while one fits in a chunk, else one column in pieces.
+    Each value keeps its counter and its arithmetic, so the result does not
+    depend on the chunking.
+    """
+    out = np.empty((rows, cols), order="F")
+    by_column = out.T  # C-contiguous; row k is column k of out
+    seg = min(rows, _GEN_CHUNK)
+    per = max(1, _GEN_CHUNK // rows)
+    iota = np.arange(per, dtype=np.uint64)[:, None]
+    scratch = ([np.empty(_GEN_CHUNK, np.uint64) for _ in range(2)]
+               + [np.empty(_GEN_CHUNK) for _ in range(4)])
+    for r0 in range(0, rows, seg):
+        r1 = min(r0 + seg, rows)
+        # counters of rows r0..r1-1 in the chunk's first column
+        base = np.arange(r0, r1, dtype=np.uint64) * np.uint64(cols) + np.uint64(start)
+        for k0 in range(0, cols, per):
+            shape = (min(per, cols - k0), r1 - r0)
+            bits, shifted, u, q, r, den = (buf[:shape[0] * shape[1]].reshape(shape)
+                                           for buf in scratch)
+            np.add(base, iota[:shape[0]], out=bits)
+            _splitmix64_at(seed, bits, out=bits, scratch=shifted)
+            dest = by_column[k0:k0 + shape[0], r0:r1]
+            normal_icdf(_uniform01(bits, out=u), out=dest, scratch=(q, r, den))
+            dest *= scale
+            base += np.uint64(per)
+    return out
 
 
 # ---------------------------------------------------------------------------

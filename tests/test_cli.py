@@ -115,6 +115,19 @@ class TestGradcheck:
         assert "PASS" in out
         assert "skipped" in out
 
+    @pytest.mark.parametrize("h", ["0", "inf", "nan"])
+    def test_bad_step_is_usage_error_before_any_output(self, h, capsys):
+        """The step used to be checked after the blocked-vs-analytic line
+        was printed, and inf ran into a late non-finite-matrix error."""
+        assert main(["gradcheck", f"--h={h}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--h" in err
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0"])
+    def test_bad_scale_names_the_input(self, scale, capsys):
+        assert main(["gradcheck", "--scale", scale]) == 1
+        assert "scale must be finite and positive" in capsys.readouterr().err
+
     def test_corrupted_gradient_fails(self, capsys, monkeypatch):
         def corrupted(*args, **kwargs):
             grads, stats = blocked_backward(*args, **kwargs)
@@ -289,6 +302,17 @@ class TestEntropy:
 
     def test_bad_vocab_rejected(self, tmp_path, capsys):
         assert main(["entropy", "--v", "1", "--out", str(tmp_path / "s.csv")]) == 1
+
+    @pytest.mark.parametrize("rho", ["nan", "inf", "-inf"])
+    def test_non_finite_rho_rejected(self, rho, tmp_path, capsys):
+        """NaN and inf budgets used to write NaN rows, and `--verify` then
+        passed, since no oracle value compares below NaN."""
+        out = tmp_path / "s.csv"
+        argv = ["entropy", "--d", "4", "--v", "4", f"--rho={rho}", "--verify",
+                "--out", str(out)]
+        assert main(argv) == 1
+        assert "rho must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigAndEnv:

@@ -82,6 +82,18 @@ class TestClosedFormBound:
         assert entropy_lower_bound(p) > 0.0
         assert normalized_gap(p) <= 1.0
 
+    def test_non_finite_budget_rejected(self):
+        """A NaN budget would give a NaN floor that no oracle can undercut."""
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma_c"):
+                BoundParams(bad, 1.0, 4, 4)
+            with pytest.raises(ValueError, match="sigma_h"):
+                BoundParams(1.0, bad, 4, 4)
+            with pytest.raises(ValueError, match="norm budget"):
+                BoundParams.from_budget(bad, 4)
+        with pytest.raises(ValueError, match="overflows"):
+            BoundParams(1e308, 1.0, 64, 4)
+
     def test_small_vocab_rejected(self):
         with pytest.raises(ValueError):
             BoundParams(1.0, 1.0, 4, 1)
@@ -187,6 +199,15 @@ class TestEffectiveParams:
             effective_params(p, temperature=0.0)
         with pytest.raises(ValueError):
             effective_params(p, softcap=-1.0)
+
+    def test_non_finite_transforms_rejected(self):
+        p = BoundParams.from_budget(1.0, 4)
+        for name in ("temperature", "softcap"):
+            for bad in (math.inf, math.nan):
+                with pytest.raises(ValueError, match=name):
+                    effective_params(p, **{name: bad})
+        with pytest.raises(ValueError, match="overflows"):
+            effective_params(p, temperature=1e-320)
 
     def test_budget_invariant_maintained(self):
         q = effective_params(BoundParams(0.8, 1.1, 25, 77), temperature=3.0)

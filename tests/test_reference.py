@@ -165,8 +165,9 @@ class TestFiniteDifferences:
 
     def test_bad_step_rejected(self):
         e, c, x = tiny_instance()
-        with pytest.raises(ValueError):
-            finite_diff_grad(e, c, x, 0.1, h=0.0)
+        for bad in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="step h"):
+                finite_diff_grad(e, c, x, 0.1, h=bad)
 
 
 class TestIgnoreMask:

@@ -1,15 +1,18 @@
 """Storage containers, the SCE1 file format, the deterministic generator,
 and block planning."""
 
+import hashlib
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smoothce import tensors
 from smoothce.tensors import (
     BadMagicError,
     DenseMatrix,
@@ -153,6 +156,62 @@ class TestFileFormat:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+    @pytest.mark.parametrize("rows, cols", [(5, 140_000), (300, 1000), (1, 3), (4, 0)])
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    def test_roundtrip_across_blocks(self, tmp_path, rows, cols, dtype):
+        """Rows longer than one I/O block, many blocks with a partial last
+        one, and an empty row all stream through save and load intact."""
+        vals = np.random.default_rng(rows).standard_normal((rows, cols))
+        if dtype == "f32":
+            vals = vals.astype(np.float32).astype(np.float64)
+        path = tmp_path / "m.sce1"
+        save_matrix(DenseMatrix.from_array(vals), path, dtype=dtype)
+        itemsize = 8 if dtype == "f64" else 4
+        assert path.read_bytes()[28:] == vals.astype(f"<f{itemsize}").tobytes()
+        back = load_matrix(path)
+        assert back.data.flags.f_contiguous and np.array_equal(back.data, vals)
+
+    @pytest.mark.parametrize("code, fmt", [(1, "<d"), (0, "<f")])
+    def test_non_finite_entry_in_a_late_block(self, tmp_path, code, fmt):
+        rows, cols = 64, 4096  # several blocks in either width
+        path = tmp_path / "late.sce1"
+        payload = bytearray(rows * cols * struct.calcsize(fmt))
+        struct.pack_into(fmt, payload, len(payload) - struct.calcsize(fmt), math.inf)
+        path.write_bytes(struct.pack("<4sB3xQQ4x", b"SCE1", code, rows, cols) + payload)
+        with pytest.raises(NonFiniteDataError):
+            load_matrix(path)
+
+    def test_truncation_is_found_before_reading(self, tmp_path):
+        """A header declaring 2**40 x 2**20 entries over an 8-byte payload
+        is rejected from the file size, with nothing allocated for it."""
+        path = tmp_path / "huge.sce1"
+        path.write_bytes(struct.pack("<4sB3xQQ4x", b"SCE1", 1, 2**40, 2**20) + bytes(8))
+        with pytest.raises(TruncatedPayloadError, match="header declares"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    def test_file_io_peak_is_the_matrix_plus_one_block(self, tmp_path, dtype):
+        """Loading holds the result plus one block of payload; saving holds
+        one block. Whole-payload copies would add 8-16 MB here."""
+        m = random_instance(5, 64, 16384, 128, 1.0)[1]  # 16.8 MB of f64
+        path = tmp_path / "m.sce1"
+        itemsize = 8 if dtype == "f64" else 4
+        slack = tensors._block_rows(m.cols, itemsize) * m.cols * itemsize + 2**20
+        tracemalloc.start()
+        try:
+            save_matrix(m, path, dtype=dtype)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = load_matrix(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert save_peak <= slack
+        assert load_peak <= m.data.nbytes + slack
+        if dtype == "f64":
+            assert np.array_equal(back.data, m.data)
+
+
 class TestContainers:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -229,8 +288,51 @@ class TestGenerator:
     def test_bad_args(self):
         with pytest.raises(ValueError):
             random_instance(0, 0, 4, 4, 1.0)
-        with pytest.raises(ValueError):
-            random_instance(0, 4, 4, 4, 0.0)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="scale must be finite and positive"):
+                random_instance(0, 4, 4, 4, bad)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64 + 5, 7])
+    @pytest.mark.parametrize("n, v, d", [
+        (1, 1, 1),          # n = 1, |V| = 1
+        (1, 40_000, 1),     # C in three chunks, the last one partial
+        (300, 20_000, 60),  # whole columns, several chunks, partial last
+        (3, 1, 16_390),     # D above one chunk: each column in two pieces
+        (2, 3, 40_000),     # three pieces per column
+    ])
+    def test_chunked_fill_matches_the_one_shot_stream(self, seed, n, v, d):
+        """The chunked fill gives every entry the value the whole stream
+        computed at once gives its counter."""
+        e, c, x = random_instance(seed, n, v, d, 0.5)
+        bits = splitmix64(seed, 0, d * (n + v) + n)
+        u = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+        gauss = normal_icdf(u[:d * (n + v)]) * 0.5
+        assert np.array_equal(e.data, gauss[:d * n].reshape(d, n))
+        assert np.array_equal(c.data, gauss[d * n:].reshape(d, v))
+        assert np.array_equal(x.targets, np.minimum((u[d * (n + v):] * v).astype(np.int64),
+                                                    v - 1))
+
+    def test_instance_digest_is_pinned(self):
+        """SHA-1 of (E, C, x) at 256 x 4096 x 64, seed 0, scale 0.02, as
+        generated before the fill was chunked."""
+        e, c, x = random_instance(0, 256, 4096, 64, 0.02)
+        h = hashlib.sha1()
+        for a in (e.data, c.data, x.targets):
+            h.update(a.tobytes())
+        assert h.hexdigest() == "409b71deeb04af617aced2b639532cfa02ee0c58"
+
+    def test_generation_peak_is_the_outputs(self):
+        """At 256 x 16384 x 128 (17 MB of outputs) generation holds the
+        outputs plus its fixed scratch, not full-size temporaries."""
+        tracemalloc.start()
+        try:
+            e, c, x = random_instance(3, 256, 16384, 128, 0.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = e.data.nbytes + c.data.nbytes + x.targets.nbytes
+        assert outputs >= 16 * 10**6
+        assert peak <= outputs + 2 * 2**20
 
 
 def _splitmix64_reference(seed: int, k: int) -> int:
@@ -240,6 +342,36 @@ def _splitmix64_reference(seed: int, k: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
     return z ^ (z >> 31)
+
+
+_ICDF_P_LOW = 0.02425
+
+
+def _normal_icdf_reference(u: np.ndarray) -> np.ndarray:
+    """Acklam's rational approximation evaluated branch by branch on the
+    masked entries, as the generator did before its chunked fill."""
+    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
+         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
+    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
+         6.680131188771972e+01, -1.328068155288572e+01)
+    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
+         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
+    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
+         3.754408661907416e+00)
+    out = np.empty_like(u)
+    lo, hi = u < _ICDF_P_LOW, u > 1.0 - _ICDF_P_LOW
+    mid = ~(lo | hi)
+    q = u[mid] - 0.5
+    r = q * q
+    num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
+    den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
+    out[mid] = num * q / den
+    for mask, sign, p in ((lo, 1.0, u[lo]), (hi, -1.0, 1.0 - u[hi])):
+        q = np.sqrt(-2.0 * np.log(p))
+        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
+        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
+        out[mask] = sign * num / den
+    return out
 
 
 class TestPrng:
@@ -254,6 +386,21 @@ class TestPrng:
         full = splitmix64(99, 0, 50)
         part = splitmix64(99, 30, 20)
         assert np.array_equal(full[30:], part)
+
+    def test_inverse_cdf_matches_the_masked_formulation(self):
+        """The central branch now runs over every entry before the tails
+        are overwritten; each entry's arithmetic is unchanged, so the
+        values equal those of branch-by-branch evaluation bit for bit,
+        including at the branch edges, and the out/scratch form agrees."""
+        edges = [_ICDF_P_LOW, 1 - _ICDF_P_LOW, 2.0 ** -54, 1 - 2.0 ** -53, 0.5, 5e-324]
+        u = np.concatenate([np.random.default_rng(0).random(200_000), edges,
+                            np.nextafter(edges, 0), np.nextafter(edges, 1)])
+        u = u[(u > 0) & (u < 1)]
+        want = _normal_icdf_reference(u)
+        assert np.array_equal(normal_icdf(u), want)
+        out, scratch = np.empty_like(u), [np.empty_like(u) for _ in range(3)]
+        assert normal_icdf(u, out=out, scratch=scratch) is out
+        assert np.array_equal(out, want)
 
     def test_inverse_cdf_against_scipy(self):
         from scipy.stats import norm
