@@ -72,6 +72,13 @@ def _positive_float(text: str) -> float:
     return val
 
 
+def _nonnegative_int(text: str) -> int:
+    val = int(text)
+    if val < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
+    return val
+
+
 def _reps_arg(text: str) -> int:
     val = int(text)
     if val < 3:
@@ -370,15 +377,20 @@ def cmd_entropy(args) -> int:
                 "bound", "normalized_gap"),
                rows)
     if args.verify:
-        seen = set()
+        # one oracle call per v, over its distinct radii in grid order
+        radii: dict[int, dict[float, float]] = {}
+        for r_eff, v, _ in checks:
+            if r_eff > 0:
+                radii.setdefault(v, {}).setdefault(round(r_eff, 12), r_eff)
+        oracle = {}
+        for v, by_key in radii.items():
+            values = numeric_min_entropy(list(by_key.values()), v, restarts=args.restarts,
+                                         iterations=args.iterations, seed=args.oracle_seed)
+            oracle.update(zip([(key, v) for key in by_key], values))
         for r_eff, v, bound in checks:
-            key = (round(r_eff, 12), v)
-            if r_eff <= 0 or key in seen:
+            if r_eff <= 0:
                 continue
-            seen.add(key)
-            numeric = numeric_min_entropy(r_eff, v, restarts=args.restarts,
-                                          iterations=args.iterations,
-                                          seed=args.oracle_seed)
+            numeric = oracle[round(r_eff, 12), v]
             if numeric < bound - 1e-6:
                 print(f"error: oracle entropy {numeric!r} undercuts the closed-form "
                       f"bound {bound!r} at r={r_eff}, v={v}", file=sys.stderr)
@@ -446,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--betas", type=_float_list, default=[0.0, 0.1])
     p.add_argument("--phases", default="fwd,bwd,fwd_bwd")
     p.add_argument("--repetitions", type=_reps_arg, default=10)
-    p.add_argument("--warmups", type=int, default=3)
+    p.add_argument("--warmups", type=_nonnegative_int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", type=float, default=0.02)
     p.add_argument("--skip-naive", action=_BOOL, default=False)

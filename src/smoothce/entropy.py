@@ -11,6 +11,7 @@ front-ends that move R.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -112,46 +113,118 @@ def shannon_entropy(prob: np.ndarray) -> float:
     return float(-terms.sum())
 
 
-def numeric_min_entropy(r: float, v: int, restarts: int = 64,
+def _rowdot_einsum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Dot product of each row of a with the same row of b, into out, for
+    numpy < 2.0; numpy's own `vecdot` does the same with less overhead."""
+    return np.einsum("ij,ij->i", a, b, out=out)
+
+
+_rowdot = getattr(np, "vecdot", _rowdot_einsum)
+
+
+# Rows per block of the descent are capped at 32 Ki values (256 KiB per
+# array), so that the three arrays a step sweeps stay in cache: on 2 CPUs a
+# 192 x 1024 batch ran 10-20% slower per value than 32- or 64-row blocks.
+_ORACLE_BLOCK = 1 << 15
+
+
+def numeric_min_entropy(r: float | Sequence[float], v: int, restarts: int = 64,
                         iterations: int = 5000, step: float = 0.1,
-                        seed: int = 0) -> float:
+                        seed: int = 0) -> float | list[float]:
     """Minimum softmax entropy over ||u||_2 <= r found by projected gradient
     descent with random restarts; an oracle independent of the closed form.
 
-    Runs all restarts as one (restarts, v) batch with step schedule
-    step/sqrt(t), projecting back onto the ball each iteration, and returns
-    the best entropy seen anywhere along the trajectories. Half the restarts
-    begin at generic points of the sphere, half at spiky points concentrated
-    on one random coordinate, so flat near-uniform basins at large v cannot
-    trap every trajectory.
+    `r` is one budget or a 1-D sequence of budgets; the result is a float
+    for a scalar and a list in the same order otherwise. Every budget starts
+    from the same seeded `restarts` directions, scaled onto its own sphere,
+    and all len(r) * restarts rows descend together with step schedule
+    step/sqrt(t), each projected back onto its ball every iteration. A
+    budget's value is the best entropy seen anywhere along its rows'
+    trajectories. Half the restarts begin at generic points of the sphere,
+    half at spiky points concentrated on one random coordinate, so flat
+    near-uniform basins at large v cannot trap every trajectory.
+
+    Rows never mix, so a budget's value does not depend on which others
+    share the call: a batched call equals the single-budget calls bit for
+    bit. See `_descend` for the step and its memory.
     """
-    if not r > 0:
-        raise ValueError("norm budget must be positive")
+    radii = np.asarray(r, dtype=np.float64)
+    if radii.ndim > 1 or radii.size == 0:
+        raise ValueError(f"r must be one norm budget or a non-empty 1-D sequence, got {r!r}")
+    if not np.all((radii > 0) & (radii < math.inf)):
+        raise ValueError(f"r: norm budgets must be finite and positive, got {r!r}")
     if v < 2:
-        raise ValueError(f"vocabulary size must be >= 2, got {v}")
+        raise ValueError(f"v: vocabulary size must be >= 2, got {v}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be finite and positive, got {step}")
+
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal((restarts, v))
+    start = rng.standard_normal((restarts, v))
     n_spiky = restarts // 2
     if n_spiky:
-        u[:n_spiky] *= 0.05
+        start[:n_spiky] *= 0.05
         spikes = rng.integers(0, v, size=n_spiky)
-        u[np.arange(n_spiky), spikes] += 1.0
-    u *= r / np.linalg.norm(u, axis=1, keepdims=True)
+        start[np.arange(n_spiky), spikes] += 1.0
+    norms = np.linalg.norm(start, axis=1, keepdims=True)
+    radii = radii.ravel()
+    u = np.empty((radii.size * restarts, v))
+    for k, rk in enumerate(radii.tolist()):
+        np.multiply(start, rk / norms, out=u[k * restarts:(k + 1) * restarts])
+    del start
+    r_row = np.repeat(radii, restarts)
 
-    best = math.inf
+    rows = len(u)
+    block = max(1, _ORACLE_BLOCK // v)
+    work = np.empty((min(rows, block), v))
+    logp = np.empty_like(work)
+    best = np.full(rows, math.inf)
+    for lo in range(0, rows, block):
+        hi = min(lo + block, rows)
+        _descend(u[lo:hi], r_row[lo:hi], iterations, step, best[lo:hi],
+                 work[:hi - lo], logp[:hi - lo])
+    per_budget = best.reshape(radii.size, restarts).min(axis=1).tolist()
+    return per_budget if np.ndim(r) else per_budget[0]
+
+
+def _descend(u: np.ndarray, r_row: np.ndarray, iterations: int, step: float,
+             best: np.ndarray, work: np.ndarray, logp: np.ndarray) -> None:
+    """Projected gradient descent on the rows of u, in place, lowering each
+    best[i] to the least entropy row i reaches.
+
+    One step is about 20 numpy calls on u, the two scratch arrays `work`
+    and `logp` of its shape and a few row vectors, and allocates no array
+    data. On 2 CPUs with one BLAS thread, 16 restarts and 1500 iterations
+    take about 65 ms per budget at v = 256 and 210-250 ms at v = 1024 with
+    two budgets to a call, against 110 and 300 ms before the step ran in
+    place and budgets shared a call.
+    """
+    m, s, h = (np.empty(len(u)) for _ in range(3))
     for t in range(1, iterations + 1):
-        m = u.max(axis=1, keepdims=True)
-        shifted = u - m
-        log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True)) + m
-        logp = u - log_z
-        prob = np.exp(logp)
-        h = -(prob * logp).sum(axis=1)
-        best = min(best, float(h.min()))
-        grad = -prob * (logp + h[:, None])
-        u -= (step / math.sqrt(t)) * grad
-        norms = np.linalg.norm(u, axis=1, keepdims=True)
-        np.multiply(u, np.minimum(1.0, r / norms), out=u)
-    return best
+        np.max(u, axis=1, out=m)
+        np.subtract(u, m[:, None], out=work)
+        np.exp(work, out=work)
+        np.sum(work, axis=1, out=s)
+        np.log(s, out=s)
+        s += m                                          # log Z
+        np.subtract(u, s[:, None], out=logp)
+        np.exp(logp, out=work)                          # p
+        _rowdot(work, logp, out=h)
+        np.negative(h, out=h)                           # entropy per row
+        np.minimum(best, h, out=best)
+        # u -= c * grad with grad = -p (log p + H)
+        logp += h[:, None]
+        logp *= work
+        logp *= step / math.sqrt(t)
+        u += logp
+        _rowdot(u, u, out=s)
+        np.sqrt(s, out=s)
+        np.divide(r_row, s, out=s)
+        np.minimum(s, 1.0, out=s)
+        u *= s[:, None]                                 # back onto the ball
 
 
 def normalized_gap(p: BoundParams) -> float:

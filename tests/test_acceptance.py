@@ -228,9 +228,9 @@ def test_criterion_7_entropy_bound():
                     h = shannon_entropy(softmax(minimizer_vector(p)))
                     assert abs(h - entropy_lower_bound(p)) <= 1e-9
 
+        radii = (0.5, 2.0, 8.0)
         for v in (8, 64, 1024):
-            for r in (0.5, 2.0, 8.0):
-                numeric = numeric_min_entropy(r, v)
+            for r, numeric in zip(radii, numeric_min_entropy(radii, v)):
                 bound = entropy_lower_bound(BoundParams.from_budget(r, v))
                 assert numeric >= bound - 1e-6, f"v={v} r={r}"
 

@@ -198,6 +198,19 @@ class TestBench:
     def test_too_few_repetitions_is_usage_error(self):
         assert main(["bench", "--repetitions", "2"]) == 2
 
+    def test_negative_warmups_is_usage_error(self, tmp_path, capsys):
+        """A negative count used to run no warm-up and exit 0."""
+        out = tmp_path / "bench.csv"
+
+        def run(warmups):
+            return main(["bench", "--n", "8", "--v", "16", "--d", "4", "--warmups", warmups,
+                         "--skip-naive", "--out", str(out)])
+
+        assert run("-5") == 2
+        assert "--warmups" in capsys.readouterr().err
+        assert not out.exists()
+        assert run("0") == 0
+
     @pytest.mark.parametrize("flag, empty, bad", [
         ("--phases", ",", "fwd,nope"), ("--betas", "", "0,x"), ("--betas", " , ", "0,x"),
     ])
@@ -299,6 +312,45 @@ class TestEntropy:
         argv = ["entropy", "--out", str(tmp_path / "s.csv"), "--verify",
                 "--restarts", "8", "--iterations", "300"]
         assert main(argv) == 0
+
+    def test_verify_calls_the_oracle_once_per_v(self, tmp_path, monkeypatch):
+        """Each v's distinct radii share one oracle call; a radius repeated
+        in the grid runs once."""
+        real = smoothce.cli.numeric_min_entropy
+        calls = []
+
+        def counting(r, v, **kw):
+            calls.append((list(r), v))
+            return real(r, v, **kw)
+
+        monkeypatch.setattr(smoothce.cli, "numeric_min_entropy", counting)
+
+        def run(d, v, rho):
+            calls.clear()
+            assert main(["entropy", "--d", d, "--v", v, "--rho", rho, "--verify",
+                         "--restarts", "2", "--iterations", "20",
+                         "--out", str(tmp_path / "s.csv")]) == 0
+            return calls
+
+        assert run("1,4", "8,16", "0,0.5") == [([0.5, 1.0], 8), ([0.5, 1.0], 16)]
+        assert run("4,4", "8", "0.5,0.5") == [([1.0], 8)]
+
+    def test_verify_reports_the_undercut_row(self, tmp_path, monkeypatch, capsys):
+        """An oracle value below the floor at the second (r, v) of the grid
+        fails the run, naming that r and v."""
+        real = smoothce.cli.numeric_min_entropy
+
+        def undercut_at_r2_v8(r, v, **kw):
+            values = real(r, v, **kw)
+            return [h - 0.5 if (ri, v) == (2.0, 8) else h for ri, h in zip(r, values)]
+
+        monkeypatch.setattr(smoothce.cli, "numeric_min_entropy", undercut_at_r2_v8)
+        argv = ["entropy", "--d", "1,4", "--v", "8,16", "--rho", "1", "--verify",
+                "--restarts", "2", "--iterations", "20", "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "undercuts the closed-form bound" in err
+        assert "at r=2.0, v=8" in err
 
     def test_bad_vocab_rejected(self, tmp_path, capsys):
         assert main(["entropy", "--v", "1", "--out", str(tmp_path / "s.csv")]) == 1

@@ -2,10 +2,12 @@
 minimizer, the numeric projected-gradient oracle, and the budget transforms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from smoothce import entropy
 from smoothce.entropy import (
     BoundParams,
     effective_params,
@@ -152,6 +154,78 @@ class TestNumericOracle:
             numeric_min_entropy(0.0, 4)
         with pytest.raises(ValueError):
             numeric_min_entropy(1.0, 1)
+        # an infinite budget used to return inf with a RuntimeWarning
+        with pytest.raises(ValueError, match="^r: "):
+            numeric_min_entropy(math.inf, 4)
+        with pytest.raises(ValueError, match="^r: "):
+            numeric_min_entropy([1.0, math.nan], 4)
+        with pytest.raises(ValueError, match="^r: "):
+            numeric_min_entropy([1.0, -2.0], 4)
+        with pytest.raises(ValueError, match="^r "):
+            numeric_min_entropy([], 4)
+        # zero restarts used to die inside numpy's minimum reduction
+        with pytest.raises(ValueError, match="^restarts "):
+            numeric_min_entropy(1.0, 4, restarts=0)
+        # zero iterations used to return inf, which no floor can fail
+        with pytest.raises(ValueError, match="^iterations "):
+            numeric_min_entropy(1.0, 4, iterations=0)
+        # a negative step used to run gradient ascent
+        for step in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^step "):
+                numeric_min_entropy(1.0, 4, step=step)
+
+    def test_value_is_the_best_along_the_trajectory(self):
+        """One more iteration extends the same trajectories, so the best
+        entropy seen can only fall, even when large steps make each
+        trajectory's entropy jump about."""
+        values = [numeric_min_entropy([1.0, 4.0], 16, restarts=4, iterations=k, step=50.0)
+                  for k in range(1, 25)]
+        for a, b in zip(values, values[1:]):
+            assert b[0] <= a[0] and b[1] <= a[1]
+        assert values[-1] < values[0]
+
+    @pytest.mark.parametrize("v", [2, 8, 1024])
+    def test_batched_budgets_equal_single_calls(self, v):
+        radii = [0.5, 2.0, 8.0]
+        batched = numeric_min_entropy(radii, v, restarts=6, iterations=150, seed=3)
+        single = [numeric_min_entropy(r, v, restarts=6, iterations=150, seed=3)
+                  for r in radii]
+        assert batched == single
+        assert isinstance(batched, list) and all(type(h) is float for h in batched)
+        assert numeric_min_entropy((2.0,), v, restarts=6, iterations=150,
+                                   seed=3) == [single[1]]
+
+    def test_einsum_row_dots_for_older_numpy(self, monkeypatch):
+        """numpy < 2.0 has no vecdot; its row dots keep the batch identity
+        and move values by rounding only."""
+        radii = [0.5, 2.0, 8.0]
+        want = numeric_min_entropy(radii, 64, restarts=6, iterations=150)
+        monkeypatch.setattr(entropy, "_rowdot", entropy._rowdot_einsum)
+        got = numeric_min_entropy(radii, 64, restarts=6, iterations=150)
+        assert got == [numeric_min_entropy(r, 64, restarts=6, iterations=150)
+                       for r in radii]
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+    def test_blocks_do_not_change_values(self, monkeypatch):
+        """Rows split into several blocks, with a partial last one, give
+        the values of one block."""
+        radii = [0.5, 2.0, 8.0]
+        whole = numeric_min_entropy(radii, 64, restarts=5, iterations=100)
+        monkeypatch.setattr(entropy, "_ORACLE_BLOCK", 4 * 64)
+        assert numeric_min_entropy(radii, 64, restarts=5, iterations=100) == whole
+
+    def test_step_allocates_nothing_per_row(self):
+        """The peak holds the iterate and two scratch arrays of its shape;
+        the step used to peak at about 8 such arrays."""
+        rows, v = 16, 1024
+        numeric_min_entropy(1.0, v, restarts=rows, iterations=3)
+        tracemalloc.start()
+        try:
+            numeric_min_entropy(1.0, v, restarts=rows, iterations=20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * rows * v * 8 + 64 * 1024
 
 
 class TestNormalizedGap:
