@@ -113,21 +113,6 @@ def shannon_entropy(prob: np.ndarray) -> float:
     return float(-terms.sum())
 
 
-def _rowdot_einsum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Dot product of each row of a with the same row of b, into out, for
-    numpy < 2.0; numpy's own `vecdot` does the same with less overhead."""
-    return np.einsum("ij,ij->i", a, b, out=out)
-
-
-_rowdot = getattr(np, "vecdot", _rowdot_einsum)
-
-
-# Rows per block of the descent are capped at 32 Ki values (256 KiB per
-# array), so that the three arrays a step sweeps stay in cache: on 2 CPUs a
-# 192 x 1024 batch ran 10-20% slower per value than 32- or 64-row blocks.
-_ORACLE_BLOCK = 1 << 15
-
-
 def numeric_min_entropy(r: float | Sequence[float], v: int, restarts: int = 64,
                         iterations: int = 5000, step: float = 0.1,
                         seed: int = 0) -> float | list[float]:
@@ -177,32 +162,23 @@ def numeric_min_entropy(r: float | Sequence[float], v: int, restarts: int = 64,
     del start
     r_row = np.repeat(radii, restarts)
 
-    rows = len(u)
-    block = max(1, _ORACLE_BLOCK // v)
-    work = np.empty((min(rows, block), v))
-    logp = np.empty_like(work)
-    best = np.full(rows, math.inf)
-    for lo in range(0, rows, block):
-        hi = min(lo + block, rows)
-        _descend(u[lo:hi], r_row[lo:hi], iterations, step, best[lo:hi],
-                 work[:hi - lo], logp[:hi - lo])
+    best = _descend(u, r_row, iterations, step)
     per_budget = best.reshape(radii.size, restarts).min(axis=1).tolist()
     return per_budget if np.ndim(r) else per_budget[0]
 
 
-def _descend(u: np.ndarray, r_row: np.ndarray, iterations: int, step: float,
-             best: np.ndarray, work: np.ndarray, logp: np.ndarray) -> None:
-    """Projected gradient descent on the rows of u, in place, lowering each
-    best[i] to the least entropy row i reaches.
+def _descend(u: np.ndarray, r_row: np.ndarray, iterations: int,
+             step: float) -> np.ndarray:
+    """Projected gradient descent on the rows of u, in place; returns the
+    least entropy each row reaches along its trajectory.
 
-    One step is about 20 numpy calls on u, the two scratch arrays `work`
-    and `logp` of its shape and a few row vectors, and allocates no array
-    data. On 2 CPUs with one BLAS thread, 16 restarts and 1500 iterations
-    take about 65 ms per budget at v = 256 and 210-250 ms at v = 1024 with
-    two budgets to a call, against 110 and 300 ms before the step ran in
-    place and budgets shared a call.
+    One step is about 20 numpy calls on u, two scratch arrays `work` and
+    `logp` of its shape and a few row vectors, and allocates no array data.
     """
+    work = np.empty_like(u)
+    logp = np.empty_like(u)
     m, s, h = (np.empty(len(u)) for _ in range(3))
+    best = np.full(len(u), math.inf)
     for t in range(1, iterations + 1):
         np.max(u, axis=1, out=m)
         np.subtract(u, m[:, None], out=work)
@@ -212,7 +188,7 @@ def _descend(u: np.ndarray, r_row: np.ndarray, iterations: int, step: float,
         s += m                                          # log Z
         np.subtract(u, s[:, None], out=logp)
         np.exp(logp, out=work)                          # p
-        _rowdot(work, logp, out=h)
+        np.einsum("ij,ij->i", work, logp, out=h)
         np.negative(h, out=h)                           # entropy per row
         np.minimum(best, h, out=best)
         # u -= c * grad with grad = -p (log p + H)
@@ -220,11 +196,12 @@ def _descend(u: np.ndarray, r_row: np.ndarray, iterations: int, step: float,
         logp *= work
         logp *= step / math.sqrt(t)
         u += logp
-        _rowdot(u, u, out=s)
+        np.einsum("ij,ij->i", u, u, out=s)
         np.sqrt(s, out=s)
         np.divide(r_row, s, out=s)
         np.minimum(s, 1.0, out=s)
         u *= s[:, None]                                 # back onto the ball
+    return best
 
 
 def normalized_gap(p: BoundParams) -> float:

@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smoothce import entropy
 from smoothce.entropy import (
     BoundParams,
     effective_params,
@@ -194,25 +193,6 @@ class TestNumericOracle:
         assert isinstance(batched, list) and all(type(h) is float for h in batched)
         assert numeric_min_entropy((2.0,), v, restarts=6, iterations=150,
                                    seed=3) == [single[1]]
-
-    def test_einsum_row_dots_for_older_numpy(self, monkeypatch):
-        """numpy < 2.0 has no vecdot; its row dots keep the batch identity
-        and move values by rounding only."""
-        radii = [0.5, 2.0, 8.0]
-        want = numeric_min_entropy(radii, 64, restarts=6, iterations=150)
-        monkeypatch.setattr(entropy, "_rowdot", entropy._rowdot_einsum)
-        got = numeric_min_entropy(radii, 64, restarts=6, iterations=150)
-        assert got == [numeric_min_entropy(r, 64, restarts=6, iterations=150)
-                       for r in radii]
-        assert got == pytest.approx(want, rel=0, abs=1e-12)
-
-    def test_blocks_do_not_change_values(self, monkeypatch):
-        """Rows split into several blocks, with a partial last one, give
-        the values of one block."""
-        radii = [0.5, 2.0, 8.0]
-        whole = numeric_min_entropy(radii, 64, restarts=5, iterations=100)
-        monkeypatch.setattr(entropy, "_ORACLE_BLOCK", 4 * 64)
-        assert numeric_min_entropy(radii, 64, restarts=5, iterations=100) == whole
 
     def test_step_allocates_nothing_per_row(self):
         """The peak holds the iterate and two scratch arrays of its shape;
