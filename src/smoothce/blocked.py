@@ -4,20 +4,23 @@ materialize the full |V| x N logit matrix.
 The forward walks (token-block, vocab-block) tile pairs, computing each
 V_B x N_B logit tile in one full-depth GEMM that reads panels of the
 classifier and embedding matrices in place (no staged copies), then folds
-the tile into a running per-token log-sum-exp and gathers (1-beta) times
-the target logit. The backward recomputes tiles the same way from the
-inputs plus the saved LSE vector; a backward tile adds only its softmax
-part, from P = exp(z - lse), and one whose largest probability bound falls
-below the filter threshold may be skipped entirely.
+the tile into each token's softmax normaliser by an online merge
+(Milakov & Gimelshein, arXiv:1805.02867): a running max M and a running
+sum S of exp(z - M), rescaled when M grows, and lse = M + log S after the
+last tile. The backward recomputes tiles the same way from the inputs plus
+the saved LSE vector; a backward tile adds only its softmax part, from
+P = exp(z - lse), and one whose largest probability bound falls below the
+filter threshold may be skipped entirely.
 
-The smoothed target q_i = (1-beta) e_{x_i} + beta/|V| enters the loss and
-both gradients linearly, and its uniform share of the target score is
-sum_v z_vi / |V| = (sum_v C_v / |V|) . E_i. So beta enters through one
-row, `_smoothing_row` = (beta/|V|) sum_v C[:, v] (D floats): the forward
-adds its product with E to the target score after the tiles, and the
-backward subtracts the whole target part in one closed-form pass after
-them, per token for the target columns and as a rank-one update of
-`grad_c` for the uniform share.
+The tiles never see the target. The smoothed target
+q_i = (1-beta) e_{x_i} + beta/|V| enters the loss and both gradients
+linearly, and its uniform share of the target score is
+sum_v z_vi / |V| = u . E_i with u = (beta/|V|) sum_v C[:, v]
+(`_smoothing_row`, D floats). So the target part runs in closed form after
+the tiles, per token with t_i = (1-beta) C[:, x_i] + u: the forward's
+target score is t_i . E_i; the backward subtracts w t_i from
+`grad_e[:, i]` and (1-beta) w E_i from `grad_c[:, x_i]`, then the uniform
+share from `grad_c` as one rank-one update.
 
 Filtering is one number, `filter_epsilon`: 0 (the default) skips nothing.
 It touches only the softmax part, so skipped tiles can never drop the
@@ -26,13 +29,13 @@ target part, whose magnitude does not shrink with the probabilities.
 Tiles run on `workers` threads (default: every CPU this process may run
 on), one token block per worker at a time, handed out in index order; a
 worker walks its block's vocabulary blocks in index order. Per-token state
-(`lse`, `o`, `grad_e` columns) belongs to one token block, so it needs no
-locks, and each `grad_c[:, v-block]` takes its products in token-block
-order through a per-vocabulary-block turn counter. Every sum therefore
-runs in the same order as on one worker, and for a given plan results are
-bit-identical for any worker count. While more than one worker runs,
-numpy's OpenBLAS is held at one thread, so BLAS threads do not compete
-with the workers.
+(the running max and sum, `grad_e` columns) belongs to one token block,
+so it needs no locks, and each `grad_c[:, v-block]` takes its products
+in token-block order through a per-vocabulary-block turn counter. Every
+sum therefore runs in the same order as on one worker, and for a given
+plan results are bit-identical for any worker count. While more than one
+worker runs, numpy's OpenBLAS is held at one thread, so BLAS threads do
+not compete with the workers.
 
 Every GEMM goes through `dgemm`, c = alpha op(a) op(b) + beta c on the
 ILP64 `cblas_dgemm` of numpy's own OpenBLAS. A logit tile is written with
@@ -45,10 +48,10 @@ vocabulary entry's D-vector is contiguous), so every operand is one
 contiguous panel. Only where numpy's BLAS exports no such symbol does a
 product go through a tracked D_B-row chunk and a `+=` into the gradient.
 
-Every tile-sized buffer flows through a TrackingAllocator; peak auxiliary
-bytes stay O(N_B*V_B) per tile in flight regardless of |V| (plus
-D_B*max(N_B, V_B) for a staged product chunk), one tile per worker. The
-returned outputs and O(D) or O(N) temporaries are not tracked.
+Every tile-sized buffer (the logit tile, the forward's one N_B row) flows
+through a TrackingAllocator; peak auxiliary bytes stay O(N_B*V_B) per tile
+in flight regardless of |V| (plus D_B*max(N_B, V_B) for a staged product
+chunk). The returned outputs and O(D) or O(N) temporaries are not tracked.
 """
 
 from __future__ import annotations
@@ -368,40 +371,36 @@ def blocked_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: floa
     alloc = TrackingAllocator()
     runner = _TileRunner(n, v, eff, workers)
 
-    lse = np.full(n, -np.inf)
-    o = np.zeros(n)
+    lse = np.full(n, -np.inf)  # running max M until the runner ends
+    sums = np.zeros(n)  # running sum S of exp(z - M)
 
     def run_tile(i, n0, nb, j, v0, vb):
         tile = _logit_tile(alloc, Ea, Ca, n0, nb, v0, vb)
-        tgt = xa[n0:n0 + nb]
-        in_block = (tgt >= v0) & (tgt < v0 + vb)
         m = alloc.empty(nb)
-        s = alloc.empty(nb)
-        t1 = alloc.empty(nb)
-        t2 = alloc.empty(nb)
-        lse_view = lse[n0:n0 + nb]
-        if in_block.any():
-            idx = np.nonzero(in_block)[0]
-            o[n0 + idx] = (1.0 - beta) * tile[tgt[idx] - v0, idx]
-        # per-tile LSE, destroying the tile, then online merge
+        run_max, run_sum = lse[n0:n0 + nb], sums[n0:n0 + nb]
+        # m = max(tile max, M); S *= exp(M - m); M = m; S += sum exp(tile - m)
         np.max(tile, axis=0, out=m)
+        np.maximum(m, run_max, out=m)
+        run_max -= m
+        np.exp(run_max, out=run_max)
+        run_sum *= run_max
+        run_max[:] = m
         tile -= m
         np.exp(tile, out=tile)
-        np.sum(tile, axis=0, out=s)
-        np.log(s, out=s)
-        s += m
-        np.maximum(lse_view, s, out=t1)
-        np.minimum(lse_view, s, out=t2)
-        t2 -= t1
-        np.exp(t2, out=t2)
-        np.log1p(t2, out=t2)
-        t1 += t2
-        lse_view[:] = t1
-        for buf in (t2, t1, s, m, tile):
-            alloc.release(buf)
+        np.sum(tile, axis=0, out=m)
+        run_sum += m
+        alloc.release(m)
+        alloc.release(tile)
 
     processed, _ = runner.run(run_tile)
-    o += _smoothing_row(Ca, beta, v) @ Ea
+    np.log(sums, out=sums)
+    lse += sums
+
+    # target score q_i . z_i, with q_i = (1-beta) e_{x_i} + beta/|V|
+    keep = 1.0 - beta
+    u = _smoothing_row(Ca, beta, v)
+    o = np.fromiter(((keep * Ca[:, t] + u) @ Ea[:, i]
+                     for i, t in enumerate(xa)), np.float64, n)
 
     per_token = lse - o
     total = float(per_token.sum()) if reduction == "sum" else float(per_token.mean())

@@ -55,11 +55,23 @@ def _beta_arg(text: str) -> float:
     return val
 
 
-def _positive_int(text: str) -> int:
-    val = int(text)
-    if val < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return val
+def _int_at_least(low: int):
+    """Type for an integer flag whose value must be at least `low`."""
+    what = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+        low, f"an integer >= {low}")
+
+    def parse(text: str) -> int:
+        try:
+            val = int(text)
+        except ValueError:
+            val = low - 1  # rejected below like an out-of-range value
+        if val < low:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return val
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _positive_float(text: str) -> float:
@@ -69,20 +81,6 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
     if not 0 < val < math.inf:
         raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text}")
-    return val
-
-
-def _nonnegative_int(text: str) -> int:
-    val = int(text)
-    if val < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
-    return val
-
-
-def _reps_arg(text: str) -> int:
-    val = int(text)
-    if val < 3:
-        raise argparse.ArgumentTypeError(f"repetitions must be >= 3, got {text}")
     return val
 
 
@@ -317,8 +315,10 @@ def cmd_calibrate(args) -> int:
     if not records:
         raise ValueError(f"{args.records} holds no records")
 
-    if args.metrics:
+    if args.metrics is not None:
         wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
+        if not wanted:
+            raise ValueError(f"--metrics lists no metric: {args.metrics!r}")
     else:
         wanted = ["ece", "rms_ce"] + (["sce", "ace"] if records.probs is not None else [])
 
@@ -457,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_positive_int, default=64)
     p.add_argument("--betas", type=_float_list, default=[0.0, 0.1])
     p.add_argument("--phases", default="fwd,bwd,fwd_bwd")
-    p.add_argument("--repetitions", type=_reps_arg, default=10)
-    p.add_argument("--warmups", type=_nonnegative_int, default=3)
+    p.add_argument("--repetitions", type=_int_at_least(3), default=10)
+    p.add_argument("--warmups", type=_int_at_least(0), default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", type=float, default=0.02)
     p.add_argument("--skip-naive", action=_BOOL, default=False)

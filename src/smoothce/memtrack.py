@@ -3,20 +3,20 @@
 Every tile-sized buffer the engine uses is requested through a
 TrackingAllocator, so the reported peak covers every auxiliary buffer that
 grows with the tile plan. Inputs and returned outputs are excluded by
-construction; O(D) and O(N_B) temporaries are not tracked.
+construction; O(D) and O(N) temporaries are not tracked.
 
 Nor are numpy's internal ufunc buffers. numpy allocates them even for
 same-dtype operations, up to 8192 elements per operand by default, for the
-broadcast `tile -= lse` and the LSE merge. The engine runs its tile work
-with the buffer size at 16 elements, per worker thread, so they stay a few
-hundred bytes. The GEMMs read the inputs in place and write into tracked
-tiles or straight into the gradients, so they add nothing; only without
-the accumulating BLAS kernel does a backward product pass through a
-tracked chunk and a `+=`.
+broadcast `tile -= lse` and the online softmax merge. The engine runs its
+tile work with the buffer size at 16 elements, per worker thread, so they
+stay a few hundred bytes. The GEMMs read the inputs in place and write
+into tracked tiles or straight into the gradients, so they add nothing;
+only without the accumulating BLAS kernel does a backward product pass
+through a tracked chunk and a `+=`.
 
-The closed-form target pass after the tiles needs only O(D) and O(N)
-temporaries, plus numpy's default-size ufunc buffers for its one broadcast
-update of `grad_c`.
+The closed-form target passes after the tiles need only O(D) and O(N)
+temporaries, plus numpy's default-size ufunc buffers for the backward's
+one broadcast update of `grad_c`.
 
 A buffer is counted from `empty` to `release`; the engine drops its last
 reference at `release`, so the reported peak is what is actually held.

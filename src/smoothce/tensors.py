@@ -453,7 +453,7 @@ def _gaussian_f(seed: int, start: int, rows: int, cols: int, scale: float) -> np
 # block planning
 
 # Default tile sizes (N_B, V_B) before clamping: BLAS-friendly tiles whose
-# one-tile working set is 528 384 bytes. D_B defaults to the full depth D.
+# one-tile working set is 525 312 bytes. D_B defaults to the full depth D.
 _BASE_BLOCKS = (128, 512)
 
 _WORD = 8  # engine buffers are float64
@@ -461,11 +461,11 @@ _WORD = 8  # engine buffers are float64
 
 def plan_working_set_bytes(plan: BlockPlan) -> int:
     """Transient bytes the blocked engine needs for one in-flight tile:
-    the V_B x N_B logit tile and the forward's four N_B scratch rows for the
-    LSE merge. The backward adds its products straight into the gradients,
-    so D_B does not enter."""
+    the V_B x N_B logit tile and the forward's one N_B scratch row for the
+    online softmax merge. The backward adds its products straight into the
+    gradients, so D_B does not enter."""
     nb, vb = plan.n_block, plan.v_block
-    return _WORD * (nb * vb + 4 * nb)
+    return _WORD * nb * (vb + 1)
 
 
 def tiles_in_flight(n: int, n_block: int, workers: int | None = None) -> int:

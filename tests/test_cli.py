@@ -282,6 +282,24 @@ class TestCalibrate:
         out = capsys.readouterr().out
         assert "sce" in out and "ace" in out
 
+    @pytest.mark.parametrize("metrics", [",", "", " , "])
+    def test_empty_metrics_list_is_an_error(self, calibration_file, tmp_path,
+                                            capsys, metrics):
+        """An empty list fails like an unknown metric and writes no CSV,
+        where it used to write a bare header and exit 0."""
+        out = tmp_path / "metrics.csv"
+
+        def run(value):
+            argv = ["calibrate", "--records", calibration_file, "--metrics", value,
+                    "--out", str(out)]
+            return main(argv), capsys.readouterr().err
+
+        code_bad, _ = run("ece,nope")
+        code, err = run(metrics)
+        assert code == code_bad == 1
+        assert "--metrics" in err
+        assert not out.exists()
+
     def test_bad_record_line_reported(self, tmp_path, capsys):
         p = tmp_path / "bad.jsonl"
         p.write_text('{"confidence": 1.2, "correct": true}\n')
@@ -434,6 +452,20 @@ class TestUsage:
                      "--threads", "2"]) == 2
         assert main(["entropy", "--out", str(tmp_path / "s.csv"),
                      "--no-deterministic"]) == 2
+
+    @pytest.mark.parametrize("sub, flag, what", [
+        ("entropy", "--restarts", "a positive integer"),
+        ("bench", "--warmups", "a nonnegative integer"),
+        ("bench", "--repetitions", "an integer >= 3"),
+        ("bench", "--n", "a positive integer"),
+    ])
+    def test_non_number_names_the_flag_and_its_range(self, capsys, sub, flag, what):
+        """A non-number used to get argparse's message naming the parser's
+        internal type function."""
+        assert main([sub, flag, "x"]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected {what}, got 'x'" in err
+        assert "invalid" not in err
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -421,6 +421,15 @@ class TestPlanning:
         plan = plan_blocks(4096, 65536, 256)
         assert plan_working_set_bytes(plan) <= 4 * 1024 * 1024
 
+    def test_working_set_figures_quoted_in_the_docs(self):
+        """One serial default tile holds the logit tile plus one N_B row;
+        at 256 x 65536 x 128 two workers hold two half-width tiles."""
+        serial = plan_blocks(1024, 16384, 64, workers=1)
+        assert plan_working_set_bytes(serial) == 8 * 128 * (512 + 1) == 525_312
+        pool = plan_blocks(256, 65536, 128, workers=2)
+        in_flight = tiles_in_flight(256, pool.n_block, 2)
+        assert in_flight * plan_working_set_bytes(pool) == 526_336
+
     def test_zero_override_rejected(self):
         with pytest.raises(InvalidPlanError):
             plan_blocks(8, 16, 4, n_block=0)
