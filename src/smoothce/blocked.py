@@ -14,28 +14,29 @@ filter threshold may be skipped entirely.
 
 The tiles never see the target. The smoothed target
 q_i = (1-beta) e_{x_i} + beta/|V| enters the loss and both gradients
-linearly, and its uniform share of the target score is
-sum_v z_vi / |V| = u . E_i with u = (beta/|V|) sum_v C[:, v]
-(`_smoothing_row`, D floats). So the target part runs in closed form after
-the tiles, per token with t_i = (1-beta) C[:, x_i] + u: the forward's
-target score is t_i . E_i; the backward subtracts w t_i from
-`grad_e[:, i]` and (1-beta) w E_i from `grad_c[:, x_i]`, then the uniform
-share from `grad_c` as one rank-one update.
+linearly, and its uniform share is whole arrays: with the D-vector
+u = (beta/|V|) sum_v C[:, v] (`_smoothing_row`), the forward's target
+score starts as u @ E, and the backward's gradients start as their
+uniform columns, -w u in every `grad_e` column and -(beta/|V|) w E 1 in
+every `grad_c` column, before the tiles add into them. After the tiles
+one per-token pass adds the (1-beta) share: (1-beta) C[:, x_i] . E_i to
+the score, or -(1-beta) w times C[:, x_i] to `grad_e[:, i]` and E_i to
+`grad_c[:, x_i]`.
 
 Filtering is one number, `filter_epsilon`: 0 (the default) skips nothing.
 It touches only the softmax part, so skipped tiles can never drop the
 target part, whose magnitude does not shrink with the probabilities.
 
-Tiles run on `workers` threads (default: every CPU this process may run
-on), one token block per worker at a time, handed out in index order; a
-worker walks its block's vocabulary blocks in index order. Per-token state
-(the running max and sum, `grad_e` columns) belongs to one token block,
-so it needs no locks, and each `grad_c[:, v-block]` takes its products
-in token-block order through a per-vocabulary-block turn counter. Every
-sum therefore runs in the same order as on one worker, and for a given
-plan results are bit-identical for any worker count. While more than one
-worker runs, numpy's OpenBLAS is held at one thread, so BLAS threads do
-not compete with the workers.
+One `_TileRunner` runs each pass's tiles on `workers` threads (default:
+every CPU this process may run on), one token block per worker at a
+time, handed out in index order; a worker walks its block's vocabulary
+blocks in index order. Per-token state (the running max and sum,
+`grad_e` columns) belongs to one token block, so it needs no locks, and
+each `grad_c[:, v-block]` takes its products in token-block order through
+a per-vocabulary-block turn counter. Every sum therefore runs in the same
+order as on one worker, and for a given plan results are bit-identical
+for any worker count. While more than one worker runs, numpy's OpenBLAS
+is held at one thread, so BLAS threads do not compete with the workers.
 
 Every GEMM goes through `dgemm`, c = alpha op(a) op(b) + beta c on the
 ILP64 `cblas_dgemm` of numpy's own OpenBLAS. A logit tile is written with
@@ -49,9 +50,10 @@ contiguous panel. Only where numpy's BLAS exports no such symbol does a
 product go through a tracked D_B-row chunk and a `+=` into the gradient.
 
 Every tile-sized buffer (the logit tile, the forward's one N_B row) flows
-through a TrackingAllocator; peak auxiliary bytes stay O(N_B*V_B) per tile
-in flight regardless of |V| (plus D_B*max(N_B, V_B) for a staged product
-chunk). The returned outputs and O(D) or O(N) temporaries are not tracked.
+through the runner's TrackingAllocator, and the runner returns the pass's
+MemoryStats; peak auxiliary bytes stay O(N_B*V_B) per tile in flight
+regardless of |V| (plus D_B*max(N_B, V_B) for a staged product chunk).
+The returned outputs and O(D) or O(N) temporaries are not tracked.
 """
 
 from __future__ import annotations
@@ -60,12 +62,12 @@ import ctypes
 import functools
 import math
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
 from .memtrack import MemoryStats, TrackingAllocator
-from .reference import Gradients, LossOutput, _validate, token_weights
+from .reference import Gradients, LossOutput, _reduce, _validate, token_weights
 from .tensors import (BlockPlan, DenseMatrix, TokenSequence,
                       plan_working_set_bytes, tiles_in_flight)
 
@@ -248,18 +250,9 @@ _ONE_BLAS_THREAD = _OneBlasThread()
 # numpy allocates its ufunc buffers (8192 elements per operand by default)
 # even for the same-dtype broadcast and strided in-place updates of the tile
 # work, where they hold nothing; 16 elements keeps them out of the peak.
+# numpy keeps the size per thread, so each worker thread sets its own and
+# the caller's is never touched.
 _UFUNC_BUFFER = 16
-
-
-@contextmanager
-def _small_ufunc_buffers():
-    """numpy's ufunc buffer size at `_UFUNC_BUFFER` in this thread (numpy
-    keeps it per thread), restored on exit."""
-    saved = np.setbufsize(_UFUNC_BUFFER)
-    try:
-        yield
-    finally:
-        np.setbufsize(saved)
 
 
 class _Abandoned(Exception):
@@ -267,8 +260,8 @@ class _Abandoned(Exception):
 
 
 class _TileRunner:
-    """Runs every tile of a plan on up to `workers` threads in one fixed
-    order of accumulation.
+    """Runs every tile of one pass on up to `workers` threads in one fixed
+    order of accumulation, and keeps the pass's allocator and counters.
 
     Token blocks are handed out in index order; the worker that takes one
     walks its vocabulary blocks in index order, so everything indexed by
@@ -282,6 +275,7 @@ class _TileRunner:
         self.eff = eff
         self.n, self.v = n, v
         self.in_flight = tiles_in_flight(n, eff.n_block, workers)
+        self.alloc = TrackingAllocator()  # this module's name, read per pass
         self._cond = threading.Condition()
         self._turns = [0] * -(-v // eff.v_block)
         self._next_block = 0
@@ -310,14 +304,14 @@ class _TileRunner:
         """One worker: take token blocks until none are left; run_tile
         returns True for a tile it skipped."""
         nbk, vbk = self.eff.n_block, self.eff.v_block
+        np.setbufsize(_UFUNC_BUFFER)
         try:
-            with _small_ufunc_buffers():
-                while (i := self._take_block()) is not None:
-                    n0 = i * nbk
-                    nb = min(nbk, self.n - n0)
-                    for j, v0 in enumerate(range(0, self.v, vbk)):
-                        skipped = run_tile(i, n0, nb, j, v0, min(vbk, self.v - v0))
-                        counts[1 if skipped else 0] += 1
+            while (i := self._take_block()) is not None:
+                n0 = i * nbk
+                nb = min(nbk, self.n - n0)
+                for j, v0 in enumerate(range(0, self.v, vbk)):
+                    skipped = run_tile(i, n0, nb, j, v0, min(vbk, self.v - v0))
+                    counts[1 if skipped else 0] += 1
         except _Abandoned:
             pass
         except BaseException as exc:
@@ -330,30 +324,36 @@ class _TileRunner:
             self._failed = True
             self._cond.notify_all()
 
-    def run(self, run_tile) -> tuple[int, int]:
-        """Run every tile; return (tiles processed, tiles skipped)."""
+    def run(self, run_tile) -> MemoryStats:
+        """Run every tile on `in_flight` worker threads; return the pass's
+        peak tracked bytes and tile counts."""
         counts = [[0, 0] for _ in range(self.in_flight)]
         errors: list[BaseException] = []
-        if self.in_flight == 1:
-            self._work(run_tile, counts[0], errors)
-        else:
-            threads = [threading.Thread(target=self._work, args=(run_tile, c, errors),
-                                        name=f"smoothce-tiles-{k}")
-                       for k, c in enumerate(counts)]
-            with _ONE_BLAS_THREAD.held():
+        threads = [threading.Thread(target=self._work, args=(run_tile, c, errors),
+                                    name=f"smoothce-tiles-{k}")
+                   for k, c in enumerate(counts)]
+        with _ONE_BLAS_THREAD.held() if self.in_flight > 1 else nullcontext():
+            for t in threads:
+                t.start()
+            try:
                 for t in threads:
-                    t.start()
-                try:
-                    for t in threads:
-                        t.join()
-                except BaseException:  # interrupted: stop the workers first
-                    self._abandon()
-                    for t in threads:
-                        t.join()
-                    raise
+                    t.join()
+            except BaseException:  # interrupted: stop the workers first
+                self._abandon()
+                for t in threads:
+                    t.join()
+                raise
         if errors:
             raise errors[0]
-        return sum(c[0] for c in counts), sum(c[1] for c in counts)
+        return MemoryStats(self.alloc.peak_bytes, sum(c[0] for c in counts),
+                           sum(c[1] for c in counts), self.in_flight)
+
+
+def _columns(col: np.ndarray, k: int) -> np.ndarray:
+    """A D x k F-ordered array whose every column is the D-vector `col`."""
+    out = np.empty((col.size, k), order="F")
+    out[:] = col[:, None]
+    return out
 
 
 def blocked_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
@@ -367,9 +367,8 @@ def blocked_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: floa
     allocating only tile-sized transients.
     """
     Ea, Ca, xa, n, v, d, _ = _validate(E, C, x, beta, reduction)
-    eff = plan.clamped(n, v, d)
-    alloc = TrackingAllocator()
-    runner = _TileRunner(n, v, eff, workers)
+    runner = _TileRunner(n, v, plan.clamped(n, v, d), workers)
+    alloc = runner.alloc
 
     lse = np.full(n, -np.inf)  # running max M until the runner ends
     sums = np.zeros(n)  # running sum S of exp(z - M)
@@ -392,20 +391,20 @@ def blocked_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: floa
         alloc.release(m)
         alloc.release(tile)
 
-    processed, _ = runner.run(run_tile)
+    stats = runner.run(run_tile)
     np.log(sums, out=sums)
     lse += sums
 
-    # target score q_i . z_i, with q_i = (1-beta) e_{x_i} + beta/|V|
+    # target score q_i . z_i, with q_i = (1-beta) e_{x_i} + beta/|V|:
+    # the uniform share u . E_i for every token, then the indexed share
+    o = _smoothing_row(Ca, beta, v) @ Ea
     keep = 1.0 - beta
-    u = _smoothing_row(Ca, beta, v)
-    o = np.fromiter(((keep * Ca[:, t] + u) @ Ea[:, i]
-                     for i, t in enumerate(xa)), np.float64, n)
+    o += np.fromiter((keep * (Ca[:, t] @ Ea[:, i]) for i, t in enumerate(xa)),
+                     np.float64, n)
 
     per_token = lse - o
-    total = float(per_token.sum()) if reduction == "sum" else float(per_token.mean())
-    out = LossOutput(lse, o, per_token, total, reduction)
-    return out, MemoryStats(alloc.peak_bytes, processed, 0, runner.in_flight)
+    out = LossOutput(lse, o, per_token, _reduce(per_token, reduction, None), reduction)
+    return out, stats
 
 
 def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
@@ -421,27 +420,30 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
     contribute nothing to the softmax part.
     """
     Ea, Ca, xa, n, v, d, _ = _validate(E, C, x, beta, reduction)
-    eff = plan.clamped(n, v, d)
     lse = np.asarray(lse, dtype=np.float64)
     if lse.shape != (n,):
         raise ValueError(f"lse must have length {n}, got shape {lse.shape}")
+    if not np.isfinite(lse).all():
+        raise ValueError("lse must be finite")
     if not 0.0 <= filter_epsilon < 1.0:
         raise ValueError(f"filter epsilon must lie in [0, 1), got {filter_epsilon}")
 
-    alloc = TrackingAllocator()
-    runner = _TileRunner(n, v, eff, workers)
-    grad_e = np.zeros((d, n), order="F")
-    grad_c = np.zeros((d, v), order="F")
+    runner = _TileRunner(n, v, plan.clamped(n, v, d), workers)
+    alloc, d_block = runner.alloc, runner.eff.d_block
     # every token weighs the same, so the weight is the products' alpha
-    w = float(token_weights(n, reduction, upstream)[0])
+    w = float(token_weights(n, reduction, upstream)[0]) if n else 0.0
+    # the uniform share of the target part, -w beta/|V| per logit, as the
+    # gradients' starting columns
+    grad_e = _columns(-w * _smoothing_row(Ca, beta, v), n)
+    grad_c = _columns(-(beta / v) * w * Ea.sum(axis=1), v)
     staged = _cblas_dgemm() is None
 
     def add_products(a, b, out, trans_b):
         """out += w a op(b), D_B rows at a time: straight into `out`, or
         without the kernel through a tracked chunk laid out like `out`,
         dropped at release so that the next one is not held beside it."""
-        for d0 in range(0, d, eff.d_block):
-            rows = slice(d0, d0 + eff.d_block)
+        for d0 in range(0, d, d_block):
+            rows = slice(d0, d0 + d_block)
             if not staged:
                 dgemm(w, a[rows], b, out[rows], trans_b=trans_b, beta=1.0)
                 continue
@@ -467,19 +469,17 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
         alloc.release(tile)
         return False
 
-    processed, skipped = runner.run(run_tile)
+    stats = runner.run(run_tile)
 
-    # target part, never filtered: -w q_i, with q_i = (1-beta) e_{x_i} + beta/|V|
-    keep = 1.0 - beta
-    u = _smoothing_row(Ca, beta, v)
-    for i in range(n):
-        ti = xa[i]
-        grad_e[:, i] -= w * (keep * Ca[:, ti] + u)
-        grad_c[:, ti] -= (keep * w) * Ea[:, i]
-    grad_c -= ((beta / v) * w) * Ea.sum(axis=1)[:, None]
+    # the indexed share of the target part, never filtered: -(1-beta) w
+    # per target logit
+    keep_w = (1.0 - beta) * w
+    for i, t in enumerate(xa):
+        grad_e[:, i] -= keep_w * Ca[:, t]
+        grad_c[:, t] -= keep_w * Ea[:, i]
 
     grads = Gradients(DenseMatrix._wrap(grad_e), DenseMatrix._wrap(grad_c))
-    return grads, MemoryStats(alloc.peak_bytes, processed, skipped, runner.in_flight)
+    return grads, stats
 
 
 def loss_and_grad(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,

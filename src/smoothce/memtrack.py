@@ -14,9 +14,8 @@ into tracked tiles or straight into the gradients, so they add nothing;
 only without the accumulating BLAS kernel does a backward product pass
 through a tracked chunk and a `+=`.
 
-The closed-form target passes after the tiles need only O(D) and O(N)
-temporaries, plus numpy's default-size ufunc buffers for the backward's
-one broadcast update of `grad_c`.
+The smoothing share's whole-array terms and the per-token target passes
+after the tiles need only O(D) and O(N) temporaries.
 
 A buffer is counted from `empty` to `release`; the engine drops its last
 reference at `release`, so the reported peak is what is actually held.

@@ -123,6 +123,8 @@ class TokenSequence:
         t = np.asarray(self.targets)
         if t.ndim != 1:
             raise ValueError("targets must be one-dimensional")
+        if t.size and t.dtype.kind not in "iu":
+            raise ValueError(f"targets must have an integer dtype, got {t.dtype}")
         t = t.astype(np.int64, copy=True)
         if t.size and t.min() < 0:
             raise ValueError("negative vocabulary index")
@@ -149,15 +151,17 @@ class BlockPlan:
     v_block: int
     d_block: int
 
-    def clamped(self, n: int, v: int, d: int) -> "BlockPlan":
-        """Effective plan for concrete extents; rejects non-positive sizes."""
-        for name, size in (("n_block", self.n_block),
-                           ("v_block", self.v_block),
-                           ("d_block", self.d_block)):
+    def __post_init__(self):
+        for name in ("n_block", "v_block", "d_block"):
+            size = getattr(self, name)
             if size < 1:
                 raise InvalidPlanError(f"{name} must be >= 1, got {size}")
-        return BlockPlan(min(self.n_block, n), min(self.v_block, v),
-                         min(self.d_block, d))
+
+    def clamped(self, n: int, v: int, d: int) -> "BlockPlan":
+        """Effective plan for concrete extents: each size capped at its
+        extent, but never below 1 (an empty batch gets one-token blocks)."""
+        return BlockPlan(*(max(1, min(size, extent)) for size, extent in
+                           ((self.n_block, n), (self.v_block, v), (self.d_block, d))))
 
 
 # ---------------------------------------------------------------------------
@@ -499,22 +503,16 @@ def plan_blocks(
     rows. Then V_B is halved, down to N_B, until the logit tiles of all
     tiles in flight fit that of one serial tile, so more workers do not
     multiply the working set. Explicit overrides are clamped but never
-    shrunk.
+    shrunk. An empty batch (n = 0) gets one-token blocks.
     """
-    if n < 1 or v < 1 or d < 1:
-        raise ValueError("matrix extents must be >= 1")
-    overrides = (n_block, v_block, d_block)
-    for name, val in zip(("n_block", "v_block", "d_block"), overrides):
-        if val is not None and val < 1:
-            raise InvalidPlanError(f"{name} override must be >= 1, got {val}")
-
-    nb = min(n_block if n_block is not None else _BASE_BLOCKS[0], n)
-    vb = min(v_block if v_block is not None else _BASE_BLOCKS[1], v)
-    db = min(d_block if d_block is not None else d, d)
-
-    if all(o is None for o in overrides):
+    if n < 0 or v < 1 or d < 1:
+        raise ValueError(f"need n >= 0 and v, d >= 1, got n={n}, v={v}, d={d}")
+    plan = BlockPlan(_BASE_BLOCKS[0] if n_block is None else n_block,
+                     _BASE_BLOCKS[1] if v_block is None else v_block,
+                     d if d_block is None else d_block).clamped(n, v, d)
+    nb, vb = plan.n_block, plan.v_block
+    if n_block is None and v_block is None and d_block is None:
         in_flight, serial_vb = tiles_in_flight(n, nb, workers), vb
         while vb // 2 >= nb and in_flight * vb > serial_vb:
             vb //= 2
-
-    return BlockPlan(nb, vb, db)
+    return BlockPlan(nb, vb, plan.d_block)

@@ -220,6 +220,15 @@ class TestBackward:
         with pytest.raises(ValueError):
             blocked_backward(e, c, x, 0.1, plan, fwd[0.1].lse[:10])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_lse_must_be_finite(self, medium, bad):
+        e, c, x, fwd, _ = medium
+        plan = plan_blocks(64, 512, 32)
+        lse = fwd[0.1].lse.copy()
+        lse[5] = bad
+        with pytest.raises(ValueError, match="lse"):
+            blocked_backward(e, c, x, 0.1, plan, lse)
+
     def test_epsilon_range_checked(self, medium):
         e, c, x, fwd, _ = medium
         plan = plan_blocks(64, 512, 32)
@@ -708,6 +717,30 @@ class TestRunner:
         finally:
             set_(saved)
 
+    def test_one_worker_leaves_the_blas_thread_count_alone(self, medium, monkeypatch):
+        """A single worker holds nothing: its GEMMs run with the count the
+        caller set, and the count is unchanged after the call."""
+        get, set_ = openblas_threads()
+        e, c, x, _, _ = medium
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
+        saved = get()
+        seen = []
+        original = smoothce.blocked.dgemm
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(smoothce.blocked, "dgemm", spy)
+        try:
+            set_(2)
+            _, _, stats = loss_and_grad(e, c, x, 0.1, plan, workers=1)
+            assert stats.tiles_in_flight == 1
+            assert seen and set(seen) == {2}
+            assert get() == 2
+        finally:
+            set_(saved)
+
     def test_worker_failure_propagates_without_hanging(self, medium, monkeypatch):
         """A worker that raises stops the others, even one waiting for its
         turn, and the call re-raises with the BLAS thread count restored."""
@@ -748,6 +781,31 @@ def test_engine_runs_without_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+class TestEmptyBatch:
+    """N = 0: both engines give empty per-token arrays, a zero total and
+    zero gradients, and the blocked engine holds no tile."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("reduction", ["sum", "mean"])
+    def test_matches_naive(self, workers, reduction):
+        _, c, _ = random_instance(5, n=4, v=96, d=8, scale=0.5)
+        e = DenseMatrix.from_array(np.zeros((8, 0)))
+        x = TokenSequence(np.array([], dtype=np.int64))
+        plan = plan_blocks(0, 96, 8, workers=workers)
+        out, g, stats = loss_and_grad(e, c, x, 0.1, plan, reduction=reduction,
+                                      workers=workers)
+        want = naive_forward(e, c, x, 0.1, reduction=reduction)
+        want_g = naive_backward(e, c, x, 0.1, reduction=reduction)
+        assert out.lse.shape == out.o.shape == out.per_token_loss.shape == (0,)
+        assert out.total == want.total == 0.0
+        assert g.grad_e.data.shape == want_g.grad_e.data.shape == (8, 0)
+        assert np.array_equal(g.grad_c.data, np.zeros((8, 96)))
+        assert np.array_equal(want_g.grad_c.data, np.zeros((8, 96)))
+        assert stats.tiles_in_flight == stats.tiles_processed == 0
+        assert stats.peak_auxiliary_bytes == 0
+        assert aux_bound_bytes(plan, 0, 96, 8, workers=workers) == 4096
 
 
 class TestComposition:

@@ -11,7 +11,8 @@ import smoothce.cli
 from smoothce.blocked import blocked_backward
 from smoothce.cli import main
 from smoothce.reference import Gradients
-from smoothce.tensors import DenseMatrix, random_instance, save_matrix, save_tokens
+from smoothce.tensors import (DenseMatrix, TokenSequence, random_instance, save_matrix,
+                              save_tokens)
 
 
 @pytest.fixture()
@@ -99,6 +100,20 @@ class TestLoss:
         out, err = capsys.readouterr()
         assert out == ""
         assert "missing-dir" in err
+
+
+    @pytest.mark.parametrize("reduction", ["sum", "mean"])
+    def test_empty_batch_both_engines(self, tmp_path, capsys, reduction):
+        """A 0-token file is a valid batch: both engines print total 0."""
+        _, c, _ = random_instance(7, n=4, v=96, d=8, scale=0.5)
+        files = tuple(str(tmp_path / f"{name}.sce1") for name in "ECx")
+        save_matrix(DenseMatrix.from_array(np.zeros((8, 0))), files[0])
+        save_matrix(c, files[1])
+        save_tokens(TokenSequence(np.array([], dtype=np.int64)), files[2])
+        for engine in ("blocked", "naive"):
+            argv = loss_args(files, engine=engine, reduction=reduction)
+            assert main(argv) == 0
+            assert total_from(capsys) == 0.0
 
 
 class TestGradcheck:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from smoothce import tensors
 from smoothce.tensors import (
     BadMagicError,
+    BlockPlan,
     DenseMatrix,
     InvalidPlanError,
     NonFiniteDataError,
@@ -238,6 +239,15 @@ class TestContainers:
         with pytest.raises(ValueError):
             TokenSequence(np.array([0, -1]))
 
+    @pytest.mark.parametrize("targets", [[1.7, 2.2], [True, False]])
+    def test_non_integer_tokens_rejected(self, targets):
+        """Float or bool targets are refused, not truncated to indices."""
+        arr = np.array(targets)
+        with pytest.raises(ValueError, match=str(arr.dtype)):
+            TokenSequence(arr)
+        assert len(TokenSequence(np.array([]))) == 0
+        assert TokenSequence(np.array([3], dtype=np.uint32)).targets.tolist() == [3]
+
 
 class TestGenerator:
     def test_same_seed_same_instance(self):
@@ -433,6 +443,19 @@ class TestPlanning:
     def test_zero_override_rejected(self):
         with pytest.raises(InvalidPlanError):
             plan_blocks(8, 16, 4, n_block=0)
+
+    def test_plan_sizes_checked_at_construction(self):
+        with pytest.raises(InvalidPlanError, match="v_block"):
+            BlockPlan(4, 0, 4)
+        assert BlockPlan(64, 64, 64).clamped(0, 16, 4) == BlockPlan(1, 16, 4)
+
+    def test_empty_batch_gets_one_token_blocks(self):
+        plan = plan_blocks(0, 16, 4, workers=2)
+        assert (plan.n_block, plan.v_block, plan.d_block) == (1, 16, 4)
+        assert tiles_in_flight(0, plan.n_block, 2) == 0
+        for v, d in ((0, 4), (16, 0)):
+            with pytest.raises(ValueError):
+                plan_blocks(0, v, d)
 
     @pytest.mark.parametrize("n, v, d", [(1024, 16384, 64), (256, 65536, 128),
                                          (256, 4096, 64)])
