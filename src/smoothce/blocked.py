@@ -27,16 +27,18 @@ Filtering is one number, `filter_epsilon`: 0 (the default) skips nothing.
 It touches only the softmax part, so skipped tiles can never drop the
 target part, whose magnitude does not shrink with the probabilities.
 
-One `_TileRunner` runs each pass's tiles on `workers` threads (default:
-every CPU this process may run on), one token block per worker at a
-time, handed out in index order; a worker walks its block's vocabulary
-blocks in index order. Per-token state (the running max and sum,
-`grad_e` columns) belongs to one token block, so it needs no locks, and
-each `grad_c[:, v-block]` takes its products in token-block order through
-a per-vocabulary-block turn counter. Every sum therefore runs in the same
-order as on one worker, and for a given plan results are bit-identical
-for any worker count. While more than one worker runs, numpy's OpenBLAS
-is held at one thread, so BLAS threads do not compete with the workers.
+The plan is the one place a call's worker count is set: one `_TileRunner`
+runs each pass's tiles on `plan.workers` threads (None: every CPU this
+process may run on), one token block per worker at a time, handed out in
+index order; a worker walks its block's vocabulary blocks in index order.
+Per-token state (the running max and sum, `grad_e` columns) belongs to one
+token block, so it needs no locks, and each `grad_c[:, v-block]` takes its
+products in token-block order through a per-vocabulary-block turn
+counter. Every sum therefore runs in the same order as on one worker, and
+for given tile sizes results are bit-identical for any
+`replace(plan, workers=k)`. While more than one worker runs, numpy's
+OpenBLAS is held at one thread, so BLAS threads do not compete with the
+workers.
 
 Every GEMM goes through `dgemm`, c = alpha op(a) op(b) + beta c on the
 ILP64 `cblas_dgemm` of numpy's own OpenBLAS. A logit tile is written with
@@ -75,17 +77,16 @@ __all__ = ["blocked_forward", "blocked_backward", "loss_and_grad",
            "aux_bound_bytes"]
 
 
-def aux_bound_bytes(plan: BlockPlan, n: int, v: int, d: int,
-                    workers: int | None = None) -> int:
-    """Ceiling for the peak auxiliary bytes of one engine call: the tile
-    working set times the tiles in flight (one per worker, at most one per
-    token block), plus a fixed bookkeeping allowance. Without the
-    accumulating kernel each tile also holds one staged product chunk."""
+def aux_bound_bytes(plan: BlockPlan, n: int, v: int, d: int) -> int:
+    """Ceiling for the peak auxiliary bytes of one engine call on `plan`:
+    the tile working set times the tiles in flight (one per plan worker, at
+    most one per token block), plus a fixed bookkeeping allowance. Without
+    the accumulating kernel each tile also holds one staged product chunk."""
     eff = plan.clamped(n, v, d)
     per_tile = plan_working_set_bytes(eff)
     if _cblas_dgemm() is None:
         per_tile += 8 * eff.d_block * max(eff.n_block, eff.v_block)
-    return tiles_in_flight(n, eff.n_block, workers) * per_tile + 4096
+    return tiles_in_flight(n, eff.n_block, eff.workers) * per_tile + 4096
 
 
 def _smoothing_row(Ca, beta: float, v: int) -> np.ndarray:
@@ -260,8 +261,8 @@ class _Abandoned(Exception):
 
 
 class _TileRunner:
-    """Runs every tile of one pass on up to `workers` threads in one fixed
-    order of accumulation, and keeps the pass's allocator and counters.
+    """Runs every tile of one pass on up to `eff.workers` threads in one
+    fixed order of accumulation, and keeps the pass's allocator and counters.
 
     Token blocks are handed out in index order; the worker that takes one
     walks its vocabulary blocks in index order, so everything indexed by
@@ -271,10 +272,10 @@ class _TileRunner:
     earlier and only waits on earlier blocks, so the waits cannot cycle.
     """
 
-    def __init__(self, n: int, v: int, eff: BlockPlan, workers: int | None):
+    def __init__(self, n: int, v: int, eff: BlockPlan):
         self.eff = eff
         self.n, self.v = n, v
-        self.in_flight = tiles_in_flight(n, eff.n_block, workers)
+        self.in_flight = tiles_in_flight(n, eff.n_block, eff.workers)
         self.alloc = TrackingAllocator()  # this module's name, read per pass
         self._cond = threading.Condition()
         self._turns = [0] * -(-v // eff.v_block)
@@ -357,17 +358,15 @@ def _columns(col: np.ndarray, k: int) -> np.ndarray:
 
 
 def blocked_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
-                    plan: BlockPlan, reduction: str = "sum",
-                    workers: int | None = None):
-    """Tiled smoothed cross-entropy forward pass on `workers` threads
-    (None: every available CPU); for a given plan the result does not
-    depend on the count.
+                    plan: BlockPlan, reduction: str = "sum"):
+    """Tiled smoothed cross-entropy forward pass on the plan's worker
+    count; for given tile sizes the result does not depend on the count.
 
     Returns (LossOutput, MemoryStats); matches naive_forward per token while
     allocating only tile-sized transients.
     """
     Ea, Ca, xa, n, v, d, _ = _validate(E, C, x, beta, reduction)
-    runner = _TileRunner(n, v, plan.clamped(n, v, d), workers)
+    runner = _TileRunner(n, v, plan.clamped(n, v, d))
     alloc = runner.alloc
 
     lse = np.full(n, -np.inf)  # running max M until the runner ends
@@ -410,10 +409,10 @@ def blocked_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: floa
 def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
                      plan: BlockPlan, lse: np.ndarray, upstream: float = 1.0,
                      filter_epsilon: float = 0.0,
-                     reduction: str = "sum", workers: int | None = None):
+                     reduction: str = "sum"):
     """Tiled backward pass from inputs plus the forward's LSE vector, on
-    `workers` threads (None: every available CPU); for a given plan the
-    result does not depend on the count.
+    the plan's worker count; for given tile sizes the result does not
+    depend on the count.
 
     At `filter_epsilon` 0 the result matches naive_backward; above it, tiles
     whose probability upper bound exp(max z - lse) falls below the epsilon
@@ -428,7 +427,7 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
     if not 0.0 <= filter_epsilon < 1.0:
         raise ValueError(f"filter epsilon must lie in [0, 1), got {filter_epsilon}")
 
-    runner = _TileRunner(n, v, plan.clamped(n, v, d), workers)
+    runner = _TileRunner(n, v, plan.clamped(n, v, d))
     alloc, d_block = runner.alloc, runner.eff.d_block
     # every token weighs the same, so the weight is the products' alpha
     w = float(token_weights(n, reduction, upstream)[0]) if n else 0.0
@@ -484,13 +483,13 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
 
 def loss_and_grad(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
                   plan: BlockPlan, filter_epsilon: float = 0.0,
-                  reduction: str = "sum", upstream: float = 1.0,
-                  workers: int | None = None):
-    """Forward followed by recompute-based backward; stats take the max of
-    the two peaks and sum the tile counters."""
-    out, fstats = blocked_forward(E, C, x, beta, plan, reduction, workers)
+                  reduction: str = "sum", upstream: float = 1.0):
+    """Forward followed by recompute-based backward, both on the plan's
+    worker count; stats take the max of the two peaks and sum the tile
+    counters."""
+    out, fstats = blocked_forward(E, C, x, beta, plan, reduction)
     grads, bstats = blocked_backward(E, C, x, beta, plan, out.lse, upstream,
-                                     filter_epsilon, reduction, workers)
+                                     filter_epsilon, reduction)
     stats = MemoryStats(
         max(fstats.peak_auxiliary_bytes, bstats.peak_auxiliary_bytes),
         fstats.tiles_processed + bstats.tiles_processed,

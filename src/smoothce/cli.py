@@ -101,21 +101,6 @@ _float_list = _list_arg(float, "numbers")
 _int_list = _list_arg(int, "integers")
 
 
-def _resolve_threads(args) -> int | None:
-    if args.threads:
-        return args.threads
-    env = os.environ.get("SCE_THREADS")
-    if env:
-        try:
-            val = int(env)
-        except ValueError:
-            raise UsageError(f"SCE_THREADS must be an integer, got {env!r}")
-        if val < 1:
-            raise UsageError(f"SCE_THREADS must be a positive integer, got {env!r}")
-        return val
-    return None
-
-
 def _open_out(path):
     if path in (None, "-"):
         return sys.stdout, False
@@ -149,25 +134,27 @@ def _grad_error(got, want) -> float:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _make_plan(args, n, v, d, threads):
-    return plan_blocks(
-        n, v, d,
-        n_block=args.n_block,
-        v_block=args.v_block,
-        d_block=args.d_block,
-        workers=threads,
-    )
+def _make_plan(args, n, v, d):
+    """The engine plan, on `--threads` workers, else SCE_THREADS, else every
+    available CPU; the plan is the only place the worker count goes."""
+    workers, env = args.threads, os.environ.get("SCE_THREADS")
+    if workers is None and env:
+        try:
+            workers = _positive_int(env)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"SCE_THREADS: {exc}")
+    return plan_blocks(n, v, d, n_block=args.n_block, v_block=args.v_block,
+                       d_block=args.d_block, workers=workers)
 
 
 def cmd_loss(args) -> int:
     emb = load_matrix(args.embeddings)
     cls = load_matrix(args.classifier)
     tgt = load_tokens(args.targets)
-    threads = _resolve_threads(args)
     if args.engine == "blocked":
-        plan = _make_plan(args, emb.cols, cls.cols, emb.rows, threads)
+        plan = _make_plan(args, emb.cols, cls.cols, emb.rows)
         out, _ = blocked_forward(emb, cls, tgt, args.beta, plan,
-                                 reduction=args.reduction, workers=threads)
+                                 reduction=args.reduction)
     else:
         out = naive_forward(emb, cls, tgt, args.beta, reduction=args.reduction)
     # the CSV first, so that a path it cannot write leaves no total behind
@@ -181,19 +168,17 @@ def cmd_loss(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     emb, cls, tgt = random_instance(args.seed, args.n, args.v, args.d, args.scale)
-    threads = _resolve_threads(args)
-    plan = _make_plan(args, args.n, args.v, args.d, threads)
+    plan = _make_plan(args, args.n, args.v, args.d)
     tol_analytic = args.tol_analytic
     if tol_analytic is None:
         tol_analytic = 1e-3 if args.filter_eps > 0 else 1e-9
 
     analytic = naive_backward(emb, cls, tgt, args.beta, reduction=args.reduction)
     out, _ = blocked_forward(emb, cls, tgt, args.beta, plan,
-                             reduction=args.reduction, workers=threads)
+                             reduction=args.reduction)
     grads, stats = blocked_backward(emb, cls, tgt, args.beta, plan, out.lse,
                                     filter_epsilon=args.filter_eps,
-                                    reduction=args.reduction,
-                                    workers=threads)
+                                    reduction=args.reduction)
 
     err_analytic = _grad_error(grads, analytic)
     print(f"blocked vs analytic relative error: {err_analytic:.3e} (tol {tol_analytic:g})")
@@ -237,10 +222,14 @@ def _tracemalloc_peak(fn) -> int:
     return max(0, peak - before)
 
 
+def _reported_peak(fn) -> int:
+    """Peak auxiliary bytes that a blocked-engine call reports."""
+    return fn()[-1].peak_auxiliary_bytes
+
+
 def cmd_bench(args) -> int:
     n, v, d = args.n, args.v, args.d
-    threads = _resolve_threads(args)
-    plan = _make_plan(args, n, v, d, threads)
+    plan = _make_plan(args, n, v, d)
     phases = [p.strip() for p in args.phases.split(",") if p.strip()]
     if not phases:
         raise ValueError(f"--phases lists no phase: {args.phases!r}")
@@ -250,59 +239,39 @@ def cmd_bench(args) -> int:
 
     emb, cls, tgt = random_instance(args.seed, n, v, d, args.scale)
     rows = []
-    ceiling = aux_bound_bytes(plan, n, v, d, workers=threads)
+    ceiling = aux_bound_bytes(plan, n, v, d)
 
     for beta in args.betas:
-        lse_out, fstats = blocked_forward(emb, cls, tgt, beta, plan, workers=threads)
+        lse = blocked_forward(emb, cls, tgt, beta, plan)[0].lse
 
-        def run_fwd():
-            blocked_forward(emb, cls, tgt, beta, plan, workers=threads)
+        def naive_both():
+            # the forward's output is dropped before the backward runs
+            naive_forward(emb, cls, tgt, beta)
+            naive_backward(emb, cls, tgt, beta)
 
-        def run_bwd():
-            blocked_backward(emb, cls, tgt, beta, plan, lse_out.lse, workers=threads)
-
-        def run_both():
-            loss_and_grad(emb, cls, tgt, beta, plan, workers=threads)
-
-        _, bstats = blocked_backward(emb, cls, tgt, beta, plan, lse_out.lse,
-                                     workers=threads)
-        peaks = {"fwd": fstats.peak_auxiliary_bytes,
-                 "bwd": bstats.peak_auxiliary_bytes,
-                 "fwd_bwd": max(fstats.peak_auxiliary_bytes,
-                                bstats.peak_auxiliary_bytes)}
-        runners = {"fwd": run_fwd, "bwd": run_bwd, "fwd_bwd": run_both}
-        for phase in phases:
-            if args.deterministic:
-                wall = None
-            else:
-                wall = _time_runs(runners[phase], args.repetitions, args.warmups)
-            rows.append(("blocked", phase, n, v, d, beta, args.repetitions, wall,
-                         peaks[phase]))
-            if peaks[phase] > ceiling:
-                print(f"error: blocked {phase} peak {peaks[phase]} bytes exceeds "
-                      f"the {ceiling}-byte ceiling", file=sys.stderr)
-                return 1
-
+        # (method, peak meter, peak ceiling, phase -> runner)
+        methods = [("blocked", _reported_peak, ceiling, {
+            "fwd": lambda: blocked_forward(emb, cls, tgt, beta, plan),
+            "bwd": lambda: blocked_backward(emb, cls, tgt, beta, plan, lse),
+            "fwd_bwd": lambda: loss_and_grad(emb, cls, tgt, beta, plan)})]
         if not args.skip_naive:
-            def naive_fwd():
-                naive_forward(emb, cls, tgt, beta)
-
-            def naive_bwd():
-                naive_backward(emb, cls, tgt, beta)
-
-            def naive_both():
-                naive_forward(emb, cls, tgt, beta)
-                naive_backward(emb, cls, tgt, beta)
-
-            nrunners = {"fwd": naive_fwd, "bwd": naive_bwd, "fwd_bwd": naive_both}
+            methods.append(("naive", _tracemalloc_peak, math.inf, {
+                "fwd": lambda: naive_forward(emb, cls, tgt, beta),
+                "bwd": lambda: naive_backward(emb, cls, tgt, beta),
+                "fwd_bwd": naive_both}))
+        for method, meter, bound, runners in methods:
             for phase in phases:
-                peak = _tracemalloc_peak(nrunners[phase])
+                peak = meter(runners[phase])
                 if args.deterministic:
                     wall = None
                 else:
-                    wall = _time_runs(nrunners[phase], args.repetitions, args.warmups)
-                rows.append(("naive", phase, n, v, d, beta, args.repetitions, wall,
+                    wall = _time_runs(runners[phase], args.repetitions, args.warmups)
+                rows.append((method, phase, n, v, d, beta, args.repetitions, wall,
                              peak))
+                if peak > bound:
+                    print(f"error: {method} {phase} peak {peak} bytes exceeds "
+                          f"the {bound}-byte ceiling", file=sys.stderr)
+                    return 1
 
     header = ("method", "phase", "n", "v", "d", "beta", "repetitions",
               "wall_time_ms", "peak_auxiliary_bytes")
@@ -541,7 +510,7 @@ def _expand_config(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    argv = [os.fspath(arg) for arg in (sys.argv[1:] if argv is None else argv)]
     try:
         argv = _expand_config(argv)
     except UsageError as exc:

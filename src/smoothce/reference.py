@@ -144,28 +144,18 @@ def finite_diff_grad(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
         _, lse, o = _forward_arrays(e_arr, c_arr, xa, beta, v)
         return _reduce(lse - o, reduction, keep)
 
-    grad_e = np.zeros((d, n))
-    e_probe = Ea.copy()
-    for i in range(d):
-        for j in range(n):
-            orig = e_probe[i, j]
-            e_probe[i, j] = orig + h
-            f_plus = total(e_probe, Ca)
-            e_probe[i, j] = orig - h
-            f_minus = total(e_probe, Ca)
-            e_probe[i, j] = orig
-            grad_e[i, j] = (f_plus - f_minus) / (2.0 * h)
-
-    grad_c = np.zeros((d, v))
-    c_probe = Ca.copy()
-    for i in range(d):
-        for j in range(v):
-            orig = c_probe[i, j]
-            c_probe[i, j] = orig + h
-            f_plus = total(Ea, c_probe)
-            c_probe[i, j] = orig - h
-            f_minus = total(Ea, c_probe)
-            c_probe[i, j] = orig
-            grad_c[i, j] = (f_plus - f_minus) / (2.0 * h)
-
-    return Gradients(DenseMatrix._wrap(grad_e), DenseMatrix._wrap(grad_c))
+    grads = []
+    for k in range(2):  # probe E, then C; the other stays the caller's array
+        arrays = [Ea, Ca]
+        probe = arrays[k] = arrays[k].copy()
+        grad = np.zeros(probe.shape)
+        for ij in np.ndindex(probe.shape):
+            orig = probe[ij]
+            probe[ij] = orig + h
+            f_plus = total(*arrays)
+            probe[ij] = orig - h
+            f_minus = total(*arrays)
+            probe[ij] = orig
+            grad[ij] = (f_plus - f_minus) / (2.0 * h)
+        grads.append(DenseMatrix._wrap(grad))
+    return Gradients(*grads)

@@ -1,9 +1,11 @@
 """Dense matrix storage, deterministic instance generation, block planning,
 and the SCE1 binary matrix file format.
 
-A block plan holds only what can change a cost: the three tile sizes. The
-default plan depends on how many tiles the engine holds at once
-(`tiles_in_flight`), which depends on the worker count.
+A block plan holds everything that can change an engine call's cost: the
+three tile sizes and the worker count the call runs on. The worker count
+sets how many tiles the engine holds at once (`tiles_in_flight`), and with
+it the default vocabulary block and the memory ceiling; results depend
+only on the tile sizes.
 
 All numeric payloads are held in 64-bit floats internally; 32-bit storage is
 supported at the file boundary only (widened on load). Matrices are stored
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -144,16 +146,24 @@ class TokenSequence:
 
 @dataclass(frozen=True)
 class BlockPlan:
-    """Tile sizes for the blocked engine. They fix the order of every sum,
-    so results depend on them but never on the worker count."""
+    """Tile sizes and worker count for one blocked-engine call. The tile
+    sizes fix the order of every sum, so results depend on them; the
+    worker count (None: every CPU this process may run on at call time)
+    sets only the tiles in flight, so for given tile sizes results are
+    bit-identical for any count."""
 
     n_block: int
     v_block: int
     d_block: int
+    workers: int | None = None
 
     def __post_init__(self):
-        for name in ("n_block", "v_block", "d_block"):
+        for name in ("n_block", "v_block", "d_block", "workers"):
             size = getattr(self, name)
+            if name == "workers" and size is None:
+                continue
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+                raise InvalidPlanError(f"{name} must be an integer, got {size!r}")
             if size < 1:
                 raise InvalidPlanError(f"{name} must be >= 1, got {size}")
 
@@ -161,7 +171,8 @@ class BlockPlan:
         """Effective plan for concrete extents: each size capped at its
         extent, but never below 1 (an empty batch gets one-token blocks)."""
         return BlockPlan(*(max(1, min(size, extent)) for size, extent in
-                           ((self.n_block, n), (self.v_block, v), (self.d_block, d))))
+                           ((self.n_block, n), (self.v_block, v), (self.d_block, d))),
+                         self.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +506,9 @@ def plan_blocks(
     d_block: int | None = None,
     workers: int | None = None,
 ) -> BlockPlan:
-    """Choose tile sizes for an N-token, |V|-vocabulary, D-dimensional
-    instance run on `workers` threads (None: every available CPU).
+    """Plan an N-token, |V|-vocabulary, D-dimensional instance run on
+    `workers` threads (None: every available CPU at call time); the plan
+    carries that count to the engine.
 
     Defaults are clamped to the extents; D_B defaults to D, one product
     per backward tile and gradient, and an override splits the products'
@@ -509,10 +521,10 @@ def plan_blocks(
         raise ValueError(f"need n >= 0 and v, d >= 1, got n={n}, v={v}, d={d}")
     plan = BlockPlan(_BASE_BLOCKS[0] if n_block is None else n_block,
                      _BASE_BLOCKS[1] if v_block is None else v_block,
-                     d if d_block is None else d_block).clamped(n, v, d)
+                     d if d_block is None else d_block, workers).clamped(n, v, d)
     nb, vb = plan.n_block, plan.v_block
     if n_block is None and v_block is None and d_block is None:
         in_flight, serial_vb = tiles_in_flight(n, nb, workers), vb
         while vb // 2 >= nb and in_flight * vb > serial_vb:
             vb //= 2
-    return BlockPlan(nb, vb, plan.d_block)
+    return replace(plan, v_block=vb)

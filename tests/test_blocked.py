@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -137,12 +138,12 @@ class TestForward:
         x = TokenSequence(rng.integers(0, 64, size=16))
         want = naive_forward(e, c, x, 0.1)
         plan = plan_blocks(16, 64, 4, n_block=8, v_block=8, d_block=4)
-        out, stats = blocked_forward(e, c, x, 0.1, plan, workers=1)
+        out, stats = blocked_forward(e, c, x, 0.1, replace(plan, workers=1))
         assert stats.tiles_processed == 2 * 8
         assert np.isfinite(out.lse).all() and np.isfinite(out.per_token_loss).all()
         np.testing.assert_allclose(out.lse, want.lse, rtol=1e-9)
         np.testing.assert_allclose(out.per_token_loss, want.per_token_loss, rtol=1e-9)
-        par, _ = blocked_forward(e, c, x, 0.1, plan, workers=3)
+        par, _ = blocked_forward(e, c, x, 0.1, replace(plan, workers=3))
         assert np.array_equal(par.lse, out.lse)
         assert np.array_equal(par.per_token_loss, out.per_token_loss)
 
@@ -159,8 +160,8 @@ class TestForward:
         result bit for bit."""
         e, c, x, _, _ = medium
         plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
-        det, _ = blocked_forward(e, c, x, 0.1, plan, workers=1)
-        out, stats = blocked_forward(e, c, x, 0.1, plan, workers=3)
+        det, _ = blocked_forward(e, c, x, 0.1, replace(plan, workers=1))
+        out, stats = blocked_forward(e, c, x, 0.1, replace(plan, workers=3))
         assert stats.tiles_in_flight == 3
         assert np.array_equal(out.per_token_loss, det.per_token_loss)
         assert np.array_equal(out.lse, det.lse)
@@ -239,8 +240,8 @@ class TestBackward:
     def test_parallel_mode_agrees(self, medium):
         e, c, x, fwd, bwd = medium
         plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
-        det, _ = blocked_backward(e, c, x, 0.1, plan, fwd[0.1].lse, workers=1)
-        g, _ = blocked_backward(e, c, x, 0.1, plan, fwd[0.1].lse, workers=3)
+        det, _ = blocked_backward(e, c, x, 0.1, replace(plan, workers=1), fwd[0.1].lse)
+        g, _ = blocked_backward(e, c, x, 0.1, replace(plan, workers=3), fwd[0.1].lse)
         assert np.array_equal(g.grad_e.data, det.grad_e.data)
         assert np.array_equal(g.grad_c.data, det.grad_c.data)
         assert grad_rel_err(g, bwd[0.1]) <= 1e-9
@@ -363,12 +364,23 @@ class TestMemory:
         with the worker count."""
         e, c, x, fwd, _ = medium
         plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
-        bound = aux_bound_bytes(plan, 64, 512, 32, workers=3)
-        assert bound > aux_bound_bytes(plan, 64, 512, 32, workers=1)
-        _, stats = blocked_forward(e, c, x, 0.1, plan, workers=3)
+        bound = aux_bound_bytes(replace(plan, workers=3), 64, 512, 32)
+        assert bound > aux_bound_bytes(replace(plan, workers=1), 64, 512, 32)
+        _, stats = blocked_forward(e, c, x, 0.1, replace(plan, workers=3))
         assert 0 < stats.peak_auxiliary_bytes <= bound
-        _, bstats = blocked_backward(e, c, x, 0.1, plan, fwd[0.1].lse, workers=3)
+        _, bstats = blocked_backward(e, c, x, 0.1, replace(plan, workers=3), fwd[0.1].lse)
         assert 0 < bstats.peak_auxiliary_bytes <= bound
+
+    def test_plan_worker_count_sets_the_ceiling(self):
+        """The plan is the one place a call's worker count is set: a plan
+        made for one worker runs on one, under its one-worker ceiling."""
+        e, c, x = random_instance(13, n=512, v=4096, d=16, scale=0.5)
+        plan = plan_blocks(512, 4096, 16, workers=1)
+        _, _, stats = loss_and_grad(e, c, x, 0.1, plan)
+        assert stats.tiles_in_flight == 1
+        bound = aux_bound_bytes(plan, 512, 4096, 16)
+        assert bound == 529_408
+        assert stats.peak_auxiliary_bytes <= bound
 
     @pytest.mark.parametrize("beta", [0.0, 0.1])
     def test_untracked_bytes_do_not_scale_with_vocab(self, beta):
@@ -398,8 +410,8 @@ class TestMemory:
         fixed allowance plus the one N_B row that only the forward holds."""
         e, c, x = random_instance(11, n=n, v=v, d=d, scale=0.5)
         plan = plan_blocks(n, v, d, *blocks)
-        _, _, stats = loss_and_grad(e, c, x, 0.1, plan, workers=1)
-        bound = aux_bound_bytes(plan, n, v, d, workers=1)
+        _, _, stats = loss_and_grad(e, c, x, 0.1, replace(plan, workers=1))
+        bound = aux_bound_bytes(replace(plan, workers=1), n, v, d)
         assert 0 <= bound - stats.peak_auxiliary_bytes <= 4096 + 8 * plan.n_block
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -408,18 +420,18 @@ class TestMemory:
         stays within that many tile working sets."""
         e, c, x, _, _ = medium
         plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
-        _, _, stats = loss_and_grad(e, c, x, 0.1, plan, workers=workers)
+        _, _, stats = loss_and_grad(e, c, x, 0.1, replace(plan, workers=workers))
         assert stats.tiles_in_flight == workers
         ceiling = stats.tiles_in_flight * plan_working_set_bytes(plan) + 4096
         assert 0 < stats.peak_auxiliary_bytes <= ceiling
-        assert ceiling == aux_bound_bytes(plan, 64, 512, 32, workers=workers)
+        assert ceiling == aux_bound_bytes(replace(plan, workers=workers), 64, 512, 32)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_engine_restores_ufunc_buffer_size(self, medium, workers):
         e, c, x, _, _ = medium
         plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
         before = np.getbufsize()
-        loss_and_grad(e, c, x, 0.1, plan, workers=workers)
+        loss_and_grad(e, c, x, 0.1, replace(plan, workers=workers))
         assert np.getbufsize() == before
 
     def test_beta_does_not_move_the_peak(self):
@@ -464,7 +476,7 @@ class TestGemmContract:
             return original(alpha, a, b, out, trans_a=trans_a, trans_b=trans_b, beta=beta)
 
         monkeypatch.setattr(smoothce.blocked, "dgemm", recorder)
-        _, g, stats = loss_and_grad(e, c, x, 0.1, plan, workers=workers)
+        _, g, stats = loss_and_grad(e, c, x, 0.1, replace(plan, workers=workers))
 
         grads = (g.grad_e.data, g.grad_c.data)
         tiles = [out for _, _, out, _, _, beta in calls if beta == 0.0]
@@ -573,7 +585,8 @@ class TestKernel:
         e, c, x, fwd, _ = medium
         for db in (8, 32):
             plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=db)
-            _, stats = blocked_backward(e, c, x, 0.1, plan, fwd[0.1].lse, workers=1)
+            _, stats = blocked_backward(e, c, x, 0.1, replace(plan, workers=1),
+                                        fwd[0.1].lse)
             assert stats.peak_auxiliary_bytes == 8 * 16 * 64
 
 
@@ -593,12 +606,12 @@ class TestStagedFallback:
         nb, vb, db = plan.n_block, plan.v_block, plan.d_block
         results = []
         for workers in (1, 2, 3):
-            out, g, stats = run_bounded(lambda: loss_and_grad(e, c, x, 0.1, plan,
-                                                              workers=workers))
+            out, g, stats = run_bounded(lambda: loss_and_grad(
+                e, c, x, 0.1, replace(plan, workers=workers)))
             np.testing.assert_allclose(out.per_token_loss, fwd[0.1].per_token_loss,
                                        rtol=1e-9)
             assert grad_rel_err(g, bwd[0.1]) <= 1e-9
-            bound = aux_bound_bytes(plan, 64, 512, 32, workers=workers)
+            bound = aux_bound_bytes(replace(plan, workers=workers), 64, 512, 32)
             per_tile = plan_working_set_bytes(plan) + 8 * db * max(nb, vb)
             assert bound == stats.tiles_in_flight * per_tile + 4096
             assert 0 < stats.peak_auxiliary_bytes <= bound
@@ -609,7 +622,7 @@ class TestStagedFallback:
     def test_chunk_is_tracked(self, staged, medium):
         e, c, x, fwd, _ = medium
         plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
-        _, stats = blocked_backward(e, c, x, 0.1, plan, fwd[0.1].lse, workers=1)
+        _, stats = blocked_backward(e, c, x, 0.1, replace(plan, workers=1), fwd[0.1].lse)
         assert stats.peak_auxiliary_bytes == 8 * (16 * 64 + 8 * 64)
 
     def test_dgemm_does_not_accumulate(self, staged):
@@ -664,11 +677,11 @@ class TestRunner:
         eps = 0.5
         results = []
         for workers in (1, 2, 3):
-            out, fstats = blocked_forward(e, c, x, 0.1, plan, workers=workers)
+            out, fstats = blocked_forward(e, c, x, 0.1, replace(plan, workers=workers))
             g, bstats = run_bounded(lambda: blocked_backward(
-                e, c, x, 0.1, plan, out.lse, filter_epsilon=eps, workers=workers))
+                e, c, x, 0.1, replace(plan, workers=workers), out.lse, filter_epsilon=eps))
             lg = run_bounded(lambda: loss_and_grad(
-                e, c, x, 0.1, plan, filter_epsilon=eps, workers=workers))
+                e, c, x, 0.1, replace(plan, workers=workers), filter_epsilon=eps))
             assert bstats.tiles_skipped_by_filter > 0
             assert lg[2].tiles_skipped_by_filter == bstats.tiles_skipped_by_filter
             results.append((out.lse, out.o, g.grad_e.data, g.grad_c.data,
@@ -682,12 +695,12 @@ class TestRunner:
         update or an add out of turn would change the bits."""
         e, c, x = skipping
         plan = plan_blocks(64, 512, 32, n_block=8, v_block=64, d_block=8)
-        want = loss_and_grad(e, c, x, 0.1, plan, filter_epsilon=0.5, workers=1)
+        want = loss_and_grad(e, c, x, 0.1, replace(plan, workers=1), filter_epsilon=0.5)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = run_bounded(lambda: loss_and_grad(e, c, x, 0.1, plan,
-                                                    filter_epsilon=0.5, workers=8))
+            got = run_bounded(lambda: loss_and_grad(e, c, x, 0.1, replace(plan, workers=8),
+                                                    filter_epsilon=0.5))
         finally:
             sys.setswitchinterval(interval)
         assert got[2].tiles_in_flight == 8
@@ -711,7 +724,7 @@ class TestRunner:
         monkeypatch.setattr(smoothce.blocked, "dgemm", spy)
         try:
             set_(2)
-            loss_and_grad(e, c, x, 0.1, plan, workers=2)
+            loss_and_grad(e, c, x, 0.1, replace(plan, workers=2))
             assert seen == {1}
             assert get() == 2
         finally:
@@ -734,7 +747,7 @@ class TestRunner:
         monkeypatch.setattr(smoothce.blocked, "dgemm", spy)
         try:
             set_(2)
-            _, _, stats = loss_and_grad(e, c, x, 0.1, plan, workers=1)
+            _, _, stats = loss_and_grad(e, c, x, 0.1, replace(plan, workers=1))
             assert stats.tiles_in_flight == 1
             assert seen and set(seen) == {2}
             assert get() == 2
@@ -759,8 +772,8 @@ class TestRunner:
 
         monkeypatch.setattr(smoothce.blocked, "dgemm", failing)
         with pytest.raises(RuntimeError, match="injected"):
-            run_bounded(lambda: blocked_backward(e, c, x, 0.1, plan, fwd[0.1].lse,
-                                                 workers=3))
+            run_bounded(lambda: blocked_backward(e, c, x, 0.1, replace(plan, workers=3),
+                                                 fwd[0.1].lse))
         assert get() == saved
 
 
@@ -794,8 +807,7 @@ class TestEmptyBatch:
         e = DenseMatrix.from_array(np.zeros((8, 0)))
         x = TokenSequence(np.array([], dtype=np.int64))
         plan = plan_blocks(0, 96, 8, workers=workers)
-        out, g, stats = loss_and_grad(e, c, x, 0.1, plan, reduction=reduction,
-                                      workers=workers)
+        out, g, stats = loss_and_grad(e, c, x, 0.1, plan, reduction=reduction)
         want = naive_forward(e, c, x, 0.1, reduction=reduction)
         want_g = naive_backward(e, c, x, 0.1, reduction=reduction)
         assert out.lse.shape == out.o.shape == out.per_token_loss.shape == (0,)
@@ -805,7 +817,7 @@ class TestEmptyBatch:
         assert np.array_equal(want_g.grad_c.data, np.zeros((8, 96)))
         assert stats.tiles_in_flight == stats.tiles_processed == 0
         assert stats.peak_auxiliary_bytes == 0
-        assert aux_bound_bytes(plan, 0, 96, 8, workers=workers) == 4096
+        assert aux_bound_bytes(plan, 0, 96, 8) == 4096
 
 
 class TestComposition:

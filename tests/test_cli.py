@@ -3,6 +3,7 @@ config files, and the environment fallback."""
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +115,16 @@ class TestLoss:
             argv = loss_args(files, engine=engine, reduction=reduction)
             assert main(argv) == 0
             assert total_from(capsys) == 0.0
+
+
+    def test_path_arguments_act_like_strings(self, instance_files, capsys):
+        """argv entries may be path objects, as in a programmatic call."""
+        assert main(loss_args(instance_files, beta=0.1)) == 0
+        want = capsys.readouterr()
+        argv = [Path(arg) if arg.endswith(".sce1") else arg
+                for arg in loss_args(instance_files, beta=0.1)]
+        assert main(argv) == 0
+        assert capsys.readouterr() == want
 
 
 class TestGradcheck:
@@ -408,6 +419,14 @@ class TestConfigAndEnv:
         from_config = total_from(capsys)
         assert main(loss_args(instance_files, beta=0.5, engine="naive")) == 0
         assert from_config == total_from(capsys)
+
+    def test_config_path_object(self, instance_files, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("beta = 0.5\n")
+        assert main(loss_args(instance_files) + ["--config", str(cfg)]) == 0
+        want = capsys.readouterr()
+        assert main(loss_args(instance_files) + ["--config", cfg]) == 0
+        assert capsys.readouterr() == want
 
     def test_cli_flags_override_config(self, instance_files, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

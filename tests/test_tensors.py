@@ -6,6 +6,7 @@ import math
 import os
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -449,6 +450,20 @@ class TestPlanning:
             BlockPlan(4, 0, 4)
         assert BlockPlan(64, 64, 64).clamped(0, 16, 4) == BlockPlan(1, 16, 4)
 
+    @pytest.mark.parametrize("fields, name", [
+        ((8.0, 32, 4), "n_block"),
+        ((8, 32, 4.5), "d_block"),
+        ((8, True, 4), "v_block"),
+        ((8, 32, 4, True), "workers"),
+        ((8, 32, 4, 2.0), "workers"),
+        ((8, 32, 4, 0), "workers"),
+    ])
+    def test_plan_fields_must_be_positive_integers(self, fields, name):
+        with pytest.raises(InvalidPlanError, match=name):
+            BlockPlan(*fields)
+        numpy_ints = BlockPlan(np.int64(8), np.int32(32), np.int64(4), np.int64(2))
+        assert numpy_ints.workers == 2
+
     def test_empty_batch_gets_one_token_blocks(self):
         plan = plan_blocks(0, 16, 4, workers=2)
         assert (plan.n_block, plan.v_block, plan.d_block) == (1, 16, 4)
@@ -480,7 +495,8 @@ class TestPlanning:
         assert (plan.n_block, plan.v_block, plan.d_block) == (128, v_block, 64)
 
     def test_one_token_block_keeps_the_serial_plan(self):
-        assert plan_blocks(128, 16384, 64, workers=4) == plan_blocks(128, 16384, 64, workers=1)
+        assert (replace(plan_blocks(128, 16384, 64, workers=4), workers=1)
+                == plan_blocks(128, 16384, 64, workers=1))
 
     def test_tiles_in_flight(self):
         assert tiles_in_flight(1024, 128, 3) == 3
