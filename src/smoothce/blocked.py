@@ -29,16 +29,15 @@ target part, whose magnitude does not shrink with the probabilities.
 
 The plan is the one place a call's worker count is set: one `_TileRunner`
 runs each pass's tiles on `plan.workers` threads (None: every CPU this
-process may run on), one token block per worker at a time, handed out in
-index order; a worker walks its block's vocabulary blocks in index order.
-Per-token state (the running max and sum, `grad_e` columns) belongs to one
-token block, so it needs no locks, and each `grad_c[:, v-block]` takes its
-products in token-block order through a per-vocabulary-block turn
-counter. Every sum therefore runs in the same order as on one worker, and
-for given tile sizes results are bit-identical for any
-`replace(plan, workers=k)`. While more than one worker runs, numpy's
-OpenBLAS is held at one thread, so BLAS threads do not compete with the
-workers.
+process may run on). Of k workers, worker w runs token blocks w, w + k,
+w + 2k, ... in index order, each through its vocabulary blocks in index
+order. Per-token state (the running max and sum, `grad_e` columns) needs
+no locks, and each `grad_c[:, v-block]` takes its products in token-block
+order through a per-vocabulary-block turn counter. Every sum therefore
+runs in the same order as on one worker, and for given tile sizes results
+are bit-identical for any `replace(plan, workers=k)`. While more than one
+worker runs, numpy's OpenBLAS is held at one thread, so BLAS threads do
+not compete with the workers.
 
 Every GEMM goes through `dgemm`, c = alpha op(a) op(b) + beta c on the
 ILP64 `cblas_dgemm` of numpy's own OpenBLAS. A logit tile is written with
@@ -52,9 +51,10 @@ contiguous panel. Only where numpy's BLAS exports no such symbol does a
 product go through a tracked D_B-row chunk and a `+=` into the gradient.
 
 Every tile-sized buffer (the logit tile, the forward's one N_B row) flows
-through the runner's TrackingAllocator, and the runner returns the pass's
-MemoryStats; peak auxiliary bytes stay O(N_B*V_B) per tile in flight
-regardless of |V| (plus D_B*max(N_B, V_B) for a staged product chunk).
+through its worker's own TrackingAllocator, and the pass's MemoryStats
+report the sum of the workers' peaks, which thread timing cannot move;
+peak auxiliary bytes stay O(N_B*V_B) per tile in flight regardless of |V|
+(plus D_B*max(N_B, V_B) for a staged product chunk).
 The returned outputs and O(D) or O(N) temporaries are not tracked.
 """
 
@@ -262,24 +262,23 @@ class _Abandoned(Exception):
 
 class _TileRunner:
     """Runs every tile of one pass on up to `eff.workers` threads in one
-    fixed order of accumulation, and keeps the pass's allocator and counters.
+    fixed order of accumulation, and keeps the pass's counters.
 
-    Token blocks are handed out in index order; the worker that takes one
-    walks its vocabulary blocks in index order, so everything indexed by
+    Worker k runs token blocks k, k + in_flight, ... in index order, each
+    through its vocabulary blocks in index order, so everything indexed by
     token needs no lock. Sums over token blocks (into `grad_c`) go through
     `wait_turn`/`pass_turn`: token block i may add into vocabulary block j
-    once blocks 0..i-1 have passed it. A waited-for block was handed out
-    earlier and only waits on earlier blocks, so the waits cannot cycle.
+    once blocks 0..i-1 have passed it. A block waits only on lower blocks,
+    and each worker takes its blocks in increasing order, so the waits
+    cannot cycle.
     """
 
     def __init__(self, n: int, v: int, eff: BlockPlan):
         self.eff = eff
         self.n, self.v = n, v
         self.in_flight = tiles_in_flight(n, eff.n_block, eff.workers)
-        self.alloc = TrackingAllocator()  # this module's name, read per pass
         self._cond = threading.Condition()
         self._turns = [0] * -(-v // eff.v_block)
-        self._next_block = 0
         self._failed = False
 
     def wait_turn(self, i: int, j: int) -> None:
@@ -293,25 +292,19 @@ class _TileRunner:
             self._turns[j] += 1
             self._cond.notify_all()
 
-    def _take_block(self):
-        with self._cond:
-            i = self._next_block
-            if self._failed or i * self.eff.n_block >= self.n:
-                return None
-            self._next_block += 1
-            return i
-
-    def _work(self, run_tile, counts, errors) -> None:
-        """One worker: take token blocks until none are left; run_tile
-        returns True for a tile it skipped."""
+    def _work(self, k, alloc, run_tile, counts, errors) -> None:
+        """Worker k: its token blocks, until another worker fails;
+        run_tile returns True for a tile it skipped."""
         nbk, vbk = self.eff.n_block, self.eff.v_block
         np.setbufsize(_UFUNC_BUFFER)
         try:
-            while (i := self._take_block()) is not None:
+            for i in range(k, -(-self.n // nbk), self.in_flight):
+                if self._failed:
+                    return
                 n0 = i * nbk
                 nb = min(nbk, self.n - n0)
                 for j, v0 in enumerate(range(0, self.v, vbk)):
-                    skipped = run_tile(i, n0, nb, j, v0, min(vbk, self.v - v0))
+                    skipped = run_tile(alloc, i, n0, nb, j, v0, min(vbk, self.v - v0))
                     counts[1 if skipped else 0] += 1
         except _Abandoned:
             pass
@@ -326,13 +319,15 @@ class _TileRunner:
             self._cond.notify_all()
 
     def run(self, run_tile) -> MemoryStats:
-        """Run every tile on `in_flight` worker threads; return the pass's
-        peak tracked bytes and tile counts."""
-        counts = [[0, 0] for _ in range(self.in_flight)]
+        """Run every tile on `in_flight` worker threads, each with its own
+        allocator; return the tile counts and the sum of the workers' peaks."""
+        # this module's name, read per pass
+        allocs = [TrackingAllocator() for _ in range(self.in_flight)]
+        counts = [[0, 0] for _ in allocs]
         errors: list[BaseException] = []
-        threads = [threading.Thread(target=self._work, args=(run_tile, c, errors),
+        threads = [threading.Thread(target=self._work, args=(k, a, run_tile, c, errors),
                                     name=f"smoothce-tiles-{k}")
-                   for k, c in enumerate(counts)]
+                   for k, (a, c) in enumerate(zip(allocs, counts))]
         with _ONE_BLAS_THREAD.held() if self.in_flight > 1 else nullcontext():
             for t in threads:
                 t.start()
@@ -346,7 +341,7 @@ class _TileRunner:
                 raise
         if errors:
             raise errors[0]
-        return MemoryStats(self.alloc.peak_bytes, sum(c[0] for c in counts),
+        return MemoryStats(sum(a.peak_bytes for a in allocs), sum(c[0] for c in counts),
                            sum(c[1] for c in counts), self.in_flight)
 
 
@@ -367,12 +362,11 @@ def blocked_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: floa
     """
     Ea, Ca, xa, n, v, d, _ = _validate(E, C, x, beta, reduction)
     runner = _TileRunner(n, v, plan.clamped(n, v, d))
-    alloc = runner.alloc
 
     lse = np.full(n, -np.inf)  # running max M until the runner ends
     sums = np.zeros(n)  # running sum S of exp(z - M)
 
-    def run_tile(i, n0, nb, j, v0, vb):
+    def run_tile(alloc, i, n0, nb, j, v0, vb):
         tile = _logit_tile(alloc, Ea, Ca, n0, nb, v0, vb)
         m = alloc.empty(nb)
         run_max, run_sum = lse[n0:n0 + nb], sums[n0:n0 + nb]
@@ -428,7 +422,7 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
         raise ValueError(f"filter epsilon must lie in [0, 1), got {filter_epsilon}")
 
     runner = _TileRunner(n, v, plan.clamped(n, v, d))
-    alloc, d_block = runner.alloc, runner.eff.d_block
+    d_block = runner.eff.d_block
     # every token weighs the same, so the weight is the products' alpha
     w = float(token_weights(n, reduction, upstream)[0]) if n else 0.0
     # the uniform share of the target part, -w beta/|V| per logit, as the
@@ -437,7 +431,7 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
     grad_c = _columns(-(beta / v) * w * Ea.sum(axis=1), v)
     staged = _cblas_dgemm() is None
 
-    def add_products(a, b, out, trans_b):
+    def add_products(alloc, a, b, out, trans_b):
         """out += w a op(b), D_B rows at a time: straight into `out`, or
         without the kernel through a tracked chunk laid out like `out`,
         dropped at release so that the next one is not held beside it."""
@@ -451,7 +445,7 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
             alloc.release(chunk)
             del chunk
 
-    def run_tile(i, n0, nb, j, v0, vb):
+    def run_tile(alloc, i, n0, nb, j, v0, vb):
         tile = _logit_tile(alloc, Ea, Ca, n0, nb, v0, vb)
         tile -= lse[n0:n0 + nb]
         if filter_epsilon and math.exp(float(tile.max())) < filter_epsilon:
@@ -461,9 +455,9 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
             runner.pass_turn(j)
             return True
         np.exp(tile, out=tile)
-        add_products(Ca[:, v0:v0 + vb], tile, grad_e[:, n0:n0 + nb], 0)
+        add_products(alloc, Ca[:, v0:v0 + vb], tile, grad_e[:, n0:n0 + nb], 0)
         runner.wait_turn(i, j)
-        add_products(Ea[:, n0:n0 + nb], tile, grad_c[:, v0:v0 + vb], 1)
+        add_products(alloc, Ea[:, n0:n0 + nb], tile, grad_c[:, v0:v0 + vb], 1)
         runner.pass_turn(j)
         alloc.release(tile)
         return False

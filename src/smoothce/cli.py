@@ -174,9 +174,7 @@ def cmd_gradcheck(args) -> int:
         tol_analytic = 1e-3 if args.filter_eps > 0 else 1e-9
 
     analytic = naive_backward(emb, cls, tgt, args.beta, reduction=args.reduction)
-    out, _ = blocked_forward(emb, cls, tgt, args.beta, plan,
-                             reduction=args.reduction)
-    grads, stats = blocked_backward(emb, cls, tgt, args.beta, plan, out.lse,
+    _, grads, stats = loss_and_grad(emb, cls, tgt, args.beta, plan,
                                     filter_epsilon=args.filter_eps,
                                     reduction=args.reduction)
 
@@ -411,10 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reduction", choices=("sum", "mean"), default="sum")
     p.add_argument("--h", type=_positive_float, default=1e-3,
                    help="finite-difference step")
-    p.add_argument("--tol-analytic", type=float, default=None,
+    p.add_argument("--tol-analytic", type=_positive_float, default=None,
                    help="blocked-vs-analytic tolerance (default 1e-9, or 1e-3 "
                         "when filtering)")
-    p.add_argument("--tol-fd", type=float, default=1e-4)
+    p.add_argument("--tol-fd", type=_positive_float, default=1e-4)
     p.add_argument("--filter-eps", type=float, default=0.0)
     p.add_argument("--skip-fd", action=_BOOL, default=False)
     _add_engine(p)
@@ -424,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, default=1024)
     p.add_argument("--v", type=_positive_int, default=16384)
     p.add_argument("--d", type=_positive_int, default=64)
-    p.add_argument("--betas", type=_float_list, default=[0.0, 0.1])
+    p.add_argument("--betas", type=_list_arg(_beta_arg, "betas"), default=[0.0, 0.1])
     p.add_argument("--phases", default="fwd,bwd,fwd_bwd")
     p.add_argument("--repetitions", type=_int_at_least(3), default=10)
     p.add_argument("--warmups", type=_int_at_least(0), default=3)

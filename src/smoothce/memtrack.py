@@ -18,7 +18,8 @@ The smoothing share's whole-array terms and the per-token target passes
 after the tiles need only O(D) and O(N) temporaries.
 
 A buffer is counted from `empty` to `release`; the engine drops its last
-reference at `release`, so the reported peak is what is actually held.
+reference at `release`, so an allocator's peak is what was actually held.
+Each engine worker has its own allocator; a call reports their sum.
 The allocator refuses no request: the tests compare the peak with
 `tracemalloc`, which also sees buffers that bypass it.
 """
@@ -37,9 +38,11 @@ __all__ = ["MemoryStats", "TrackingAllocator"]
 class MemoryStats:
     """Auxiliary-memory and tiling counters for one engine call.
 
-    `tiles_in_flight` is how many tiles the call held at once, one per
-    worker thread: the factor `aux_bound_bytes` multiplies the tile working
-    set by.
+    `peak_auxiliary_bytes` sums the worker threads' own peaks: never below
+    what the call held at any one moment, equal to it whenever the workers'
+    tiles overlap, and independent of thread timing. `tiles_in_flight` is
+    one tile per worker thread: the factor `aux_bound_bytes` multiplies the
+    tile working set by.
     """
 
     peak_auxiliary_bytes: int

@@ -270,6 +270,10 @@ def save_matrix(m: DenseMatrix, path, dtype: str = "f64") -> None:
     if dtype not in codes:
         raise ValueError(f"unsupported save dtype {dtype!r}")
     code = codes[dtype]
+    if code == _CODE_F32 and m.data.size:  # before the path is opened
+        with np.errstate(over="ignore"):
+            if np.isinf(np.float32([m.data.min(), m.data.max()])).any():
+                raise ValueError(f"{path}: values beyond float32 range cannot be saved as f32")
     step = _block_rows(m.cols, _PAYLOAD_DTYPES[code].itemsize)
     buf = np.empty(min(step, m.rows) * m.cols, dtype=_PAYLOAD_DTYPES[code])
     with open(path, "wb") as fh:

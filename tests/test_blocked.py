@@ -426,6 +426,30 @@ class TestMemory:
         assert 0 < stats.peak_auxiliary_bytes <= ceiling
         assert ceiling == aux_bound_bytes(replace(plan, workers=workers), 64, 512, 32)
 
+    @pytest.mark.parametrize("delay", [False, True])
+    def test_peak_does_not_depend_on_thread_timing(self, monkeypatch, delay):
+        """Each worker owns its token blocks and counts its own peak, so the
+        reported peak is two tile working sets even when the second worker
+        starts its first GEMM only after the first worker has finished."""
+        e, c, x = random_instance(3, n=64, v=512, d=16, scale=0.5)
+        plan = plan_blocks(64, 512, 16, n_block=32, v_block=64, workers=2)
+        original = smoothce.blocked.dgemm
+        held = []
+
+        def spy(*args, **kwargs):
+            if delay and threading.current_thread().name == "smoothce-tiles-1" and not held:
+                held.append(None)
+                for t in threading.enumerate():
+                    if t.name == "smoothce-tiles-0":
+                        t.join(60)
+                        assert not t.is_alive()
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(smoothce.blocked, "dgemm", spy)
+        _, stats = run_bounded(lambda: blocked_forward(e, c, x, 0.1, plan))
+        assert stats.peak_auxiliary_bytes == 2 * plan_working_set_bytes(plan) == 33_280
+        assert held == ([None] if delay else [])
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_engine_restores_ufunc_buffer_size(self, medium, workers):
         e, c, x, _, _ = medium

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import smoothce.cli
-from smoothce.blocked import blocked_backward
+from smoothce.blocked import loss_and_grad
 from smoothce.cli import main
 from smoothce.reference import Gradients
 from smoothce.tensors import (DenseMatrix, TokenSequence, random_instance, save_matrix,
@@ -154,13 +154,22 @@ class TestGradcheck:
         assert main(["gradcheck", "--scale", scale]) == 1
         assert "scale must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol-fd", "nan"), ("--tol-fd", "-1"), ("--tol-analytic", "nan"),
+    ])
+    def test_bad_tolerance_is_usage_error_before_any_output(self, flag, value, capsys):
+        """A tolerance no error can meet used to print FAIL and exit 1."""
+        assert main(["gradcheck", f"{flag}={value}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and flag in err
+
     def test_corrupted_gradient_fails(self, capsys, monkeypatch):
         def corrupted(*args, **kwargs):
-            grads, stats = blocked_backward(*args, **kwargs)
+            out, grads, stats = loss_and_grad(*args, **kwargs)
             bad = DenseMatrix._wrap(grads.grad_e.data * 1.001 + 1e-6)
-            return Gradients(bad, grads.grad_c), stats
+            return out, Gradients(bad, grads.grad_c), stats
 
-        monkeypatch.setattr(smoothce.cli, "blocked_backward", corrupted)
+        monkeypatch.setattr(smoothce.cli, "loss_and_grad", corrupted)
         assert main(["gradcheck", "--skip-fd"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
@@ -220,6 +229,29 @@ class TestBench:
         assert main(argv) == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert len(rows) == 6 and all(float(r[7]) > 0 for r in rows)
+
+    def test_multi_worker_reruns_are_byte_identical(self, capsys):
+        """Each worker owns fixed token blocks and counts its own peak, so
+        a two-worker run over several token blocks prints the same CSV
+        every time; the peaks used to follow how the threads overlapped."""
+        argv = ["bench", "--n", "256", "--v", "4096", "--d", "16", "--threads", "2",
+                "--betas", "0", "--skip-naive"]
+        outputs = []
+        for _ in range(4):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0].count("\n") == 4
+        assert outputs == [outputs[0]] * 4
+
+    @pytest.mark.parametrize("betas", ["0,1.5", "nan", "-0.1"])
+    def test_beta_out_of_range_is_usage_error(self, tmp_path, capsys, betas):
+        """A beta outside [0, 1] used to reach the engine and exit 1."""
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--n", "8", "--v", "16", "--d", "4", "--skip-naive",
+                "--betas", betas, "--out", str(out)]
+        assert main(argv) == 2
+        assert "--betas" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_too_few_repetitions_is_usage_error(self):
         assert main(["bench", "--repetitions", "2"]) == 2

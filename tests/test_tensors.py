@@ -157,6 +157,18 @@ class TestFileFormat:
         save_matrix(load_matrix(p1), p2, dtype="f32")
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_f32_overflow_is_refused_before_the_file_is_opened(self, tmp_path):
+        """A value beyond float32 range used to be written as inf, a file
+        that load_matrix then refused; the float32 extremes still save."""
+        path = tmp_path / "big.sce1"
+        with pytest.raises(ValueError, match="f32"):
+            save_matrix(DenseMatrix.from_array([[1e300, 1.0]]), path, dtype="f32")
+        assert not path.exists()
+        top = float(np.finfo(np.float32).max)
+        for vals in ([[3.4028235e38, -3.4028235e38]], [[top, -top]]):
+            save_matrix(DenseMatrix.from_array(vals), path, dtype="f32")
+            assert np.array_equal(load_matrix(path).data, [[top, -top]])
+
 
     @pytest.mark.parametrize("rows, cols", [(5, 140_000), (300, 1000), (1, 3), (4, 0)])
     @pytest.mark.parametrize("dtype", ["f64", "f32"])
