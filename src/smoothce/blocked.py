@@ -48,13 +48,13 @@ inside that block's turn. E, C and both gradients are stored
 panel-contiguous (F-ordered D x N and D x |V|: each token's and each
 vocabulary entry's D-vector is contiguous), so every operand is one
 contiguous panel. Only where numpy's BLAS exports no such symbol does a
-product go through a tracked D_B-row chunk and a `+=` into the gradient.
+product go through a tracked full-depth chunk and a `+=` into the gradient.
 
 Every tile-sized buffer (the logit tile, the forward's one N_B row) flows
 through its worker's own TrackingAllocator, and the pass's MemoryStats
 report the sum of the workers' peaks, which thread timing cannot move;
 peak auxiliary bytes stay O(N_B*V_B) per tile in flight regardless of |V|
-(plus D_B*max(N_B, V_B) for a staged product chunk).
+(plus D*max(N_B, V_B) for a staged product chunk).
 The returned outputs and O(D) or O(N) temporaries are not tracked.
 """
 
@@ -81,11 +81,12 @@ def aux_bound_bytes(plan: BlockPlan, n: int, v: int, d: int) -> int:
     """Ceiling for the peak auxiliary bytes of one engine call on `plan`:
     the tile working set times the tiles in flight (one per plan worker, at
     most one per token block), plus a fixed bookkeeping allowance. Without
-    the accumulating kernel each tile also holds one staged product chunk."""
-    eff = plan.clamped(n, v, d)
+    the accumulating kernel each tile also holds one staged D-row product
+    chunk."""
+    eff = plan.clamped(n, v)
     per_tile = plan_working_set_bytes(eff)
     if _cblas_dgemm() is None:
-        per_tile += 8 * eff.d_block * max(eff.n_block, eff.v_block)
+        per_tile += 8 * d * max(eff.n_block, eff.v_block)
     return tiles_in_flight(n, eff.n_block, eff.workers) * per_tile + 4096
 
 
@@ -360,8 +361,8 @@ def blocked_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: floa
     Returns (LossOutput, MemoryStats); matches naive_forward per token while
     allocating only tile-sized transients.
     """
-    Ea, Ca, xa, n, v, d, _ = _validate(E, C, x, beta, reduction)
-    runner = _TileRunner(n, v, plan.clamped(n, v, d))
+    Ea, Ca, xa, n, v, _, _ = _validate(E, C, x, beta, reduction)
+    runner = _TileRunner(n, v, plan.clamped(n, v))
 
     lse = np.full(n, -np.inf)  # running max M until the runner ends
     sums = np.zeros(n)  # running sum S of exp(z - M)
@@ -412,7 +413,7 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
     whose probability upper bound exp(max z - lse) falls below the epsilon
     contribute nothing to the softmax part.
     """
-    Ea, Ca, xa, n, v, d, _ = _validate(E, C, x, beta, reduction)
+    Ea, Ca, xa, n, v, _, _ = _validate(E, C, x, beta, reduction)
     lse = np.asarray(lse, dtype=np.float64)
     if lse.shape != (n,):
         raise ValueError(f"lse must have length {n}, got shape {lse.shape}")
@@ -421,8 +422,7 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
     if not 0.0 <= filter_epsilon < 1.0:
         raise ValueError(f"filter epsilon must lie in [0, 1), got {filter_epsilon}")
 
-    runner = _TileRunner(n, v, plan.clamped(n, v, d))
-    d_block = runner.eff.d_block
+    runner = _TileRunner(n, v, plan.clamped(n, v))
     # every token weighs the same, so the weight is the products' alpha
     w = float(token_weights(n, reduction, upstream)[0]) if n else 0.0
     # the uniform share of the target part, -w beta/|V| per logit, as the
@@ -432,18 +432,16 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
     staged = _cblas_dgemm() is None
 
     def add_products(alloc, a, b, out, trans_b):
-        """out += w a op(b), D_B rows at a time: straight into `out`, or
-        without the kernel through a tracked chunk laid out like `out`,
-        dropped at release so that the next one is not held beside it."""
-        for d0 in range(0, d, d_block):
-            rows = slice(d0, d0 + d_block)
-            if not staged:
-                dgemm(w, a[rows], b, out[rows], trans_b=trans_b, beta=1.0)
-                continue
-            chunk = dgemm(w, a[rows], b, alloc.empty(out[rows].shape), trans_b=trans_b)
-            out[rows] += chunk
-            alloc.release(chunk)
-            del chunk
+        """out += w a op(b): straight into `out`, or without the kernel
+        through a tracked chunk laid out like `out`, dropped at release so
+        that the next one is not held beside it."""
+        if not staged:
+            dgemm(w, a, b, out, trans_b=trans_b, beta=1.0)
+            return
+        chunk = dgemm(w, a, b, alloc.empty(out.shape), trans_b=trans_b)
+        out += chunk
+        alloc.release(chunk)
+        del chunk
 
     def run_tile(alloc, i, n0, nb, j, v0, vb):
         tile = _logit_tile(alloc, Ea, Ca, n0, nb, v0, vb)

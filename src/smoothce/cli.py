@@ -144,7 +144,7 @@ def _make_plan(args, n, v, d):
         except argparse.ArgumentTypeError as exc:
             raise UsageError(f"SCE_THREADS: {exc}")
     return plan_blocks(n, v, d, n_block=args.n_block, v_block=args.v_block,
-                       d_block=args.d_block, workers=workers)
+                       workers=workers)
 
 
 def cmd_loss(args) -> int:
@@ -374,7 +374,6 @@ _BOOL = argparse.BooleanOptionalAction
 def _add_engine(sub):
     sub.add_argument("--n-block", type=_positive_int, default=None)
     sub.add_argument("--v-block", type=_positive_int, default=None)
-    sub.add_argument("--d-block", type=_positive_int, default=None)
     sub.add_argument("--threads", type=_positive_int, default=None,
                      help="engine worker threads (falls back to SCE_THREADS, "
                           "then every available CPU); for given tile sizes "

@@ -12,7 +12,7 @@ tile work with the buffer size at 16 elements, per worker thread, so they
 stay a few hundred bytes. The GEMMs read the inputs in place and write
 into tracked tiles or straight into the gradients, so they add nothing;
 only without the accumulating BLAS kernel does a backward product pass
-through a tracked chunk and a `+=`.
+through a tracked full-depth chunk and a `+=`.
 
 The smoothing share's whole-array terms and the per-token target passes
 after the tiles need only O(D) and O(N) temporaries.

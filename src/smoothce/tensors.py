@@ -2,7 +2,7 @@
 and the SCE1 binary matrix file format.
 
 A block plan holds everything that can change an engine call's cost: the
-three tile sizes and the worker count the call runs on. The worker count
+two tile sizes and the worker count the call runs on. The worker count
 sets how many tiles the engine holds at once (`tiles_in_flight`), and with
 it the default vocabulary block and the memory ceiling; results depend
 only on the tile sizes.
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -150,15 +150,14 @@ class BlockPlan:
     sizes fix the order of every sum, so results depend on them; the
     worker count (None: every CPU this process may run on at call time)
     sets only the tiles in flight, so for given tile sizes results are
-    bit-identical for any count."""
+    bit-identical for any count. The count is keyword-only."""
 
     n_block: int
     v_block: int
-    d_block: int
-    workers: int | None = None
+    workers: int | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
-        for name in ("n_block", "v_block", "d_block", "workers"):
+        for name in ("n_block", "v_block", "workers"):
             size = getattr(self, name)
             if name == "workers" and size is None:
                 continue
@@ -167,12 +166,11 @@ class BlockPlan:
             if size < 1:
                 raise InvalidPlanError(f"{name} must be >= 1, got {size}")
 
-    def clamped(self, n: int, v: int, d: int) -> "BlockPlan":
-        """Effective plan for concrete extents: each size capped at its
+    def clamped(self, n: int, v: int) -> "BlockPlan":
+        """Effective plan for concrete extents: each tile size capped at its
         extent, but never below 1 (an empty batch gets one-token blocks)."""
-        return BlockPlan(*(max(1, min(size, extent)) for size, extent in
-                           ((self.n_block, n), (self.v_block, v), (self.d_block, d))),
-                         self.workers)
+        return BlockPlan(max(1, min(self.n_block, n)), max(1, min(self.v_block, v)),
+                         workers=self.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +470,7 @@ def _gaussian_f(seed: int, start: int, rows: int, cols: int, scale: float) -> np
 # block planning
 
 # Default tile sizes (N_B, V_B) before clamping: BLAS-friendly tiles whose
-# one-tile working set is 525 312 bytes. D_B defaults to the full depth D.
+# one-tile working set is 525 312 bytes.
 _BASE_BLOCKS = (128, 512)
 
 _WORD = 8  # engine buffers are float64
@@ -482,7 +480,7 @@ def plan_working_set_bytes(plan: BlockPlan) -> int:
     """Transient bytes the blocked engine needs for one in-flight tile:
     the V_B x N_B logit tile and the forward's one N_B scratch row for the
     online softmax merge. The backward adds its products straight into the
-    gradients, so D_B does not enter."""
+    gradients."""
     nb, vb = plan.n_block, plan.v_block
     return _WORD * nb * (vb + 1)
 
@@ -514,20 +512,22 @@ def plan_blocks(
     `workers` threads (None: every available CPU at call time); the plan
     carries that count to the engine.
 
-    Defaults are clamped to the extents; D_B defaults to D, one product
-    per backward tile and gradient, and an override splits the products'
-    rows. Then V_B is halved, down to N_B, until the logit tiles of all
-    tiles in flight fit that of one serial tile, so more workers do not
-    multiply the working set. Explicit overrides are clamped but never
-    shrunk. An empty batch (n = 0) gets one-token blocks.
+    Defaults are clamped to the extents. Then V_B is halved, down to N_B,
+    until the logit tiles of all tiles in flight fit that of one serial
+    tile, so more workers do not multiply the working set. Explicit
+    overrides are clamped but never shrunk. An empty batch (n = 0) gets
+    one-token blocks.
+
+    `d_block` is accepted and ignored: every backward product runs at full
+    depth. It is kept only for callers not yet updated, and goes with them.
     """
     if n < 0 or v < 1 or d < 1:
         raise ValueError(f"need n >= 0 and v, d >= 1, got n={n}, v={v}, d={d}")
     plan = BlockPlan(_BASE_BLOCKS[0] if n_block is None else n_block,
                      _BASE_BLOCKS[1] if v_block is None else v_block,
-                     d if d_block is None else d_block, workers).clamped(n, v, d)
+                     workers=workers).clamped(n, v)
     nb, vb = plan.n_block, plan.v_block
-    if n_block is None and v_block is None and d_block is None:
+    if n_block is None and v_block is None:
         in_flight, serial_vb = tiles_in_flight(n, nb, workers), vb
         while vb // 2 >= nb and in_flight * vb > serial_vb:
             vb //= 2

@@ -134,7 +134,7 @@ def test_criterion_3_filtered_backward():
     with criterion(3, "filtered backward skips tiles at eps=2^-12 within "
                       "1e-3 error; eps=0 skips nothing"):
         e, c, x = random_instance(42, n=256, v=8192, d=64, scale=1.5)
-        plan = plan_blocks(256, 8192, 64, n_block=16, v_block=128, d_block=64)
+        plan = plan_blocks(256, 8192, 64, n_block=16, v_block=128)
         out, _ = blocked_forward(e, c, x, 0.1, plan)
         analytic = naive_backward(e, c, x, 0.1)
 
@@ -347,9 +347,9 @@ def test_criterion_10_determinism(tmp_path):
         want = naive_forward(e, c, x, 0.3)
         plans = [
             plan_blocks(64, 512, 32),
-            plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8),
-            plan_blocks(64, 512, 32, n_block=7, v_block=100, d_block=5),
-            plan_blocks(64, 512, 32, n_block=64, v_block=512, d_block=32),
+            plan_blocks(64, 512, 32, n_block=16, v_block=64),
+            plan_blocks(64, 512, 32, n_block=7, v_block=100),
+            plan_blocks(64, 512, 32, n_block=64, v_block=512),
         ]
         for plan in plans:
             got, _ = blocked_forward(e, c, x, 0.3, plan)

@@ -62,7 +62,7 @@ def medium():
 class TestForward:
     def test_single_tile_is_degenerate_tiling(self, medium):
         e, c, x, fwd, _ = medium
-        plan = plan_blocks(64, 512, 32, n_block=64, v_block=512, d_block=32)
+        plan = plan_blocks(64, 512, 32, n_block=64, v_block=512)
         out, stats = blocked_forward(e, c, x, 0.1, plan)
         assert stats.tiles_processed == 1
         np.testing.assert_allclose(
@@ -70,7 +70,7 @@ class TestForward:
 
     def test_spec_tile_sizes_match_oracle(self, medium):
         e, c, x, fwd, _ = medium
-        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64)
         out, stats = blocked_forward(e, c, x, 0.1, plan)
         np.testing.assert_allclose(
             out.per_token_loss, fwd[0.1].per_token_loss, rtol=1e-9)
@@ -79,7 +79,7 @@ class TestForward:
     @pytest.mark.parametrize("beta", [0.0, 0.1, 0.5, 1.0])
     def test_all_betas_match_oracle(self, medium, beta):
         e, c, x, fwd, _ = medium
-        plan = plan_blocks(64, 512, 32, n_block=48, v_block=100, d_block=13)
+        plan = plan_blocks(64, 512, 32, n_block=48, v_block=100)
         out, _ = blocked_forward(e, c, x, beta, plan)
         np.testing.assert_allclose(out.lse, fwd[beta].lse, rtol=1e-9)
         np.testing.assert_allclose(out.o, fwd[beta].o, rtol=1e-9, atol=1e-12)
@@ -88,7 +88,7 @@ class TestForward:
 
     def test_beta_zero_skips_smoothing_and_matches(self, medium):
         e, c, x, fwd, _ = medium
-        plan = plan_blocks(64, 512, 32, n_block=16, v_block=128, d_block=32)
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=128)
         out, _ = blocked_forward(e, c, x, 0.0, plan)
         np.testing.assert_allclose(out.o, fwd[0.0].o, rtol=1e-12)
         np.testing.assert_allclose(
@@ -98,12 +98,11 @@ class TestForward:
     @given(
         nb=st.integers(1, 14),
         vb=st.integers(1, 40),
-        db=st.integers(1, 9),
     )
-    def test_any_tiling_matches(self, nb, vb, db):
+    def test_any_tiling_matches(self, nb, vb):
         e, c, x = random_instance(13, n=12, v=33, d=7, scale=0.6)
         want = naive_forward(e, c, x, 0.5)
-        plan = plan_blocks(12, 33, 7, n_block=nb, v_block=vb, d_block=db)
+        plan = plan_blocks(12, 33, 7, n_block=nb, v_block=vb)
         out, _ = blocked_forward(e, c, x, 0.5, plan)
         np.testing.assert_allclose(
             out.per_token_loss, want.per_token_loss, rtol=1e-9, atol=1e-12)
@@ -137,7 +136,7 @@ class TestForward:
         e, c = DenseMatrix.from_array(e), DenseMatrix.from_array(c)
         x = TokenSequence(rng.integers(0, 64, size=16))
         want = naive_forward(e, c, x, 0.1)
-        plan = plan_blocks(16, 64, 4, n_block=8, v_block=8, d_block=4)
+        plan = plan_blocks(16, 64, 4, n_block=8, v_block=8)
         out, stats = blocked_forward(e, c, x, 0.1, replace(plan, workers=1))
         assert stats.tiles_processed == 2 * 8
         assert np.isfinite(out.lse).all() and np.isfinite(out.per_token_loss).all()
@@ -149,7 +148,7 @@ class TestForward:
 
     def test_deterministic_mode_is_bit_reproducible(self, medium):
         e, c, x, _, _ = medium
-        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64)
         a, _ = blocked_forward(e, c, x, 0.3, plan)
         b, _ = blocked_forward(e, c, x, 0.3, plan)
         assert np.array_equal(a.per_token_loss, b.per_token_loss)
@@ -159,7 +158,7 @@ class TestForward:
         """Worker-owned token blocks: three workers give the one-worker
         result bit for bit."""
         e, c, x, _, _ = medium
-        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64)
         det, _ = blocked_forward(e, c, x, 0.1, replace(plan, workers=1))
         out, stats = blocked_forward(e, c, x, 0.1, replace(plan, workers=3))
         assert stats.tiles_in_flight == 3
@@ -175,20 +174,20 @@ class TestForward:
     def test_invalid_plan_rejected(self, medium):
         e, c, x, _, _ = medium
         with pytest.raises(InvalidPlanError):
-            blocked_forward(e, c, x, 0.1, BlockPlan(0, 4, 4))
+            blocked_forward(e, c, x, 0.1, BlockPlan(0, 4))
 
 
 class TestBackward:
     def test_single_tile_beta_zero(self, medium):
         e, c, x, fwd, bwd = medium
-        plan = plan_blocks(64, 512, 32, n_block=64, v_block=512, d_block=32)
+        plan = plan_blocks(64, 512, 32, n_block=64, v_block=512)
         g, _ = blocked_backward(e, c, x, 0.0, plan, fwd[0.0].lse)
         assert grad_rel_err(g, bwd[0.0]) <= 1e-12
 
     @pytest.mark.parametrize("beta", [0.0, 0.1, 0.5, 1.0])
     def test_unfiltered_matches_oracle(self, medium, beta):
         e, c, x, fwd, bwd = medium
-        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64)
         g, stats = blocked_backward(e, c, x, beta, plan, fwd[beta].lse)
         assert grad_rel_err(g, bwd[beta]) <= 1e-9
         assert stats.tiles_skipped_by_filter == 0
@@ -200,7 +199,7 @@ class TestBackward:
         c = DenseMatrix.from_array(
             np.random.default_rng(2).standard_normal((4, 10)))
         x = TokenSequence(np.array([0, 9, 3, 3, 7, 1]))
-        plan = plan_blocks(6, 10, 4, n_block=2, v_block=3, d_block=2)
+        plan = plan_blocks(6, 10, 4, n_block=2, v_block=3)
         out, _ = blocked_forward(e, c, x, 0.5, plan)
         g, _ = blocked_backward(e, c, x, 0.5, plan, out.lse)
         want = naive_backward(e, c, x, 0.5)
@@ -209,7 +208,7 @@ class TestBackward:
 
     def test_upstream_and_mean_reduction(self, medium):
         e, c, x, fwd, _ = medium
-        plan = plan_blocks(64, 512, 32, n_block=32, v_block=256, d_block=16)
+        plan = plan_blocks(64, 512, 32, n_block=32, v_block=256)
         want = naive_backward(e, c, x, 0.2, reduction="mean", upstream=2.5)
         g, _ = blocked_backward(e, c, x, 0.2, plan, fwd_lse(e, c, x, 0.2, plan),
                                 upstream=2.5, reduction="mean")
@@ -239,7 +238,7 @@ class TestBackward:
 
     def test_parallel_mode_agrees(self, medium):
         e, c, x, fwd, bwd = medium
-        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64)
         det, _ = blocked_backward(e, c, x, 0.1, replace(plan, workers=1), fwd[0.1].lse)
         g, _ = blocked_backward(e, c, x, 0.1, replace(plan, workers=3), fwd[0.1].lse)
         assert np.array_equal(g.grad_e.data, det.grad_e.data)
@@ -257,7 +256,7 @@ def concentrated():
     """Sharply peaked softmax columns so that probability mass avoids most
     vocabulary blocks entirely."""
     e, c, x = random_instance(42, n=64, v=2048, d=32, scale=1.5)
-    plan = plan_blocks(64, 2048, 32, n_block=8, v_block=64, d_block=32)
+    plan = plan_blocks(64, 2048, 32, n_block=8, v_block=64)
     out, _ = blocked_forward(e, c, x, 0.1, plan)
     want = naive_backward(e, c, x, 0.1)
     return e, c, x, plan, out.lse, want
@@ -309,7 +308,7 @@ class TestFiltering:
         A[v, i] = -w_i ((1-beta) [v == x_i] + beta/|V|)."""
         n, v, d = 64, 8192, 16
         e, c, x = random_instance(5, n=n, v=v, d=d, scale=0.02)
-        plan = plan_blocks(n, v, d, n_block=16, v_block=512, d_block=8)
+        plan = plan_blocks(n, v, d, n_block=16, v_block=512)
         out, _ = blocked_forward(e, c, x, beta, plan, reduction="mean")
         g, stats = blocked_backward(e, c, x, beta, plan, out.lse, upstream=2.0,
                                     filter_epsilon=2.0 ** -12, reduction="mean")
@@ -324,7 +323,7 @@ class TestFiltering:
 class TestMemory:
     def test_peak_under_analytic_ceiling(self, medium):
         e, c, x, fwd, _ = medium
-        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64)
         bound = aux_bound_bytes(plan, 64, 512, 32)
         _, stats = blocked_forward(e, c, x, 0.1, plan)
         assert 0 < stats.peak_auxiliary_bytes <= bound
@@ -363,7 +362,7 @@ class TestMemory:
         """Each worker holds one tile's working set, so the ceiling scales
         with the worker count."""
         e, c, x, fwd, _ = medium
-        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64)
         bound = aux_bound_bytes(replace(plan, workers=3), 64, 512, 32)
         assert bound > aux_bound_bytes(replace(plan, workers=1), 64, 512, 32)
         _, stats = blocked_forward(e, c, x, 0.1, replace(plan, workers=3))
@@ -419,7 +418,7 @@ class TestMemory:
         """The reported in-flight count is one tile per worker, and the peak
         stays within that many tile working sets."""
         e, c, x, _, _ = medium
-        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64)
         _, _, stats = loss_and_grad(e, c, x, 0.1, replace(plan, workers=workers))
         assert stats.tiles_in_flight == workers
         ceiling = stats.tiles_in_flight * plan_working_set_bytes(plan) + 4096
@@ -453,7 +452,7 @@ class TestMemory:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_engine_restores_ufunc_buffer_size(self, medium, workers):
         e, c, x, _, _ = medium
-        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64)
         before = np.getbufsize()
         loss_and_grad(e, c, x, 0.1, replace(plan, workers=workers))
         assert np.getbufsize() == before
@@ -490,8 +489,7 @@ class TestGemmContract:
     def test_operands_are_input_views_and_flops_add_up(self, monkeypatch, workers):
         n, v, d = 64, 512, 32
         e, c, x = random_instance(12, n=n, v=v, d=d, scale=0.5)
-        plan = plan_blocks(n, v, d, n_block=16, v_block=128, d_block=16)
-        assert d > plan.d_block  # two row chunks per backward product
+        plan = plan_blocks(n, v, d, n_block=16, v_block=128)
         calls = []
         original = smoothce.blocked.dgemm
 
@@ -504,7 +502,10 @@ class TestGemmContract:
 
         grads = (g.grad_e.data, g.grad_c.data)
         tiles = [out for _, _, out, _, _, beta in calls if beta == 0.0]
-        assert len(tiles) == stats.tiles_processed
+        assert len(tiles) == stats.tiles_processed == 2 * 4 * 4
+        # one GEMM per forward tile; per backward tile its recompute and one
+        # full-depth GEMM per gradient
+        assert len(calls) == 16 + 3 * 16
         flop = 0
         for a, b, out, trans_a, trans_b, beta in calls:
             into_grads = any(np.shares_memory(out, gr) for gr in grads)
@@ -603,31 +604,30 @@ class TestKernel:
 
     def test_accumulating_backward_holds_only_the_tile(self, medium):
         """With the kernel the backward stages no product: on one worker
-        its peak is one logit tile, whatever D_B."""
+        its peak is one logit tile."""
         if smoothce.blocked._cblas_dgemm() is None:
             pytest.skip("numpy's BLAS exports no ILP64 cblas_dgemm")
         e, c, x, fwd, _ = medium
-        for db in (8, 32):
-            plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=db)
-            _, stats = blocked_backward(e, c, x, 0.1, replace(plan, workers=1),
-                                        fwd[0.1].lse)
-            assert stats.peak_auxiliary_bytes == 8 * 16 * 64
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64)
+        _, stats = blocked_backward(e, c, x, 0.1, replace(plan, workers=1),
+                                    fwd[0.1].lse)
+        assert stats.peak_auxiliary_bytes == 8 * 16 * 64
 
 
 class TestStagedFallback:
     """Where numpy's BLAS exports no ILP64 `cblas_dgemm`, each backward
-    product goes through a tracked D_B-row chunk and a `+=`; the bound
+    product goes through a tracked full-depth chunk and a `+=`; the bound
     counts that chunk only there."""
 
     @pytest.fixture
     def staged(self, monkeypatch):
         monkeypatch.setattr(smoothce.blocked, "_cblas_dgemm", lambda: None)
 
-    @pytest.mark.parametrize("blocks", [(16, 64, 8), (48, 100, 13)])
+    @pytest.mark.parametrize("blocks", [(16, 64), (48, 100)])
     def test_matches_naive_bit_identical_and_bounded(self, staged, medium, blocks):
         e, c, x, fwd, bwd = medium
         plan = plan_blocks(64, 512, 32, *blocks)
-        nb, vb, db = plan.n_block, plan.v_block, plan.d_block
+        nb, vb = plan.n_block, plan.v_block
         results = []
         for workers in (1, 2, 3):
             out, g, stats = run_bounded(lambda: loss_and_grad(
@@ -636,7 +636,7 @@ class TestStagedFallback:
                                        rtol=1e-9)
             assert grad_rel_err(g, bwd[0.1]) <= 1e-9
             bound = aux_bound_bytes(replace(plan, workers=workers), 64, 512, 32)
-            per_tile = plan_working_set_bytes(plan) + 8 * db * max(nb, vb)
+            per_tile = plan_working_set_bytes(plan) + 8 * 32 * max(nb, vb)
             assert bound == stats.tiles_in_flight * per_tile + 4096
             assert 0 < stats.peak_auxiliary_bytes <= bound
             results.append((out.per_token_loss, g.grad_e.data, g.grad_c.data))
@@ -645,9 +645,9 @@ class TestStagedFallback:
 
     def test_chunk_is_tracked(self, staged, medium):
         e, c, x, fwd, _ = medium
-        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64)
         _, stats = blocked_backward(e, c, x, 0.1, replace(plan, workers=1), fwd[0.1].lse)
-        assert stats.peak_auxiliary_bytes == 8 * (16 * 64 + 8 * 64)
+        assert stats.peak_auxiliary_bytes == 8 * (16 * 64 + 32 * 64)
 
     def test_dgemm_does_not_accumulate(self, staged):
         with pytest.raises(ValueError, match="beta"):
@@ -694,7 +694,7 @@ class TestRunner:
     `grad_c` summed in token-block order, so results never depend on the
     worker count."""
 
-    @pytest.mark.parametrize("blocks", [(16, 64, 8), (48, 100, 13)])
+    @pytest.mark.parametrize("blocks", [(16, 64), (48, 100)])
     def test_workers_are_bit_identical(self, skipping, blocks):
         e, c, x = skipping
         plan = plan_blocks(64, 512, 32, *blocks)
@@ -718,7 +718,7 @@ class TestRunner:
         are cores, with a thread switch asked for every microsecond; a lost
         update or an add out of turn would change the bits."""
         e, c, x = skipping
-        plan = plan_blocks(64, 512, 32, n_block=8, v_block=64, d_block=8)
+        plan = plan_blocks(64, 512, 32, n_block=8, v_block=64)
         want = loss_and_grad(e, c, x, 0.1, replace(plan, workers=1), filter_epsilon=0.5)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -736,7 +736,7 @@ class TestRunner:
             self, medium, monkeypatch):
         get, set_ = openblas_threads()
         e, c, x, _, _ = medium
-        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64)
         saved = get()
         seen = set()
         original = smoothce.blocked.dgemm
@@ -759,7 +759,7 @@ class TestRunner:
         caller set, and the count is unchanged after the call."""
         get, set_ = openblas_threads()
         e, c, x, _, _ = medium
-        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64)
         saved = get()
         seen = []
         original = smoothce.blocked.dgemm
@@ -783,7 +783,7 @@ class TestRunner:
         turn, and the call re-raises with the BLAS thread count restored."""
         get, _ = openblas_threads()
         e, c, x, fwd, _ = medium
-        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64)
         saved = get()
         calls = []
         original = smoothce.blocked.dgemm
@@ -847,7 +847,7 @@ class TestEmptyBatch:
 class TestComposition:
     def test_loss_and_grad_matches_oracle_pair(self, medium):
         e, c, x, fwd, bwd = medium
-        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64)
         out, g, stats = loss_and_grad(e, c, x, 0.1, plan)
         np.testing.assert_allclose(
             out.per_token_loss, fwd[0.1].per_token_loss, rtol=1e-9)
@@ -856,7 +856,7 @@ class TestComposition:
 
     def test_deterministic_composition_reproducible(self, medium):
         e, c, x, _, _ = medium
-        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, d_block=8)
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64)
         out1, g1, _ = loss_and_grad(e, c, x, 0.5, plan)
         out2, g2, _ = loss_and_grad(e, c, x, 0.5, plan)
         assert np.array_equal(out1.per_token_loss, out2.per_token_loss)

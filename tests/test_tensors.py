@@ -437,8 +437,8 @@ class TestPrng:
 
 class TestPlanning:
     def test_overrides_clamped_to_extents(self):
-        plan = plan_blocks(8, 16, 4, n_block=128, v_block=512, d_block=64)
-        assert (plan.n_block, plan.v_block, plan.d_block) == (8, 16, 4)
+        plan = plan_blocks(8, 16, 4, n_block=128, v_block=512)
+        assert (plan.n_block, plan.v_block) == (8, 16)
 
     def test_default_working_set_fits_budget(self):
         plan = plan_blocks(4096, 65536, 256)
@@ -459,26 +459,33 @@ class TestPlanning:
 
     def test_plan_sizes_checked_at_construction(self):
         with pytest.raises(InvalidPlanError, match="v_block"):
-            BlockPlan(4, 0, 4)
-        assert BlockPlan(64, 64, 64).clamped(0, 16, 4) == BlockPlan(1, 16, 4)
+            BlockPlan(4, 0)
+        assert BlockPlan(64, 64).clamped(0, 16) == BlockPlan(1, 16)
 
     @pytest.mark.parametrize("fields, name", [
-        ((8.0, 32, 4), "n_block"),
-        ((8, 32, 4.5), "d_block"),
-        ((8, True, 4), "v_block"),
-        ((8, 32, 4, True), "workers"),
-        ((8, 32, 4, 2.0), "workers"),
-        ((8, 32, 4, 0), "workers"),
+        (dict(n_block=8.0, v_block=32), "n_block"),
+        (dict(n_block=8, v_block=32.5), "v_block"),
+        (dict(n_block=8, v_block=True), "v_block"),
+        (dict(n_block=8, v_block=32, workers=True), "workers"),
+        (dict(n_block=8, v_block=32, workers=2.0), "workers"),
+        (dict(n_block=8, v_block=32, workers=0), "workers"),
     ])
     def test_plan_fields_must_be_positive_integers(self, fields, name):
         with pytest.raises(InvalidPlanError, match=name):
-            BlockPlan(*fields)
-        numpy_ints = BlockPlan(np.int64(8), np.int32(32), np.int64(4), np.int64(2))
+            BlockPlan(**fields)
+        numpy_ints = BlockPlan(np.int64(8), np.int32(32), workers=np.int64(2))
         assert numpy_ints.workers == 2
+
+    def test_workers_is_keyword_only(self):
+        """A positional third field would once have been a depth block;
+        it must not silently become a worker count."""
+        with pytest.raises(TypeError):
+            BlockPlan(8, 32, 4)
+        assert BlockPlan(8, 32, workers=4).workers == 4
 
     def test_empty_batch_gets_one_token_blocks(self):
         plan = plan_blocks(0, 16, 4, workers=2)
-        assert (plan.n_block, plan.v_block, plan.d_block) == (1, 16, 4)
+        assert (plan.n_block, plan.v_block) == (1, 16)
         assert tiles_in_flight(0, plan.n_block, 2) == 0
         for v, d in ((0, 4), (16, 0)):
             with pytest.raises(ValueError):
@@ -488,7 +495,7 @@ class TestPlanning:
                                          (256, 4096, 64)])
     def test_default_plan_at_benchmark_shapes(self, n, v, d):
         plan = plan_blocks(n, v, d, workers=1)
-        assert (plan.n_block, plan.v_block, plan.d_block) == (128, 512, d)
+        assert plan == BlockPlan(128, 512, workers=1)
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 5000), v=st.integers(1, 70000), d=st.integers(1, 300))
@@ -496,7 +503,6 @@ class TestPlanning:
         plan = plan_blocks(n, v, d)
         assert 1 <= plan.n_block <= n
         assert 1 <= plan.v_block <= v
-        assert 1 <= plan.d_block <= d
 
     @pytest.mark.parametrize("workers, v_block", [(1, 512), (2, 256), (3, 128),
                                                   (4, 128), (16, 128)])
@@ -504,7 +510,7 @@ class TestPlanning:
         """V_B shrinks so that the tiles in flight hold about what one
         serial tile holds, but never below N_B."""
         plan = plan_blocks(1024, 16384, 64, workers=workers)
-        assert (plan.n_block, plan.v_block, plan.d_block) == (128, v_block, 64)
+        assert (plan.n_block, plan.v_block) == (128, v_block)
 
     def test_one_token_block_keeps_the_serial_plan(self):
         assert (replace(plan_blocks(128, 16384, 64, workers=4), workers=1)
