@@ -69,7 +69,8 @@ from contextlib import contextmanager, nullcontext
 import numpy as np
 
 from .memtrack import MemoryStats, TrackingAllocator
-from .reference import Gradients, LossOutput, _reduce, _validate, token_weights
+from .reference import (Gradients, LossOutput, _reduce, _validate, check_finite_loss,
+                        token_weights)
 from .tensors import (BlockPlan, DenseMatrix, TokenSequence,
                       plan_working_set_bytes, tiles_in_flight)
 
@@ -298,6 +299,8 @@ class _TileRunner:
         run_tile returns True for a tile it skipped."""
         nbk, vbk = self.eff.n_block, self.eff.v_block
         np.setbufsize(_UFUNC_BUFFER)
+        # overflowing logits are refused by each pass's own result check
+        np.seterr(over="ignore", invalid="ignore")
         try:
             for i in range(k, -(-self.n // nbk), self.in_flight):
                 if self._failed:
@@ -359,7 +362,8 @@ def blocked_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: floa
     count; for given tile sizes the result does not depend on the count.
 
     Returns (LossOutput, MemoryStats); matches naive_forward per token while
-    allocating only tile-sized transients.
+    allocating only tile-sized transients. A token whose loss is not finite
+    raises ValueError.
     """
     Ea, Ca, xa, n, v, _, _ = _validate(E, C, x, beta, reduction)
     runner = _TileRunner(n, v, plan.clamped(n, v))
@@ -391,12 +395,13 @@ def blocked_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: floa
 
     # target score q_i . z_i, with q_i = (1-beta) e_{x_i} + beta/|V|:
     # the uniform share u . E_i for every token, then the indexed share
-    o = _smoothing_row(Ca, beta, v) @ Ea
-    keep = 1.0 - beta
-    o += np.fromiter((keep * (Ca[:, t] @ Ea[:, i]) for i, t in enumerate(xa)),
-                     np.float64, n)
-
-    per_token = lse - o
+    with np.errstate(over="ignore", invalid="ignore"):
+        o = _smoothing_row(Ca, beta, v) @ Ea
+        keep = 1.0 - beta
+        o += np.fromiter((keep * (Ca[:, t] @ Ea[:, i]) for i, t in enumerate(xa)),
+                         np.float64, n)
+        per_token = lse - o
+    check_finite_loss(per_token)
     out = LossOutput(lse, o, per_token, _reduce(per_token, reduction, None), reduction)
     return out, stats
 

@@ -84,11 +84,25 @@ def _reduce(per_token: np.ndarray, reduction: str, keep) -> float:
     return float(per_token.mean()) if per_token.size else 0.0
 
 
+def check_finite_loss(per_token: np.ndarray, keep=None) -> None:
+    """Refuse a kept token whose loss is not finite: some of its logits
+    overflow float64 (or are not finite), so no engine can give it a
+    meaningful value."""
+    bad = ~np.isfinite(per_token)
+    if keep is not None:
+        bad &= keep
+    if bad.any():
+        raise ValueError(f"loss of token {int(np.argmax(bad))} is not finite: "
+                         "its logits are not all finite float64 values")
+
+
 def _forward_arrays(Ea, Ca, xa, beta: float, v: int):
-    z = Ca.T @ Ea
-    lse = lse_columns(z)
-    target_scores = z[xa, np.arange(xa.size)]
-    o = (1.0 - beta) * target_scores + (beta / v) * z.sum(axis=0)
+    # overflowing logits give a non-finite loss, which the callers refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = Ca.T @ Ea
+        lse = lse_columns(z)
+        target_scores = z[xa, np.arange(xa.size)]
+        o = (1.0 - beta) * target_scores + (beta / v) * z.sum(axis=0)
     return z, lse, o
 
 
@@ -98,11 +112,13 @@ def naive_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
 
     Per token i the loss is lse_i - o_i where
     o_i = (1-beta) * z[x_i, i] + (beta/|V|) * sum_v z[v, i]; tokens flagged in
-    `ignore_mask` contribute zero loss and are excluded from `mean`.
+    `ignore_mask` contribute zero loss and are excluded from `mean`. A
+    kept token whose loss is not finite raises ValueError.
     """
     Ea, Ca, xa, n, v, d, keep = _validate(E, C, x, beta, reduction, ignore_mask)
     _, lse, o = _forward_arrays(Ea, Ca, xa, beta, v)
     per_token = lse - o
+    check_finite_loss(per_token, keep)
     if keep is not None:
         per_token = np.where(keep, per_token, 0.0)
     total = _reduce(lse - o, reduction, keep)
@@ -119,7 +135,8 @@ def naive_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float
     the per-token weight, and contracts: grad_e = C A, grad_c = E A^T.
     """
     Ea, Ca, xa, n, v, d, keep = _validate(E, C, x, beta, reduction, ignore_mask)
-    z, lse, _ = _forward_arrays(Ea, Ca, xa, beta, v)
+    z, lse, o = _forward_arrays(Ea, Ca, xa, beta, v)
+    check_finite_loss(lse - o, keep)
     a = np.exp(z - lse)
     a[xa, np.arange(n)] -= 1.0 - beta
     a -= beta / v

@@ -77,28 +77,38 @@ class InvalidPlanError(ValueError):
 
 @dataclass(frozen=True)
 class DenseMatrix:
-    """(rows, cols) matrix of reals with 64-bit internal precision. The
-    matrices this module builds store it column-major (F-ordered), so that
-    a column is contiguous; the engines accept either order."""
+    """(rows, cols) matrix of reals with 64-bit internal precision: integer
+    and other float data are widened to a read-only float64 copy, and any
+    other dtype is refused. The matrices this module builds store it
+    column-major (F-ordered), so that a column is contiguous; the engines
+    accept either order."""
 
     rows: int
     cols: int
     data: np.ndarray
 
     def __post_init__(self):
-        if self.data.shape != (self.rows, self.cols):
+        a = np.asarray(self.data)
+        if a.dtype.kind not in "iuf":
+            raise ValueError(f"matrix data must be real numbers, got dtype {a.dtype}")
+        if a.shape != (self.rows, self.cols):
             raise ValueError(
-                f"data shape {self.data.shape} does not match "
+                f"data shape {a.shape} does not match "
                 f"declared {self.rows}x{self.cols}"
             )
+        if a.dtype != np.float64:
+            a = a.astype(np.float64)
+            a.setflags(write=False)
+        if a is not self.data:
+            object.__setattr__(self, "data", a)
 
     @classmethod
-    def from_array(cls, arr, require_finite: bool = True) -> "DenseMatrix":
+    def from_array(cls, arr) -> "DenseMatrix":
         """Copy a 2-D array-like into an immutable F-ordered float64 matrix."""
         a = np.array(arr, dtype=np.float64, order="F", copy=True)
         if a.ndim != 2:
             raise ValueError(f"expected a 2-D array, got ndim={a.ndim}")
-        return cls._wrap(a, require_finite=require_finite)
+        return cls._wrap(a)
 
     @classmethod
     def _wrap(cls, a: np.ndarray, require_finite: bool = True) -> "DenseMatrix":
@@ -519,7 +529,8 @@ def plan_blocks(
     one-token blocks.
 
     `d_block` is accepted and ignored: every backward product runs at full
-    depth. It is kept only for callers not yet updated, and goes with them.
+    depth. It stays only because `bench/test_bench.py` still passes it; the
+    first change allowed to edit `bench/` (ROADMAP item 1) drops both.
     """
     if n < 0 or v < 1 or d < 1:
         raise ValueError(f"need n >= 0 and v, d >= 1, got n={n}, v={v}, d={d}")

@@ -862,3 +862,49 @@ class TestComposition:
         assert np.array_equal(out1.per_token_loss, out2.per_token_loss)
         assert np.array_equal(g1.grad_e.data, g2.grad_e.data)
         assert np.array_equal(g1.grad_c.data, g2.grad_c.data)
+
+
+class TestInputs:
+    """Both engines take the same inputs and refuse the same results."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_narrow_matrices_match_their_float64_copies(self, dtype):
+        e, c, x = random_instance(3, n=16, v=64, d=8, scale=3.0)
+        narrow = [DenseMatrix(m.rows, m.cols, m.data.astype(dtype)) for m in (e, c)]
+        wide = [DenseMatrix.from_array(m.data) for m in narrow]
+        plan = plan_blocks(16, 64, 8, n_block=4, v_block=16)
+        got, want = loss_and_grad(*narrow, x, 0.1, plan), loss_and_grad(*wide, x, 0.1, plan)
+        assert np.array_equal(got[0].per_token_loss, want[0].per_token_loss)
+        assert np.array_equal(got[1].grad_e.data, want[1].grad_e.data)
+        assert np.array_equal(got[1].grad_c.data, want[1].grad_c.data)
+        naive = naive_forward(*narrow, x, 0.1)
+        assert np.array_equal(naive.per_token_loss,
+                              naive_forward(*wide, x, 0.1).per_token_loss)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", ["naive_forward", "naive_backward",
+                                      "blocked_forward", "loss_and_grad"])
+    def test_overflowing_logits_are_refused(self, call):
+        """Logits beyond float64 give no loss to report: every entry point
+        raises ValueError, on any worker count, and numpy warns nothing."""
+        e, c, x = random_instance(0, 8, 32, 4, 1e160)
+        for workers in (1, 3):
+            plan = plan_blocks(8, 32, 4, n_block=2, v_block=8, workers=workers)
+            runs = {"naive_forward": lambda: naive_forward(e, c, x, 0.1),
+                    "naive_backward": lambda: naive_backward(e, c, x, 0.1),
+                    "blocked_forward": lambda: blocked_forward(e, c, x, 0.1, plan),
+                    "loss_and_grad": lambda: loss_and_grad(e, c, x, 0.1, plan)}
+            with pytest.raises(ValueError, match="not finite"):
+                runs[call]()
+
+    def test_an_ignored_token_may_overflow(self):
+        """Only a kept token's loss must be finite."""
+        e, c, x = random_instance(0, 8, 32, 4, 0.5)
+        big = e.data.copy()
+        big[:, 3] = 1e308
+        e = DenseMatrix.from_array(big)
+        with pytest.raises(ValueError, match="token 3"):
+            naive_forward(e, c, x, 0.1)
+        mask = np.arange(8) == 3
+        out = naive_forward(e, c, x, 0.1, ignore_mask=mask)
+        assert np.isfinite(out.total) and out.per_token_loss[3] == 0.0

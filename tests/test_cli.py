@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, output formats, engine agreement,
 config files, and the environment fallback."""
 
+import argparse
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -12,8 +14,8 @@ import smoothce.cli
 from smoothce.blocked import loss_and_grad
 from smoothce.cli import main
 from smoothce.reference import Gradients
-from smoothce.tensors import (DenseMatrix, TokenSequence, random_instance, save_matrix,
-                              save_tokens)
+from smoothce.tensors import (BlockPlan, DenseMatrix, TokenSequence, random_instance,
+                              save_matrix, save_tokens)
 
 
 @pytest.fixture()
@@ -116,6 +118,23 @@ class TestLoss:
             assert main(argv) == 0
             assert total_from(capsys) == 0.0
 
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("engine", ["blocked", "naive"])
+    def test_overflowing_logits_are_a_data_error(self, tmp_path, capsys, engine):
+        """Logits beyond float64 give non-finite losses: one error line, no
+        numpy warning, no CSV and no total."""
+        files = tuple(str(tmp_path / f"{name}.sce1") for name in "ECx")
+        for obj, path in zip(random_instance(0, 8, 32, 4, 1e160), files):
+            (save_tokens if isinstance(obj, TokenSequence) else save_matrix)(obj, path)
+        out_csv = tmp_path / "per_token.csv"
+        argv = loss_args(files, engine=engine, per_token_csv=out_csv)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not finite" in err
+        assert not out_csv.exists()
 
     def test_path_arguments_act_like_strings(self, instance_files, capsys):
         """argv entries may be path objects, as in a programmatic call."""
@@ -428,6 +447,18 @@ class TestEntropy:
         assert "undercuts the closed-form bound" in err
         assert "at r=2.0, v=8" in err
 
+    def test_out_of_memory_is_a_data_error(self, tmp_path, monkeypatch, capsys):
+        """An oracle that cannot get its memory ends the run with one error
+        line and exit 1, not a traceback."""
+        def no_memory(r, v, **kw):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(smoothce.cli, "numeric_min_entropy", no_memory)
+        argv = ["entropy", "--v", "100000000000", "--rho", "1", "--verify",
+                "--restarts", "1", "--iterations", "1", "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 745. GiB for an array\n"
+
     def test_bad_vocab_rejected(self, tmp_path, capsys):
         assert main(["entropy", "--v", "1", "--out", str(tmp_path / "s.csv")]) == 1
 
@@ -532,6 +563,23 @@ class TestUsage:
         err = capsys.readouterr().err
         assert f"argument {flag}: expected {what}, got 'x'" in err
         assert "invalid" not in err
+
+    # each engine flag and the plan field it sets
+    PLAN_FLAGS = {"--n-block": "n_block", "--v-block": "v_block", "--threads": "workers"}
+
+    def test_engine_flags_map_one_to_one_onto_plan_fields(self):
+        """Every plan field has exactly one engine flag, and every engine
+        flag sets exactly one plan field."""
+        parser = argparse.ArgumentParser(add_help=False)
+        smoothce.cli._add_engine(parser)
+        flags = [a.option_strings[0] for a in parser._actions]
+        assert flags == list(self.PLAN_FLAGS)
+        assert [f.name for f in dataclasses.fields(BlockPlan)] == list(self.PLAN_FLAGS.values())
+        args = parser.parse_args(["--n-block", "3", "--v-block", "5", "--threads", "2"])
+        assert smoothce.cli._make_plan(args, 64, 512, 16) == BlockPlan(3, 5, workers=2)
+
+    def test_depth_block_flag_is_gone(self):
+        assert main(["gradcheck", "--d-block", "4"]) == 2
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

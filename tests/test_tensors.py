@@ -231,6 +231,16 @@ class TestContainers:
         with pytest.raises(ValueError):
             DenseMatrix(2, 2, np.zeros((2, 3)))
 
+    def test_real_data_is_widened_and_other_dtypes_refused(self):
+        for dtype in (np.float32, np.int64, np.uint8):
+            m = DenseMatrix(2, 3, np.arange(6, dtype=dtype).reshape(2, 3))
+            assert m.data.dtype == np.float64 and not m.data.flags.writeable
+            assert np.array_equal(m.data, np.arange(6.0).reshape(2, 3))
+        for bad in (np.ones((2, 3), bool), np.ones((2, 3), complex),
+                    np.full((2, 3), "1"), np.ones((2, 3), object)):
+            with pytest.raises(ValueError, match="real numbers"):
+                DenseMatrix(2, 3, bad)
+
     def test_from_array_rejects_nan(self):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
@@ -477,8 +487,8 @@ class TestPlanning:
         assert numpy_ints.workers == 2
 
     def test_workers_is_keyword_only(self):
-        """A positional third field would once have been a depth block;
-        it must not silently become a worker count."""
+        """A positional third argument must not silently become the
+        worker count."""
         with pytest.raises(TypeError):
             BlockPlan(8, 32, 4)
         assert BlockPlan(8, 32, workers=4).workers == 4
