@@ -45,14 +45,34 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _beta_arg(text: str) -> float:
-    try:
-        val = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"beta must be a number, got {text!r}")
-    if not 0.0 <= val <= 1.0:
-        raise argparse.ArgumentTypeError(f"beta must lie in [0, 1], got {text}")
-    return val
+def _unit_arg(what: str, *, with_one: bool):
+    """Type for a number in [0, 1], or in [0, 1) without `with_one`."""
+    interval = "[0, 1]" if with_one else "[0, 1)"
+
+    def parse(text: str) -> float:
+        try:
+            val = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{what} must be a number, got {text!r}")
+        if not (0.0 <= val <= 1.0 and (with_one or val < 1.0)):
+            raise argparse.ArgumentTypeError(f"{what} must lie in {interval}, got {text}")
+        return val
+    return parse
+
+
+_beta_arg = _unit_arg("beta", with_one=True)
+_filter_eps_arg = _unit_arg("filter epsilon", with_one=False)
+
+
+_PHASES = ("fwd", "bwd", "fwd_bwd")
+
+
+def _phase_arg(text: str) -> str:
+    phase = text.strip()
+    if phase not in _PHASES:
+        raise argparse.ArgumentTypeError(
+            f"unknown phase {phase!r}; expected one of {', '.join(_PHASES)}")
+    return phase
 
 
 def _int_at_least(low: int):
@@ -228,12 +248,6 @@ def _reported_peak(fn) -> int:
 def cmd_bench(args) -> int:
     n, v, d = args.n, args.v, args.d
     plan = _make_plan(args, n, v, d)
-    phases = [p.strip() for p in args.phases.split(",") if p.strip()]
-    if not phases:
-        raise ValueError(f"--phases lists no phase: {args.phases!r}")
-    for p in phases:
-        if p not in ("fwd", "bwd", "fwd_bwd"):
-            raise ValueError(f"unknown phase {p!r}")
 
     emb, cls, tgt = random_instance(args.seed, n, v, d, args.scale)
     rows = []
@@ -258,7 +272,7 @@ def cmd_bench(args) -> int:
                 "bwd": lambda: naive_backward(emb, cls, tgt, beta),
                 "fwd_bwd": naive_both}))
         for method, meter, bound, runners in methods:
-            for phase in phases:
+            for phase in args.phases:
                 peak = meter(runners[phase])
                 if args.deterministic:
                     wall = None
@@ -412,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="blocked-vs-analytic tolerance (default 1e-9, or 1e-3 "
                         "when filtering)")
     p.add_argument("--tol-fd", type=_positive_float, default=1e-4)
-    p.add_argument("--filter-eps", type=float, default=0.0)
+    p.add_argument("--filter-eps", type=_filter_eps_arg, default=0.0)
     p.add_argument("--skip-fd", action=_BOOL, default=False)
     _add_engine(p)
     p.set_defaults(func=cmd_gradcheck)
@@ -422,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=_positive_int, default=16384)
     p.add_argument("--d", type=_positive_int, default=64)
     p.add_argument("--betas", type=_list_arg(_beta_arg, "betas"), default=[0.0, 0.1])
-    p.add_argument("--phases", default="fwd,bwd,fwd_bwd")
+    p.add_argument("--phases", type=_list_arg(_phase_arg, "phases"),
+                   default=",".join(_PHASES))
     p.add_argument("--repetitions", type=_int_at_least(3), default=10)
     p.add_argument("--warmups", type=_int_at_least(0), default=3)
     p.add_argument("--seed", type=int, default=0)

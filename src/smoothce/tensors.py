@@ -12,7 +12,9 @@ supported at the file boundary only (widened on load). Matrices are stored
 column-major (F-ordered), so each column, one token's or one vocabulary
 entry's D-vector, is contiguous; SCE1 files stay row-major. Every container
 in this module is immutable after construction and safe to share across
-threads.
+threads: a `DenseMatrix` keeps a read-only float64 array that owns its
+memory, copies anything else, and refuses non-finite data, whichever way
+it is built.
 """
 
 from __future__ import annotations
@@ -77,11 +79,16 @@ class InvalidPlanError(ValueError):
 
 @dataclass(frozen=True)
 class DenseMatrix:
-    """(rows, cols) matrix of reals with 64-bit internal precision: integer
-    and other float data are widened to a read-only float64 copy, and any
-    other dtype is refused. The matrices this module builds store it
-    column-major (F-ordered), so that a column is contiguous; the engines
-    accept either order."""
+    """(rows, cols) matrix of finite reals with 64-bit internal precision.
+
+    Every way of building one ends in `__post_init__`, which holds the one
+    rule: a read-only float64 array that owns its memory is kept as it is;
+    any other real data (a writable array, a view, another dtype) is copied
+    to float64; other dtypes and non-finite entries are refused. The kept
+    or copied array is read-only, so no later write by the caller shows
+    through, and the engines may read it in place from several threads.
+    The matrices this module builds store it column-major (F-ordered), so
+    that a column is contiguous; the engines accept either order."""
 
     rows: int
     cols: int
@@ -96,11 +103,14 @@ class DenseMatrix:
                 f"data shape {a.shape} does not match "
                 f"declared {self.rows}x{self.cols}"
             )
-        if a.dtype != np.float64:
-            a = a.astype(np.float64)
-            a.setflags(write=False)
-        if a is not self.data:
-            object.__setattr__(self, "data", a)
+        if a.dtype != np.float64 or a.flags.writeable or not a.flags.owndata:
+            a = np.array(a, dtype=np.float64)
+        # min and max propagate NaN and surface +-inf, so the check
+        # allocates nothing the size of `a`.
+        if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+            raise ValueError("matrix contains non-finite entries")
+        a.setflags(write=False)
+        object.__setattr__(self, "data", a)
 
     @classmethod
     def from_array(cls, arr) -> "DenseMatrix":
@@ -111,12 +121,9 @@ class DenseMatrix:
         return cls._wrap(a)
 
     @classmethod
-    def _wrap(cls, a: np.ndarray, require_finite: bool = True) -> "DenseMatrix":
-        # Takes ownership of `a`; no copy. min and max propagate NaN and
-        # surface +-inf, so the check allocates nothing the size of `a`.
-        if require_finite and a.size and not (np.isfinite(a.min())
-                                              and np.isfinite(a.max())):
-            raise ValueError("matrix contains non-finite entries")
+    def _wrap(cls, a: np.ndarray) -> "DenseMatrix":
+        # The zero-copy hand-off of an array the caller owns and drops:
+        # frozen here, it is kept by the constructor's checks.
         a.setflags(write=False)
         return cls(a.shape[0], a.shape[1], a)
 
@@ -264,10 +271,11 @@ def load_matrix(path) -> DenseMatrix:
             block = buf[:(r1 - r0) * cols]
             if fh.readinto(block) != block.nbytes:
                 raise TruncatedPayloadError(f"{path}: payload ended early")
-            if not np.isfinite(block).all():
-                raise NonFiniteDataError(f"{path}: payload contains non-finite entries")
             out[r0:r1] = block.reshape(r1 - r0, cols)
-    return DenseMatrix._wrap(out, require_finite=False)
+    try:
+        return DenseMatrix._wrap(out)
+    except ValueError as exc:  # the shape and dtype hold, so it is finiteness
+        raise NonFiniteDataError(f"{path}: payload contains non-finite entries") from exc
 
 
 def save_matrix(m: DenseMatrix, path, dtype: str = "f64") -> None:
@@ -305,7 +313,7 @@ def load_tokens(path) -> TokenSequence:
             raise UnsupportedDtypeError(f"{path}: token sequences require cols=1, got {cols}")
         dtype = _check_payload_size(fh, code, rows, cols, path)
         values = np.frombuffer(fh.read(), dtype=dtype)
-    return TokenSequence(values.astype(np.int64))
+    return TokenSequence(values)
 
 
 def save_tokens(x: TokenSequence, path) -> None:

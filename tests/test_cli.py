@@ -182,6 +182,14 @@ class TestGradcheck:
         out, err = capsys.readouterr()
         assert out == "" and flag in err
 
+    @pytest.mark.parametrize("value", ["2", "1", "-0.5", "nan", "x"])
+    def test_bad_filter_eps_is_usage_error_before_any_output(self, value, capsys):
+        """An epsilon outside [0, 1) used to exit 1, and only after a full
+        naive backward and a blocked forward."""
+        assert main(["gradcheck", f"--filter-eps={value}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--filter-eps" in err
+
     def test_corrupted_gradient_fails(self, capsys, monkeypatch):
         def corrupted(*args, **kwargs):
             out, grads, stats = loss_and_grad(*args, **kwargs)
@@ -304,7 +312,7 @@ class TestBench:
 
         code_bad, _ = run(bad)
         code, err = run(empty)
-        assert code == code_bad != 0
+        assert code == code_bad == 2
         assert flag in err
         assert not out.exists()
 

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from smoothce.blocked import loss_and_grad
 from smoothce.entropy import (
     BoundParams,
     effective_params,
@@ -19,6 +20,7 @@ from smoothce.entropy import (
     shannon_entropy,
 )
 from smoothce.reductions import softmax
+from smoothce.tensors import DenseMatrix, plan_blocks, random_instance
 
 
 class TestNormBound:
@@ -266,3 +268,49 @@ class TestEffectiveParams:
     def test_budget_invariant_maintained(self):
         q = effective_params(BoundParams(0.8, 1.1, 25, 77), temperature=3.0)
         assert q.r == pytest.approx(q.rho * math.sqrt(q.d), rel=1e-12)
+
+
+class TestEngineMeetsTheFloor:
+    """A head trained by the blocked engine under the norm budget of
+    `BoundParams` never goes below the closed-form floor."""
+
+    SIGMA_C, SIGMA_H, STEPS = 4.0, 1.0, 200
+
+    def _project(self, e, c):
+        """Clip E entrywise to sigma_h and scale C down to spectral norm
+        sigma_c, so every logit vector has ||C^T h|| <= sigma_c sigma_h sqrt(d)."""
+        np.clip(e, -self.SIGMA_H, self.SIGMA_H, out=e)
+        top = np.linalg.norm(c, 2)
+        if top > self.SIGMA_C:
+            c *= self.SIGMA_C / top
+
+    @staticmethod
+    def _token_entropies(e, c):
+        z = c.T @ e
+        z -= z.max(axis=0)
+        w = np.exp(z)
+        s = w.sum(axis=0)
+        return np.log(s) - (w * z).sum(axis=0) / s
+
+    @pytest.mark.parametrize("beta", [0.0, 0.1])
+    @pytest.mark.parametrize("d", [2, 8, 32])
+    @pytest.mark.parametrize("v", [16, 256])
+    def test_descent_never_undercuts_the_floor(self, v, d, beta):
+        n = 64
+        emb, cls, x = random_instance(7, n, v, d, 0.5)
+        plan = plan_blocks(n, v, d, workers=1)
+        floor = entropy_lower_bound(BoundParams(self.SIGMA_C, self.SIGMA_H, d, v))
+        e, c = emb.data.copy(), cls.data.copy()
+        self._project(e, c)
+        start = lowest = self._token_entropies(e, c).min()
+        for _ in range(self.STEPS):
+            _, grads, _ = loss_and_grad(DenseMatrix.from_array(e), DenseMatrix.from_array(c),
+                                        x, beta, plan, reduction="mean")
+            # a step of n moves each token's column as a unit step on the sum would
+            e -= n * grads.grad_e.data
+            c -= n * grads.grad_c.data
+            self._project(e, c)
+            low = self._token_entropies(e, c).min()
+            assert low >= floor - 1e-9
+            lowest = min(lowest, low)
+        assert lowest < start

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothce import tensors
+from smoothce.blocked import loss_and_grad
+from smoothce.reference import naive_backward
 from smoothce.tensors import (
     BadMagicError,
     BlockPlan,
@@ -192,7 +194,7 @@ class TestFileFormat:
         payload = bytearray(rows * cols * struct.calcsize(fmt))
         struct.pack_into(fmt, payload, len(payload) - struct.calcsize(fmt), math.inf)
         path.write_bytes(struct.pack("<4sB3xQQ4x", b"SCE1", code, rows, cols) + payload)
-        with pytest.raises(NonFiniteDataError):
+        with pytest.raises(NonFiniteDataError, match="late.sce1"):
             load_matrix(path)
 
     def test_truncation_is_found_before_reading(self, tmp_path):
@@ -251,6 +253,60 @@ class TestContainers:
         m = DenseMatrix.from_array([[1.0]])
         with pytest.raises(ValueError):
             m.data[0, 0] = 2.0
+
+    def test_later_write_to_the_source_does_not_show(self):
+        """A writable float64 source used to be kept as it was, so a later
+        write changed the matrix."""
+        a = np.zeros((2, 3))
+        m = DenseMatrix(2, 3, a)
+        a[0, 0] = 7.0
+        assert m.data[0, 0] == 0.0 and not m.data.flags.writeable
+        with pytest.raises(ValueError):
+            m.data[0, 0] = 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_constructor_refuses_non_finite_data(self, bad):
+        """The direct constructor used to accept non-finite float64 data."""
+        with pytest.raises(ValueError, match="non-finite"):
+            DenseMatrix(1, 2, np.array([[bad, 1.0]]))
+        kept = np.array([[1.0, bad]])
+        kept.setflags(write=False)
+        with pytest.raises(ValueError, match="non-finite"):
+            DenseMatrix(1, 2, kept)
+
+    def test_owned_read_only_float64_is_kept(self):
+        a = np.ones((2, 3), order="F")
+        a.setflags(write=False)
+        assert DenseMatrix(2, 3, a).data is a
+
+    def test_read_only_view_is_copied(self):
+        """A read-only view shares memory with an array someone may still
+        write, so it is copied like a writable array."""
+        row = np.arange(3.0)
+        a = np.broadcast_to(row, (2, 3))
+        m = DenseMatrix(2, 3, a)
+        assert m.data is not a and not np.shares_memory(m.data, row)
+        row[0] = 5.0
+        assert np.array_equal(m.data, [[0.0, 1.0, 2.0]] * 2)
+
+    def test_built_matrices_are_handed_over_without_a_copy(self, tmp_path, monkeypatch):
+        """The generator, the loader and both engines' gradients hand their
+        fresh arrays to `_wrap`, which keeps each one."""
+        handed = []
+        wrap = DenseMatrix._wrap.__func__
+
+        def spy(cls, a):
+            m = wrap(cls, a)
+            handed.append(m.data is a)
+            return m
+
+        monkeypatch.setattr(DenseMatrix, "_wrap", classmethod(spy))
+        e, c, x = random_instance(3, 8, 16, 4, 0.5)
+        save_matrix(c, tmp_path / "c.sce1")
+        load_matrix(tmp_path / "c.sce1")
+        loss_and_grad(e, c, x, 0.1, plan_blocks(8, 16, 4, workers=1))
+        naive_backward(e, c, x, 0.1)
+        assert handed == [True] * 7
 
     def test_token_vocab_check(self):
         x = TokenSequence(np.array([0, 5, 2]))
