@@ -357,7 +357,7 @@ def _columns(col: np.ndarray, k: int) -> np.ndarray:
 
 
 def blocked_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
-                    plan: BlockPlan, reduction: str = "sum"):
+                    plan: BlockPlan, *, reduction: str = "sum"):
     """Tiled smoothed cross-entropy forward pass on the plan's worker
     count; for given tile sizes the result does not depend on the count.
 
@@ -407,7 +407,7 @@ def blocked_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: floa
 
 
 def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
-                     plan: BlockPlan, lse: np.ndarray, upstream: float = 1.0,
+                     plan: BlockPlan, lse: np.ndarray, *, upstream: float = 1.0,
                      filter_epsilon: float = 0.0,
                      reduction: str = "sum"):
     """Tiled backward pass from inputs plus the forward's LSE vector, on
@@ -479,14 +479,14 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
 
 
 def loss_and_grad(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
-                  plan: BlockPlan, filter_epsilon: float = 0.0,
+                  plan: BlockPlan, *, filter_epsilon: float = 0.0,
                   reduction: str = "sum", upstream: float = 1.0):
     """Forward followed by recompute-based backward, both on the plan's
     worker count; stats take the max of the two peaks and sum the tile
     counters."""
-    out, fstats = blocked_forward(E, C, x, beta, plan, reduction)
-    grads, bstats = blocked_backward(E, C, x, beta, plan, out.lse, upstream,
-                                     filter_epsilon, reduction)
+    out, fstats = blocked_forward(E, C, x, beta, plan, reduction=reduction)
+    grads, bstats = blocked_backward(E, C, x, beta, plan, out.lse, upstream=upstream,
+                                     filter_epsilon=filter_epsilon, reduction=reduction)
     stats = MemoryStats(
         max(fstats.peak_auxiliary_bytes, bstats.peak_auxiliary_bytes),
         fstats.tiles_processed + bstats.tiles_processed,

@@ -2,6 +2,9 @@
 calibration reports, and entropy-floor sweeps.
 
 Exit codes: 0 success, 1 data or verification failure, 2 usage error.
+Every flag value is checked as it is parsed, by a type that `_checked`
+builds, so a bad value exits 2 naming the flag before any work or output;
+the command bodies check no flag of their own.
 Every flag can also be supplied through `--config FILE` (one `key=value`
 per line, hyphen or underscore keys); command-line flags win over the file.
 """
@@ -45,80 +48,44 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _unit_arg(what: str, *, with_one: bool):
-    """Type for a number in [0, 1], or in [0, 1) without `with_one`."""
-    interval = "[0, 1]" if with_one else "[0, 1)"
-
-    def parse(text: str) -> float:
+def _checked(cast, ok, what: str):
+    """Argparse type: `cast` the text and keep the value if `ok` accepts
+    it; otherwise, or if the cast fails, refuse it as "expected <what>"."""
+    def parse(text: str):
         try:
-            val = float(text)
+            val = cast(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{what} must be a number, got {text!r}")
-        if not (0.0 <= val <= 1.0 and (with_one or val < 1.0)):
-            raise argparse.ArgumentTypeError(f"{what} must lie in {interval}, got {text}")
-        return val
+            pass
+        else:
+            if ok(val):
+                return val
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
     return parse
 
 
-_beta_arg = _unit_arg("beta", with_one=True)
-_filter_eps_arg = _unit_arg("filter epsilon", with_one=False)
-
-
-_PHASES = ("fwd", "bwd", "fwd_bwd")
-
-
-def _phase_arg(text: str) -> str:
-    phase = text.strip()
-    if phase not in _PHASES:
-        raise argparse.ArgumentTypeError(
-            f"unknown phase {phase!r}; expected one of {', '.join(_PHASES)}")
-    return phase
-
-
-def _int_at_least(low: int):
-    """Type for an integer flag whose value must be at least `low`."""
-    what = {0: "a nonnegative integer", 1: "a positive integer"}.get(
-        low, f"an integer >= {low}")
-
-    def parse(text: str) -> int:
-        try:
-            val = int(text)
-        except ValueError:
-            val = low - 1  # rejected below like an out-of-range value
-        if val < low:
-            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
-        return val
-    return parse
-
-
-_positive_int = _int_at_least(1)
-
-
-def _positive_float(text: str) -> float:
-    try:
-        val = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not 0 < val < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text}")
-    return val
-
-
-def _list_arg(cast, what: str):
-    """Type for a non-empty comma-separated list flag."""
+def _list_arg(item, what: str):
+    """Type for a non-empty comma-separated list of `what`, each entry
+    parsed by the type `item`."""
     def parse(text: str) -> list:
-        try:
-            vals = [cast(tok) for tok in text.split(",") if tok.strip() != ""]
-        except ValueError:
-            vals = []
+        vals = [item(tok) for tok in text.split(",") if tok.strip()]
         if not vals:
             raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
         return vals
     return parse
 
 
-_float_list = _list_arg(float, "numbers")
-_int_list = _list_arg(int, "integers")
+def _one_of(names):
+    return _checked(str.strip, names.__contains__, f"one of {', '.join(names)}")
+
+
+_PHASES = ("fwd", "bwd", "fwd_bwd")
+_METRICS = ("ece", "rms_ce", "sce", "ace")
+
+_int = _checked(int, lambda n: True, "an integer")
+_nonnegative_int = _checked(int, lambda n: n >= 0, "a nonnegative integer")
+_positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
+_positive_float = _checked(float, lambda x: 0 < x < math.inf, "a finite positive number")
+_beta_arg = _checked(float, lambda x: 0 <= x <= 1, "a number in [0, 1]")
 
 
 def _open_out(path):
@@ -296,12 +263,8 @@ def cmd_calibrate(args) -> int:
     if not records:
         raise ValueError(f"{args.records} holds no records")
 
-    if args.metrics is not None:
-        wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
-        if not wanted:
-            raise ValueError(f"--metrics lists no metric: {args.metrics!r}")
-    else:
-        wanted = ["ece", "rms_ce"] + (["sce", "ace"] if records.probs is not None else [])
+    wanted = args.metrics or (
+        ["ece", "rms_ce"] + (["sce", "ace"] if records.probs is not None else []))
 
     n = len(records)
     m = args.bins
@@ -323,11 +286,9 @@ def cmd_calibrate(args) -> int:
         elif name == "sce":
             rows.append(("sce", m, "equal_width",
                          sce(records.probs, records.labels, m)))
-        elif name == "ace":
+        else:
             rows.append(("ace", m, "equal_mass",
                          ace(records.probs, records.labels, m, args.ace_empty)))
-        else:
-            raise ValueError(f"unknown metric {name!r}")
 
     _write_csv(args.out, ("metric", "bins", "scheme", "value"), rows)
     if args.reliability_csv:
@@ -342,11 +303,7 @@ def cmd_entropy(args) -> int:
     checks = []
     for d in args.d:
         for v in args.v:
-            if v < 2:
-                raise ValueError(f"vocabulary sizes must be >= 2, got {v}")
             for rho in args.rho:
-                if not 0 <= rho < math.inf:
-                    raise ValueError(f"rho must be finite and nonnegative, got {rho}")
                 base = BoundParams(sigma_c=rho, sigma_h=1.0, d=d, v=v)
                 p = effective_params(base, args.temperature, args.softcap)
                 bound = entropy_lower_bound(p)
@@ -417,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=_positive_int, default=64)
     p.add_argument("--d", type=_positive_int, default=8)
     p.add_argument("--beta", type=_beta_arg, default=0.1)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--scale", type=float, default=0.5)
+    p.add_argument("--seed", type=_int, default=1)
+    p.add_argument("--scale", type=_positive_float, default=0.5)
     p.add_argument("--reduction", choices=("sum", "mean"), default="sum")
     p.add_argument("--h", type=_positive_float, default=1e-3,
                    help="finite-difference step")
@@ -426,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="blocked-vs-analytic tolerance (default 1e-9, or 1e-3 "
                         "when filtering)")
     p.add_argument("--tol-fd", type=_positive_float, default=1e-4)
-    p.add_argument("--filter-eps", type=_filter_eps_arg, default=0.0)
+    p.add_argument("--filter-eps", default=0.0,
+                   type=_checked(float, lambda x: 0 <= x < 1, "a number in [0, 1)"))
     p.add_argument("--skip-fd", action=_BOOL, default=False)
     _add_engine(p)
     p.set_defaults(func=cmd_gradcheck)
@@ -436,12 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=_positive_int, default=16384)
     p.add_argument("--d", type=_positive_int, default=64)
     p.add_argument("--betas", type=_list_arg(_beta_arg, "betas"), default=[0.0, 0.1])
-    p.add_argument("--phases", type=_list_arg(_phase_arg, "phases"),
+    p.add_argument("--phases", type=_list_arg(_one_of(_PHASES), "phases"),
                    default=",".join(_PHASES))
-    p.add_argument("--repetitions", type=_int_at_least(3), default=10)
-    p.add_argument("--warmups", type=_int_at_least(0), default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale", type=float, default=0.02)
+    p.add_argument("--repetitions", default=10,
+                   type=_checked(int, lambda n: n >= 3, "an integer >= 3"))
+    p.add_argument("--warmups", type=_nonnegative_int, default=3)
+    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--scale", type=_positive_float, default=0.02)
     p.add_argument("--skip-naive", action=_BOOL, default=False)
     p.add_argument("--out", default="-")
     _add_engine(p)
@@ -453,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("calibrate", help="calibration metrics from JSONL records")
     p.add_argument("--records", required=True)
     p.add_argument("--bins", type=_positive_int, default=10)
-    p.add_argument("--metrics", default=None,
+    p.add_argument("--metrics", type=_list_arg(_one_of(_METRICS), "metrics"),
+                   default=None,
                    help="comma list from ece,rms_ce,sce,ace (default: all applicable)")
     p.add_argument("--ace-empty", choices=("skip", "zero"), default="skip")
     p.add_argument("--out", default="-")
@@ -463,18 +423,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = subs.add_parser("entropy", help="entropy-floor sweeps over (d, v, rho)")
-    p.add_argument("--d", type=_int_list, default=[1, 64])
-    p.add_argument("--v", type=_int_list, default=[2, 16, 256])
-    p.add_argument("--rho", type=_float_list, default=[0.0, 0.5, 2.0])
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--softcap", type=float, default=None)
+    p.add_argument("--d", type=_list_arg(_positive_int, "positive integers"),
+                   default=[1, 64])
+    p.add_argument("--v", default=[2, 16, 256], type=_list_arg(
+        _checked(int, lambda n: n >= 2, "an integer >= 2"), "integers >= 2"))
+    p.add_argument("--rho", default=[0.0, 0.5, 2.0], type=_list_arg(
+        _checked(float, lambda x: 0 <= x < math.inf, "a finite nonnegative number"),
+        "finite nonnegative numbers"))
+    p.add_argument("--temperature", type=_positive_float, default=None)
+    p.add_argument("--softcap", type=_positive_float, default=None)
     p.add_argument("--out", default="-")
     p.add_argument("--verify", action=_BOOL, default=False,
                    help="run the projected-gradient oracle and fail if it "
                         "undercuts the bound")
     p.add_argument("--restarts", type=_positive_int, default=16)
     p.add_argument("--iterations", type=_positive_int, default=1500)
-    p.add_argument("--oracle-seed", type=int, default=0)
+    p.add_argument("--oracle-seed", type=_nonnegative_int, default=0)
     p.set_defaults(func=cmd_entropy)
 
     for p in subs.choices.values():
@@ -516,7 +480,7 @@ def _expand_config(argv: list[str]) -> list[str]:
                                     else f"--no-{key}")
                 else:
                     injected.append(f"--{key}={value}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {cfg_path}: {exc}")
     return [sub] + injected + rest
 

@@ -113,6 +113,12 @@ def shannon_entropy(prob: np.ndarray) -> float:
     return float(-terms.sum())
 
 
+# The oracle's largest norm budget: the squared row norms u . u overflow
+# float64 above about 1.3e154, and at this budget the closed-form floor is
+# already exactly 0.
+_MAX_ORACLE_BUDGET = 1e150
+
+
 def numeric_min_entropy(r: float | Sequence[float], v: int, restarts: int = 64,
                         iterations: int = 5000, step: float = 0.1,
                         seed: int = 0) -> float | list[float]:
@@ -131,13 +137,15 @@ def numeric_min_entropy(r: float | Sequence[float], v: int, restarts: int = 64,
 
     Rows never mix, so a budget's value does not depend on which others
     share the call: a batched call equals the single-budget calls bit for
-    bit. See `_descend` for the step and its memory.
+    bit. See `_descend` for the step and its memory. Each budget must lie
+    in (0, 1e150].
     """
     radii = np.asarray(r, dtype=np.float64)
     if radii.ndim > 1 or radii.size == 0:
         raise ValueError(f"r must be one norm budget or a non-empty 1-D sequence, got {r!r}")
-    if not np.all((radii > 0) & (radii < math.inf)):
-        raise ValueError(f"r: norm budgets must be finite and positive, got {r!r}")
+    if not np.all((radii > 0) & (radii <= _MAX_ORACLE_BUDGET)):
+        raise ValueError(f"r: norm budgets must lie in (0, {_MAX_ORACLE_BUDGET:g}], "
+                         f"got {r!r}")
     if v < 2:
         raise ValueError(f"v: vocabulary size must be >= 2, got {v}")
     if restarts < 1:

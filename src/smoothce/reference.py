@@ -106,7 +106,7 @@ def _forward_arrays(Ea, Ca, xa, beta: float, v: int):
     return z, lse, o
 
 
-def naive_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
+def naive_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float, *,
                   reduction: str = "sum", ignore_mask=None) -> LossOutput:
     """Smoothed cross-entropy by materializing all logits.
 
@@ -125,7 +125,7 @@ def naive_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
     return LossOutput(lse, o, per_token, total, reduction)
 
 
-def naive_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
+def naive_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float, *,
                    reduction: str = "sum", upstream: float = 1.0,
                    ignore_mask=None) -> Gradients:
     """Exact gradients of the reduced loss with respect to E and C.
@@ -147,7 +147,7 @@ def naive_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float
 
 
 def finite_diff_grad(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
-                     h: float, reduction: str = "sum",
+                     h: float, *, reduction: str = "sum",
                      ignore_mask=None) -> Gradients:
     """Central-difference gradient of the reduced loss, entry by entry.
 

@@ -11,10 +11,11 @@ All numeric payloads are held in 64-bit floats internally; 32-bit storage is
 supported at the file boundary only (widened on load). Matrices are stored
 column-major (F-ordered), so each column, one token's or one vocabulary
 entry's D-vector, is contiguous; SCE1 files stay row-major. Every container
-in this module is immutable after construction and safe to share across
+in this module is read-only after construction and safe to share across
 threads: a `DenseMatrix` keeps a read-only float64 array that owns its
 memory, copies anything else, and refuses non-finite data, whichever way
-it is built.
+it is built. A kept array is not copied, so a writable view that the
+caller made of it before freezing it still writes through.
 """
 
 from __future__ import annotations
@@ -85,8 +86,9 @@ class DenseMatrix:
     rule: a read-only float64 array that owns its memory is kept as it is;
     any other real data (a writable array, a view, another dtype) is copied
     to float64; other dtypes and non-finite entries are refused. The kept
-    or copied array is read-only, so no later write by the caller shows
-    through, and the engines may read it in place from several threads.
+    or copied array is read-only, and the engines may read it in place
+    from several threads. A kept array is not copied: a writable view the
+    caller made of it before freezing it still writes through.
     The matrices this module builds store it column-major (F-ordered), so
     that a column is contiguous; the engines accept either order."""
 

@@ -23,7 +23,7 @@ from smoothce.blocked import (
     loss_and_grad,
 )
 from smoothce.memtrack import TrackingAllocator
-from smoothce.reference import naive_backward, naive_forward
+from smoothce.reference import finite_diff_grad, naive_backward, naive_forward
 from smoothce.tensors import (
     BlockPlan,
     DenseMatrix,
@@ -908,3 +908,19 @@ class TestInputs:
         mask = np.arange(8) == 3
         out = naive_forward(e, c, x, 0.1, ignore_mask=mask)
         assert np.isfinite(out.total) and out.per_token_loss[3] == 0.0
+
+    def test_engine_options_are_keyword_only(self):
+        """Each entry took its options in its own positional order; now a
+        positional option is refused."""
+        e, c, x = random_instance(0, 4, 16, 4, 0.5)
+        plan = plan_blocks(4, 16, 4, n_block=2, v_block=8)
+        lse = naive_forward(e, c, x, 0.1).lse
+        calls = [lambda: naive_forward(e, c, x, 0.1, "mean"),
+                 lambda: naive_backward(e, c, x, 0.1, "mean"),
+                 lambda: finite_diff_grad(e, c, x, 0.1, 1e-3, "mean"),
+                 lambda: blocked_forward(e, c, x, 0.1, plan, "mean"),
+                 lambda: blocked_backward(e, c, x, 0.1, plan, lse, 1.0),
+                 lambda: loss_and_grad(e, c, x, 0.1, plan, 0.0)]
+        for call in calls:
+            with pytest.raises(TypeError, match="positional argument"):
+                call()

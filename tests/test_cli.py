@@ -170,8 +170,10 @@ class TestGradcheck:
 
     @pytest.mark.parametrize("scale", ["inf", "nan", "0"])
     def test_bad_scale_names_the_input(self, scale, capsys):
-        assert main(["gradcheck", "--scale", scale]) == 1
-        assert "scale must be finite and positive" in capsys.readouterr().err
+        """Such a scale used to exit 1, refused by the generator."""
+        assert main(["gradcheck", "--scale", scale]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "argument --scale" in err
 
     @pytest.mark.parametrize("flag, value", [
         ("--tol-fd", "nan"), ("--tol-fd", "-1"), ("--tol-analytic", "nan"),
@@ -370,19 +372,19 @@ class TestCalibrate:
     @pytest.mark.parametrize("metrics", [",", "", " , "])
     def test_empty_metrics_list_is_an_error(self, calibration_file, tmp_path,
                                             capsys, metrics):
-        """An empty list fails like an unknown metric and writes no CSV,
-        where it used to write a bare header and exit 0."""
+        """An empty list fails like an unknown metric, a usage error before
+        any output; both used to exit 1 after the records were read."""
         out = tmp_path / "metrics.csv"
 
         def run(value):
             argv = ["calibrate", "--records", calibration_file, "--metrics", value,
                     "--out", str(out)]
-            return main(argv), capsys.readouterr().err
+            return main(argv), capsys.readouterr()
 
         code_bad, _ = run("ece,nope")
-        code, err = run(metrics)
-        assert code == code_bad == 1
-        assert "--metrics" in err
+        code, (stdout, err) = run(metrics)
+        assert code == code_bad == 2
+        assert stdout == "" and "argument --metrics" in err
         assert not out.exists()
 
     def test_bad_record_line_reported(self, tmp_path, capsys):
@@ -468,18 +470,33 @@ class TestEntropy:
         assert capsys.readouterr().err == "error: Unable to allocate 745. GiB for an array\n"
 
     def test_bad_vocab_rejected(self, tmp_path, capsys):
-        assert main(["entropy", "--v", "1", "--out", str(tmp_path / "s.csv")]) == 1
+        """A vocabulary below 2 used to exit 1, refused in the command body."""
+        out = tmp_path / "s.csv"
+        assert main(["entropy", "--v", "1", "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "argument --v" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("rho", ["nan", "inf", "-inf"])
     def test_non_finite_rho_rejected(self, rho, tmp_path, capsys):
         """NaN and inf budgets used to write NaN rows, and `--verify` then
-        passed, since no oracle value compares below NaN."""
+        passed, since no oracle value compares below NaN; later they
+        exited 1, refused in the command body."""
         out = tmp_path / "s.csv"
         argv = ["entropy", "--d", "4", "--v", "4", f"--rho={rho}", "--verify",
                 "--out", str(out)]
-        assert main(argv) == 1
-        assert "rho must be finite" in capsys.readouterr().err
+        assert main(argv) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "argument --rho" in err
         assert not out.exists()
+
+    def test_budget_beyond_the_oracle_is_a_data_error(self, tmp_path, capsys):
+        """The oracle used to warn of a division by zero here and pass."""
+        argv = ["entropy", "--d", "1", "--v", "2", "--rho", "1e300", "--verify",
+                "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: r: ") and err.count("\n") == 1
 
 
 class TestConfigAndEnv:
@@ -522,6 +539,14 @@ class TestConfigAndEnv:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("this line has no equals sign\n")
         assert main(loss_args(instance_files) + ["--config", str(cfg)]) == 2
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        """Such a file used to end in a UnicodeDecodeError traceback."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"n=\xff\n")
+        assert main(["entropy", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"usage error: cannot read config {cfg}: ")
 
     def test_env_thread_fallback(self, instance_files, capsys, monkeypatch):
         monkeypatch.setenv("SCE_THREADS", "2")
@@ -571,6 +596,47 @@ class TestUsage:
         err = capsys.readouterr().err
         assert f"argument {flag}: expected {what}, got 'x'" in err
         assert "invalid" not in err
+
+    # every range-checked flag of each command, with a non-number (an
+    # unknown name for the name lists) and a value out of its range (an
+    # empty list; for --seed, which takes any integer, a fraction)
+    ENGINE = {"--n-block": ("x", "0"), "--v-block": ("x", "-1"), "--threads": ("x", "0")}
+    BAD_VALUES = {
+        "loss": {"--beta": ("x", "1.5"), **ENGINE},
+        "gradcheck": {"--n": ("x", "0"), "--v": ("x", "0"), "--d": ("x", "0"),
+                      "--beta": ("x", "-0.1"), "--seed": ("x", "1.5"),
+                      "--scale": ("x", "0"), "--h": ("x", "0"),
+                      "--tol-analytic": ("x", "-1"), "--tol-fd": ("x", "inf"),
+                      "--filter-eps": ("x", "1"), **ENGINE},
+        "bench": {"--n": ("x", "0"), "--v": ("x", "0"), "--d": ("x", "0"),
+                  "--betas": ("0,x", "0,1.5"), "--phases": ("fwd,nope", ","),
+                  "--repetitions": ("x", "2"), "--warmups": ("x", "-1"),
+                  "--seed": ("x", "1.5"), "--scale": ("x", "nan"), **ENGINE},
+        "calibrate": {"--bins": ("x", "0"), "--metrics": ("ece,nope", ",")},
+        "entropy": {"--d": ("x", "0"), "--v": ("x", "1"), "--rho": ("x", "nan"),
+                    "--temperature": ("x", "0"), "--softcap": ("x", "-1"),
+                    "--restarts": ("x", "0"), "--iterations": ("x", "0"),
+                    "--oracle-seed": ("x", "-1")},
+    }
+
+    @pytest.mark.parametrize("sub, flag, value", [
+        (sub, flag, value) for sub, flags in BAD_VALUES.items()
+        for flag, values in flags.items() for value in values])
+    def test_bad_value_is_usage_error_before_any_output(
+            self, sub, flag, value, instance_files, calibration_file, tmp_path, capsys):
+        """Each flag's values are checked as it is parsed, by one message
+        form; ten of these used to exit 1 from the command body or the
+        library, and `--oracle-seed -1` only after writing its CSV."""
+        out = tmp_path / "out.csv"
+        argv = {"loss": loss_args(instance_files) + ["--per-token-csv", str(out)],
+                "gradcheck": ["gradcheck"],
+                "calibrate": ["calibrate", "--records", calibration_file, "--out", str(out)],
+                }.get(sub, [sub, "--out", str(out)])
+        assert main(argv + [f"{flag}={value}"]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert f"argument {flag}: expected " in err and "invalid" not in err
+        assert not out.exists()
 
     # each engine flag and the plan field it sets
     PLAN_FLAGS = {"--n-block": "n_block", "--v-block": "v_block", "--threads": "workers"}

@@ -175,6 +175,18 @@ class TestNumericOracle:
             with pytest.raises(ValueError, match="^step "):
                 numeric_min_entropy(1.0, 4, step=step)
 
+    @pytest.mark.parametrize("r", [1.0000001e150, 1.4e154, [1.0, 1e300]])
+    def test_budget_above_the_limit_is_refused(self, r):
+        """Such a budget used to overflow the row norms and warn of a
+        division by zero."""
+        with pytest.raises(ValueError, match=r"^r: .*\(0, 1e\+150\]"):
+            numeric_min_entropy(r, 2)
+
+    def test_budget_at_the_limit_runs_clean(self):
+        got = numeric_min_entropy([1e150, 1.0], 2, restarts=16, iterations=1500)
+        for r, h in zip((1e150, 1.0), got):
+            assert h >= entropy_lower_bound(BoundParams.from_budget(r, 2)) - 1e-6
+
     def test_value_is_the_best_along_the_trajectory(self):
         """One more iteration extends the same trajectories, so the best
         entropy seen can only fall, even when large steps make each
