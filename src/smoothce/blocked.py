@@ -39,16 +39,17 @@ are bit-identical for any `replace(plan, workers=k)`. While more than one
 worker runs, numpy's OpenBLAS is held at one thread, so BLAS threads do
 not compete with the workers.
 
-Every GEMM goes through `dgemm`, c = alpha op(a) op(b) + beta c on the
-ILP64 `cblas_dgemm` of numpy's own OpenBLAS. A logit tile is written with
-beta 0; the backward adds its two products, with the uniform token weight
-as alpha, straight into the gradients with beta 1: C_panel P into
-`grad_e[:, token block]`, and E_panel P^T into `grad_c[:, vocab block]`
-inside that block's turn. E, C and both gradients are stored
-panel-contiguous (F-ordered D x N and D x |V|: each token's and each
-vocabulary entry's D-vector is contiguous), so every operand is one
-contiguous panel. Only where numpy's BLAS exports no such symbol does a
-product go through a tracked full-depth chunk and a `+=` into the gradient.
+Every GEMM goes through `dgemm`, c = alpha a b + beta c on the ILP64
+`cblas_dgemm` of numpy's own OpenBLAS, with a transpose passed as a `.T`
+view. A logit tile is written with beta 0; the backward adds its two
+products, with the uniform token weight as alpha, straight into the
+gradients with beta 1: C_panel P into `grad_e[:, token block]`, and
+E_panel P^T into `grad_c[:, vocab block]` inside that block's turn. Every
+`DenseMatrix` is column-major (F-ordered D x N and D x |V|: each token's
+and each vocabulary entry's D-vector is contiguous), so every operand is
+one contiguous panel or its `.T`. Only where numpy's BLAS exports no such
+symbol does a product go through a tracked full-depth chunk and a `+=`
+into the gradient.
 
 Every tile-sized buffer (the logit tile, the forward's one N_B row) flows
 through its worker's own TrackingAllocator, and the pass's MemoryStats
@@ -70,7 +71,7 @@ import numpy as np
 
 from .memtrack import MemoryStats, TrackingAllocator
 from .reference import (Gradients, LossOutput, _reduce, _validate, check_finite_loss,
-                        token_weights)
+                        check_upstream, token_weights)
 from .tensors import (BlockPlan, DenseMatrix, TokenSequence,
                       plan_working_set_bytes, tiles_in_flight)
 
@@ -134,61 +135,53 @@ _ROW_MAJOR, _COL_MAJOR, _NO_TRANS, _TRANS = 101, 102, 111, 112  # CBLAS enums
 
 def _blas_layout(x, name: str) -> tuple[bool, int]:
     """(rows contiguous, leading dimension) under which BLAS reads the 2-D
-    float64 array `x` in place. As in numpy's blasable-2d rule, the stride
-    of an axis of extent 1 is never read, so that axis takes the smallest
-    legal leading dimension instead."""
+    float64 array `x` in place: C-contiguous is row-major with leading
+    dimension max(1, cols), F-contiguous is column-major with max(1, rows).
+    numpy's contiguity flags ignore the stride of an axis of extent 1, as
+    BLAS does. Any other array is refused."""
     if not (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.ndim == 2
             and x.flags.aligned):
         raise ValueError(f"dgemm operand {name} must be an aligned 2-D float64 array")
-    (r, c), (sr, sc) = x.shape, x.strides
-    unit = False
-    for rows, inner, outer, n_in, n_out in ((True, sc, sr, c, r), (False, sr, sc, r, c)):
-        if inner == 8 or n_in == 1:
-            unit = True
-            if n_out == 1:
-                return rows, max(1, n_in)
-            if outer % 8 == 0 and outer >= 8 * max(1, n_in):
-                return rows, outer // 8
-    if not unit:
-        raise ValueError(f"dgemm operand {name} has no unit stride (strides {x.strides})")
-    raise ValueError(f"dgemm operand {name} has a leading dimension below its "
-                     f"extent (shape {x.shape}, strides {x.strides})")
+    if x.flags.c_contiguous:
+        return True, max(1, x.shape[1])
+    if x.flags.f_contiguous:
+        return False, max(1, x.shape[0])
+    raise ValueError(f"dgemm operand {name} is neither C- nor F-contiguous "
+                     f"(shape {x.shape}, strides {x.strides})")
 
 
-def dgemm(alpha, a, b, c, trans_a=0, trans_b=0, beta=0.0):
-    """c = alpha * op(a) @ op(b) + beta * c, in place; returns `c`.
+def dgemm(alpha, a, b, c, beta=0.0):
+    """c = alpha * a @ b + beta * c, in place; returns `c`.
 
-    The engine's only GEMM entry, on numpy's ILP64 `cblas_dgemm`. Every
-    operand is read in place, so each needs one unit stride and a leading
-    dimension that covers its other extent, and `c` must be writable;
+    The engine's only GEMM entry, on numpy's ILP64 `cblas_dgemm`. Each
+    operand is read in place exactly as passed (a transpose is a `.T`
+    view), so each must be C- or F-contiguous, and `c` must be writable;
     anything else raises ValueError before BLAS is called. Without the
     kernel, np.matmul writes `c`, so beta must be 0.
     """
-    opa = a.T if trans_a else a
-    opb = b.T if trans_b else b
-    a_rows, lda = _blas_layout(opa, "a")
-    b_rows, ldb = _blas_layout(opb, "b")
+    a_rows, lda = _blas_layout(a, "a")
+    b_rows, ldb = _blas_layout(b, "b")
     c_rows, ldc = _blas_layout(c, "c")
     if not c.flags.writeable:
         raise ValueError("dgemm output c is read-only")
-    (m, k), (k2, p) = opa.shape, opb.shape
+    (m, k), (k2, p) = a.shape, b.shape
     if k != k2 or c.shape != (m, p):
-        raise ValueError(f"dgemm shapes {opa.shape} @ {opb.shape} -> {c.shape} do not match")
+        raise ValueError(f"dgemm shapes {a.shape} @ {b.shape} -> {c.shape} do not match")
     kernel = _cblas_dgemm()
     if kernel is None:
         if beta != 0.0:
             raise ValueError("dgemm accumulates (beta != 0) only on an ILP64 cblas_dgemm")
         if c_rows:
-            np.matmul(opa, opb, out=c)
+            np.matmul(a, b, out=c)
         else:
-            np.matmul(opb.T, opa.T, out=c.T)
+            np.matmul(b.T, a.T, out=c.T)
         if alpha != 1.0:
             c *= alpha
         return c
     kernel(_ROW_MAJOR if c_rows else _COL_MAJOR,
            _NO_TRANS if a_rows == c_rows else _TRANS,
            _NO_TRANS if b_rows == c_rows else _TRANS,
-           m, p, k, alpha, opa.ctypes.data, lda, opb.ctypes.data, ldb,
+           m, p, k, alpha, a.ctypes.data, lda, b.ctypes.data, ldb,
            beta, c.ctypes.data, ldc)
     return c
 
@@ -196,7 +189,7 @@ def dgemm(alpha, a, b, c, trans_a=0, trans_b=0, beta=0.0):
 def _logit_tile(alloc, Ea, Ca, n0, nb, v0, vb):
     """tile[v, i] = sum_d C[d, v0+v] * E[d, n0+i], in one full-depth GEMM."""
     tile = alloc.empty((vb, nb), order="C")
-    return dgemm(1.0, Ca[:, v0:v0 + vb], Ea[:, n0:n0 + nb], tile, trans_a=1)
+    return dgemm(1.0, Ca[:, v0:v0 + vb].T, Ea[:, n0:n0 + nb], tile)
 
 
 @functools.cache
@@ -419,6 +412,7 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
     contribute nothing to the softmax part.
     """
     Ea, Ca, xa, n, v, _, _ = _validate(E, C, x, beta, reduction)
+    check_upstream(upstream)
     lse = np.asarray(lse, dtype=np.float64)
     if lse.shape != (n,):
         raise ValueError(f"lse must have length {n}, got shape {lse.shape}")
@@ -436,14 +430,14 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
     grad_c = _columns(-(beta / v) * w * Ea.sum(axis=1), v)
     staged = _cblas_dgemm() is None
 
-    def add_products(alloc, a, b, out, trans_b):
-        """out += w a op(b): straight into `out`, or without the kernel
-        through a tracked chunk laid out like `out`, dropped at release so
-        that the next one is not held beside it."""
+    def add_products(alloc, a, b, out):
+        """out += w a b: straight into `out`, or without the kernel through
+        a tracked chunk laid out like `out`, dropped at release so that the
+        next one is not held beside it."""
         if not staged:
-            dgemm(w, a, b, out, trans_b=trans_b, beta=1.0)
+            dgemm(w, a, b, out, beta=1.0)
             return
-        chunk = dgemm(w, a, b, alloc.empty(out.shape), trans_b=trans_b)
+        chunk = dgemm(w, a, b, alloc.empty(out.shape))
         out += chunk
         alloc.release(chunk)
         del chunk
@@ -458,9 +452,9 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
             runner.pass_turn(j)
             return True
         np.exp(tile, out=tile)
-        add_products(alloc, Ca[:, v0:v0 + vb], tile, grad_e[:, n0:n0 + nb], 0)
+        add_products(alloc, Ca[:, v0:v0 + vb], tile, grad_e[:, n0:n0 + nb])
         runner.wait_turn(i, j)
-        add_products(alloc, Ea[:, n0:n0 + nb], tile, grad_c[:, v0:v0 + vb], 1)
+        add_products(alloc, Ea[:, n0:n0 + nb], tile.T, grad_c[:, v0:v0 + vb])
         runner.pass_turn(j)
         alloc.release(tile)
         return False
@@ -484,6 +478,7 @@ def loss_and_grad(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
     """Forward followed by recompute-based backward, both on the plan's
     worker count; stats take the max of the two peaks and sum the tile
     counters."""
+    check_upstream(upstream)
     out, fstats = blocked_forward(E, C, x, beta, plan, reduction=reduction)
     grads, bstats = blocked_backward(E, C, x, beta, plan, out.lse, upstream=upstream,
                                      filter_epsilon=filter_epsilon, reduction=reduction)

@@ -310,29 +310,28 @@ def cmd_entropy(args) -> int:
                 rows.append((d, v, rho, args.temperature, args.softcap,
                              p.r, bound, normalized_gap(p)))
                 checks.append((p.r, v, bound))
-    _write_csv(args.out,
-               ("d", "v", "rho", "temperature", "softcap", "r_effective",
-                "bound", "normalized_gap"),
-               rows)
+    oracle = {}
     if args.verify:
-        # one oracle call per v, over its distinct radii in grid order
+        # one oracle call per v, over its distinct radii in grid order, all
+        # before the table is written, so that a refused input leaves none
         radii: dict[int, dict[float, float]] = {}
         for r_eff, v, _ in checks:
             if r_eff > 0:
                 radii.setdefault(v, {}).setdefault(round(r_eff, 12), r_eff)
-        oracle = {}
         for v, by_key in radii.items():
             values = numeric_min_entropy(list(by_key.values()), v, restarts=args.restarts,
                                          iterations=args.iterations, seed=args.oracle_seed)
             oracle.update(zip([(key, v) for key in by_key], values))
-        for r_eff, v, bound in checks:
-            if r_eff <= 0:
-                continue
-            numeric = oracle[round(r_eff, 12), v]
-            if numeric < bound - 1e-6:
-                print(f"error: oracle entropy {numeric!r} undercuts the closed-form "
-                      f"bound {bound!r} at r={r_eff}, v={v}", file=sys.stderr)
-                return 1
+    _write_csv(args.out,
+               ("d", "v", "rho", "temperature", "softcap", "r_effective",
+                "bound", "normalized_gap"),
+               rows)
+    for r_eff, v, bound in checks:
+        numeric = oracle.get((round(r_eff, 12), v))
+        if numeric is not None and numeric < bound - 1e-6:
+            print(f"error: oracle entropy {numeric!r} undercuts the closed-form "
+                  f"bound {bound!r} at r={r_eff}, v={v}", file=sys.stderr)
+            return 1
     return 0
 
 

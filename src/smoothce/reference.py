@@ -8,6 +8,7 @@ blocked engine when memory matters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,13 @@ def check_finite_loss(per_token: np.ndarray, keep=None) -> None:
                          "its logits are not all finite float64 values")
 
 
+def check_upstream(upstream: float) -> None:
+    """Refuse a non-finite upstream gradient before any pass runs: it
+    would make every gradient entry non-finite."""
+    if not math.isfinite(upstream):
+        raise ValueError(f"upstream must be finite, got {upstream}")
+
+
 def _forward_arrays(Ea, Ca, xa, beta: float, v: int):
     # overflowing logits give a non-finite loss, which the callers refuse
     with np.errstate(over="ignore", invalid="ignore"):
@@ -135,14 +143,15 @@ def naive_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float
     the per-token weight, and contracts: grad_e = C A, grad_c = E A^T.
     """
     Ea, Ca, xa, n, v, d, keep = _validate(E, C, x, beta, reduction, ignore_mask)
+    check_upstream(upstream)
     z, lse, o = _forward_arrays(Ea, Ca, xa, beta, v)
     check_finite_loss(lse - o, keep)
     a = np.exp(z - lse)
     a[xa, np.arange(n)] -= 1.0 - beta
     a -= beta / v
     a *= token_weights(n, reduction, upstream, keep)
-    grad_e = Ca @ a
-    grad_c = Ea @ a.T
+    grad_e = np.matmul(Ca, a, order="F")
+    grad_c = np.matmul(Ea, a.T, order="F")
     return Gradients(DenseMatrix._wrap(grad_e), DenseMatrix._wrap(grad_c))
 
 
@@ -165,7 +174,7 @@ def finite_diff_grad(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
     for k in range(2):  # probe E, then C; the other stays the caller's array
         arrays = [Ea, Ca]
         probe = arrays[k] = arrays[k].copy()
-        grad = np.zeros(probe.shape)
+        grad = np.zeros(probe.shape, order="F")
         for ij in np.ndindex(probe.shape):
             orig = probe[ij]
             probe[ij] = orig + h

@@ -8,14 +8,15 @@ it the default vocabulary block and the memory ceiling; results depend
 only on the tile sizes.
 
 All numeric payloads are held in 64-bit floats internally; 32-bit storage is
-supported at the file boundary only (widened on load). Matrices are stored
-column-major (F-ordered), so each column, one token's or one vocabulary
-entry's D-vector, is contiguous; SCE1 files stay row-major. Every container
-in this module is read-only after construction and safe to share across
-threads: a `DenseMatrix` keeps a read-only float64 array that owns its
-memory, copies anything else, and refuses non-finite data, whichever way
-it is built. A kept array is not copied, so a writable view that the
-caller made of it before freezing it still writes through.
+supported at the file boundary only (widened on load). Every matrix is
+stored column-major (F-ordered), so each column, one token's or one
+vocabulary entry's D-vector, is contiguous; SCE1 files stay row-major.
+Every container in this module is read-only after construction and safe to
+share across threads: a `DenseMatrix` keeps a read-only, F-contiguous
+float64 array that owns its memory, copies anything else to one, and
+refuses non-finite data, whichever way it is built. A kept array is not
+copied, so a writable view that the caller made of it before freezing it
+still writes through.
 """
 
 from __future__ import annotations
@@ -83,20 +84,24 @@ class DenseMatrix:
     """(rows, cols) matrix of finite reals with 64-bit internal precision.
 
     Every way of building one ends in `__post_init__`, which holds the one
-    rule: a read-only float64 array that owns its memory is kept as it is;
-    any other real data (a writable array, a view, another dtype) is copied
-    to float64; other dtypes and non-finite entries are refused. The kept
-    or copied array is read-only, and the engines may read it in place
-    from several threads. A kept array is not copied: a writable view the
-    caller made of it before freezing it still writes through.
-    The matrices this module builds store it column-major (F-ordered), so
-    that a column is contiguous; the engines accept either order."""
+    rule: a read-only, F-contiguous float64 array that owns its memory is
+    kept as it is; any other real data (a writable or C-ordered array, a
+    view, another dtype) is copied to an F-ordered float64 array; integer
+    extents are required, and other dtypes and non-finite entries are
+    refused. So every matrix is column-major, a column is contiguous, and
+    the engines read it in place from several threads. A kept array is
+    not copied: a writable view the caller made of it before freezing it
+    still writes through."""
 
     rows: int
     cols: int
     data: np.ndarray
 
     def __post_init__(self):
+        for name in ("rows", "cols"):
+            size = getattr(self, name)
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {size!r}")
         a = np.asarray(self.data)
         if a.dtype.kind not in "iuf":
             raise ValueError(f"matrix data must be real numbers, got dtype {a.dtype}")
@@ -105,8 +110,9 @@ class DenseMatrix:
                 f"data shape {a.shape} does not match "
                 f"declared {self.rows}x{self.cols}"
             )
-        if a.dtype != np.float64 or a.flags.writeable or not a.flags.owndata:
-            a = np.array(a, dtype=np.float64)
+        if (a.dtype != np.float64 or a.flags.writeable or not a.flags.owndata
+                or not a.flags.f_contiguous):
+            a = np.array(a, dtype=np.float64, order="F")
         # min and max propagate NaN and surface +-inf, so the check
         # allocates nothing the size of `a`.
         if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
@@ -124,8 +130,8 @@ class DenseMatrix:
 
     @classmethod
     def _wrap(cls, a: np.ndarray) -> "DenseMatrix":
-        # The zero-copy hand-off of an array the caller owns and drops:
-        # frozen here, it is kept by the constructor's checks.
+        # The zero-copy hand-off of an F-ordered float64 array the caller
+        # owns and drops: frozen here, it is kept by the constructor's checks.
         a.setflags(write=False)
         return cls(a.shape[0], a.shape[1], a)
 

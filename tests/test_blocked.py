@@ -1,6 +1,8 @@
 """Blocked engine against the naive oracle: tiling equivalence, gradient
 filtering, memory instrumentation, and determinism."""
 
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smoothce.blocked
+import smoothce.reference
 from _util import grad_rel_err, rel_err
 from smoothce.blocked import (
     aux_bound_bytes,
@@ -23,7 +26,7 @@ from smoothce.blocked import (
     loss_and_grad,
 )
 from smoothce.memtrack import TrackingAllocator
-from smoothce.reference import finite_diff_grad, naive_backward, naive_forward
+from smoothce.reference import Gradients, finite_diff_grad, naive_backward, naive_forward
 from smoothce.tensors import (
     BlockPlan,
     DenseMatrix,
@@ -477,13 +480,22 @@ class TestMemory:
         assert alloc.current_bytes == 0
 
 
+def blas_path(monkeypatch, path):
+    """Run on the accumulating kernel, or on the staged fallback that hosts
+    whose numpy exports no ILP64 `cblas_dgemm` take."""
+    if path == "staged":
+        monkeypatch.setattr(smoothce.blocked, "_cblas_dgemm", lambda: None)
+    elif smoothce.blocked._cblas_dgemm() is None:
+        pytest.skip("numpy's BLAS exports no ILP64 cblas_dgemm")
+
+
 class TestGemmContract:
     """Every GEMM goes through `smoothce.blocked.dgemm` and reads the inputs
     in place: an operand is either a view of E or C, or the logit tile an
-    earlier call wrote. A call either writes a fresh logit tile (beta 0) or
-    adds into a view of `grad_e` or `grad_c` (beta 1). The flop total is
-    the one the per-layer benchmark counts: the forward tile, its backward
-    recompute and the two backward products, each 2 n |V| d."""
+    earlier call wrote, or its `.T`. A call either writes a fresh logit tile
+    (beta 0) or adds into a view of `grad_e` or `grad_c` (beta 1). The flop
+    total is the one the per-layer benchmark counts: the forward tile, its
+    backward recompute and the two backward products, each 2 n |V| d."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_operands_are_input_views_and_flops_add_up(self, monkeypatch, workers):
@@ -493,56 +505,118 @@ class TestGemmContract:
         calls = []
         original = smoothce.blocked.dgemm
 
-        def recorder(alpha, a, b, out, trans_a=0, trans_b=0, beta=0.0):
-            calls.append((a, b, out, trans_a, trans_b, beta))
-            return original(alpha, a, b, out, trans_a=trans_a, trans_b=trans_b, beta=beta)
+        def recorder(alpha, a, b, out, beta=0.0):
+            calls.append((a, b, out, beta))
+            return original(alpha, a, b, out, beta=beta)
 
         monkeypatch.setattr(smoothce.blocked, "dgemm", recorder)
         _, g, stats = loss_and_grad(e, c, x, 0.1, replace(plan, workers=workers))
 
         grads = (g.grad_e.data, g.grad_c.data)
-        tiles = [out for _, _, out, _, _, beta in calls if beta == 0.0]
+        tiles = [out for _, _, out, beta in calls if beta == 0.0]
         assert len(tiles) == stats.tiles_processed == 2 * 4 * 4
         # one GEMM per forward tile; per backward tile its recompute and one
         # full-depth GEMM per gradient
         assert len(calls) == 16 + 3 * 16
         flop = 0
-        for a, b, out, trans_a, trans_b, beta in calls:
+        for a, b, out, beta in calls:
             into_grads = any(np.shares_memory(out, gr) for gr in grads)
             assert into_grads == (beta == 1.0)
             if not into_grads:  # a tile: a fresh buffer shared with nothing
                 assert out.base is None and out.flags.c_contiguous
             assert np.shares_memory(a, e.data) or np.shares_memory(a, c.data)
             from_input = np.shares_memory(b, e.data) or np.shares_memory(b, c.data)
-            assert from_input or any(b is t for t in tiles)
-            (m, k), (k2, p) = (a.T if trans_a else a).shape, (b.T if trans_b else b).shape
+            assert from_input or any(b is t or b.base is t for t in tiles)
+            (m, k), (k2, p) = a.shape, b.shape
             assert k == k2 and out.shape == (m, p)
             flop += 2 * m * p * k
         assert flop == 4 * 2 * n * v * d
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("path", ["kernel", "staged"])
+    def test_every_operand_is_contiguous(self, monkeypatch, medium, path, workers):
+        """No engine call relies on `dgemm` reading a strided operand."""
+        blas_path(monkeypatch, path)
+        e, c, x, _, bwd = medium
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, workers=workers)
+        operands = []
+        original = smoothce.blocked.dgemm
+
+        def recorder(alpha, a, b, out, beta=0.0):
+            operands.extend((a, b, out))
+            return original(alpha, a, b, out, beta=beta)
+
+        monkeypatch.setattr(smoothce.blocked, "dgemm", recorder)
+        _, g, _ = run_bounded(lambda: loss_and_grad(e, c, x, 0.1, plan))
+        assert len(operands) == 3 * (32 + 3 * 32)
+        assert all(op.flags.c_contiguous or op.flags.f_contiguous for op in operands)
+        assert grad_rel_err(g, bwd[0.1]) <= 1e-9
+
+    @pytest.mark.parametrize("path", ["kernel", "staged"])
+    def test_storage_order_does_not_change_a_bit(self, monkeypatch, path):
+        """The same values stored C- or F-ordered, writable or frozen, become
+        the same column-major matrices, so neither engine's result depends
+        on the order. A frozen C-ordered array used to be kept as it was,
+        and its results differed in the last bits."""
+        blas_path(monkeypatch, path)
+        e, c, x = random_instance(21, n=64, v=512, d=32, scale=0.5)
+
+        def stored(m, order, frozen):
+            a = np.array(m.data, order=order)
+            if frozen:
+                a.setflags(write=False)
+            return DenseMatrix(m.rows, m.cols, a)
+
+        results = []
+        for order in ("C", "F"):
+            for frozen in (False, True):
+                ec = [stored(m, order, frozen) for m in (e, c)]
+                assert all(m.data.flags.f_contiguous for m in ec)
+                got = [naive_forward(*ec, x, 0.1), naive_backward(*ec, x, 0.1)]
+                for workers in (1, 2):
+                    plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, workers=workers)
+                    got.extend(run_bounded(lambda: loss_and_grad(*ec, x, 0.1, plan))[:2])
+                arrays = []
+                for r in got:
+                    if isinstance(r, Gradients):
+                        assert r.grad_e.data.flags.f_contiguous
+                        assert r.grad_c.data.flags.f_contiguous
+                        arrays += [r.grad_e.data, r.grad_c.data]
+                    else:
+                        arrays += [r.lse, r.o, r.per_token_loss]
+                results.append(arrays)
+        for other in results[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(other, results[0]))
+
 
 def laid_out(x, layout):
-    """`x` copied into one of the layouts the engine can hand to `dgemm`:
-    C- or F-contiguous, a C or F view into a padded buffer, or C-contiguous
-    with every extent-1 axis given a stride that addresses nothing."""
+    """`x` copied into one layout: C- or F-contiguous, a C or F view into a
+    padded buffer, a strided view, or C-contiguous with every extent-1 axis
+    given a stride that addresses nothing."""
     if layout in ("C", "F"):
         return np.array(x, order=layout)
     if layout == "odd":
         y = np.array(x, order="C")
         strides = [-8 * 1001 if size == 1 else s for size, s in zip(y.shape, y.strides)]
         return np.lib.stride_tricks.as_strided(y, y.shape, strides)
-    big = np.zeros((x.shape[0] + 2, x.shape[1] + 3), order=layout[0])
-    view = big[1:-1, 2:-1]
+    if layout == "strided":
+        big = np.zeros((2 * x.shape[0], 2 * x.shape[1]))
+        view = big[::2, ::2]
+    else:
+        big = np.zeros((x.shape[0] + 2, x.shape[1] + 3), order=layout[0])
+        view = big[1:-1, 2:-1]
     view[:] = x
     return view
 
 
-LAYOUTS = ("C", "F", "C-view", "F-view", "odd")
+CONTIGUOUS = ("C", "F", "odd")
+NOT_CONTIGUOUS = ("C-view", "F-view", "strided")
 
 
 class TestKernel:
-    """`dgemm` is c = alpha op(a) op(b) + beta c for every operand layout,
-    and refuses an operand BLAS could not read in place before calling it."""
+    """`dgemm` is c = alpha a b + beta c for contiguous operands read as
+    passed, a `.T` view included, and refuses any other operand before
+    calling BLAS."""
 
     @pytest.mark.parametrize("m, k, p", [(5, 4, 3), (1, 4, 3), (5, 1, 3), (5, 4, 1),
                                          (1, 1, 1), (1, 4, 1)])
@@ -553,27 +627,32 @@ class TestKernel:
         rng = np.random.default_rng(m * 100 + k * 10 + p)
         opa, opb, c0 = (rng.standard_normal(s) for s in ((m, k), (k, p), (m, p)))
         want = 1.5 * opa @ opb + beta * c0
-        for la in LAYOUTS:
-            for lb in LAYOUTS:
-                for lc in LAYOUTS:
-                    for trans_a in (0, 1):
-                        trans_b = 1 - trans_a
-                        a = laid_out(opa.T, la).T if trans_a else laid_out(opa, la)
-                        b = laid_out(opb.T, lb) if trans_b else laid_out(opb, lb)
-                        c = laid_out(c0, lc)
-                        got = smoothce.blocked.dgemm(1.5, a.T if trans_a else a, b, c,
-                                                     trans_a=trans_a, trans_b=trans_b,
-                                                     beta=beta)
-                        assert got is c
-                        np.testing.assert_allclose(c, want, rtol=1e-12, atol=1e-12,
-                                                   err_msg=f"{la} {lb} {lc} {trans_a}")
+
+        def placed(x, layout, transposed):
+            return laid_out(x.T, layout).T if transposed else laid_out(x, layout)
+
+        for layouts in itertools.product(CONTIGUOUS + NOT_CONTIGUOUS, repeat=3):
+            for flips in np.ndindex(2, 2, 2):
+                a, b, c = map(placed, (opa, opb, c0), layouts, flips)
+                contiguous = all(x.flags.c_contiguous or x.flags.f_contiguous
+                                 for x in (a, b, c))
+                # a padded or strided view is contiguous only along an extent of 1
+                assert contiguous == (set(layouts) <= set(CONTIGUOUS)) or 1 in (m, k, p)
+                if not contiguous:
+                    with pytest.raises(ValueError, match="neither C- nor F-contiguous"):
+                        smoothce.blocked.dgemm(1.5, a, b, c, beta=beta)
+                    assert np.array_equal(c, c0)
+                    continue
+                assert smoothce.blocked.dgemm(1.5, a, b, c, beta=beta) is c
+                np.testing.assert_allclose(c, want, rtol=1e-12, atol=1e-12,
+                                           err_msg=f"{layouts} {flips}")
 
     @pytest.mark.parametrize("case, match", [
         ("float32", "float64"),
         ("1-d", "2-D"),
         ("unaligned", "aligned"),
-        ("no unit stride", "no unit stride"),
-        ("short leading dimension", "leading dimension"),
+        ("strided view", "contiguous"),
+        ("padded view", "contiguous"),
         ("read-only c", "read-only"),
         ("shapes", "do not match"),
     ])
@@ -588,10 +667,10 @@ class TestKernel:
             b = np.ones(3)
         elif case == "unaligned":
             a = np.frombuffer(bytearray(8 * 12 + 4), np.float64, 12, offset=4).reshape(4, 3)
-        elif case == "no unit stride":
+        elif case == "strided view":
             a = np.ones((8, 6))[::2, ::2]
-        elif case == "short leading dimension":  # rows 2 apart, 3 long
-            a = np.lib.stride_tricks.as_strided(np.ones(12), (4, 3), (16, 8))
+        elif case == "padded view":  # rows 5 apart, 3 long
+            a = np.ones((4, 5))[:, :3]
         elif case == "read-only c":
             c.setflags(write=False)
         else:
@@ -908,6 +987,35 @@ class TestInputs:
         mask = np.arange(8) == 3
         out = naive_forward(e, c, x, 0.1, ignore_mask=mask)
         assert np.isfinite(out.total) and out.per_token_loss[3] == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", ["naive_backward", "blocked_backward",
+                                      "loss_and_grad"])
+    def test_non_finite_upstream_is_refused_before_any_pass(self, monkeypatch, call, bad):
+        """A NaN upstream used to fail only after a whole pass, on the
+        gradients' finiteness check, and +-inf made numpy warn first."""
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a pass ran")
+
+        for n in (8, 0):
+            e, c, x = random_instance(0, max(n, 1), 32, 4, 0.5)
+            if n == 0:
+                e = DenseMatrix.from_array(np.zeros((4, 0)))
+                x = TokenSequence(np.array([], dtype=np.int64))
+            plan = plan_blocks(n, 32, 4, n_block=2, v_block=8, workers=2)
+            lse = naive_forward(e, c, x, 0.1).lse
+            runs = {"naive_backward": lambda: naive_backward(e, c, x, 0.1, upstream=bad),
+                    "blocked_backward": lambda: blocked_backward(e, c, x, 0.1, plan, lse,
+                                                                 upstream=bad),
+                    "loss_and_grad": lambda: loss_and_grad(e, c, x, 0.1, plan,
+                                                           upstream=bad)}
+            with monkeypatch.context() as m:
+                m.setattr(smoothce.reference, "_forward_arrays", no_pass)
+                m.setattr(smoothce.blocked, "dgemm", no_pass)
+                m.setattr(smoothce.blocked, "blocked_forward", no_pass)
+                with pytest.raises(ValueError, match="upstream must be finite"):
+                    runs[call]()
 
     def test_engine_options_are_keyword_only(self):
         """Each entry took its options in its own positional order; now a

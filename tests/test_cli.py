@@ -457,6 +457,30 @@ class TestEntropy:
         assert "undercuts the closed-form bound" in err
         assert "at r=2.0, v=8" in err
 
+    def test_undercut_keeps_the_table(self, tmp_path, monkeypatch, capsys):
+        """An undercut is found after the table is written: its rows are the
+        evidence."""
+        real = smoothce.cli.numeric_min_entropy
+        monkeypatch.setattr(smoothce.cli, "numeric_min_entropy",
+                            lambda r, v, **kw: [h - 0.5 for h in real(r, v, **kw)])
+        out = tmp_path / "s.csv"
+        argv = ["entropy", "--d", "1,4", "--v", "8", "--rho", "1", "--verify",
+                "--restarts", "2", "--iterations", "20", "--out", str(out)]
+        assert main(argv) == 1
+        assert "undercuts" in capsys.readouterr().err
+        assert len(out.read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_refused_budget_writes_no_table(self, tmp_path, capsys, to_file):
+        """The table used to be written before the oracle refused the
+        budget, leaving its header and one row behind."""
+        out = tmp_path / "s.csv"
+        argv = ["entropy", "--d", "1", "--v", "2", "--rho", "1e300", "--verify"]
+        assert main(argv + (["--out", str(out)] if to_file else [])) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("error: r: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_out_of_memory_is_a_data_error(self, tmp_path, monkeypatch, capsys):
         """An oracle that cannot get its memory ends the run with one error
         line and exit 1, not a traceback."""

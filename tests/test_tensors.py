@@ -279,6 +279,27 @@ class TestContainers:
         a.setflags(write=False)
         assert DenseMatrix(2, 3, a).data is a
 
+    def test_read_only_c_ordered_array_is_copied_column_major(self):
+        """Every matrix is F-ordered: a frozen C-ordered array used to be
+        kept, so the engines read the same values in another order."""
+        a = np.arange(6.0).reshape(2, 3)
+        a.setflags(write=False)
+        m = DenseMatrix(2, 3, a)
+        assert m.data is not a and m.data.flags.f_contiguous
+        assert np.array_equal(m.data, a) and not m.data.flags.writeable
+        for source in (np.ones((3, 4)), np.ones((4, 3)).T, np.ones((3, 8))[:, ::2]):
+            assert DenseMatrix(3, 4, source).data.flags.f_contiguous
+
+    @pytest.mark.parametrize("rows, cols", [(2, 4.0), (2.0, 4), (True, 4), (2, np.float64(4))],
+                             ids=["float", "float-rows", "bool", "numpy-float"])
+    def test_non_integer_extents_refused(self, rows, cols):
+        """(2, 4) == (2, 4.0), so a float extent used to pass the shape
+        check; the naive engine then ran and the blocked one failed inside
+        numpy."""
+        with pytest.raises(ValueError, match="must be an integer"):
+            DenseMatrix(rows, cols, np.ones((2, 4)))
+        assert DenseMatrix(np.int64(2), np.uint8(4), np.ones((2, 4))).shape == (2, 4)
+
     def test_read_only_view_is_copied(self):
         """A read-only view shares memory with an array someone may still
         write, so it is copied like a writable array."""
