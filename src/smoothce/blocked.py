@@ -1,41 +1,48 @@
 """Tiled forward and backward passes for smoothed cross-entropy that never
 materialize the full |V| x N logit matrix.
 
-The forward walks (token-block, vocab-block) tile pairs, computing each
-V_B x N_B logit tile in one full-depth GEMM that reads panels of the
-classifier and embedding matrices in place (no staged copies), then folds
-the tile into each token's softmax normaliser by an online merge
-(Milakov & Gimelshein, arXiv:1805.02867): a running max M and a running
-sum S of exp(z - M), rescaled when M grows, and lse = M + log S after the
-last tile. The backward recomputes tiles the same way from the inputs plus
-the saved LSE vector; a backward tile adds only its softmax part, from
-P = exp(z - lse), and one whose largest probability bound falls below the
-filter threshold may be skipped entirely.
+Every call runs its tiles in one sweep over token blocks. For each token
+block, the forward walks the vocabulary blocks, computing each V_B x N_B
+logit tile in one full-depth GEMM that reads panels of the classifier and
+embedding matrices in place (no staged copies), and folds the tile into
+each token's softmax normaliser by an online merge (Milakov & Gimelshein,
+arXiv:1805.02867): a running max M and a running sum S of exp(z - M),
+rescaled when M grows, and lse = M + log S after the block's last tile.
+The block's target pass follows, and then its backward, which recomputes
+the same tiles from the inputs and the block's finished lse (the recompute
+design of Cut Cross-Entropy, arXiv:2411.09009). A backward tile adds only
+its softmax part, from P = exp(z - lse), and one whose largest
+probability bound falls below the filter threshold may be skipped
+entirely. `loss_and_grad` runs all three per block; `blocked_forward`
+runs the forward and the target score, `blocked_backward` the target
+start of `grad_e` and the backward from a given lse.
 
 The tiles never see the target. The smoothed target
 q_i = (1-beta) e_{x_i} + beta/|V| enters the loss and both gradients
-linearly, and its uniform share is whole arrays: with the D-vector
-u = (beta/|V|) sum_v C[:, v] (`_smoothing_row`), the forward's target
-score starts as u @ E, and the backward's gradients start as their
-uniform columns, -w u in every `grad_e` column and -(beta/|V|) w E 1 in
-every `grad_c` column, before the tiles add into them. After the tiles
-one per-token pass adds the (1-beta) share: (1-beta) C[:, x_i] . E_i to
-the score, or -(1-beta) w times C[:, x_i] to `grad_e[:, i]` and E_i to
-`grad_c[:, x_i]`.
+linearly. Seen from the embedding side it is the D-vector
+g_i = (1-beta) C[:, x_i] + u, with u = (beta/|V|) sum_v C[:, v]
+(`_smoothing_row`, summed once per call and only when beta > 0). The
+target pass gathers a chunk of the block's g_i at a time into one
+tracked buffer: the target score is o_i = g_i . E_i, and `grad_e[:, i]`
+starts at -w g_i before the backward tiles add into it. Each `grad_c`
+column starts at the uniform share -(beta/|V|) w E 1 (0 at beta 0),
+which token block 0 writes into each vocabulary block inside its turn,
+while the block is in cache, before its product; after the runner one
+ordered per-token scatter adds -(1-beta) w E_i to `grad_c[:, x_i]`.
 
 Filtering is one number, `filter_epsilon`: 0 (the default) skips nothing.
 It touches only the softmax part, so skipped tiles can never drop the
 target part, whose magnitude does not shrink with the probabilities.
 
 The plan is the one place a call's worker count is set: one `_TileRunner`
-runs each pass's tiles on `plan.workers` threads (None: every CPU this
+runs a call's token blocks on `plan.workers` threads (None: every CPU this
 process may run on). Of k workers, worker w runs token blocks w, w + k,
 w + 2k, ... in index order, each through its vocabulary blocks in index
-order. Per-token state (the running max and sum, `grad_e` columns) needs
-no locks, and each `grad_c[:, v-block]` takes its products in token-block
-order through a per-vocabulary-block turn counter. Every sum therefore
-runs in the same order as on one worker, and for given tile sizes results
-are bit-identical for any `replace(plan, workers=k)`. While more than one
+order. Per-token state (lse, o, `grad_e` columns) needs no locks, and each
+`grad_c[:, v-block]` takes its products in token-block order through a
+per-vocabulary-block turn counter. Every sum therefore runs in the same
+order as on one worker, and for given tile sizes results are
+bit-identical for any `replace(plan, workers=k)`. While more than one
 worker runs, numpy's OpenBLAS is held at one thread, so BLAS threads do
 not compete with the workers.
 
@@ -44,19 +51,22 @@ Every GEMM goes through `dgemm`, c = alpha a b + beta c on the ILP64
 view. A logit tile is written with beta 0; the backward adds its two
 products, with the uniform token weight as alpha, straight into the
 gradients with beta 1: C_panel P into `grad_e[:, token block]`, and
-E_panel P^T into `grad_c[:, vocab block]` inside that block's turn. Every
-`DenseMatrix` is column-major (F-ordered D x N and D x |V|: each token's
-and each vocabulary entry's D-vector is contiguous), so every operand is
-one contiguous panel or its `.T`. Only where numpy's BLAS exports no such
-symbol does a product go through a tracked full-depth chunk and a `+=`
-into the gradient.
+E_panel P^T into `grad_c[:, vocab block]` inside that block's turn. Every `DenseMatrix` is column-major (F-ordered D x N and D x |V|:
+each token's and each vocabulary entry's D-vector is contiguous), so every
+operand is one contiguous panel or its `.T`. Only where numpy's BLAS
+exports no such symbol does an adding product go through a tracked
+full-depth chunk and a `+=` into the gradient.
 
-Every tile-sized buffer (the logit tile, the forward's one N_B row) flows
-through its worker's own TrackingAllocator, and the pass's MemoryStats
-report the sum of the workers' peaks, which thread timing cannot move;
-peak auxiliary bytes stay O(N_B*V_B) per tile in flight regardless of |V|
-(plus D*max(N_B, V_B) for a staged product chunk).
-The returned outputs and O(D) or O(N) temporaries are not tracked.
+Every tile-sized buffer (the logit tile, the forward's one N_B row, and
+the target pass's gather chunk: as many tokens' D-vectors as fit in one
+tile's working set, at least one, held only while no tile is) flows
+through its worker's own
+TrackingAllocator, and the call's MemoryStats report the sum of the
+workers' peaks, which thread timing cannot move; peak auxiliary bytes stay
+O(N_B*V_B) per tile in flight regardless of |V| (plus D*max(N_B, V_B) for
+a staged product chunk). The returned outputs and O(D) temporaries are not
+tracked; the running sum S lives in the `o` output until the block's lse
+is finished.
 """
 
 from __future__ import annotations
@@ -65,7 +75,9 @@ import ctypes
 import functools
 import math
 import threading
+import time
 from contextlib import contextmanager, nullcontext
+from dataclasses import replace
 
 import numpy as np
 
@@ -256,16 +268,18 @@ class _Abandoned(Exception):
 
 
 class _TileRunner:
-    """Runs every tile of one pass on up to `eff.workers` threads in one
-    fixed order of accumulation, and keeps the pass's counters.
+    """Runs one call's token blocks on up to `eff.workers` threads in one
+    fixed order of accumulation, and keeps the call's counters and its
+    wall time.
 
-    Worker k runs token blocks k, k + in_flight, ... in index order, each
-    through its vocabulary blocks in index order, so everything indexed by
-    token needs no lock. Sums over token blocks (into `grad_c`) go through
-    `wait_turn`/`pass_turn`: token block i may add into vocabulary block j
-    once blocks 0..i-1 have passed it. A block waits only on lower blocks,
-    and each worker takes its blocks in increasing order, so the waits
-    cannot cycle.
+    Worker k runs token blocks k, k + in_flight, ... in index order. The
+    block function the caller passes does all of a block's work: its
+    forward over `vocab_blocks()`, its target pass, then its backward over
+    the same blocks, so everything indexed by token needs no lock. Sums
+    over token blocks (into `grad_c`) go through `wait_turn`/`pass_turn`:
+    token block i may add into vocabulary block j once blocks 0..i-1 have
+    passed it. A block waits only on lower blocks, and each worker takes
+    its blocks in increasing order, so the waits cannot cycle.
     """
 
     def __init__(self, n: int, v: int, eff: BlockPlan):
@@ -275,6 +289,12 @@ class _TileRunner:
         self._cond = threading.Condition()
         self._turns = [0] * -(-v // eff.v_block)
         self._failed = False
+
+    def vocab_blocks(self):
+        """(index, first entry, extent) of each vocabulary block, in order."""
+        vbk = self.eff.v_block
+        for j, v0 in enumerate(range(0, self.v, vbk)):
+            yield j, v0, min(vbk, self.v - v0)
 
     def wait_turn(self, i: int, j: int) -> None:
         with self._cond:
@@ -287,22 +307,19 @@ class _TileRunner:
             self._turns[j] += 1
             self._cond.notify_all()
 
-    def _work(self, k, alloc, run_tile, counts, errors) -> None:
+    def _work(self, k, alloc, run_block, counts, errors) -> None:
         """Worker k: its token blocks, until another worker fails;
-        run_tile returns True for a tile it skipped."""
-        nbk, vbk = self.eff.n_block, self.eff.v_block
+        run_block adds its processed and skipped tiles to `counts`."""
+        nbk = self.eff.n_block
         np.setbufsize(_UFUNC_BUFFER)
-        # overflowing logits are refused by each pass's own result check
+        # overflowing logits are refused by each entry's own result check
         np.seterr(over="ignore", invalid="ignore")
         try:
             for i in range(k, -(-self.n // nbk), self.in_flight):
                 if self._failed:
                     return
                 n0 = i * nbk
-                nb = min(nbk, self.n - n0)
-                for j, v0 in enumerate(range(0, self.v, vbk)):
-                    skipped = run_tile(alloc, i, n0, nb, j, v0, min(vbk, self.v - v0))
-                    counts[1 if skipped else 0] += 1
+                run_block(alloc, i, n0, min(nbk, self.n - n0), counts)
         except _Abandoned:
             pass
         except BaseException as exc:
@@ -315,14 +332,16 @@ class _TileRunner:
             self._failed = True
             self._cond.notify_all()
 
-    def run(self, run_tile) -> MemoryStats:
-        """Run every tile on `in_flight` worker threads, each with its own
-        allocator; return the tile counts and the sum of the workers' peaks."""
-        # this module's name, read per pass
+    def run(self, run_block) -> MemoryStats:
+        """Run every token block on `in_flight` worker threads, each with
+        its own allocator; return the tile counts, the sum of the workers'
+        peaks and the runner's wall time."""
+        start = time.perf_counter()
+        # this module's name, read per call
         allocs = [TrackingAllocator() for _ in range(self.in_flight)]
         counts = [[0, 0] for _ in allocs]
         errors: list[BaseException] = []
-        threads = [threading.Thread(target=self._work, args=(k, a, run_tile, c, errors),
+        threads = [threading.Thread(target=self._work, args=(k, a, run_block, c, errors),
                                     name=f"smoothce-tiles-{k}")
                    for k, (a, c) in enumerate(zip(allocs, counts))]
         with _ONE_BLAS_THREAD.held() if self.in_flight > 1 else nullcontext():
@@ -339,35 +358,59 @@ class _TileRunner:
         if errors:
             raise errors[0]
         return MemoryStats(sum(a.peak_bytes for a in allocs), sum(c[0] for c in counts),
-                           sum(c[1] for c in counts), self.in_flight)
+                           sum(c[1] for c in counts), self.in_flight,
+                           {"runner": time.perf_counter() - start})
 
 
-def _columns(col: np.ndarray, k: int) -> np.ndarray:
-    """A D x k F-ordered array whose every column is the D-vector `col`."""
-    out = np.empty((col.size, k), order="F")
-    out[:] = col[:, None]
-    return out
+def _timed(stats: MemoryStats, start: float) -> MemoryStats:
+    """`stats` with the entry's wall time since `start` split into the
+    runner's and the rest."""
+    runner = stats.phase_seconds["runner"]
+    return replace(stats, phase_seconds={
+        "runner": runner, "outside": time.perf_counter() - start - runner})
 
 
-def blocked_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
-                    plan: BlockPlan, *, reduction: str = "sum"):
-    """Tiled smoothed cross-entropy forward pass on the plan's worker
-    count; for given tile sizes the result does not depend on the count.
+def _check_filter(filter_epsilon: float) -> None:
+    if not 0.0 <= filter_epsilon < 1.0:
+        raise ValueError(f"filter epsilon must lie in [0, 1), got {filter_epsilon}")
 
-    Returns (LossOutput, MemoryStats); matches naive_forward per token while
-    allocating only tile-sized transients. A token whose loss is not finite
-    raises ValueError.
-    """
-    Ea, Ca, xa, n, v, _, _ = _validate(E, C, x, beta, reduction)
-    runner = _TileRunner(n, v, plan.clamped(n, v))
 
-    lse = np.full(n, -np.inf)  # running max M until the runner ends
-    sums = np.zeros(n)  # running sum S of exp(z - M)
+def _sweep(Ea, Ca, xa, beta: float, plan: BlockPlan, *, lse=None, w=None,
+           filter_epsilon: float = 0.0):
+    """Every tile of one call on one `_TileRunner`. Without `lse`, each
+    token block first sweeps its vocabulary blocks forward and finishes its
+    lse and target score `o`; with a token weight `w`, it then sweeps them
+    backward into `grad_e` and `grad_c`. The caller adds the (1-beta)
+    share of `grad_c` after the runner.
 
-    def run_tile(alloc, i, n0, nb, j, v0, vb):
+    Returns (lse, o, grad_e, grad_c, stats), with None for what the call
+    does not compute."""
+    d, n = Ea.shape
+    v = Ca.shape[1]
+    eff = plan.clamped(n, v)
+    runner = _TileRunner(n, v, eff)
+    forward, backward = lse is None, w is not None
+    u = _smoothing_row(Ca, beta, v)[:, None] if beta else 0.0
+    # o holds a token block's running sum S until its lse is finished
+    o = None
+    if forward:
+        lse, o = np.empty(n), np.empty(n)
+    grad_e = grad_c = None
+    if backward:
+        grad_e = np.empty((d, n), order="F")
+        grad_c = np.zeros((d, v), order="F") if n == 0 else np.empty((d, v), order="F")
+        # the uniform share of grad_c, -w beta/|V| per logit, as the column
+        # that token block 0 starts each vocabulary block from
+        c_start = -(beta / v) * w * Ea.sum(axis=1)[:, None] if beta else 0.0
+        staged = _cblas_dgemm() is None
+    # target columns are gathered a chunk of tokens at a time: as many as
+    # fit in one tile's working set, at least one
+    gather = max(1, plan_working_set_bytes(eff) // (8 * max(d, 1)))
+
+    def forward_tile(alloc, n0, nb, v0, vb):
         tile = _logit_tile(alloc, Ea, Ca, n0, nb, v0, vb)
         m = alloc.empty(nb)
-        run_max, run_sum = lse[n0:n0 + nb], sums[n0:n0 + nb]
+        run_max, run_sum = lse[n0:n0 + nb], o[n0:n0 + nb]
         # m = max(tile max, M); S *= exp(M - m); M = m; S += sum exp(tile - m)
         np.max(tile, axis=0, out=m)
         np.maximum(m, run_max, out=m)
@@ -382,21 +425,115 @@ def blocked_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: floa
         alloc.release(m)
         alloc.release(tile)
 
-    stats = runner.run(run_tile)
-    np.log(sums, out=sums)
-    lse += sums
+    def target_block(alloc, n0, nb):
+        """Token i's smoothed target seen from the embedding side,
+        g_i = (1-beta) C[:, x_i] + u: o_i = g_i . E_i, and grad_e[:, i]
+        starts at -w g_i, the target part no filter may drop."""
+        for c0 in range(n0, n0 + nb, gather):
+            c1 = min(c0 + gather, n0 + nb)
+            g = alloc.empty((d, c1 - c0))
+            # row gather from the C-ordered view of C; "clip" (the indices
+            # are checked) writes `out` in place
+            np.take(Ca.T, xa[c0:c1], axis=0, out=g.T, mode="clip")
+            g *= 1.0 - beta
+            g += u
+            if backward:
+                np.multiply(g, -w, out=grad_e[:, c0:c1])
+            if forward:
+                g *= Ea[:, c0:c1]
+                np.sum(g, axis=0, out=o[c0:c1])
+            alloc.release(g)
+            del g
 
-    # target score q_i . z_i, with q_i = (1-beta) e_{x_i} + beta/|V|:
-    # the uniform share u . E_i for every token, then the indexed share
-    with np.errstate(over="ignore", invalid="ignore"):
-        o = _smoothing_row(Ca, beta, v) @ Ea
-        keep = 1.0 - beta
-        o += np.fromiter((keep * (Ca[:, t] @ Ea[:, i]) for i, t in enumerate(xa)),
-                         np.float64, n)
-        per_token = lse - o
+    def add_products(alloc, a, b, out):
+        """out += w a b: straight into `out`, or without the kernel through
+        a tracked chunk laid out like `out`, dropped at release so that the
+        next one is not held beside it."""
+        if not staged:
+            dgemm(w, a, b, out, beta=1.0)
+            return
+        chunk = dgemm(w, a, b, alloc.empty(out.shape))
+        out += chunk
+        alloc.release(chunk)
+        del chunk
+
+    def backward_tile(alloc, i, n0, nb, j, v0, vb) -> bool:
+        """Adds one tile's softmax part; True if the filter skipped it.
+        Token block 0 starts each `grad_c` block inside its turn."""
+        tile = _logit_tile(alloc, Ea, Ca, n0, nb, v0, vb)
+        tile -= lse[n0:n0 + nb]
+        out_c = grad_c[:, v0:v0 + vb]
+        if filter_epsilon and math.exp(float(tile.max())) < filter_epsilon:
+            alloc.release(tile)
+            del tile
+            runner.wait_turn(i, j)  # later token blocks wait on this turn
+            if i == 0:
+                out_c[:] = c_start
+            runner.pass_turn(j)
+            return True
+        np.exp(tile, out=tile)
+        add_products(alloc, Ca[:, v0:v0 + vb], tile, grad_e[:, n0:n0 + nb])
+        runner.wait_turn(i, j)
+        if i == 0:
+            out_c[:] = c_start
+        add_products(alloc, Ea[:, n0:n0 + nb], tile.T, out_c)
+        runner.pass_turn(j)
+        alloc.release(tile)
+        return False
+
+    def run_block(alloc, i, n0, nb, counts):
+        if forward:
+            lse[n0:n0 + nb] = -np.inf
+            o[n0:n0 + nb] = 0.0
+            for _, v0, vb in runner.vocab_blocks():
+                forward_tile(alloc, n0, nb, v0, vb)
+                counts[0] += 1
+            run_sum = o[n0:n0 + nb]
+            np.log(run_sum, out=run_sum)
+            lse[n0:n0 + nb] += run_sum
+        target_block(alloc, n0, nb)
+        if backward:
+            for j, v0, vb in runner.vocab_blocks():
+                counts[backward_tile(alloc, i, n0, nb, j, v0, vb)] += 1
+
+    stats = runner.run(run_block)
+    return lse, o, grad_e, grad_c, stats
+
+
+def _loss(lse, o, reduction: str) -> LossOutput:
+    """The forward's result; a token whose loss is not finite is refused."""
+    per_token = lse - o
     check_finite_loss(per_token)
-    out = LossOutput(lse, o, per_token, _reduce(per_token, reduction, None), reduction)
-    return out, stats
+    return LossOutput(lse, o, per_token, _reduce(per_token, reduction, None), reduction)
+
+
+def _gradients(Ea, xa, beta: float, w: float, grad_e, grad_c) -> Gradients:
+    """Scatter the (1-beta) share of the target part into `grad_c`, in
+    token order, and hand both gradients over."""
+    keep_w = (1.0 - beta) * w
+    for i, t in enumerate(xa):
+        grad_c[:, t] -= keep_w * Ea[:, i]
+    return Gradients(DenseMatrix._wrap(grad_e), DenseMatrix._wrap(grad_c))
+
+
+def _weight(n: int, reduction: str, upstream: float) -> float:
+    """Every token weighs the same, so the weight is the products' alpha."""
+    return float(token_weights(n, reduction, upstream)[0]) if n else 0.0
+
+
+def blocked_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
+                    plan: BlockPlan, *, reduction: str = "sum"):
+    """Tiled smoothed cross-entropy forward pass on the plan's worker
+    count; for given tile sizes the result does not depend on the count.
+
+    Returns (LossOutput, MemoryStats); matches naive_forward per token while
+    allocating only tile-sized transients. A token whose loss is not finite
+    raises ValueError.
+    """
+    start = time.perf_counter()
+    Ea, Ca, xa, _, _, _, _ = _validate(E, C, x, beta, reduction)
+    lse, o, _, _, stats = _sweep(Ea, Ca, xa, beta, plan)
+    return _loss(lse, o, reduction), _timed(stats, start)
 
 
 def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
@@ -411,81 +548,34 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
     whose probability upper bound exp(max z - lse) falls below the epsilon
     contribute nothing to the softmax part.
     """
-    Ea, Ca, xa, n, v, _, _ = _validate(E, C, x, beta, reduction)
+    start = time.perf_counter()
+    Ea, Ca, xa, n, _, _, _ = _validate(E, C, x, beta, reduction)
     check_upstream(upstream)
     lse = np.asarray(lse, dtype=np.float64)
     if lse.shape != (n,):
         raise ValueError(f"lse must have length {n}, got shape {lse.shape}")
     if not np.isfinite(lse).all():
         raise ValueError("lse must be finite")
-    if not 0.0 <= filter_epsilon < 1.0:
-        raise ValueError(f"filter epsilon must lie in [0, 1), got {filter_epsilon}")
-
-    runner = _TileRunner(n, v, plan.clamped(n, v))
-    # every token weighs the same, so the weight is the products' alpha
-    w = float(token_weights(n, reduction, upstream)[0]) if n else 0.0
-    # the uniform share of the target part, -w beta/|V| per logit, as the
-    # gradients' starting columns
-    grad_e = _columns(-w * _smoothing_row(Ca, beta, v), n)
-    grad_c = _columns(-(beta / v) * w * Ea.sum(axis=1), v)
-    staged = _cblas_dgemm() is None
-
-    def add_products(alloc, a, b, out):
-        """out += w a b: straight into `out`, or without the kernel through
-        a tracked chunk laid out like `out`, dropped at release so that the
-        next one is not held beside it."""
-        if not staged:
-            dgemm(w, a, b, out, beta=1.0)
-            return
-        chunk = dgemm(w, a, b, alloc.empty(out.shape))
-        out += chunk
-        alloc.release(chunk)
-        del chunk
-
-    def run_tile(alloc, i, n0, nb, j, v0, vb):
-        tile = _logit_tile(alloc, Ea, Ca, n0, nb, v0, vb)
-        tile -= lse[n0:n0 + nb]
-        if filter_epsilon and math.exp(float(tile.max())) < filter_epsilon:
-            alloc.release(tile)
-            del tile
-            runner.wait_turn(i, j)  # later token blocks wait on this turn
-            runner.pass_turn(j)
-            return True
-        np.exp(tile, out=tile)
-        add_products(alloc, Ca[:, v0:v0 + vb], tile, grad_e[:, n0:n0 + nb])
-        runner.wait_turn(i, j)
-        add_products(alloc, Ea[:, n0:n0 + nb], tile.T, grad_c[:, v0:v0 + vb])
-        runner.pass_turn(j)
-        alloc.release(tile)
-        return False
-
-    stats = runner.run(run_tile)
-
-    # the indexed share of the target part, never filtered: -(1-beta) w
-    # per target logit
-    keep_w = (1.0 - beta) * w
-    for i, t in enumerate(xa):
-        grad_e[:, i] -= keep_w * Ca[:, t]
-        grad_c[:, t] -= keep_w * Ea[:, i]
-
-    grads = Gradients(DenseMatrix._wrap(grad_e), DenseMatrix._wrap(grad_c))
-    return grads, stats
+    _check_filter(filter_epsilon)
+    w = _weight(n, reduction, upstream)
+    _, _, grad_e, grad_c, stats = _sweep(Ea, Ca, xa, beta, plan, lse=lse, w=w,
+                                         filter_epsilon=filter_epsilon)
+    return _gradients(Ea, xa, beta, w, grad_e, grad_c), _timed(stats, start)
 
 
 def loss_and_grad(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
                   plan: BlockPlan, *, filter_epsilon: float = 0.0,
                   reduction: str = "sum", upstream: float = 1.0):
-    """Forward followed by recompute-based backward, both on the plan's
-    worker count; stats take the max of the two peaks and sum the tile
-    counters."""
+    """Forward and recompute-based backward in one sweep on the plan's
+    worker count: each token block runs forward, finishes its lse, then
+    runs backward. Bit-identical to `blocked_forward` followed by
+    `blocked_backward(lse)`; the stats sum both sweeps' tile counters."""
+    start = time.perf_counter()
+    Ea, Ca, xa, n, _, _, _ = _validate(E, C, x, beta, reduction)
     check_upstream(upstream)
-    out, fstats = blocked_forward(E, C, x, beta, plan, reduction=reduction)
-    grads, bstats = blocked_backward(E, C, x, beta, plan, out.lse, upstream=upstream,
-                                     filter_epsilon=filter_epsilon, reduction=reduction)
-    stats = MemoryStats(
-        max(fstats.peak_auxiliary_bytes, bstats.peak_auxiliary_bytes),
-        fstats.tiles_processed + bstats.tiles_processed,
-        fstats.tiles_skipped_by_filter + bstats.tiles_skipped_by_filter,
-        max(fstats.tiles_in_flight, bstats.tiles_in_flight),
-    )
-    return out, grads, stats
+    _check_filter(filter_epsilon)
+    w = _weight(n, reduction, upstream)
+    lse, o, grad_e, grad_c, stats = _sweep(Ea, Ca, xa, beta, plan, w=w,
+                                           filter_epsilon=filter_epsilon)
+    out = _loss(lse, o, reduction)
+    return out, _gradients(Ea, xa, beta, w, grad_e, grad_c), _timed(stats, start)

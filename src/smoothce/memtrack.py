@@ -14,8 +14,13 @@ into tracked tiles or straight into the gradients, so they add nothing;
 only without the accumulating BLAS kernel does a backward product pass
 through a tracked full-depth chunk and a `+=`.
 
-The smoothing share's whole-array terms and the per-token target passes
-after the tiles need only O(D) and O(N) temporaries.
+The target pass between a token block's forward and backward sweeps
+gathers its target columns through the allocator too, in chunks no
+larger than one tile's working set (at least one token), while no tile is
+held. Beside the outputs it needs only O(D) vectors: the smoothing row u
+and the `grad_c` start column. The forward's running sum lives in the `o`
+output, and the ordered `grad_c` target scatter after the tiles needs
+one D-vector at a time.
 
 A buffer is counted from `empty` to `release`; the engine drops its last
 reference at `release`, so an allocator's peak is what was actually held.
@@ -27,7 +32,7 @@ The allocator refuses no request: the tests compare the peak with
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,13 +47,16 @@ class MemoryStats:
     what the call held at any one moment, equal to it whenever the workers'
     tiles overlap, and independent of thread timing. `tiles_in_flight` is
     one tile per worker thread: the factor `aux_bound_bytes` multiplies the
-    tile working set by.
+    tile working set by. `phase_seconds` splits the call's wall time into
+    `runner`, the tile runner's, and `outside`, the rest of the entry; it
+    takes no part in comparisons.
     """
 
     peak_auxiliary_bytes: int
     tiles_processed: int
     tiles_skipped_by_filter: int
     tiles_in_flight: int
+    phase_seconds: dict[str, float] = field(default_factory=dict, compare=False)
 
 
 class TrackingAllocator:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -899,6 +900,12 @@ def test_engine_runs_without_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def empty_batch(d=8, v=96):
+    _, c, _ = random_instance(5, n=4, v=v, d=d, scale=0.5)
+    e = DenseMatrix.from_array(np.zeros((d, 0)))
+    return e, c, TokenSequence(np.array([], dtype=np.int64))
+
+
 class TestEmptyBatch:
     """N = 0: both engines give empty per-token arrays, a zero total and
     zero gradients, and the blocked engine holds no tile."""
@@ -906,9 +913,7 @@ class TestEmptyBatch:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("reduction", ["sum", "mean"])
     def test_matches_naive(self, workers, reduction):
-        _, c, _ = random_instance(5, n=4, v=96, d=8, scale=0.5)
-        e = DenseMatrix.from_array(np.zeros((8, 0)))
-        x = TokenSequence(np.array([], dtype=np.int64))
+        e, c, x = empty_batch()
         plan = plan_blocks(0, 96, 8, workers=workers)
         out, g, stats = loss_and_grad(e, c, x, 0.1, plan, reduction=reduction)
         want = naive_forward(e, c, x, 0.1, reduction=reduction)
@@ -941,6 +946,154 @@ class TestComposition:
         assert np.array_equal(out1.per_token_loss, out2.per_token_loss)
         assert np.array_equal(g1.grad_e.data, g2.grad_e.data)
         assert np.array_equal(g1.grad_c.data, g2.grad_c.data)
+
+
+def count_calls(monkeypatch, obj, name):
+    """Record the calling thread's name for every call of `obj.name`."""
+    calls = []
+    original = getattr(obj, name)
+
+    def spy(*args, **kwargs):
+        calls.append(threading.current_thread().name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(obj, name, spy)
+    return calls
+
+
+class TestOneSweep:
+    """`loss_and_grad` runs one tile runner: each token block sweeps its
+    vocabulary blocks forward, finishes its lse and target pass, then
+    sweeps them backward. The public passes are one-sweep runs of the same
+    code, so the fused call equals them bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def peaked(self):
+        """Peaked enough that filter 2^-12 skips a few backward tiles."""
+        return random_instance(42, n=48, v=256, d=16, scale=6.0)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("beta", [0.0, 0.1])
+    @pytest.mark.parametrize("reduction", ["sum", "mean"])
+    @pytest.mark.parametrize("eps", [0.0, 2.0 ** -12])
+    def test_equals_the_two_passes(self, monkeypatch, peaked, workers, beta, reduction,
+                                   eps):
+        e, c, x = peaked
+        plan = plan_blocks(48, 256, 16, n_block=16, v_block=32, workers=workers)
+        pairs = 3 * 8
+        with monkeypatch.context() as m:
+            runs = count_calls(m, smoothce.blocked._TileRunner, "run")
+            gemms = count_calls(m, smoothce.blocked, "dgemm")
+            out, g, stats = run_bounded(lambda: loss_and_grad(
+                e, c, x, beta, plan, filter_epsilon=eps, reduction=reduction))
+        assert len(runs) == 1
+        assert stats.tiles_processed + stats.tiles_skipped_by_filter == 2 * pairs
+        assert (stats.tiles_skipped_by_filter > 0) == (eps > 0)
+        # forward tile, backward recompute, and the two products of every
+        # tile the filter keeps
+        assert len(gemms) == 4 * pairs - 2 * stats.tiles_skipped_by_filter
+        assert all(name.startswith("smoothce-tiles-") for name in gemms)
+
+        fwd, _ = blocked_forward(e, c, x, beta, plan, reduction=reduction)
+        bwd, _ = run_bounded(lambda: blocked_backward(
+            e, c, x, beta, plan, fwd.lse, filter_epsilon=eps, reduction=reduction))
+        same = [(out.lse, fwd.lse), (out.o, fwd.o),
+                (out.per_token_loss, fwd.per_token_loss),
+                (g.grad_e.data, bwd.grad_e.data), (g.grad_c.data, bwd.grad_c.data)]
+        assert all(np.array_equal(got, want) for got, want in same)
+        assert out.total == fwd.total
+        if eps == 0.0:
+            np.testing.assert_allclose(out.per_token_loss, naive_forward(
+                e, c, x, beta, reduction=reduction).per_token_loss, rtol=1e-9)
+            want_g = naive_backward(e, c, x, beta, reduction=reduction)
+            assert grad_rel_err(g, want_g) <= 1e-9
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("reduction", ["sum", "mean"])
+    def test_empty_batch_runs_no_tile(self, monkeypatch, workers, reduction):
+        e, c, x = empty_batch()
+        plan = plan_blocks(0, 96, 8, workers=workers)
+        with monkeypatch.context() as m:
+            runs = count_calls(m, smoothce.blocked._TileRunner, "run")
+            gemms = count_calls(m, smoothce.blocked, "dgemm")
+            out, g, _ = loss_and_grad(e, c, x, 0.1, plan, reduction=reduction)
+        assert len(runs) == 1 and gemms == []
+        fwd, _ = blocked_forward(e, c, x, 0.1, plan, reduction=reduction)
+        bwd, _ = blocked_backward(e, c, x, 0.1, plan, fwd.lse, reduction=reduction)
+        assert np.array_equal(g.grad_c.data, bwd.grad_c.data)
+        assert np.array_equal(g.grad_c.data, np.zeros((8, 96)))
+        assert out.total == fwd.total == 0.0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_deep_target_gather_stays_within_the_bound(self, workers):
+        """At D > V_B + 1 one token block's D x N_B target columns are more
+        than a tile's working set; they are gathered in chunks that fit,
+        so the peak stays within the ceiling, and what tracemalloc sees
+        beyond it does not grow with D."""
+        untracked = {}
+        for d in (30, 300):
+            e, c, x = random_instance(4, n=64, v=256, d=d, scale=0.2)
+            plan = plan_blocks(64, 256, d, v_block=32, workers=workers)
+            untracked[d], peak = untracked_bytes(e, c, x, 0.1, plan)
+            assert 0 < peak <= aux_bound_bytes(plan, 64, 256, d)
+        assert 300 * plan.n_block > plan_working_set_bytes(plan) // 8
+        # one gather of a token block's columns would be 8 x 300 x N_B bytes
+        assert untracked[300] - untracked[30] < 16 * 1024
+
+    @pytest.mark.parametrize("call, bad", [
+        *[(call, bad) for call in ("loss_and_grad", "blocked_backward")
+          for bad in (dict(filter_epsilon=1.5), dict(filter_epsilon=-0.25),
+                      dict(beta=1.5), dict(reduction="max"), dict(upstream=math.nan))],
+        ("blocked_backward", dict(lse=np.zeros(3)))])
+    def test_arguments_are_checked_before_any_tile(self, monkeypatch, call, bad):
+        """A bad option used to be refused only after a whole forward."""
+        e, c, x = random_instance(0, 8, 32, 4, 0.5)
+        plan = plan_blocks(8, 32, 4, n_block=2, v_block=8, workers=2)
+        kw = dict(bad)
+        beta = kw.pop("beta", 0.1)
+        lse = kw.pop("lse", naive_forward(e, c, x, 0.1).lse)
+        gemms = count_calls(monkeypatch, smoothce.blocked, "dgemm")
+        with pytest.raises(ValueError):
+            if call == "loss_and_grad":
+                loss_and_grad(e, c, x, beta, plan, **kw)
+            else:
+                blocked_backward(e, c, x, beta, plan, lse, **kw)
+        assert gemms == []
+
+    @pytest.mark.parametrize("beta, want", [(0.0, 0), (0.1, 1)])
+    def test_smoothing_row_is_summed_at_most_once(self, monkeypatch, medium, beta, want):
+        e, c, x, _, _ = medium
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, workers=2)
+        sums = count_calls(monkeypatch, smoothce.blocked, "_smoothing_row")
+        loss_and_grad(e, c, x, beta, plan)
+        assert len(sums) == want
+
+    @pytest.mark.parametrize("call", ["blocked_forward", "blocked_backward",
+                                      "loss_and_grad"])
+    @pytest.mark.parametrize("n", [64, 0])
+    def test_phase_seconds_split_the_wall_time(self, monkeypatch, medium, call, n):
+        """`runner` and `outside` are checked against perf_counter around
+        the call; no ratio is asserted."""
+        e, c, x, fwd, _ = medium
+        lse = fwd[0.1].lse
+        if n == 0:
+            e, c, x = empty_batch(d=32, v=512)
+            lse = np.zeros(0)
+        plan = plan_blocks(n, 512, 32, n_block=16, v_block=64, workers=2)
+        runs = {"blocked_forward": lambda: blocked_forward(e, c, x, 0.1, plan),
+                "blocked_backward": lambda: blocked_backward(e, c, x, 0.1, plan, lse),
+                "loss_and_grad": lambda: loss_and_grad(e, c, x, 0.1, plan)}
+        runners = count_calls(monkeypatch, smoothce.blocked._TileRunner, "run")
+        t0 = time.perf_counter()
+        stats = runs[call]()[-1]
+        wall = time.perf_counter() - t0
+        assert len(runners) == 1
+        phases = stats.phase_seconds
+        assert set(phases) == {"runner", "outside"}
+        assert phases["runner"] >= 0 and phases["outside"] >= 0
+        assert phases["runner"] + phases["outside"] <= wall
+        # the timings take no part in comparing stats
+        assert replace(stats, phase_seconds={}) == stats
 
 
 class TestInputs:
