@@ -8,23 +8,25 @@ embedding matrices in place (no staged copies), and folds the tile into
 each token's softmax normaliser by an online merge (Milakov & Gimelshein,
 arXiv:1805.02867): a running max M and a running sum S of exp(z - M),
 rescaled when M grows, and lse = M + log S after the block's last tile.
-The block's target pass follows, and then its backward, which recomputes
-the same tiles from the inputs and the block's finished lse (the recompute
-design of Cut Cross-Entropy, arXiv:2411.09009). A backward tile adds only
-its softmax part, from P = exp(z - lse), and one whose largest
-probability bound falls below the filter threshold may be skipped
-entirely. `loss_and_grad` runs all three per block; `blocked_forward`
-runs the forward and the target score, `blocked_backward` the target
-start of `grad_e` and the backward from a given lse.
+The block's target score follows. Its backward recomputes the same tiles
+from the inputs and the block's finished lse (the recompute design of Cut
+Cross-Entropy, arXiv:2411.09009). A backward tile adds only its softmax
+part, from P = exp(z - lse), and one whose largest probability bound
+falls below the filter threshold may be skipped entirely. The forward
+and the backward are each one block function (`_forward_block`,
+`_backward_block`): `blocked_forward` and `blocked_backward` run one of
+them, and `loss_and_grad` runs both in turn for each token block, on one
+runner.
 
 The tiles never see the target. The smoothed target
 q_i = (1-beta) e_{x_i} + beta/|V| enters the loss and both gradients
 linearly. Seen from the embedding side it is the D-vector
 g_i = (1-beta) C[:, x_i] + u, with u = (beta/|V|) sum_v C[:, v]
 (`_smoothing_row`, summed once per call and only when beta > 0). The
-target pass gathers a chunk of the block's g_i at a time into one
-tracked buffer: the target score is o_i = g_i . E_i, and `grad_e[:, i]`
-starts at -w g_i before the backward tiles add into it. Each `grad_c`
+forward gathers a chunk of the block's g_i at a time into one tracked
+buffer for the target score o_i = g_i . E_i; the backward gathers the
+block's C[:, x_i] straight into `grad_e`, which starts at -w g_i before
+the backward tiles add into it. Each `grad_c`
 column starts at the uniform share -(beta/|V|) w E 1 (0 at beta 0),
 which token block 0 writes into each vocabulary block inside its turn,
 while the block is in cache, before its product; after the runner one
@@ -51,22 +53,22 @@ Every GEMM goes through `dgemm`, c = alpha a b + beta c on the ILP64
 view. A logit tile is written with beta 0; the backward adds its two
 products, with the uniform token weight as alpha, straight into the
 gradients with beta 1: C_panel P into `grad_e[:, token block]`, and
-E_panel P^T into `grad_c[:, vocab block]` inside that block's turn. Every `DenseMatrix` is column-major (F-ordered D x N and D x |V|:
+E_panel P^T into `grad_c[:, vocab block]` inside that block's turn.
+Every `DenseMatrix` is column-major (F-ordered D x N and D x |V|:
 each token's and each vocabulary entry's D-vector is contiguous), so every
 operand is one contiguous panel or its `.T`. Only where numpy's BLAS
 exports no such symbol does an adding product go through a tracked
 full-depth chunk and a `+=` into the gradient.
 
 Every tile-sized buffer (the logit tile, the forward's one N_B row, and
-the target pass's gather chunk: as many tokens' D-vectors as fit in one
-tile's working set, at least one, held only while no tile is) flows
-through its worker's own
-TrackingAllocator, and the call's MemoryStats report the sum of the
-workers' peaks, which thread timing cannot move; peak auxiliary bytes stay
-O(N_B*V_B) per tile in flight regardless of |V| (plus D*max(N_B, V_B) for
-a staged product chunk). The returned outputs and O(D) temporaries are not
-tracked; the running sum S lives in the `o` output until the block's lse
-is finished.
+the forward's target gather chunk: as many tokens' D-vectors as fit in
+one tile's working set, at least one, held only while no tile is) flows
+through its worker's own TrackingAllocator, and the call's MemoryStats
+report the sum of the workers' peaks, which thread timing cannot move;
+peak auxiliary bytes stay O(N_B*V_B) per tile in flight regardless of |V|
+(plus D*max(N_B, V_B) for a staged product chunk, and never below one
+D-vector). The returned outputs and O(D) temporaries are not tracked; the
+running sum S lives in the `o` output until the block's lse is finished.
 """
 
 from __future__ import annotations
@@ -96,18 +98,29 @@ def aux_bound_bytes(plan: BlockPlan, n: int, v: int, d: int) -> int:
     the tile working set times the tiles in flight (one per plan worker, at
     most one per token block), plus a fixed bookkeeping allowance. Without
     the accumulating kernel each tile also holds one staged D-row product
-    chunk."""
+    chunk. A worker's share is at least one token's D-vector: the
+    forward's smallest target gather, never held beside a tile."""
     eff = plan.clamped(n, v)
     per_tile = plan_working_set_bytes(eff)
     if _cblas_dgemm() is None:
         per_tile += 8 * d * max(eff.n_block, eff.v_block)
+    per_tile = max(per_tile, 8 * d)
     return tiles_in_flight(n, eff.n_block, eff.workers) * per_tile + 4096
+
+
+_SUM_CHUNK = 1024  # vocabulary entries per gemv of the smoothing row
 
 
 def _smoothing_row(Ca, beta: float, v: int) -> np.ndarray:
     """(beta/|V|) * sum_v C[:, v]: the uniform share of the smoothed target
-    seen from the embedding side, D floats."""
-    return (beta / v) * Ca.sum(axis=1)
+    seen from the embedding side, D floats. Summed by one gemv with a short
+    ones vector per chunk of vocabulary entries; `Ca.sum(axis=1)` would
+    run one short strided add per entry of the column-major C."""
+    ones = np.ones(min(v, _SUM_CHUNK))
+    total = np.zeros(Ca.shape[0])
+    for v0 in range(0, v, ones.size):
+        total += Ca[:, v0:v0 + ones.size] @ ones[:v - v0]
+    return (beta / v) * total
 
 
 @functools.cache
@@ -273,9 +286,9 @@ class _TileRunner:
     wall time.
 
     Worker k runs token blocks k, k + in_flight, ... in index order. The
-    block function the caller passes does all of a block's work: its
-    forward over `vocab_blocks()`, its target pass, then its backward over
-    the same blocks, so everything indexed by token needs no lock. Sums
+    block function the caller passes does all of a block's work: a
+    forward or a backward over `vocab_blocks()`, or the two in turn, so
+    everything indexed by token needs no lock. Sums
     over token blocks (into `grad_c`) go through `wait_turn`/`pass_turn`:
     token block i may add into vocabulary block j once blocks 0..i-1 have
     passed it. A block waits only on lower blocks, and each worker takes
@@ -375,37 +388,24 @@ def _check_filter(filter_epsilon: float) -> None:
         raise ValueError(f"filter epsilon must lie in [0, 1), got {filter_epsilon}")
 
 
-def _sweep(Ea, Ca, xa, beta: float, plan: BlockPlan, *, lse=None, w=None,
-           filter_epsilon: float = 0.0):
-    """Every tile of one call on one `_TileRunner`. Without `lse`, each
-    token block first sweeps its vocabulary blocks forward and finishes its
-    lse and target score `o`; with a token weight `w`, it then sweeps them
-    backward into `grad_e` and `grad_c`. The caller adds the (1-beta)
-    share of `grad_c` after the runner.
-
-    Returns (lse, o, grad_e, grad_c, stats), with None for what the call
-    does not compute."""
-    d, n = Ea.shape
-    v = Ca.shape[1]
-    eff = plan.clamped(n, v)
-    runner = _TileRunner(n, v, eff)
-    forward, backward = lse is None, w is not None
+def _tiles(Ea, Ca, beta: float, plan: BlockPlan):
+    """One call's tile runner and its smoothing column u, D x 1 (0.0 at
+    beta 0, where nothing is summed)."""
+    n, v = Ea.shape[1], Ca.shape[1]
     u = _smoothing_row(Ca, beta, v)[:, None] if beta else 0.0
+    return _TileRunner(n, v, plan.clamped(n, v)), u
+
+
+def _forward_block(runner: _TileRunner, Ea, Ca, xa, beta: float, u):
+    """The forward's outputs (lse, o) and its block function: the token
+    block's sweep over every vocabulary block, its finished lse, then its
+    target score o_i = g_i . E_i, with g_i = (1-beta) C[:, x_i] + u."""
+    d, n = Ea.shape
     # o holds a token block's running sum S until its lse is finished
-    o = None
-    if forward:
-        lse, o = np.empty(n), np.empty(n)
-    grad_e = grad_c = None
-    if backward:
-        grad_e = np.empty((d, n), order="F")
-        grad_c = np.zeros((d, v), order="F") if n == 0 else np.empty((d, v), order="F")
-        # the uniform share of grad_c, -w beta/|V| per logit, as the column
-        # that token block 0 starts each vocabulary block from
-        c_start = -(beta / v) * w * Ea.sum(axis=1)[:, None] if beta else 0.0
-        staged = _cblas_dgemm() is None
+    lse, o = np.empty(n), np.empty(n)
     # target columns are gathered a chunk of tokens at a time: as many as
     # fit in one tile's working set, at least one
-    gather = max(1, plan_working_set_bytes(eff) // (8 * max(d, 1)))
+    gather = max(1, plan_working_set_bytes(runner.eff) // (8 * max(d, 1)))
 
     def forward_tile(alloc, n0, nb, v0, vb):
         tile = _logit_tile(alloc, Ea, Ca, n0, nb, v0, vb)
@@ -425,10 +425,15 @@ def _sweep(Ea, Ca, xa, beta: float, plan: BlockPlan, *, lse=None, w=None,
         alloc.release(m)
         alloc.release(tile)
 
-    def target_block(alloc, n0, nb):
-        """Token i's smoothed target seen from the embedding side,
-        g_i = (1-beta) C[:, x_i] + u: o_i = g_i . E_i, and grad_e[:, i]
-        starts at -w g_i, the target part no filter may drop."""
+    def run_block(alloc, i, n0, nb, counts):
+        lse[n0:n0 + nb] = -np.inf
+        o[n0:n0 + nb] = 0.0
+        for _, v0, vb in runner.vocab_blocks():
+            forward_tile(alloc, n0, nb, v0, vb)
+            counts[0] += 1
+        run_sum = o[n0:n0 + nb]
+        np.log(run_sum, out=run_sum)
+        lse[n0:n0 + nb] += run_sum
         for c0 in range(n0, n0 + nb, gather):
             c1 = min(c0 + gather, n0 + nb)
             g = alloc.empty((d, c1 - c0))
@@ -437,13 +442,29 @@ def _sweep(Ea, Ca, xa, beta: float, plan: BlockPlan, *, lse=None, w=None,
             np.take(Ca.T, xa[c0:c1], axis=0, out=g.T, mode="clip")
             g *= 1.0 - beta
             g += u
-            if backward:
-                np.multiply(g, -w, out=grad_e[:, c0:c1])
-            if forward:
-                g *= Ea[:, c0:c1]
-                np.sum(g, axis=0, out=o[c0:c1])
+            g *= Ea[:, c0:c1]
+            np.sum(g, axis=0, out=o[c0:c1])
             alloc.release(g)
             del g
+
+    return lse, o, run_block
+
+
+def _backward_block(runner: _TileRunner, Ea, Ca, xa, beta: float, u, lse, w: float,
+                    filter_epsilon: float):
+    """The backward's outputs (grad_e, grad_c) and its block function: the
+    token block's `grad_e` columns start at -w g_i, the target part no
+    filter may drop, and then it sweeps every vocabulary block, adding each
+    tile's softmax part from P = exp(z - lse). The caller adds the (1-beta)
+    share of `grad_c` after the runner."""
+    d, n = Ea.shape
+    v = Ca.shape[1]
+    grad_e = np.empty((d, n), order="F")
+    grad_c = np.zeros((d, v), order="F") if n == 0 else np.empty((d, v), order="F")
+    # the uniform share of grad_c, -w beta/|V| per logit, as the column
+    # that token block 0 starts each vocabulary block from
+    c_start = -(beta / v) * w * Ea.sum(axis=1)[:, None] if beta else 0.0
+    staged = _cblas_dgemm() is None
 
     def add_products(alloc, a, b, out):
         """out += w a b: straight into `out`, or without the kernel through
@@ -482,27 +503,22 @@ def _sweep(Ea, Ca, xa, beta: float, plan: BlockPlan, *, lse=None, w=None,
         return False
 
     def run_block(alloc, i, n0, nb, counts):
-        if forward:
-            lse[n0:n0 + nb] = -np.inf
-            o[n0:n0 + nb] = 0.0
-            for _, v0, vb in runner.vocab_blocks():
-                forward_tile(alloc, n0, nb, v0, vb)
-                counts[0] += 1
-            run_sum = o[n0:n0 + nb]
-            np.log(run_sum, out=run_sum)
-            lse[n0:n0 + nb] += run_sum
-        target_block(alloc, n0, nb)
-        if backward:
-            for j, v0, vb in runner.vocab_blocks():
-                counts[backward_tile(alloc, i, n0, nb, j, v0, vb)] += 1
+        start = grad_e[:, n0:n0 + nb]
+        # the block's target columns, gathered straight into its gradient
+        np.take(Ca.T, xa[n0:n0 + nb], axis=0, out=start.T, mode="clip")
+        start *= 1.0 - beta
+        start += u
+        start *= -w
+        for j, v0, vb in runner.vocab_blocks():
+            counts[backward_tile(alloc, i, n0, nb, j, v0, vb)] += 1
 
-    stats = runner.run(run_block)
-    return lse, o, grad_e, grad_c, stats
+    return grad_e, grad_c, run_block
 
 
 def _loss(lse, o, reduction: str) -> LossOutput:
     """The forward's result; a token whose loss is not finite is refused."""
-    per_token = lse - o
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_token = lse - o
     check_finite_loss(per_token)
     return LossOutput(lse, o, per_token, _reduce(per_token, reduction, None), reduction)
 
@@ -532,7 +548,9 @@ def blocked_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: floa
     """
     start = time.perf_counter()
     Ea, Ca, xa, _, _, _, _ = _validate(E, C, x, beta, reduction)
-    lse, o, _, _, stats = _sweep(Ea, Ca, xa, beta, plan)
+    runner, u = _tiles(Ea, Ca, beta, plan)
+    lse, o, forward = _forward_block(runner, Ea, Ca, xa, beta, u)
+    stats = runner.run(forward)
     return _loss(lse, o, reduction), _timed(stats, start)
 
 
@@ -558,8 +576,10 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
         raise ValueError("lse must be finite")
     _check_filter(filter_epsilon)
     w = _weight(n, reduction, upstream)
-    _, _, grad_e, grad_c, stats = _sweep(Ea, Ca, xa, beta, plan, lse=lse, w=w,
-                                         filter_epsilon=filter_epsilon)
+    runner, u = _tiles(Ea, Ca, beta, plan)
+    grad_e, grad_c, backward = _backward_block(runner, Ea, Ca, xa, beta, u, lse, w,
+                                               filter_epsilon)
+    stats = runner.run(backward)
     return _gradients(Ea, xa, beta, w, grad_e, grad_c), _timed(stats, start)
 
 
@@ -567,15 +587,24 @@ def loss_and_grad(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
                   plan: BlockPlan, *, filter_epsilon: float = 0.0,
                   reduction: str = "sum", upstream: float = 1.0):
     """Forward and recompute-based backward in one sweep on the plan's
-    worker count: each token block runs forward, finishes its lse, then
-    runs backward. Bit-identical to `blocked_forward` followed by
-    `blocked_backward(lse)`; the stats sum both sweeps' tile counters."""
+    worker count: each token block runs the forward's block function,
+    which finishes its lse, then the backward's. Bit-identical to
+    `blocked_forward` followed by `blocked_backward(lse)`; the stats sum
+    both block functions' tile counters."""
     start = time.perf_counter()
     Ea, Ca, xa, n, _, _, _ = _validate(E, C, x, beta, reduction)
     check_upstream(upstream)
     _check_filter(filter_epsilon)
     w = _weight(n, reduction, upstream)
-    lse, o, grad_e, grad_c, stats = _sweep(Ea, Ca, xa, beta, plan, w=w,
-                                           filter_epsilon=filter_epsilon)
+    runner, u = _tiles(Ea, Ca, beta, plan)
+    lse, o, forward = _forward_block(runner, Ea, Ca, xa, beta, u)
+    grad_e, grad_c, backward = _backward_block(runner, Ea, Ca, xa, beta, u, lse, w,
+                                               filter_epsilon)
+
+    def run_block(*block):
+        forward(*block)
+        backward(*block)
+
+    stats = runner.run(run_block)
     out = _loss(lse, o, reduction)
     return out, _gradients(Ea, xa, beta, w, grad_e, grad_c), _timed(stats, start)

@@ -14,11 +14,12 @@ into tracked tiles or straight into the gradients, so they add nothing;
 only without the accumulating BLAS kernel does a backward product pass
 through a tracked full-depth chunk and a `+=`.
 
-The target pass between a token block's forward and backward sweeps
+The forward's target score, after a token block's forward sweep,
 gathers its target columns through the allocator too, in chunks no
 larger than one tile's working set (at least one token), while no tile is
-held. Beside the outputs it needs only O(D) vectors: the smoothing row u
-and the `grad_c` start column. The forward's running sum lives in the `o`
+held. The backward gathers its target columns straight into `grad_e`.
+Beside the outputs they need only O(D) vectors: the smoothing row u and
+the `grad_c` start column. The forward's running sum lives in the `o`
 output, and the ordered `grad_c` target scatter after the tiles needs
 one D-vector at a time.
 

@@ -111,7 +111,8 @@ def _forward_arrays(Ea, Ca, xa, beta: float, v: int):
         lse = lse_columns(z)
         target_scores = z[xa, np.arange(xa.size)]
         o = (1.0 - beta) * target_scores + (beta / v) * z.sum(axis=0)
-    return z, lse, o
+        per_token = lse - o
+    return z, lse, o, per_token
 
 
 def naive_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float, *,
@@ -124,12 +125,11 @@ def naive_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
     kept token whose loss is not finite raises ValueError.
     """
     Ea, Ca, xa, n, v, d, keep = _validate(E, C, x, beta, reduction, ignore_mask)
-    _, lse, o = _forward_arrays(Ea, Ca, xa, beta, v)
-    per_token = lse - o
+    _, lse, o, per_token = _forward_arrays(Ea, Ca, xa, beta, v)
     check_finite_loss(per_token, keep)
+    total = _reduce(per_token, reduction, keep)
     if keep is not None:
         per_token = np.where(keep, per_token, 0.0)
-    total = _reduce(lse - o, reduction, keep)
     return LossOutput(lse, o, per_token, total, reduction)
 
 
@@ -144,8 +144,8 @@ def naive_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float
     """
     Ea, Ca, xa, n, v, d, keep = _validate(E, C, x, beta, reduction, ignore_mask)
     check_upstream(upstream)
-    z, lse, o = _forward_arrays(Ea, Ca, xa, beta, v)
-    check_finite_loss(lse - o, keep)
+    z, lse, _, per_token = _forward_arrays(Ea, Ca, xa, beta, v)
+    check_finite_loss(per_token, keep)
     a = np.exp(z - lse)
     a[xa, np.arange(n)] -= 1.0 - beta
     a -= beta / v
@@ -167,8 +167,7 @@ def finite_diff_grad(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
     Ea, Ca, xa, n, v, d, keep = _validate(E, C, x, beta, reduction, ignore_mask)
 
     def total(e_arr, c_arr) -> float:
-        _, lse, o = _forward_arrays(e_arr, c_arr, xa, beta, v)
-        return _reduce(lse - o, reduction, keep)
+        return _reduce(_forward_arrays(e_arr, c_arr, xa, beta, v)[3], reduction, keep)
 
     grads = []
     for k in range(2):  # probe E, then C; the other stays the caller's array

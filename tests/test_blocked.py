@@ -1040,6 +1040,22 @@ class TestOneSweep:
         # one gather of a token block's columns would be 8 x 300 x N_B bytes
         assert untracked[300] - untracked[30] < 16 * 1024
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("beta", [0.0, 0.1])
+    def test_deep_narrow_shape_stays_within_the_bound(self, workers, beta):
+        """At 4 x 2 x 1000 one token's D-vector, the smallest target gather,
+        is more than a tile's working set; the ceiling allows for it."""
+        n, v, d = 4, 2, 1000
+        e, c, x = random_instance(4, n=n, v=v, d=d, scale=0.05)
+        plan = plan_blocks(n, v, d, workers=workers)
+        assert 8 * d > plan_working_set_bytes(plan.clamped(n, v))
+        bound = aux_bound_bytes(plan, n, v, d)
+        fwd, fstats = blocked_forward(e, c, x, beta, plan)
+        _, bstats = blocked_backward(e, c, x, beta, plan, fwd.lse)
+        _, _, stats = loss_and_grad(e, c, x, beta, plan)
+        for s in (fstats, bstats, stats):
+            assert 0 < s.peak_auxiliary_bytes <= bound
+
     @pytest.mark.parametrize("call, bad", [
         *[(call, bad) for call in ("loss_and_grad", "blocked_backward")
           for bad in (dict(filter_epsilon=1.5), dict(filter_epsilon=-0.25),
@@ -1067,6 +1083,15 @@ class TestOneSweep:
         sums = count_calls(monkeypatch, smoothce.blocked, "_smoothing_row")
         loss_and_grad(e, c, x, beta, plan)
         assert len(sums) == want
+
+    @pytest.mark.parametrize("v", [1, 1023, 1024, 2500])
+    def test_smoothing_row_sums_every_chunk(self, v):
+        """The row is summed by one gemv per chunk of vocabulary entries;
+        the last chunk may be short."""
+        _, c, _ = random_instance(6, n=1, v=v, d=16, scale=1.0)
+        want = (0.1 / v) * c.data.sum(axis=1)
+        np.testing.assert_allclose(smoothce.blocked._smoothing_row(c.data, 0.1, v), want,
+                                   rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("call", ["blocked_forward", "blocked_backward",
                                       "loss_and_grad"])
@@ -1120,8 +1145,14 @@ class TestInputs:
         """Logits beyond float64 give no loss to report: every entry point
         raises ValueError, on any worker count, and numpy warns nothing."""
         e, c, x = random_instance(0, 8, 32, 4, 1e160)
-        for workers in (1, 3):
-            plan = plan_blocks(8, 32, 4, n_block=2, v_block=8, workers=workers)
+        # finite logits near +-1e308 with the target at the low one: lse and
+        # o are finite, but lse - o is not
+        wide = (DenseMatrix.from_array(np.full((1, 1), 1e154)),
+                DenseMatrix.from_array(np.array([[1e154, -1e154]])),
+                TokenSequence(np.array([1])))
+        for (e, c, x), workers in itertools.product([(e, c, x), wide], (1, 3)):
+            n, v, d = len(x.targets), c.cols, c.rows
+            plan = plan_blocks(n, v, d, n_block=2, v_block=8, workers=workers)
             runs = {"naive_forward": lambda: naive_forward(e, c, x, 0.1),
                     "naive_backward": lambda: naive_backward(e, c, x, 0.1),
                     "blocked_forward": lambda: blocked_forward(e, c, x, 0.1, plan),

@@ -259,6 +259,17 @@ class TestBench:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert len(rows) == 6 and all(float(r[7]) > 0 for r in rows)
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_deep_narrow_shape_stays_under_its_ceiling(self, tmp_path, threads):
+        """At 4 x 2 x 1000 one token's D-vector is more than a tile's
+        working set; every phase stays under the ceiling."""
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--n", "4", "--v", "2", "--d", "1000", "--betas", "0,0.1",
+                "--skip-naive", "--threads", threads, "--out", str(out)]
+        assert main(argv) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 6 and all(int(r[8]) > 0 for r in rows)
+
     def test_multi_worker_reruns_are_byte_identical(self, capsys):
         """Each worker owns fixed token blocks and counts its own peak, so
         a two-worker run over several token blocks prints the same CSV
