@@ -44,9 +44,9 @@ order. Per-token state (lse, o, `grad_e` columns) needs no locks, and each
 `grad_c[:, v-block]` takes its products in token-block order through a
 per-vocabulary-block turn counter. Every sum therefore runs in the same
 order as on one worker, and for given tile sizes results are
-bit-identical for any `replace(plan, workers=k)`. While more than one
-worker runs, numpy's OpenBLAS is held at one thread, so BLAS threads do
-not compete with the workers.
+bit-identical for any `replace(plan, workers=k)`. Every run holds numpy's
+OpenBLAS at one thread, so no GEMM's sum order depends on the host's BLAS
+threads, and BLAS threads do not compete with the workers.
 
 Every GEMM goes through `dgemm`, c = alpha a b + beta c on the ILP64
 `cblas_dgemm` of numpy's own OpenBLAS, with a transpose passed as a `.T`
@@ -78,7 +78,7 @@ import functools
 import math
 import threading
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -236,9 +236,9 @@ def _openblas_thread_calls():
 
 
 class _OneBlasThread:
-    """Holds numpy's OpenBLAS at one thread while any multi-worker tile run
-    is in progress; the last run to end restores the count the first found.
-    The count is process-wide, hence one shared holder."""
+    """Holds numpy's OpenBLAS at one thread while any tile run is in
+    progress; the last run to end restores the count the first found. The
+    count is process-wide, hence one shared holder."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -357,7 +357,7 @@ class _TileRunner:
         threads = [threading.Thread(target=self._work, args=(k, a, run_block, c, errors),
                                     name=f"smoothce-tiles-{k}")
                    for k, (a, c) in enumerate(zip(allocs, counts))]
-        with _ONE_BLAS_THREAD.held() if self.in_flight > 1 else nullcontext():
+        with _ONE_BLAS_THREAD.held():
             for t in threads:
                 t.start()
             try:
@@ -394,6 +394,16 @@ def _tiles(Ea, Ca, beta: float, plan: BlockPlan):
     n, v = Ea.shape[1], Ca.shape[1]
     u = _smoothing_row(Ca, beta, v)[:, None] if beta else 0.0
     return _TileRunner(n, v, plan.clamped(n, v)), u
+
+
+def _target_rows(Ca, xa, beta: float, u, out):
+    """out = (1-beta) C[:, x] + u, the D x len(x) target columns g_i;
+    returns `out`. A row gather from the C-ordered view of C, where "clip"
+    (the indices are checked) lets np.take write `out` in place."""
+    np.take(Ca.T, xa, axis=0, out=out.T, mode="clip")
+    out *= 1.0 - beta
+    out += u
+    return out
 
 
 def _forward_block(runner: _TileRunner, Ea, Ca, xa, beta: float, u):
@@ -436,12 +446,7 @@ def _forward_block(runner: _TileRunner, Ea, Ca, xa, beta: float, u):
         lse[n0:n0 + nb] += run_sum
         for c0 in range(n0, n0 + nb, gather):
             c1 = min(c0 + gather, n0 + nb)
-            g = alloc.empty((d, c1 - c0))
-            # row gather from the C-ordered view of C; "clip" (the indices
-            # are checked) writes `out` in place
-            np.take(Ca.T, xa[c0:c1], axis=0, out=g.T, mode="clip")
-            g *= 1.0 - beta
-            g += u
+            g = _target_rows(Ca, xa[c0:c1], beta, u, alloc.empty((d, c1 - c0)))
             g *= Ea[:, c0:c1]
             np.sum(g, axis=0, out=o[c0:c1])
             alloc.release(g)
@@ -479,35 +484,28 @@ def _backward_block(runner: _TileRunner, Ea, Ca, xa, beta: float, u, lse, w: flo
         del chunk
 
     def backward_tile(alloc, i, n0, nb, j, v0, vb) -> bool:
-        """Adds one tile's softmax part; True if the filter skipped it.
-        Token block 0 starts each `grad_c` block inside its turn."""
+        """Adds one tile's softmax part; True if the filter skipped it. A
+        skipped tile still takes its `grad_c` turn, in which token block 0
+        starts the vocabulary block."""
         tile = _logit_tile(alloc, Ea, Ca, n0, nb, v0, vb)
         tile -= lse[n0:n0 + nb]
+        skip = filter_epsilon > 0 and math.exp(float(tile.max())) < filter_epsilon
+        if not skip:
+            np.exp(tile, out=tile)
+            add_products(alloc, Ca[:, v0:v0 + vb], tile, grad_e[:, n0:n0 + nb])
         out_c = grad_c[:, v0:v0 + vb]
-        if filter_epsilon and math.exp(float(tile.max())) < filter_epsilon:
-            alloc.release(tile)
-            del tile
-            runner.wait_turn(i, j)  # later token blocks wait on this turn
-            if i == 0:
-                out_c[:] = c_start
-            runner.pass_turn(j)
-            return True
-        np.exp(tile, out=tile)
-        add_products(alloc, Ca[:, v0:v0 + vb], tile, grad_e[:, n0:n0 + nb])
         runner.wait_turn(i, j)
         if i == 0:
             out_c[:] = c_start
-        add_products(alloc, Ea[:, n0:n0 + nb], tile.T, out_c)
+        if not skip:
+            add_products(alloc, Ea[:, n0:n0 + nb], tile.T, out_c)
         runner.pass_turn(j)
         alloc.release(tile)
-        return False
+        return skip
 
     def run_block(alloc, i, n0, nb, counts):
-        start = grad_e[:, n0:n0 + nb]
         # the block's target columns, gathered straight into its gradient
-        np.take(Ca.T, xa[n0:n0 + nb], axis=0, out=start.T, mode="clip")
-        start *= 1.0 - beta
-        start += u
+        start = _target_rows(Ca, xa[n0:n0 + nb], beta, u, grad_e[:, n0:n0 + nb])
         start *= -w
         for j, v0, vb in runner.vocab_blocks():
             counts[backward_tile(alloc, i, n0, nb, j, v0, vb)] += 1

@@ -345,7 +345,8 @@ def _add_engine(sub):
     sub.add_argument("--n-block", type=_positive_int, default=None)
     sub.add_argument("--v-block", type=_positive_int, default=None)
     sub.add_argument("--threads", type=_positive_int, default=None,
-                     help="engine worker threads (falls back to SCE_THREADS, "
+                     help="threads the engine computes on, each running "
+                          "BLAS on one thread (falls back to SCE_THREADS, "
                           "then every available CPU); for given tile sizes "
                           "results are bit-identical for any count")
 

@@ -50,6 +50,8 @@ def _validate(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
         raise ValueError(
             f"embedding dim {E.rows} does not match classifier dim {C.rows}")
     n, v, d = E.cols, C.cols, E.rows
+    if v == 0:
+        raise ValueError(f"classifier is empty ({d} x 0): it has no vocabulary entries")
     if len(x) != n:
         raise ValueError(f"{len(x)} targets for {n} token columns")
     x.check_vocab(v)

@@ -769,6 +769,21 @@ def openblas_threads():
     return calls
 
 
+@pytest.fixture()
+def two_blas_threads():
+    """numpy's OpenBLAS raised to 2 threads for the test, and the caller's
+    count restored after it; yields the count getter."""
+    get, set_ = openblas_threads()
+    saved = get()
+    set_(2)
+    try:
+        if get() != 2:
+            pytest.skip("numpy's OpenBLAS cannot be raised to 2 threads")
+        yield get
+    finally:
+        set_(saved)
+
+
 class TestRunner:
     """One runner for every worker count: token blocks owned by workers,
     `grad_c` summed in token-block order, so results never depend on the
@@ -812,35 +827,12 @@ class TestRunner:
         assert np.array_equal(got[1].grad_e.data, want[1].grad_e.data)
         assert np.array_equal(got[0].lse, want[0].lse)
 
-    def test_multi_worker_call_holds_one_blas_thread_and_restores(
-            self, medium, monkeypatch):
-        get, set_ = openblas_threads()
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_every_call_holds_one_blas_thread_and_restores(
+            self, medium, monkeypatch, two_blas_threads, workers):
+        get = two_blas_threads
         e, c, x, _, _ = medium
-        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64)
-        saved = get()
-        seen = set()
-        original = smoothce.blocked.dgemm
-
-        def spy(*args, **kwargs):
-            seen.add(get())
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(smoothce.blocked, "dgemm", spy)
-        try:
-            set_(2)
-            loss_and_grad(e, c, x, 0.1, replace(plan, workers=2))
-            assert seen == {1}
-            assert get() == 2
-        finally:
-            set_(saved)
-
-    def test_one_worker_leaves_the_blas_thread_count_alone(self, medium, monkeypatch):
-        """A single worker holds nothing: its GEMMs run with the count the
-        caller set, and the count is unchanged after the call."""
-        get, set_ = openblas_threads()
-        e, c, x, _, _ = medium
-        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64)
-        saved = get()
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, workers=workers)
         seen = []
         original = smoothce.blocked.dgemm
 
@@ -849,14 +841,68 @@ class TestRunner:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(smoothce.blocked, "dgemm", spy)
-        try:
-            set_(2)
-            _, _, stats = loss_and_grad(e, c, x, 0.1, replace(plan, workers=1))
-            assert stats.tiles_in_flight == 1
-            assert seen and set(seen) == {2}
-            assert get() == 2
-        finally:
-            set_(saved)
+        _, _, stats = loss_and_grad(e, c, x, 0.1, plan)
+        assert stats.tiles_in_flight == workers
+        assert seen and set(seen) == {1}
+        assert get() == 2
+
+    def test_threaded_blas_leaves_workers_bit_identical(self, two_blas_threads):
+        """Here a V_B-deep `grad_e` product is large enough for a threaded
+        OpenBLAS to split, which would sum it in another order; every run
+        holds one BLAS thread, so the worker count still changes no bit."""
+        e, c, x = random_instance(11, n=300, v=5000, d=48, scale=0.5)
+        plan = plan_blocks(300, 5000, 48, n_block=64, v_block=512)
+        results = []
+        for workers in (1, 2, 3):
+            out, g, _ = run_bounded(lambda: loss_and_grad(
+                e, c, x, 0.1, replace(plan, workers=workers)))
+            results.append((out.lse, out.o, g.grad_e.data, g.grad_c.data))
+        assert two_blas_threads() == 2
+        for other in results[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(other, results[0]))
+
+    def test_overlapping_calls_restore_the_count_when_the_last_ends(
+            self, medium, monkeypatch, two_blas_threads):
+        """Two one-worker calls from two Python threads: the first GEMM of
+        each waits for the other's at a barrier, and call B's later GEMMs
+        wait until call A has returned. The count stays at 1 until B's run
+        ends too, and then comes back to the caller's."""
+        get = two_blas_threads
+        e, c, x, _, _ = medium
+        eb, cb, xb = random_instance(8, n=64, v=512, d=32, scale=0.5)
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, workers=1)
+        met, a_done = threading.Barrier(2, timeout=60), threading.Event()
+        first = {"A": True, "B": True}
+        seen = []
+        original = smoothce.blocked.dgemm
+
+        def spy(alpha, a, b, out, **kwargs):
+            seen.append(get())
+            call = "B" if any(np.may_share_memory(op, m.data)
+                              for op in (a, b) for m in (eb, cb)) else "A"
+            if first.pop(call, False):
+                met.wait()
+            elif call == "B":
+                assert a_done.wait(60), "call A did not end"
+            return original(alpha, a, b, out, **kwargs)
+
+        def call_a():
+            try:
+                return loss_and_grad(e, c, x, 0.1, plan)
+            finally:
+                a_done.set()
+
+        got_b = []
+        thread_b = threading.Thread(target=lambda: got_b.append(
+            loss_and_grad(eb, cb, xb, 0.1, plan)), daemon=True)
+        monkeypatch.setattr(smoothce.blocked, "dgemm", spy)
+        thread_b.start()
+        run_bounded(call_a)
+        thread_b.join(120)
+        assert not thread_b.is_alive() and got_b, "call B did not finish"
+        # two calls of 4 GEMMs per tile pair, 4 x 8 pairs each
+        assert len(seen) == 2 * 4 * 4 * 8 and set(seen) == {1}
+        assert get() == 2
 
     def test_worker_failure_propagates_without_hanging(self, medium, monkeypatch):
         """A worker that raises stops the others, even one waiting for its
@@ -1200,6 +1246,25 @@ class TestInputs:
                 m.setattr(smoothce.blocked, "blocked_forward", no_pass)
                 with pytest.raises(ValueError, match="upstream must be finite"):
                     runs[call]()
+
+    @pytest.mark.parametrize("beta", [0.0, 0.1])
+    @pytest.mark.parametrize("call", ["naive_forward", "naive_backward",
+                                      "blocked_forward", "blocked_backward",
+                                      "loss_and_grad"])
+    def test_empty_classifier_is_refused(self, call, beta):
+        """A D x 0 classifier has no vocabulary to take a softmax over:
+        every entry refuses it by name, also for an empty batch."""
+        e, c = (DenseMatrix.from_array(np.zeros((4, 0))) for _ in range(2))
+        x = TokenSequence(np.array([], dtype=np.int64))
+        plan = plan_blocks(0, 1, 4)
+        runs = {"naive_forward": lambda: naive_forward(e, c, x, beta),
+                "naive_backward": lambda: naive_backward(e, c, x, beta),
+                "blocked_forward": lambda: blocked_forward(e, c, x, beta, plan),
+                "blocked_backward": lambda: blocked_backward(e, c, x, beta, plan,
+                                                             np.empty(0)),
+                "loss_and_grad": lambda: loss_and_grad(e, c, x, beta, plan)}
+        with pytest.raises(ValueError, match=r"classifier is empty \(4 x 0\)"):
+            runs[call]()
 
     def test_engine_options_are_keyword_only(self):
         """Each entry took its options in its own positional order; now a

@@ -118,6 +118,22 @@ class TestLoss:
             assert main(argv) == 0
             assert total_from(capsys) == 0.0
 
+    @pytest.mark.parametrize("beta", [0.0, 0.1])
+    def test_empty_classifier_is_a_data_error(self, tmp_path, capsys, beta):
+        """A 4 x 0 classifier file is refused by name: one error line, no
+        total, for both engines."""
+        files = tuple(str(tmp_path / f"{name}.sce1") for name in "ECx")
+        for path in files[:2]:
+            save_matrix(DenseMatrix.from_array(np.zeros((4, 0))), path)
+        save_tokens(TokenSequence(np.array([], dtype=np.int64)), files[2])
+        assert main(loss_args(files, engine="naive", beta=beta)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: classifier is empty (4 x 0): it has no vocabulary entries\n"
+        assert main(loss_args(files, engine="blocked", beta=beta)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("engine", ["blocked", "naive"])
