@@ -13,10 +13,11 @@ from the inputs and the block's finished lse (the recompute design of Cut
 Cross-Entropy, arXiv:2411.09009). A backward tile adds only its softmax
 part, from P = exp(z - lse), and one whose largest probability bound
 falls below the filter threshold may be skipped entirely. The forward
-and the backward are each one block function (`_forward_block`,
-`_backward_block`): `blocked_forward` and `blocked_backward` run one of
-them, and `loss_and_grad` runs both in turn for each token block, on one
-runner.
+and the backward are each built by one function (`_forward_block`,
+`_backward_block`) that checks its own options, weighs its tokens and
+returns its block function with the finisher that makes its result:
+`blocked_forward` and `blocked_backward` run one of them, and
+`loss_and_grad` runs both in turn for each token block, on one runner.
 
 The tiles never see the target. The smoothed target
 q_i = (1-beta) e_{x_i} + beta/|V| enters the loss and both gradients
@@ -96,16 +97,16 @@ __all__ = ["blocked_forward", "blocked_backward", "loss_and_grad",
 def aux_bound_bytes(plan: BlockPlan, n: int, v: int, d: int) -> int:
     """Ceiling for the peak auxiliary bytes of one engine call on `plan`:
     the tile working set times the tiles in flight (one per plan worker, at
-    most one per token block), plus a fixed bookkeeping allowance. Without
-    the accumulating kernel each tile also holds one staged D-row product
-    chunk. A worker's share is at least one token's D-vector: the
-    forward's smallest target gather, never held beside a tile."""
+    most one per token block). Without the accumulating kernel each tile
+    also holds one staged D-row product chunk. A worker's share is at least
+    one token's D-vector: the forward's smallest target gather, never held
+    beside a tile."""
     eff = plan.clamped(n, v)
     per_tile = plan_working_set_bytes(eff)
     if _cblas_dgemm() is None:
         per_tile += 8 * d * max(eff.n_block, eff.v_block)
     per_tile = max(per_tile, 8 * d)
-    return tiles_in_flight(n, eff.n_block, eff.workers) * per_tile + 4096
+    return tiles_in_flight(n, eff.n_block, eff.workers) * per_tile
 
 
 _SUM_CHUNK = 1024  # vocabulary entries per gemv of the smoothing row
@@ -137,22 +138,27 @@ def _blas_library():
         return None
 
 
+def _blas_function(names, restype, *argtypes):
+    """The first of `names` that numpy's BLAS exports, typed; None if it
+    exports none of them or could not be opened (`lib` None has no such
+    attribute)."""
+    lib = _blas_library()
+    for name in names:
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            fn.restype, fn.argtypes = restype, list(argtypes)
+            return fn
+    return None
+
+
 @functools.cache
 def _cblas_dgemm():
     """numpy's ILP64 `cblas_dgemm`, or None. Only a `64_`-suffixed symbol
     is used: the integer width of an unsuffixed one is unknown."""
-    lib = _blas_library()
-    if lib is None:
-        return None
-    for name in ("scipy_cblas_dgemm64_", "cblas_dgemm64_"):
-        fn = getattr(lib, name, None)
-        if fn is not None:
-            enum, i64, f64, ptr = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-            fn.argtypes = [enum, enum, enum, i64, i64, i64,
-                           f64, ptr, i64, ptr, i64, f64, ptr, i64]
-            fn.restype = None
-            return fn
-    return None
+    enum, i64, f64, ptr = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    return _blas_function(("scipy_cblas_dgemm64_", "cblas_dgemm64_"), None,
+                          enum, enum, enum, i64, i64, i64,
+                          f64, ptr, i64, ptr, i64, f64, ptr, i64)
 
 
 _ROW_MAJOR, _COL_MAJOR, _NO_TRANS, _TRANS = 101, 102, 111, 112  # CBLAS enums
@@ -219,18 +225,13 @@ def _logit_tile(alloc, Ea, Ca, n0, nb, v0, vb):
 
 @functools.cache
 def _openblas_thread_calls():
-    """(get, set) for numpy's OpenBLAS thread count, or None when numpy
-    links a BLAS without them."""
-    lib = _blas_library()
-    if lib is None:
-        return None
+    """(get, set) for numpy's OpenBLAS thread count, both from one library
+    variant, or None when numpy links a BLAS without them."""
     for prefix in ("scipy_openblas", "openblas"):
         for suffix in ("64_", ""):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            get = _blas_function((f"{prefix}_get_num_threads{suffix}",), ctypes.c_int)
+            set_ = _blas_function((f"{prefix}_set_num_threads{suffix}",), None, ctypes.c_int)
             if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
                 return get, set_
     return None
 
@@ -350,7 +351,8 @@ class _TileRunner:
         its own allocator; return the tile counts, the sum of the workers'
         peaks and the runner's wall time."""
         start = time.perf_counter()
-        # this module's name, read per call
+        # looked up in this module on each call: bench/tracer.py swaps
+        # `blocked.TrackingAllocator` for a tracing one
         allocs = [TrackingAllocator() for _ in range(self.in_flight)]
         counts = [[0, 0] for _ in allocs]
         errors: list[BaseException] = []
@@ -383,11 +385,6 @@ def _timed(stats: MemoryStats, start: float) -> MemoryStats:
         "runner": runner, "outside": time.perf_counter() - start - runner})
 
 
-def _check_filter(filter_epsilon: float) -> None:
-    if not 0.0 <= filter_epsilon < 1.0:
-        raise ValueError(f"filter epsilon must lie in [0, 1), got {filter_epsilon}")
-
-
 def _tiles(Ea, Ca, beta: float, plan: BlockPlan):
     """One call's tile runner and its smoothing column u, D x 1 (0.0 at
     beta 0, where nothing is summed)."""
@@ -406,10 +403,10 @@ def _target_rows(Ca, xa, beta: float, u, out):
     return out
 
 
-def _forward_block(runner: _TileRunner, Ea, Ca, xa, beta: float, u):
-    """The forward's outputs (lse, o) and its block function: the token
-    block's sweep over every vocabulary block, its finished lse, then its
-    target score o_i = g_i . E_i, with g_i = (1-beta) C[:, x_i] + u."""
+def _forward_block(runner: _TileRunner, Ea, Ca, xa, beta: float, u, reduction: str):
+    """The forward's lse, its `loss()` finisher and its block function: the
+    token block's sweep over every vocabulary block, its finished lse, then
+    its target score o_i = g_i . E_i, with g_i = (1-beta) C[:, x_i] + u."""
     d, n = Ea.shape
     # o holds a token block's running sum S until its lse is finished
     lse, o = np.empty(n), np.empty(n)
@@ -452,18 +449,31 @@ def _forward_block(runner: _TileRunner, Ea, Ca, xa, beta: float, u):
             alloc.release(g)
             del g
 
-    return lse, o, run_block
+    def loss() -> LossOutput:
+        """The forward's result; a token whose loss is not finite is refused."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            per_token = lse - o
+        check_finite_loss(per_token)
+        return LossOutput(lse, o, per_token, _reduce(per_token, reduction, None), reduction)
+
+    return lse, loss, run_block
 
 
-def _backward_block(runner: _TileRunner, Ea, Ca, xa, beta: float, u, lse, w: float,
-                    filter_epsilon: float):
-    """The backward's outputs (grad_e, grad_c) and its block function: the
+def _backward_block(runner: _TileRunner, Ea, Ca, xa, beta: float, u, lse,
+                    reduction: str, upstream: float, filter_epsilon: float):
+    """The backward's `gradients()` finisher and its block function: the
     token block's `grad_e` columns start at -w g_i, the target part no
     filter may drop, and then it sweeps every vocabulary block, adding each
-    tile's softmax part from P = exp(z - lse). The caller adds the (1-beta)
-    share of `grad_c` after the runner."""
+    tile's softmax part from P = exp(z - lse). The finisher adds the
+    (1-beta) share of `grad_c` after the runner. Its options are refused
+    before any gradient is allocated."""
+    check_upstream(upstream)
+    if not 0.0 <= filter_epsilon < 1.0:
+        raise ValueError(f"filter epsilon must lie in [0, 1), got {filter_epsilon}")
     d, n = Ea.shape
     v = Ca.shape[1]
+    # every token weighs the same, so the weight is the products' alpha
+    w = float(token_weights(n, reduction, upstream)[0]) if n else 0.0
     grad_e = np.empty((d, n), order="F")
     grad_c = np.zeros((d, v), order="F") if n == 0 else np.empty((d, v), order="F")
     # the uniform share of grad_c, -w beta/|V| per logit, as the column
@@ -510,29 +520,15 @@ def _backward_block(runner: _TileRunner, Ea, Ca, xa, beta: float, u, lse, w: flo
         for j, v0, vb in runner.vocab_blocks():
             counts[backward_tile(alloc, i, n0, nb, j, v0, vb)] += 1
 
-    return grad_e, grad_c, run_block
+    def gradients() -> Gradients:
+        """Scatter the (1-beta) share of the target part into `grad_c`, in
+        token order, and hand both gradients over."""
+        keep_w = (1.0 - beta) * w
+        for i, t in enumerate(xa):
+            grad_c[:, t] -= keep_w * Ea[:, i]
+        return Gradients(DenseMatrix._wrap(grad_e), DenseMatrix._wrap(grad_c))
 
-
-def _loss(lse, o, reduction: str) -> LossOutput:
-    """The forward's result; a token whose loss is not finite is refused."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        per_token = lse - o
-    check_finite_loss(per_token)
-    return LossOutput(lse, o, per_token, _reduce(per_token, reduction, None), reduction)
-
-
-def _gradients(Ea, xa, beta: float, w: float, grad_e, grad_c) -> Gradients:
-    """Scatter the (1-beta) share of the target part into `grad_c`, in
-    token order, and hand both gradients over."""
-    keep_w = (1.0 - beta) * w
-    for i, t in enumerate(xa):
-        grad_c[:, t] -= keep_w * Ea[:, i]
-    return Gradients(DenseMatrix._wrap(grad_e), DenseMatrix._wrap(grad_c))
-
-
-def _weight(n: int, reduction: str, upstream: float) -> float:
-    """Every token weighs the same, so the weight is the products' alpha."""
-    return float(token_weights(n, reduction, upstream)[0]) if n else 0.0
+    return gradients, run_block
 
 
 def blocked_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
@@ -547,9 +543,9 @@ def blocked_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: floa
     start = time.perf_counter()
     Ea, Ca, xa, _, _, _, _ = _validate(E, C, x, beta, reduction)
     runner, u = _tiles(Ea, Ca, beta, plan)
-    lse, o, forward = _forward_block(runner, Ea, Ca, xa, beta, u)
+    _, loss, forward = _forward_block(runner, Ea, Ca, xa, beta, u, reduction)
     stats = runner.run(forward)
-    return _loss(lse, o, reduction), _timed(stats, start)
+    return loss(), _timed(stats, start)
 
 
 def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
@@ -566,19 +562,16 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
     """
     start = time.perf_counter()
     Ea, Ca, xa, n, _, _, _ = _validate(E, C, x, beta, reduction)
-    check_upstream(upstream)
     lse = np.asarray(lse, dtype=np.float64)
     if lse.shape != (n,):
         raise ValueError(f"lse must have length {n}, got shape {lse.shape}")
     if not np.isfinite(lse).all():
         raise ValueError("lse must be finite")
-    _check_filter(filter_epsilon)
-    w = _weight(n, reduction, upstream)
     runner, u = _tiles(Ea, Ca, beta, plan)
-    grad_e, grad_c, backward = _backward_block(runner, Ea, Ca, xa, beta, u, lse, w,
-                                               filter_epsilon)
+    gradients, backward = _backward_block(runner, Ea, Ca, xa, beta, u, lse, reduction,
+                                          upstream, filter_epsilon)
     stats = runner.run(backward)
-    return _gradients(Ea, xa, beta, w, grad_e, grad_c), _timed(stats, start)
+    return gradients(), _timed(stats, start)
 
 
 def loss_and_grad(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
@@ -590,19 +583,15 @@ def loss_and_grad(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
     `blocked_forward` followed by `blocked_backward(lse)`; the stats sum
     both block functions' tile counters."""
     start = time.perf_counter()
-    Ea, Ca, xa, n, _, _, _ = _validate(E, C, x, beta, reduction)
-    check_upstream(upstream)
-    _check_filter(filter_epsilon)
-    w = _weight(n, reduction, upstream)
+    Ea, Ca, xa, _, _, _, _ = _validate(E, C, x, beta, reduction)
     runner, u = _tiles(Ea, Ca, beta, plan)
-    lse, o, forward = _forward_block(runner, Ea, Ca, xa, beta, u)
-    grad_e, grad_c, backward = _backward_block(runner, Ea, Ca, xa, beta, u, lse, w,
-                                               filter_epsilon)
+    lse, loss, forward = _forward_block(runner, Ea, Ca, xa, beta, u, reduction)
+    gradients, backward = _backward_block(runner, Ea, Ca, xa, beta, u, lse, reduction,
+                                          upstream, filter_epsilon)
 
     def run_block(*block):
         forward(*block)
         backward(*block)
 
     stats = runner.run(run_block)
-    out = _loss(lse, o, reduction)
-    return out, _gradients(Ea, xa, beta, w, grad_e, grad_c), _timed(stats, start)
+    return loss(), gradients(), _timed(stats, start)

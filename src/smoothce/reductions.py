@@ -3,7 +3,8 @@ log-sum-exp, softmax, logit distances, and KL to the uniform distribution.
 
 Every log-sum-exp and softmax shifts by the maximum before exponentiating,
 so finite logits never overflow. The blocked engine's online softmax
-merge lives in `blocked_forward`, on one tracked scratch row per tile.
+merge lives in `blocked._forward_block`, on one tracked scratch row per
+tile.
 """
 
 from __future__ import annotations

@@ -541,15 +541,16 @@ def plan_blocks(
     Defaults are clamped to the extents. Then V_B is halved, down to N_B,
     until the logit tiles of all tiles in flight fit that of one serial
     tile, so more workers do not multiply the working set. Explicit
-    overrides are clamped but never shrunk. An empty batch (n = 0) gets
-    one-token blocks.
+    overrides are clamped but never shrunk. Only a negative extent is
+    refused: an empty one (n, v or d = 0) gets one-wide blocks, and the
+    engines are the one place that refuses an empty classifier.
 
     `d_block` is accepted and ignored: every backward product runs at full
     depth. It stays only because `bench/test_bench.py` still passes it; the
     first change allowed to edit `bench/` (ROADMAP item 1) drops both.
     """
-    if n < 0 or v < 1 or d < 1:
-        raise ValueError(f"need n >= 0 and v, d >= 1, got n={n}, v={v}, d={d}")
+    if min(n, v, d) < 0:
+        raise ValueError(f"need n, v, d >= 0, got n={n}, v={v}, d={d}")
     plan = BlockPlan(_BASE_BLOCKS[0] if n_block is None else n_block,
                      _BASE_BLOCKS[1] if v_block is None else v_block,
                      workers=workers).clamped(n, v)

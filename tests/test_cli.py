@@ -120,19 +120,30 @@ class TestLoss:
 
     @pytest.mark.parametrize("beta", [0.0, 0.1])
     def test_empty_classifier_is_a_data_error(self, tmp_path, capsys, beta):
-        """A 4 x 0 classifier file is refused by name: one error line, no
-        total, for both engines."""
+        """A 4 x 0 classifier file is refused by name: one and the same
+        error line, no total, for both engines."""
         files = tuple(str(tmp_path / f"{name}.sce1") for name in "ECx")
         for path in files[:2]:
             save_matrix(DenseMatrix.from_array(np.zeros((4, 0))), path)
         save_tokens(TokenSequence(np.array([], dtype=np.int64)), files[2])
-        assert main(loss_args(files, engine="naive", beta=beta)) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "error: classifier is empty (4 x 0): it has no vocabulary entries\n"
-        assert main(loss_args(files, engine="blocked", beta=beta)) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        for engine in ("naive", "blocked"):
+            assert main(loss_args(files, engine=engine, beta=beta)) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: classifier is empty (4 x 0): it has no vocabulary entries\n"
+
+    def test_zero_depth_both_engines(self, tmp_path, capsys):
+        """At D = 0 every logit is 0: both engines print 5 log 7 for five
+        tokens over seven entries."""
+        files = tuple(str(tmp_path / f"{name}.sce1") for name in "ECx")
+        save_matrix(DenseMatrix.from_array(np.zeros((0, 5))), files[0])
+        save_matrix(DenseMatrix.from_array(np.zeros((0, 7))), files[1])
+        save_tokens(TokenSequence(np.array([0, 1, 2, 3, 6])), files[2])
+        totals = []
+        for engine in ("blocked", "naive"):
+            assert main(loss_args(files, engine=engine)) == 0
+            totals.append(total_from(capsys))
+        assert totals[0] == totals[1] == pytest.approx(5 * math.log(7), rel=1e-15)
 
 
     @pytest.mark.filterwarnings("error")

@@ -571,12 +571,16 @@ class TestPlanning:
         assert BlockPlan(8, 32, workers=4).workers == 4
 
     def test_empty_batch_gets_one_token_blocks(self):
+        """An empty extent gets one-wide blocks; only a negative one is
+        refused here, since the engines refuse an empty classifier."""
         plan = plan_blocks(0, 16, 4, workers=2)
         assert (plan.n_block, plan.v_block) == (1, 16)
         assert tiles_in_flight(0, plan.n_block, 2) == 0
-        for v, d in ((0, 4), (16, 0)):
-            with pytest.raises(ValueError):
-                plan_blocks(0, v, d)
+        assert plan_blocks(0, 0, 4, workers=2) == BlockPlan(1, 1, workers=2)
+        assert plan_blocks(0, 16, 0, workers=2) == BlockPlan(1, 16, workers=2)
+        for n, v, d in ((-1, 16, 4), (0, -1, 4), (0, 16, -1)):
+            with pytest.raises(ValueError, match="need n, v, d >= 0"):
+                plan_blocks(n, v, d)
 
     @pytest.mark.parametrize("n, v, d", [(1024, 16384, 64), (256, 65536, 128),
                                          (256, 4096, 64)])
