@@ -12,12 +12,18 @@ The block's target score follows. Its backward recomputes the same tiles
 from the inputs and the block's finished lse (the recompute design of Cut
 Cross-Entropy, arXiv:2411.09009). A backward tile adds only its softmax
 part, from P = exp(z - lse), and one whose largest probability bound
-falls below the filter threshold may be skipped entirely. The forward
-and the backward are each built by one function (`_forward_block`,
-`_backward_block`) that checks its own options, weighs its tokens and
-returns its block function with the finisher that makes its result:
-`blocked_forward` and `blocked_backward` run one of them, and
-`loss_and_grad` runs both in turn for each token block, on one runner.
+falls below the filter threshold may be skipped entirely.
+
+Each engine call is one `_TileRunner`, built from the entry's arguments:
+it holds the checked inputs, the smoothing column and the clamped plan.
+The forward and the backward are each built on it by one function
+(`_forward_block`, `_backward_block`) that checks its own options, weighs
+its tokens and returns its block function with the finisher that makes
+its result. The forward's finisher is `reference.loss_output`, the rule
+the naive engine ends with too. `call.run(*block_fns)` hands each token
+block, as one `cols` slice, to the block functions in turn:
+`blocked_forward` and `blocked_backward` pass one, and `loss_and_grad`
+both. `call.stats()`, after the finishers, makes the call's MemoryStats.
 
 The tiles never see the target. The smoothed target
 q_i = (1-beta) e_{x_i} + beta/|V| enters the loss and both gradients
@@ -80,13 +86,11 @@ import math
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 
 from .memtrack import MemoryStats, TrackingAllocator
-from .reference import (Gradients, LossOutput, _reduce, _validate, check_finite_loss,
-                        check_upstream, token_weights)
+from .reference import Gradients, _validate, check_upstream, loss_output, token_weight
 from .tensors import (BlockPlan, DenseMatrix, TokenSequence,
                       plan_working_set_bytes, tiles_in_flight)
 
@@ -217,12 +221,6 @@ def dgemm(alpha, a, b, c, beta=0.0):
     return c
 
 
-def _logit_tile(alloc, Ea, Ca, n0, nb, v0, vb):
-    """tile[v, i] = sum_d C[d, v0+v] * E[d, n0+i], in one full-depth GEMM."""
-    tile = alloc.empty((vb, nb), order="C")
-    return dgemm(1.0, Ca[:, v0:v0 + vb].T, Ea[:, n0:n0 + nb], tile)
-
-
 @functools.cache
 def _openblas_thread_calls():
     """(get, set) for numpy's OpenBLAS thread count, both from one library
@@ -282,26 +280,36 @@ class _Abandoned(Exception):
 
 
 class _TileRunner:
-    """Runs one call's token blocks on up to `eff.workers` threads in one
-    fixed order of accumulation, and keeps the call's counters and its
-    wall time.
+    """One engine call: its checked inputs, its smoothing column u and its
+    clamped plan, and the run of its token blocks on up to `eff.workers`
+    threads in one fixed order of accumulation.
 
-    Worker k runs token blocks k, k + in_flight, ... in index order. The
-    block function the caller passes does all of a block's work: a
-    forward or a backward over `vocab_blocks()`, or the two in turn, so
-    everything indexed by token needs no lock. Sums
+    Built from the entry's arguments, it starts the call's clock, runs
+    `_validate`, sums u (D x 1; 0.0 at beta 0, where nothing is summed) and
+    clamps the plan. `run(*block_fns)` hands each token block, as one
+    `cols` slice, to every block function in turn: a forward or a
+    backward over `vocab_blocks()`, or the two, so everything indexed by
+    token needs no lock. `stats()`, called after the finishers, makes the
+    call's MemoryStats.
+
+    Worker k runs token blocks k, k + in_flight, ... in index order. Sums
     over token blocks (into `grad_c`) go through `wait_turn`/`pass_turn`:
     token block i may add into vocabulary block j once blocks 0..i-1 have
     passed it. A block waits only on lower blocks, and each worker takes
     its blocks in increasing order, so the waits cannot cycle.
     """
 
-    def __init__(self, n: int, v: int, eff: BlockPlan):
-        self.eff = eff
-        self.n, self.v = n, v
-        self.in_flight = tiles_in_flight(n, eff.n_block, eff.workers)
+    def __init__(self, E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
+                 plan: BlockPlan, reduction: str):
+        self._start = time.perf_counter()
+        self.Ea, self.Ca, self.xa, self.n, self.v, self.d, _ = _validate(
+            E, C, x, beta, reduction)
+        self.beta, self.reduction = beta, reduction
+        self.u = _smoothing_row(self.Ca, beta, self.v)[:, None] if beta else 0.0
+        self.eff = plan.clamped(self.n, self.v)
+        self.in_flight = tiles_in_flight(self.n, self.eff.n_block, self.eff.workers)
         self._cond = threading.Condition()
-        self._turns = [0] * -(-v // eff.v_block)
+        self._turns = [0] * -(-self.v // self.eff.v_block)
         self._failed = False
 
     def vocab_blocks(self):
@@ -309,6 +317,21 @@ class _TileRunner:
         vbk = self.eff.v_block
         for j, v0 in enumerate(range(0, self.v, vbk)):
             yield j, v0, min(vbk, self.v - v0)
+
+    def logit_tile(self, alloc, cols, v0: int, vb: int) -> np.ndarray:
+        """tile[v, i] = sum_d C[d, v0+v] * E[d, cols][i], in one full-depth
+        GEMM."""
+        tile = alloc.empty((vb, cols.stop - cols.start), order="C")
+        return dgemm(1.0, self.Ca[:, v0:v0 + vb].T, self.Ea[:, cols], tile)
+
+    def target_rows(self, cols, out: np.ndarray) -> np.ndarray:
+        """out = (1-beta) C[:, x[cols]] + u, the target columns g_i;
+        returns `out`. A row gather from the C-ordered view of C, where "clip"
+        (the indices are checked) lets np.take write `out` in place."""
+        np.take(self.Ca.T, self.xa[cols], axis=0, out=out.T, mode="clip")
+        out *= 1.0 - self.beta
+        out += self.u
+        return out
 
     def wait_turn(self, i: int, j: int) -> None:
         with self._cond:
@@ -321,9 +344,9 @@ class _TileRunner:
             self._turns[j] += 1
             self._cond.notify_all()
 
-    def _work(self, k, alloc, run_block, counts, errors) -> None:
-        """Worker k: its token blocks, until another worker fails;
-        run_block adds its processed and skipped tiles to `counts`."""
+    def _work(self, k, alloc, block_fns, counts, errors) -> None:
+        """Worker k: its token blocks, until another worker fails; the
+        block functions add their processed and skipped tiles to `counts`."""
         nbk = self.eff.n_block
         np.setbufsize(_UFUNC_BUFFER)
         # overflowing logits are refused by each entry's own result check
@@ -332,8 +355,9 @@ class _TileRunner:
             for i in range(k, -(-self.n // nbk), self.in_flight):
                 if self._failed:
                     return
-                n0 = i * nbk
-                run_block(alloc, i, n0, min(nbk, self.n - n0), counts)
+                cols = slice(i * nbk, min((i + 1) * nbk, self.n))
+                for block_fn in block_fns:
+                    block_fn(alloc, i, cols, counts)
         except _Abandoned:
             pass
         except BaseException as exc:
@@ -346,17 +370,17 @@ class _TileRunner:
             self._failed = True
             self._cond.notify_all()
 
-    def run(self, run_block) -> MemoryStats:
-        """Run every token block on `in_flight` worker threads, each with
-        its own allocator; return the tile counts, the sum of the workers'
-        peaks and the runner's wall time."""
+    def run(self, *block_fns) -> None:
+        """Run every token block through `block_fns` on `in_flight` worker
+        threads, each with its own allocator; keep the tile counts, the sum
+        of the workers' peaks and the runner's wall time."""
         start = time.perf_counter()
         # looked up in this module on each call: bench/tracer.py swaps
         # `blocked.TrackingAllocator` for a tracing one
         allocs = [TrackingAllocator() for _ in range(self.in_flight)]
         counts = [[0, 0] for _ in allocs]
         errors: list[BaseException] = []
-        threads = [threading.Thread(target=self._work, args=(k, a, run_block, c, errors),
+        threads = [threading.Thread(target=self._work, args=(k, a, block_fns, c, errors),
                                     name=f"smoothce-tiles-{k}")
                    for k, (a, c) in enumerate(zip(allocs, counts))]
         with _ONE_BLAS_THREAD.held():
@@ -372,52 +396,35 @@ class _TileRunner:
                 raise
         if errors:
             raise errors[0]
-        return MemoryStats(sum(a.peak_bytes for a in allocs), sum(c[0] for c in counts),
-                           sum(c[1] for c in counts), self.in_flight,
-                           {"runner": time.perf_counter() - start})
+        self._totals = (sum(a.peak_bytes for a in allocs), sum(c[0] for c in counts),
+                        sum(c[1] for c in counts))
+        self._runner_seconds = time.perf_counter() - start
+
+    def stats(self) -> MemoryStats:
+        """The call's counters, with its wall time so far split into the
+        runner's and the rest."""
+        runner = self._runner_seconds
+        return MemoryStats(*self._totals, self.in_flight, {
+            "runner": runner, "outside": time.perf_counter() - self._start - runner})
 
 
-def _timed(stats: MemoryStats, start: float) -> MemoryStats:
-    """`stats` with the entry's wall time since `start` split into the
-    runner's and the rest."""
-    runner = stats.phase_seconds["runner"]
-    return replace(stats, phase_seconds={
-        "runner": runner, "outside": time.perf_counter() - start - runner})
-
-
-def _tiles(Ea, Ca, beta: float, plan: BlockPlan):
-    """One call's tile runner and its smoothing column u, D x 1 (0.0 at
-    beta 0, where nothing is summed)."""
-    n, v = Ea.shape[1], Ca.shape[1]
-    u = _smoothing_row(Ca, beta, v)[:, None] if beta else 0.0
-    return _TileRunner(n, v, plan.clamped(n, v)), u
-
-
-def _target_rows(Ca, xa, beta: float, u, out):
-    """out = (1-beta) C[:, x] + u, the D x len(x) target columns g_i;
-    returns `out`. A row gather from the C-ordered view of C, where "clip"
-    (the indices are checked) lets np.take write `out` in place."""
-    np.take(Ca.T, xa, axis=0, out=out.T, mode="clip")
-    out *= 1.0 - beta
-    out += u
-    return out
-
-
-def _forward_block(runner: _TileRunner, Ea, Ca, xa, beta: float, u, reduction: str):
-    """The forward's lse, its `loss()` finisher and its block function: the
-    token block's sweep over every vocabulary block, its finished lse, then
-    its target score o_i = g_i . E_i, with g_i = (1-beta) C[:, x_i] + u."""
-    d, n = Ea.shape
+def _forward_block(call: _TileRunner):
+    """The forward's lse, its finisher and its block function: the token
+    block's sweep over every vocabulary block, its finished lse, then its
+    target score o_i = g_i . E_i, with g_i = (1-beta) C[:, x_i] + u. The
+    finisher is `loss_output`, which refuses a token whose loss is not
+    finite."""
+    Ea, d = call.Ea, call.d
     # o holds a token block's running sum S until its lse is finished
-    lse, o = np.empty(n), np.empty(n)
+    lse, o = np.empty(call.n), np.empty(call.n)
     # target columns are gathered a chunk of tokens at a time: as many as
     # fit in one tile's working set, at least one
-    gather = max(1, plan_working_set_bytes(runner.eff) // (8 * max(d, 1)))
+    gather = max(1, plan_working_set_bytes(call.eff) // (8 * max(d, 1)))
 
-    def forward_tile(alloc, n0, nb, v0, vb):
-        tile = _logit_tile(alloc, Ea, Ca, n0, nb, v0, vb)
-        m = alloc.empty(nb)
-        run_max, run_sum = lse[n0:n0 + nb], o[n0:n0 + nb]
+    def forward_tile(alloc, cols, v0, vb):
+        tile = call.logit_tile(alloc, cols, v0, vb)
+        m = alloc.empty(tile.shape[1])
+        run_max, run_sum = lse[cols], o[cols]
         # m = max(tile max, M); S *= exp(M - m); M = m; S += sum exp(tile - m)
         np.max(tile, axis=0, out=m)
         np.maximum(m, run_max, out=m)
@@ -432,35 +439,27 @@ def _forward_block(runner: _TileRunner, Ea, Ca, xa, beta: float, u, reduction: s
         alloc.release(m)
         alloc.release(tile)
 
-    def run_block(alloc, i, n0, nb, counts):
-        lse[n0:n0 + nb] = -np.inf
-        o[n0:n0 + nb] = 0.0
-        for _, v0, vb in runner.vocab_blocks():
-            forward_tile(alloc, n0, nb, v0, vb)
+    def forward(alloc, i, cols, counts):
+        lse[cols] = -np.inf
+        o[cols] = 0.0
+        for _, v0, vb in call.vocab_blocks():
+            forward_tile(alloc, cols, v0, vb)
             counts[0] += 1
-        run_sum = o[n0:n0 + nb]
+        run_sum = o[cols]
         np.log(run_sum, out=run_sum)
-        lse[n0:n0 + nb] += run_sum
-        for c0 in range(n0, n0 + nb, gather):
-            c1 = min(c0 + gather, n0 + nb)
-            g = _target_rows(Ca, xa[c0:c1], beta, u, alloc.empty((d, c1 - c0)))
-            g *= Ea[:, c0:c1]
-            np.sum(g, axis=0, out=o[c0:c1])
+        lse[cols] += run_sum
+        for c0 in range(cols.start, cols.stop, gather):
+            chunk = slice(c0, min(c0 + gather, cols.stop))
+            g = call.target_rows(chunk, alloc.empty((d, chunk.stop - c0)))
+            g *= Ea[:, chunk]
+            np.sum(g, axis=0, out=o[chunk])
             alloc.release(g)
             del g
 
-    def loss() -> LossOutput:
-        """The forward's result; a token whose loss is not finite is refused."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            per_token = lse - o
-        check_finite_loss(per_token)
-        return LossOutput(lse, o, per_token, _reduce(per_token, reduction, None), reduction)
-
-    return lse, loss, run_block
+    return lse, functools.partial(loss_output, lse, o, call.reduction), forward
 
 
-def _backward_block(runner: _TileRunner, Ea, Ca, xa, beta: float, u, lse,
-                    reduction: str, upstream: float, filter_epsilon: float):
+def _backward_block(call: _TileRunner, lse, upstream: float, filter_epsilon: float):
     """The backward's `gradients()` finisher and its block function: the
     token block's `grad_e` columns start at -w g_i, the target part no
     filter may drop, and then it sweeps every vocabulary block, adding each
@@ -470,10 +469,9 @@ def _backward_block(runner: _TileRunner, Ea, Ca, xa, beta: float, u, lse,
     check_upstream(upstream)
     if not 0.0 <= filter_epsilon < 1.0:
         raise ValueError(f"filter epsilon must lie in [0, 1), got {filter_epsilon}")
-    d, n = Ea.shape
-    v = Ca.shape[1]
+    Ea, Ca, beta, n, v, d = call.Ea, call.Ca, call.beta, call.n, call.v, call.d
     # every token weighs the same, so the weight is the products' alpha
-    w = float(token_weights(n, reduction, upstream)[0]) if n else 0.0
+    w = token_weight(n, call.reduction, upstream)
     grad_e = np.empty((d, n), order="F")
     grad_c = np.zeros((d, v), order="F") if n == 0 else np.empty((d, v), order="F")
     # the uniform share of grad_c, -w beta/|V| per logit, as the column
@@ -493,42 +491,42 @@ def _backward_block(runner: _TileRunner, Ea, Ca, xa, beta: float, u, lse,
         alloc.release(chunk)
         del chunk
 
-    def backward_tile(alloc, i, n0, nb, j, v0, vb) -> bool:
+    def backward_tile(alloc, i, cols, j, v0, vb) -> bool:
         """Adds one tile's softmax part; True if the filter skipped it. A
         skipped tile still takes its `grad_c` turn, in which token block 0
         starts the vocabulary block."""
-        tile = _logit_tile(alloc, Ea, Ca, n0, nb, v0, vb)
-        tile -= lse[n0:n0 + nb]
+        tile = call.logit_tile(alloc, cols, v0, vb)
+        tile -= lse[cols]
         skip = filter_epsilon > 0 and math.exp(float(tile.max())) < filter_epsilon
         if not skip:
             np.exp(tile, out=tile)
-            add_products(alloc, Ca[:, v0:v0 + vb], tile, grad_e[:, n0:n0 + nb])
+            add_products(alloc, Ca[:, v0:v0 + vb], tile, grad_e[:, cols])
         out_c = grad_c[:, v0:v0 + vb]
-        runner.wait_turn(i, j)
+        call.wait_turn(i, j)
         if i == 0:
             out_c[:] = c_start
         if not skip:
-            add_products(alloc, Ea[:, n0:n0 + nb], tile.T, out_c)
-        runner.pass_turn(j)
+            add_products(alloc, Ea[:, cols], tile.T, out_c)
+        call.pass_turn(j)
         alloc.release(tile)
         return skip
 
-    def run_block(alloc, i, n0, nb, counts):
+    def backward(alloc, i, cols, counts):
         # the block's target columns, gathered straight into its gradient
-        start = _target_rows(Ca, xa[n0:n0 + nb], beta, u, grad_e[:, n0:n0 + nb])
-        start *= -w
-        for j, v0, vb in runner.vocab_blocks():
-            counts[backward_tile(alloc, i, n0, nb, j, v0, vb)] += 1
+        call.target_rows(cols, grad_e[:, cols])
+        grad_e[:, cols] *= -w
+        for j, v0, vb in call.vocab_blocks():
+            counts[backward_tile(alloc, i, cols, j, v0, vb)] += 1
 
     def gradients() -> Gradients:
         """Scatter the (1-beta) share of the target part into `grad_c`, in
         token order, and hand both gradients over."""
         keep_w = (1.0 - beta) * w
-        for i, t in enumerate(xa):
+        for i, t in enumerate(call.xa):
             grad_c[:, t] -= keep_w * Ea[:, i]
         return Gradients(DenseMatrix._wrap(grad_e), DenseMatrix._wrap(grad_c))
 
-    return gradients, run_block
+    return gradients, backward
 
 
 def blocked_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
@@ -540,12 +538,10 @@ def blocked_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: floa
     allocating only tile-sized transients. A token whose loss is not finite
     raises ValueError.
     """
-    start = time.perf_counter()
-    Ea, Ca, xa, _, _, _, _ = _validate(E, C, x, beta, reduction)
-    runner, u = _tiles(Ea, Ca, beta, plan)
-    _, loss, forward = _forward_block(runner, Ea, Ca, xa, beta, u, reduction)
-    stats = runner.run(forward)
-    return loss(), _timed(stats, start)
+    call = _TileRunner(E, C, x, beta, plan, reduction)
+    _, loss, forward = _forward_block(call)
+    call.run(forward)
+    return loss(), call.stats()
 
 
 def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
@@ -560,18 +556,15 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
     whose probability upper bound exp(max z - lse) falls below the epsilon
     contribute nothing to the softmax part.
     """
-    start = time.perf_counter()
-    Ea, Ca, xa, n, _, _, _ = _validate(E, C, x, beta, reduction)
+    call = _TileRunner(E, C, x, beta, plan, reduction)
     lse = np.asarray(lse, dtype=np.float64)
-    if lse.shape != (n,):
-        raise ValueError(f"lse must have length {n}, got shape {lse.shape}")
+    if lse.shape != (call.n,):
+        raise ValueError(f"lse must have length {call.n}, got shape {lse.shape}")
     if not np.isfinite(lse).all():
         raise ValueError("lse must be finite")
-    runner, u = _tiles(Ea, Ca, beta, plan)
-    gradients, backward = _backward_block(runner, Ea, Ca, xa, beta, u, lse, reduction,
-                                          upstream, filter_epsilon)
-    stats = runner.run(backward)
-    return gradients(), _timed(stats, start)
+    gradients, backward = _backward_block(call, lse, upstream, filter_epsilon)
+    call.run(backward)
+    return gradients(), call.stats()
 
 
 def loss_and_grad(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
@@ -582,16 +575,8 @@ def loss_and_grad(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
     which finishes its lse, then the backward's. Bit-identical to
     `blocked_forward` followed by `blocked_backward(lse)`; the stats sum
     both block functions' tile counters."""
-    start = time.perf_counter()
-    Ea, Ca, xa, _, _, _, _ = _validate(E, C, x, beta, reduction)
-    runner, u = _tiles(Ea, Ca, beta, plan)
-    lse, loss, forward = _forward_block(runner, Ea, Ca, xa, beta, u, reduction)
-    gradients, backward = _backward_block(runner, Ea, Ca, xa, beta, u, lse, reduction,
-                                          upstream, filter_epsilon)
-
-    def run_block(*block):
-        forward(*block)
-        backward(*block)
-
-    stats = runner.run(run_block)
-    return loss(), gradients(), _timed(stats, start)
+    call = _TileRunner(E, C, x, beta, plan, reduction)
+    lse, loss, forward = _forward_block(call)
+    gradients, backward = _backward_block(call, lse, upstream, filter_epsilon)
+    call.run(forward, backward)
+    return loss(), gradients(), call.stats()

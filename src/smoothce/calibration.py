@@ -8,7 +8,9 @@ Records arrive as JSONL, one prediction per line, in either of two forms:
 Ingest validates each line and returns one columnar `CalibrationSet`: a
 confidence and a correct flag per record, and, when every line is in probs
 form, the (n, k) probability matrix and the labels. The metrics take these
-arrays directly. Confidence-only records support ECE / RMS-CE and
+arrays directly, and refuse what ingest would: a value that is not finite
+or lies outside [0, 1], a correct flag other than 0/1, a label outside
+[0, k), or arrays of the wrong rank. Confidence-only records support ECE / RMS-CE and
 reliability tables; the class-wise metrics (SCE, ACE) need full probability
 vectors. Non-numeric (string, null, boolean) and non-finite probs entries,
 and a probs line whose class count differs from the first probs line's, are
@@ -157,18 +159,33 @@ def ingest_records(path) -> CalibrationSet:
     )
 
 
-def _check_inputs(values, per_record, m: int) -> None:
-    """Argument checks shared by the binned metrics: values holds one entry
-    (or row) per record, per_record one outcome or label per record."""
+def _check_inputs(values, per_record, m: int, classes: bool):
+    """Argument checks shared by the binned metrics; returns the records'
+    values and outcomes as arrays. A record holds one confidence and one
+    0/1 correct flag, or with `classes` one probability row and one integer
+    label in [0, k). Every value must be finite and lie in [0, 1]."""
     if m < 1:
         raise ValueError(f"bin count must be >= 1, got {m}")
     if values is None or per_record is None:
         raise ValueError("class-wise metrics need probs and a label on every record")
-    if len(values) != len(per_record):
-        raise ValueError(f"{len(values)} records but {len(per_record)} "
-                         "outcomes or labels")
-    if not len(values):
+    what = "probabilities" if classes else "confidences"
+    vals, per = np.asarray(values, dtype=np.float64), np.asarray(per_record)
+    if vals.ndim != 1 + classes:
+        raise ValueError(f"{what} must be a {1 + classes}-D array, got {vals.ndim}-D")
+    if per.shape != vals.shape[:1]:
+        raise ValueError(f"{len(vals)} records but {per.size} outcomes or labels")
+    if not len(vals):
         raise ValueError("cannot score an empty record set")
+    # one min/max refuses NaN and +-inf as well
+    if vals.size and not (vals.min() >= 0.0 and vals.max() <= 1.0):
+        raise ValueError(f"{what} must be finite and lie in [0, 1]")
+    if classes:
+        k = vals.shape[1]
+        if per.dtype.kind not in "iu" or per.min() < 0 or per.max() >= k:
+            raise ValueError(f"labels must be integers in [0, {k})")
+    elif not ((per == 0) | (per == 1)).all():
+        raise ValueError("correct entries must be 0 or 1")
+    return vals, per
 
 
 def _bin_columns(values: np.ndarray, hit_col: np.ndarray, m: int, scheme: str):
@@ -202,9 +219,8 @@ def bin_records(confidence, correct, m: int,
     right, into m confidence bins of the requested scheme."""
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    _check_inputs(confidence, correct, m)
-    conf = np.asarray(confidence, dtype=np.float64)
-    hit_col = np.asarray(correct, dtype=np.intp) - 1  # 0 on a hit, else -1
+    conf, correct = _check_inputs(confidence, correct, m, classes=False)
+    hit_col = correct.astype(np.intp) - 1  # 0 on a hit, else -1
     (counts,), (sums,), (hits,) = _bin_columns(conf[:, None], hit_col, m, scheme)
     if scheme == "equal_mass":  # bin b holds ranks ends[b] - count .. ends[b] - 1
         ranked, ends = np.sort(conf).tolist(), np.cumsum(counts).tolist()
@@ -260,7 +276,7 @@ def sce(probs, labels, m: int) -> float:
     equal-width bins, take the count-weighted absolute gap between the
     empirical label frequency and the mean probability, and average over
     classes."""
-    _check_inputs(probs, labels, m)
+    probs, labels = _check_inputs(probs, labels, m, classes=True)
     counts, weighted_gaps = _class_gaps(probs, labels, m, "equal_width")
     return float(weighted_gaps.sum() / counts.sum())  # counts sum to n * k
 
@@ -275,7 +291,7 @@ def ace(probs, labels, m: int, empty_bins: str = "skip") -> float:
     """
     if empty_bins not in ("skip", "zero"):
         raise ValueError(f"empty_bins must be 'skip' or 'zero', got {empty_bins!r}")
-    _check_inputs(probs, labels, m)
+    probs, labels = _check_inputs(probs, labels, m, classes=True)
     counts, weighted_gaps = _class_gaps(probs, labels, m, "equal_mass")
     filled = counts > 0
     gaps = np.divide(weighted_gaps, counts, out=np.zeros(counts.shape), where=filled)

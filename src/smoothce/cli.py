@@ -221,7 +221,9 @@ def cmd_bench(args) -> int:
     ceiling = aux_bound_bytes(plan, n, v, d)
 
     for beta in args.betas:
-        lse = blocked_forward(emb, cls, tgt, beta, plan)[0].lse
+        lse = None  # only the bwd phase reads the forward's lse
+        if "bwd" in args.phases:
+            lse = blocked_forward(emb, cls, tgt, beta, plan)[0].lse
 
         def naive_both():
             # the forward's output is dropped before the backward runs

@@ -58,7 +58,10 @@ class BoundParams:
 
     @classmethod
     def from_budget(cls, r: float, v: int, d: int = 1) -> "BoundParams":
-        """Parameters with logit-norm budget exactly r (sigma_h = 1)."""
+        """Parameters with sigma_h = 1 and sigma_c = r / sqrt(d), whose
+        budget p.r = sigma_c * sqrt(d) is r up to those two roundings:
+        within 2 ulp of r in theory, within 1 ulp in seeded draws up to
+        d = 5000, and exactly r at d = 1."""
         if not 0 <= r < math.inf:
             raise ValueError(f"norm budget must be finite and nonnegative, got {r}")
         return cls(sigma_c=r / math.sqrt(d), sigma_h=1.0, d=d, v=v)

@@ -2,7 +2,9 @@
 
 Every tile-sized buffer the engine uses is requested through a
 TrackingAllocator, so the reported peak covers every auxiliary buffer that
-grows with the tile plan. Inputs and returned outputs are excluded by
+grows with the tile plan: the logit tile (`_TileRunner.logit_tile`), the
+forward's one N_B row, the forward's target gather chunk, and without the
+accumulating BLAS kernel the staged product chunk. Inputs and returned outputs are excluded by
 construction; O(D) and O(N) temporaries are not tracked.
 
 Nor are numpy's internal ufunc buffers. numpy allocates them even for
@@ -15,16 +17,19 @@ only without the accumulating BLAS kernel does a backward product pass
 through a tracked full-depth chunk and a `+=`.
 
 The forward's target score, after a token block's forward sweep,
-gathers its target columns through the allocator too, in chunks no
-larger than one tile's working set (at least one token), while no tile is
-held. The backward gathers its target columns straight into `grad_e`.
-Beside the outputs they need only O(D) vectors: the smoothing row u and
-the `grad_c` start column. The forward's running sum lives in the `o`
+gathers its target columns (`_TileRunner.target_rows`) through the
+allocator too, in chunks no larger than one tile's working set (at least
+one token), while no tile is held. The backward gathers its target
+columns straight into `grad_e`. Beside the outputs they need only O(D)
+vectors: the smoothing row u, which the call's runner holds, and the
+`grad_c` start column. The forward's running sum lives in the `o`
 output, and the ordered `grad_c` target scatter after the tiles needs
 one D-vector at a time.
 
-A buffer is counted from `empty` to `release`; the engine drops its last
-reference at `release`, so an allocator's peak is what was actually held.
+A buffer is counted from the moment `empty` has allocated it to
+`release` (a request numpy cannot meet counts nothing); the engine drops
+its last reference at `release`, so an allocator's peak is what was
+actually held.
 Each engine worker has its own allocator; a call reports their sum.
 The allocator refuses no request: the tests compare the peak with
 `tracemalloc`, which also sees buffers that bypass it.
@@ -69,16 +74,13 @@ class TrackingAllocator:
         self.peak_bytes = 0
 
     def empty(self, shape, order: str = "F") -> np.ndarray:
-        if isinstance(shape, int):
-            shape = (shape,)
-        nbytes = 8
-        for s in shape:
-            nbytes *= s
+        """A float64 array of `shape`, counted once numpy has allocated it."""
+        arr = np.empty(shape, dtype=np.float64, order=order)
         with self._lock:
-            self.current_bytes += nbytes
+            self.current_bytes += arr.nbytes
             if self.current_bytes > self.peak_bytes:
                 self.peak_bytes = self.current_bytes
-        return np.empty(shape, dtype=np.float64, order=order)
+        return arr
 
     def release(self, arr: np.ndarray) -> None:
         with self._lock:

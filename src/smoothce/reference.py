@@ -67,16 +67,13 @@ def _validate(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
     return E.data, C.data, x.targets, n, v, d, keep
 
 
-def token_weights(n: int, reduction: str, upstream: float, keep=None) -> np.ndarray:
-    """Per-token chain-rule weight for the reduced loss: upstream times 1
-    for `sum`, 1/(kept count) for `mean`; ignored tokens weigh zero."""
-    n_eff = n if keep is None else int(keep.sum())
-    w = np.full(n, upstream / n_eff if (reduction == "mean" and n_eff) else upstream)
-    if reduction == "mean" and n_eff == 0:
-        w[:] = 0.0
-    if keep is not None:
-        w[~keep] = 0.0
-    return w
+def token_weight(n_kept: int, reduction: str, upstream: float) -> float:
+    """Chain-rule weight of each kept token in the reduced loss: upstream
+    for `sum`, upstream / n_kept for `mean` (0 when no token is kept).
+    Ignored tokens weigh zero."""
+    if reduction == "mean":
+        return upstream / n_kept if n_kept else 0.0
+    return upstream
 
 
 def _reduce(per_token: np.ndarray, reduction: str, keep) -> float:
@@ -97,6 +94,20 @@ def check_finite_loss(per_token: np.ndarray, keep=None) -> None:
     if bad.any():
         raise ValueError(f"loss of token {int(np.argmax(bad))} is not finite: "
                          "its logits are not all finite float64 values")
+
+
+def loss_output(lse: np.ndarray, o: np.ndarray, reduction: str, keep=None) -> LossOutput:
+    """Both engines' forward result from lse and o: the per-token loss
+    lse - o, a kept token whose loss is not finite refused, the total
+    reduced over the kept tokens, and ignored tokens' losses zeroed."""
+    # overflowing logits give a non-finite loss, refused just below
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_token = lse - o
+    check_finite_loss(per_token, keep)
+    total = _reduce(per_token, reduction, keep)
+    if keep is not None:
+        per_token = np.where(keep, per_token, 0.0)
+    return LossOutput(lse, o, per_token, total, reduction)
 
 
 def check_upstream(upstream: float) -> None:
@@ -127,12 +138,8 @@ def naive_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
     kept token whose loss is not finite raises ValueError.
     """
     Ea, Ca, xa, n, v, d, keep = _validate(E, C, x, beta, reduction, ignore_mask)
-    _, lse, o, per_token = _forward_arrays(Ea, Ca, xa, beta, v)
-    check_finite_loss(per_token, keep)
-    total = _reduce(per_token, reduction, keep)
-    if keep is not None:
-        per_token = np.where(keep, per_token, 0.0)
-    return LossOutput(lse, o, per_token, total, reduction)
+    _, lse, o, _ = _forward_arrays(Ea, Ca, xa, beta, v)
+    return loss_output(lse, o, reduction, keep)
 
 
 def naive_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float, *,
@@ -151,7 +158,8 @@ def naive_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float
     a = np.exp(z - lse)
     a[xa, np.arange(n)] -= 1.0 - beta
     a -= beta / v
-    a *= token_weights(n, reduction, upstream, keep)
+    w = token_weight(n if keep is None else int(keep.sum()), reduction, upstream)
+    a *= w if keep is None else np.where(keep, w, 0.0)
     grad_e = np.matmul(Ca, a, order="F")
     grad_c = np.matmul(Ea, a.T, order="F")
     return Gradients(DenseMatrix._wrap(grad_e), DenseMatrix._wrap(grad_c))

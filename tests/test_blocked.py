@@ -480,6 +480,17 @@ class TestMemory:
         assert alloc.peak_bytes == 2 * 800
         assert alloc.current_bytes == 0
 
+    def test_allocator_counts_only_what_it_allocated(self):
+        """A request numpy cannot meet (8 PiB, beyond any address space)
+        leaves the counters as they were."""
+        alloc = TrackingAllocator()
+        held = alloc.empty(4)
+        with pytest.raises(MemoryError):
+            alloc.empty((1 << 30, 1 << 20))
+        assert alloc.current_bytes == alloc.peak_bytes == 32
+        alloc.release(held)
+        assert alloc.current_bytes == 0
+
 
 def blas_path(monkeypatch, path):
     """Run on the accumulating kernel, or on the staged fallback that hosts

@@ -356,6 +356,35 @@ class TestClassWiseMetrics:
                 metric(probs, labels[:1], 2)
 
 
+PAIR = np.array([[0.7, 0.3], [0.4, 0.6]])
+
+
+class TestLibraryInputs:
+    """The metrics refuse evidence that ingest would have refused, naming
+    the rule, when it comes straight through the library API."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call, rule", [
+        (lambda: bin_records([1.5, 0.2], [True, False], 4), r"confidences must be finite"),
+        (lambda: bin_records([math.nan, 0.2], [True, False], 4), r"confidences must be finite"),
+        (lambda: bin_records([-0.5, 0.2], [True, False], 4), r"confidences must be finite"),
+        (lambda: bin_records([math.inf, 0.2], [True, False], 4), r"confidences must be finite"),
+        (lambda: bin_records([[0.5, 0.2]], [True], 4), r"confidences must be a 1-D"),
+        (lambda: bin_records([0.5, 0.2], [2, 0], 4), r"correct entries must be 0 or 1"),
+        (lambda: bin_records([0.5, 0.2], [-1, 0], 4), r"correct entries must be 0 or 1"),
+        (lambda: sce([[1.3, -0.3], [0.5, 0.5]], [0, 1], 4), r"probabilities must be finite"),
+        (lambda: ace([[0.5, math.nan], [0.5, 0.5]], [0, 1], 4),
+         r"probabilities must be finite"),
+        (lambda: sce([0.5, 0.5], [0, 1], 4), r"probabilities must be a 2-D"),
+        (lambda: sce(PAIR, [5, 0], 4), r"labels must be integers in \[0, 2\)"),
+        (lambda: ace(PAIR, [-1, 0], 4), r"labels must be integers in \[0, 2\)"),
+        (lambda: ace(PAIR, [0.0, 1.0], 4), r"labels must be integers in \[0, 2\)"),
+    ])
+    def test_out_of_range_evidence_is_refused(self, call, rule):
+        with pytest.raises(ValueError, match=rule):
+            call()
+
+
 class TestReliability:
     def test_hand_rows(self):
         rows = reliability_data(bin_records(*FIXTURE, 2, "equal_width"))

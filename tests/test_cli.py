@@ -274,6 +274,26 @@ class TestBench:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert all(float(r[7]) > 0 for r in rows)
 
+    @pytest.mark.parametrize("phases, forwards", [("fwd_bwd", 0), ("bwd", 1)])
+    def test_forward_runs_only_for_the_bwd_phase(self, monkeypatch, tmp_path, phases,
+                                                 forwards):
+        """The bwd phase needs the forward's lse; no other phase runs a
+        blocked forward that nothing uses."""
+        calls = []
+        original = smoothce.cli.blocked_forward
+
+        def spy(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(smoothce.cli, "blocked_forward", spy)
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--n", "32", "--v", "128", "--d", "8", "--betas", "0,0.1",
+                "--skip-naive", "--phases", phases, "--out", str(out)]
+        assert main(argv) == 0
+        assert len(calls) == 2 * forwards
+        assert len(out.read_text().splitlines()) == 3
+
     def test_pool_mode_stays_under_its_ceiling(self, tmp_path):
         """With two workers two tiles are in flight; the ceiling counts
         both."""

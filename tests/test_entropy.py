@@ -97,6 +97,16 @@ class TestClosedFormBound:
         with pytest.raises(ValueError, match="overflows"):
             BoundParams(1e308, 1.0, 64, 4)
 
+    def test_budget_is_r_up_to_rounding(self):
+        """sigma_c = r / sqrt(d) and r = sigma_c * sqrt(d) round twice, so
+        at d > 1 the budget can miss r by an ulp; at d = 1 it is exact."""
+        rng = np.random.default_rng(0)
+        budgets, depths = rng.uniform(0, 100, 10_000), rng.integers(1, 5001, 10_000)
+        off = [abs(BoundParams.from_budget(r, 4, int(d)).r - r) / math.ulp(r)
+               for r, d in zip(budgets.tolist(), depths)]
+        assert max(off) == 1.0 and sum(e > 0 for e in off) > 0
+        assert all(BoundParams.from_budget(r, 4).r == r for r in budgets.tolist())
+
     def test_small_vocab_rejected(self):
         with pytest.raises(ValueError):
             BoundParams(1.0, 1.0, 4, 1)

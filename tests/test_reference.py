@@ -196,3 +196,17 @@ class TestIgnoreMask:
         assert np.all(g.grad_e.data[:, 1] == 0.0)
         fd = finite_diff_grad(e, c, x, 0.2, h=1e-3, ignore_mask=mask)
         assert grad_rel_err(g, fd) < 1e-5
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("reduction", ["sum", "mean"])
+    def test_every_token_ignored(self, reduction):
+        """No kept token: a zero total and zero gradients, with no division
+        by the kept count of 0 under `mean`."""
+        e, c, x = random_instance(21, 6, 9, 3, 0.6)
+        mask = np.ones(6, dtype=bool)
+        out = naive_forward(e, c, x, 0.2, reduction=reduction, ignore_mask=mask)
+        assert out.total == 0.0 and np.all(out.per_token_loss == 0.0)
+        assert np.array_equal(out.lse, naive_forward(e, c, x, 0.2).lse)
+        g = naive_backward(e, c, x, 0.2, reduction=reduction, upstream=2.0,
+                           ignore_mask=mask)
+        assert np.all(g.grad_e.data == 0.0) and np.all(g.grad_c.data == 0.0)
