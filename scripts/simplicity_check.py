@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Code-line counts and a bit-identity digest of the engines' results.
+
+Prints the code lines of each `src/smoothce/*.py` (non-blank lines that
+are neither comments nor docstrings), then the number of engine calls in a
+fixed grid and one SHA-256 over every result they return. Run it on two
+checkouts on the same host: equal digests mean the change kept every
+output, counter, peak and bound bit for bit. The digest depends on the
+host's BLAS kernels, so runs from different hosts do not compare.
+
+The grid:
+- shapes (n, v, d, N_B, V_B) (300, 5000, 48, 64, 512) and (64, 512, 32, 16,
+  64), plus 4 x 2 x 1000 and 0 x 96 x 8 at the default plan;
+- beta 0 and 0.1, reductions `sum` and `mean`;
+- `naive_forward` and `naive_backward` with no mask, a seeded 30% mask and
+  every token ignored, the backward at upstream 1 and 0.5;
+- `blocked_forward`, `blocked_backward` and `loss_and_grad` on 1-3 workers,
+  the last two at filter 0 and 0.5 and upstream 1 and 0.5, plus
+  `aux_bound_bytes` for each plan;
+- `finite_diff_grad` on a 3 x 5 x 2 instance with the same three masks.
+
+Usage:
+    OPENBLAS_NUM_THREADS=1 python scripts/simplicity_check.py [ROOT]
+
+ROOT is a checkout (default: the one holding this script); its `src` is
+imported ahead of any installed copy. OPENBLAS_NUM_THREADS defaults to 1.
+"""
+
+import ast
+import dataclasses
+import hashlib
+import itertools
+import os
+import pathlib
+import sys
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+
+ROOT = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else
+                    pathlib.Path(__file__).resolve().parent.parent).resolve()
+sys.path.insert(0, str(ROOT / "src"))
+
+from smoothce import (DenseMatrix, TokenSequence, blocked_backward,  # noqa: E402
+                      blocked_forward, finite_diff_grad, loss_and_grad,
+                      naive_backward, naive_forward, plan_blocks, random_instance)
+from smoothce.blocked import aux_bound_bytes  # noqa: E402
+
+SHAPES = [(300, 5000, 48, 64, 512), (64, 512, 32, 16, 64),
+          (4, 2, 1000, None, None), (0, 96, 8, None, None)]
+BETAS, REDUCTIONS, UPSTREAMS, FILTERS = (0.0, 0.1), ("sum", "mean"), (1.0, 0.5), (0.0, 0.5)
+
+
+def code_lines(path: pathlib.Path) -> int:
+    """Non-blank lines that are neither comments nor docstrings."""
+    text = path.read_text()
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and ast.get_docstring(node) is not None:
+            first = node.body[0]
+            docstrings.update(range(first.lineno, first.end_lineno + 1))
+    return sum(1 for no, line in enumerate(text.splitlines(), 1)
+               if line.strip() and not line.strip().startswith("#") and no not in docstrings)
+
+
+def feed(h, value) -> None:
+    """Hash a result: arrays by shape and bytes, dataclasses by their
+    compared fields (so timings are left out), anything else by repr."""
+    if isinstance(value, DenseMatrix):
+        value = value.data
+    if isinstance(value, np.ndarray):
+        h.update(repr(value.shape).encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            if f.compare:
+                feed(h, getattr(value, f.name))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            feed(h, item)
+    else:
+        h.update(repr(value).encode())
+
+
+def instance(seed, n, v, d):
+    e, c, x = random_instance(seed, max(n, 1), v, d, 0.5)
+    if n == 0:
+        e = DenseMatrix.from_array(np.zeros((d, 0)))
+        x = TokenSequence(np.array([], dtype=np.int64))
+    return e, c, x
+
+
+def masks(n, seed):
+    return (None, np.random.default_rng(seed).random(n) < 0.3, np.ones(n, dtype=bool))
+
+
+def grid():
+    """Yield each call of the grid as (function, args, kwargs), in order."""
+    for seed, (n, v, d, nb, vb) in enumerate(SHAPES):
+        e, c, x = instance(seed, n, v, d)
+        for beta, red, mask in itertools.product(BETAS, REDUCTIONS, masks(n, seed)):
+            yield naive_forward, (e, c, x, beta), dict(reduction=red, ignore_mask=mask)
+            for up in UPSTREAMS:
+                yield naive_backward, (e, c, x, beta), dict(reduction=red, upstream=up,
+                                                            ignore_mask=mask)
+        for workers in (1, 2, 3):
+            plan = plan_blocks(n, v, d, n_block=nb, v_block=vb, workers=workers)
+            yield aux_bound_bytes, (plan, n, v, d), {}
+            for beta, red in itertools.product(BETAS, REDUCTIONS):
+                yield blocked_forward, (e, c, x, beta, plan), dict(reduction=red)
+                lse = naive_forward(e, c, x, beta).lse
+                for filt, up in itertools.product(FILTERS, UPSTREAMS):
+                    yield blocked_backward, (e, c, x, beta, plan, lse), dict(
+                        upstream=up, filter_epsilon=filt, reduction=red)
+                    yield loss_and_grad, (e, c, x, beta, plan), dict(
+                        filter_epsilon=filt, reduction=red, upstream=up)
+    e, c, x = instance(7, 3, 5, 2)
+    for beta, red, mask in itertools.product(BETAS, REDUCTIONS, masks(3, 7)):
+        yield finite_diff_grad, (e, c, x, beta, 1e-4), dict(reduction=red, ignore_mask=mask)
+
+
+def main() -> int:
+    print(f"root {ROOT}")
+    for path in sorted((ROOT / "src" / "smoothce").glob("*.py")):
+        print(f"code_lines {path.name} {code_lines(path)}")
+    h = hashlib.sha256()
+    calls = 0
+    for fn, args, kwargs in grid():
+        feed(h, fn(*args, **kwargs))
+        calls += 1
+    print(f"OPENBLAS_NUM_THREADS {os.environ['OPENBLAS_NUM_THREADS']}")
+    print(f"calls {calls}")
+    print(f"sha256 {h.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,11 +19,13 @@ it holds the checked inputs, the smoothing column and the clamped plan.
 The forward and the backward are each built on it by one function
 (`_forward_block`, `_backward_block`) that checks its own options, weighs
 its tokens and returns its block function with the finisher that makes
-its result. The forward's finisher is `reference.loss_output`, the rule
-the naive engine ends with too. `call.run(*block_fns)` hands each token
-block, as one `cols` slice, to the block functions in turn:
-`blocked_forward` and `blocked_backward` pass one, and `loss_and_grad`
-both. `call.stats()`, after the finishers, makes the call's MemoryStats.
+its result. The forward's finisher is `reference.loss_output` on the
+call's kept-token flags (all true: the blocked engine takes no mask), the
+one loss rule every naive entry ends or refuses through too.
+`call.run(*block_fns)` hands each token block, as one `cols` slice, to the
+block functions in turn: `blocked_forward` and `blocked_backward` pass
+one, and `loss_and_grad` both. `call.stats()`, after the finishers, makes
+the call's MemoryStats.
 
 The tiles never see the target. The smoothed target
 q_i = (1-beta) e_{x_i} + beta/|V| enters the loss and both gradients
@@ -302,7 +304,7 @@ class _TileRunner:
     def __init__(self, E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
                  plan: BlockPlan, reduction: str):
         self._start = time.perf_counter()
-        self.Ea, self.Ca, self.xa, self.n, self.v, self.d, _ = _validate(
+        self.Ea, self.Ca, self.xa, self.n, self.v, self.d, self.keep = _validate(
             E, C, x, beta, reduction)
         self.beta, self.reduction = beta, reduction
         self.u = _smoothing_row(self.Ca, beta, self.v)[:, None] if beta else 0.0
@@ -412,8 +414,8 @@ def _forward_block(call: _TileRunner):
     """The forward's lse, its finisher and its block function: the token
     block's sweep over every vocabulary block, its finished lse, then its
     target score o_i = g_i . E_i, with g_i = (1-beta) C[:, x_i] + u. The
-    finisher is `loss_output`, which refuses a token whose loss is not
-    finite."""
+    finisher is `loss_output` on lse, o and the call's `keep`, which
+    refuses a token whose loss is not finite and reduces."""
     Ea, d = call.Ea, call.d
     # o holds a token block's running sum S until its lse is finished
     lse, o = np.empty(call.n), np.empty(call.n)
@@ -456,7 +458,7 @@ def _forward_block(call: _TileRunner):
             alloc.release(g)
             del g
 
-    return lse, functools.partial(loss_output, lse, o, call.reduction), forward
+    return lse, functools.partial(loss_output, lse, o, call.reduction, call.keep), forward
 
 
 def _backward_block(call: _TileRunner, lse, upstream: float, filter_epsilon: float):

@@ -166,6 +166,8 @@ def _check_inputs(values, per_record, m: int, classes: bool):
     label in [0, k). Every value must be finite and lie in [0, 1]."""
     if m < 1:
         raise ValueError(f"bin count must be >= 1, got {m}")
+    if m > 2**53:  # beyond it float64's v * m no longer tells every bin apart
+        raise ValueError(f"bin count must be at most 2**53, got {m}")
     if values is None or per_record is None:
         raise ValueError("class-wise metrics need probs and a label on every record")
     what = "probabilities" if classes else "confidences"

@@ -316,20 +316,20 @@ def cmd_entropy(args) -> int:
     if args.verify:
         # one oracle call per v, over its distinct radii in grid order, all
         # before the table is written, so that a refused input leaves none
-        radii: dict[int, dict[float, float]] = {}
+        radii: dict[int, dict[float, None]] = {}
         for r_eff, v, _ in checks:
             if r_eff > 0:
-                radii.setdefault(v, {}).setdefault(round(r_eff, 12), r_eff)
-        for v, by_key in radii.items():
-            values = numeric_min_entropy(list(by_key.values()), v, restarts=args.restarts,
+                radii.setdefault(v, {})[r_eff] = None
+        for v, by_radius in radii.items():
+            values = numeric_min_entropy(list(by_radius), v, restarts=args.restarts,
                                          iterations=args.iterations, seed=args.oracle_seed)
-            oracle.update(zip([(key, v) for key in by_key], values))
+            oracle.update(zip([(r_eff, v) for r_eff in by_radius], values))
     _write_csv(args.out,
                ("d", "v", "rho", "temperature", "softcap", "r_effective",
                 "bound", "normalized_gap"),
                rows)
     for r_eff, v, bound in checks:
-        numeric = oracle.get((round(r_eff, 12), v))
+        numeric = oracle.get((r_eff, v))
         if numeric is not None and numeric < bound - 1e-6:
             print(f"error: oracle entropy {numeric!r} undercuts the closed-form "
                   f"bound {bound!r} at r={r_eff}, v={v}", file=sys.stderr)
@@ -505,7 +505,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (MatrixFileError, RecordError, InvalidPlanError, ValueError,
-            OSError, MemoryError) as exc:
+            OSError, MemoryError, OverflowError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

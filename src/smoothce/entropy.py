@@ -190,28 +190,31 @@ def _descend(u: np.ndarray, r_row: np.ndarray, iterations: int,
     logp = np.empty_like(u)
     m, s, h = (np.empty(len(u)) for _ in range(3))
     best = np.full(len(u), math.inf)
-    for t in range(1, iterations + 1):
-        np.max(u, axis=1, out=m)
-        np.subtract(u, m[:, None], out=work)
-        np.exp(work, out=work)
-        np.sum(work, axis=1, out=s)
-        np.log(s, out=s)
-        s += m                                          # log Z
-        np.subtract(u, s[:, None], out=logp)
-        np.exp(logp, out=work)                          # p
-        np.einsum("ij,ij->i", work, logp, out=h)
-        np.negative(h, out=h)                           # entropy per row
-        np.minimum(best, h, out=best)
-        # u -= c * grad with grad = -p (log p + H)
-        logp += h[:, None]
-        logp *= work
-        logp *= step / math.sqrt(t)
-        u += logp
-        np.einsum("ij,ij->i", u, u, out=s)
-        np.sqrt(s, out=s)
-        np.divide(r_row, s, out=s)
-        np.minimum(s, 1.0, out=s)
-        u *= s[:, None]                                 # back onto the ball
+    # a budget small enough (about 1e-200) underflows a row's squared norm to
+    # 0; r/0 = inf is clipped to 1 below, and a zero row needs no projection
+    with np.errstate(divide="ignore"):
+        for t in range(1, iterations + 1):
+            np.max(u, axis=1, out=m)
+            np.subtract(u, m[:, None], out=work)
+            np.exp(work, out=work)
+            np.sum(work, axis=1, out=s)
+            np.log(s, out=s)
+            s += m                                      # log Z
+            np.subtract(u, s[:, None], out=logp)
+            np.exp(logp, out=work)                      # p
+            np.einsum("ij,ij->i", work, logp, out=h)
+            np.negative(h, out=h)                       # entropy per row
+            np.minimum(best, h, out=best)
+            # u -= c * grad with grad = -p (log p + H)
+            logp += h[:, None]
+            logp *= work
+            logp *= step / math.sqrt(t)
+            u += logp
+            np.einsum("ij,ij->i", u, u, out=s)
+            np.sqrt(s, out=s)
+            np.divide(r_row, s, out=s)
+            np.minimum(s, 1.0, out=s)
+            u *= s[:, None]                             # back onto the ball
     return best
 
 

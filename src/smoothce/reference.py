@@ -4,6 +4,13 @@ central finite-difference gradient oracle.
 This module is the correctness anchor: it allocates the complete |V| x N
 logit matrix on purpose and computes everything the obvious way. Use the
 blocked engine when memory matters.
+
+`loss_output` is the one loss rule of every entry, the blocked forward's
+included: each ends in it or refuses through it, so a kept token whose
+loss is not finite is refused by name everywhere. The token mask is always
+an array: `_validate` returns the kept-token flags, all true (a zero-stride
+view) when no `ignore_mask` is given, and is the only place that asks
+whether one was.
 """
 
 from __future__ import annotations
@@ -47,8 +54,7 @@ class Gradients:
 def _validate(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
               reduction: str, ignore_mask=None):
     if E.rows != C.rows:
-        raise ValueError(
-            f"embedding dim {E.rows} does not match classifier dim {C.rows}")
+        raise ValueError(f"embedding dim {E.rows} does not match classifier dim {C.rows}")
     n, v, d = E.cols, C.cols, E.rows
     if v == 0:
         raise ValueError(f"classifier is empty ({d} x 0): it has no vocabulary entries")
@@ -59,11 +65,11 @@ def _validate(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
     if reduction not in REDUCTIONS:
         raise ValueError(f"reduction must be one of {REDUCTIONS}, got {reduction!r}")
-    keep = None
-    if ignore_mask is not None:
-        keep = ~np.asarray(ignore_mask, dtype=bool)
-        if keep.shape != (n,):
-            raise ValueError("ignore_mask must have one flag per token")
+    # without a mask every token is kept: a zero-stride view, not an N-array
+    keep = (np.broadcast_to(True, (n,)) if ignore_mask is None
+            else ~np.asarray(ignore_mask, dtype=bool))
+    if keep.shape != (n,):
+        raise ValueError("ignore_mask must have one flag per token")
     return E.data, C.data, x.targets, n, v, d, keep
 
 
@@ -76,38 +82,25 @@ def token_weight(n_kept: int, reduction: str, upstream: float) -> float:
     return upstream
 
 
-def _reduce(per_token: np.ndarray, reduction: str, keep) -> float:
-    if keep is not None:
-        per_token = per_token[keep]
-    if reduction == "sum":
-        return float(per_token.sum())
-    return float(per_token.mean()) if per_token.size else 0.0
-
-
-def check_finite_loss(per_token: np.ndarray, keep=None) -> None:
-    """Refuse a kept token whose loss is not finite: some of its logits
-    overflow float64 (or are not finite), so no engine can give it a
-    meaningful value."""
-    bad = ~np.isfinite(per_token)
-    if keep is not None:
-        bad &= keep
-    if bad.any():
-        raise ValueError(f"loss of token {int(np.argmax(bad))} is not finite: "
-                         "its logits are not all finite float64 values")
-
-
-def loss_output(lse: np.ndarray, o: np.ndarray, reduction: str, keep=None) -> LossOutput:
-    """Both engines' forward result from lse and o: the per-token loss
-    lse - o, a kept token whose loss is not finite refused, the total
-    reduced over the kept tokens, and ignored tokens' losses zeroed."""
+def loss_output(lse: np.ndarray, o: np.ndarray, reduction: str, keep) -> LossOutput:
+    """The one loss rule of every entry, from lse, o and the kept-token
+    flags: the per-token loss lse - o, a kept token whose loss is not
+    finite refused (some of its logits overflow float64, so no engine can
+    give it a meaningful value), the total reduced over the kept tokens
+    (a `mean` over none is 0), and ignored tokens' losses zeroed."""
     # overflowing logits give a non-finite loss, refused just below
     with np.errstate(over="ignore", invalid="ignore"):
         per_token = lse - o
-    check_finite_loss(per_token, keep)
-    total = _reduce(per_token, reduction, keep)
-    if keep is not None:
-        per_token = np.where(keep, per_token, 0.0)
-    return LossOutput(lse, o, per_token, total, reduction)
+    bad = keep & ~np.isfinite(per_token)
+    if bad.any():
+        raise ValueError(f"loss of token {int(np.argmax(bad))} is not finite: "
+                         "its logits are not all finite float64 values")
+    kept = per_token[keep]
+    if reduction == "sum":
+        total = float(kept.sum())
+    else:
+        total = float(kept.mean()) if kept.size else 0.0
+    return LossOutput(lse, o, np.where(keep, per_token, 0.0), total, reduction)
 
 
 def check_upstream(upstream: float) -> None:
@@ -118,14 +111,12 @@ def check_upstream(upstream: float) -> None:
 
 
 def _forward_arrays(Ea, Ca, xa, beta: float, v: int):
-    # overflowing logits give a non-finite loss, which the callers refuse
+    # overflowing logits give a non-finite loss, which `loss_output` refuses
     with np.errstate(over="ignore", invalid="ignore"):
         z = Ca.T @ Ea
         lse = lse_columns(z)
-        target_scores = z[xa, np.arange(xa.size)]
-        o = (1.0 - beta) * target_scores + (beta / v) * z.sum(axis=0)
-        per_token = lse - o
-    return z, lse, o, per_token
+        o = (1.0 - beta) * z[xa, np.arange(xa.size)] + (beta / v) * z.sum(axis=0)
+    return z, lse, o
 
 
 def naive_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float, *,
@@ -138,7 +129,7 @@ def naive_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
     kept token whose loss is not finite raises ValueError.
     """
     Ea, Ca, xa, n, v, d, keep = _validate(E, C, x, beta, reduction, ignore_mask)
-    _, lse, o, _ = _forward_arrays(Ea, Ca, xa, beta, v)
+    _, lse, o = _forward_arrays(Ea, Ca, xa, beta, v)
     return loss_output(lse, o, reduction, keep)
 
 
@@ -153,21 +144,21 @@ def naive_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float
     """
     Ea, Ca, xa, n, v, d, keep = _validate(E, C, x, beta, reduction, ignore_mask)
     check_upstream(upstream)
-    z, lse, _, per_token = _forward_arrays(Ea, Ca, xa, beta, v)
-    check_finite_loss(per_token, keep)
-    a = np.exp(z - lse)
+    z, lse, o = _forward_arrays(Ea, Ca, xa, beta, v)
+    loss_output(lse, o, reduction, keep)  # refuses what naive_forward refuses
+    # an ignored token's logits may overflow; its column is weighed by 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.exp(z - lse)
     a[xa, np.arange(n)] -= 1.0 - beta
     a -= beta / v
-    w = token_weight(n if keep is None else int(keep.sum()), reduction, upstream)
-    a *= w if keep is None else np.where(keep, w, 0.0)
+    a *= np.where(keep, token_weight(int(keep.sum()), reduction, upstream), 0.0)
     grad_e = np.matmul(Ca, a, order="F")
     grad_c = np.matmul(Ea, a.T, order="F")
     return Gradients(DenseMatrix._wrap(grad_e), DenseMatrix._wrap(grad_c))
 
 
 def finite_diff_grad(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
-                     h: float, *, reduction: str = "sum",
-                     ignore_mask=None) -> Gradients:
+                     h: float, *, reduction: str = "sum", ignore_mask=None) -> Gradients:
     """Central-difference gradient of the reduced loss, entry by entry.
 
     Costs 2*D*(N+|V|) full forward passes; intended for small instances only.
@@ -177,7 +168,8 @@ def finite_diff_grad(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
     Ea, Ca, xa, n, v, d, keep = _validate(E, C, x, beta, reduction, ignore_mask)
 
     def total(e_arr, c_arr) -> float:
-        return _reduce(_forward_arrays(e_arr, c_arr, xa, beta, v)[3], reduction, keep)
+        _, lse, o = _forward_arrays(e_arr, c_arr, xa, beta, v)
+        return loss_output(lse, o, reduction, keep).total
 
     grads = []
     for k in range(2):  # probe E, then C; the other stays the caller's array

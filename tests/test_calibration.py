@@ -384,6 +384,16 @@ class TestLibraryInputs:
         with pytest.raises(ValueError, match=rule):
             call()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [2**53 + 1, 10**30])
+    def test_bin_count_beyond_float64_is_refused(self, m):
+        """10**30 bins used to overflow the equal-width index cast, warn, and
+        end in an OverflowError."""
+        for call in (lambda: bin_records([0.5, 0.2], [True, False], m),
+                     lambda: ace(PAIR, [0, 1], m)):
+            with pytest.raises(ValueError, match=r"^bin count must be at most 2\*\*53"):
+                call()
+
 
 class TestReliability:
     def test_hand_rows(self):

@@ -498,6 +498,23 @@ class TestEntropy:
         assert run("1,4", "8,16", "0,0.5") == [([0.5, 1.0], 8), ([0.5, 1.0], 16)]
         assert run("4,4", "8", "0.5,0.5") == [([1.0], 8)]
 
+    def test_verify_checks_every_radius_against_its_own_value(self, tmp_path,
+                                                              monkeypatch):
+        """Radii used to be keyed by `round(r, 12)`, so 1e-13 and 4e-13 shared
+        one oracle value and the 4e-13 row was checked against 1e-13's."""
+        real = smoothce.cli.numeric_min_entropy
+        calls = []
+
+        def spy(r, v, **kw):
+            calls.append((list(r), v))
+            return real(r, v, **kw)
+
+        monkeypatch.setattr(smoothce.cli, "numeric_min_entropy", spy)
+        assert main(["entropy", "--d", "1", "--v", "8", "--rho", "1e-13,4e-13,3e-12",
+                     "--verify", "--restarts", "2", "--iterations", "20",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert calls == [([1e-13, 4e-13, 3e-12], 8)]
+
     def test_verify_reports_the_undercut_row(self, tmp_path, monkeypatch, capsys):
         """An oracle value below the floor at the second (r, v) of the grid
         fails the run, naming that r and v."""
@@ -733,6 +750,23 @@ class TestUsage:
         assert [f.name for f in dataclasses.fields(BlockPlan)] == list(self.PLAN_FLAGS.values())
         args = parser.parse_args(["--n-block", "3", "--v-block", "5", "--threads", "2"])
         assert smoothce.cli._make_plan(args, 64, 512, 16) == BlockPlan(3, 5, workers=2)
+
+    HUGE = "1" + "0" * 400
+
+    @pytest.mark.parametrize("sub, flag, value", [
+        ("calibrate", "--bins", "1" + "0" * 30),
+        ("entropy", "--d", HUGE),
+        ("entropy", "--v", HUGE),
+    ], ids=["calibrate-bins", "entropy-d", "entropy-v"])
+    def test_huge_integer_is_one_error_line(self, sub, flag, value, calibration_file,
+                                            tmp_path, capsys):
+        """Each of these used to end in an OverflowError traceback."""
+        out = tmp_path / "out.csv"
+        argv = {"calibrate": ["calibrate", "--records", calibration_file]}.get(sub, [sub])
+        assert main(argv + ["--out", str(out), flag, value]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_depth_block_flag_is_gone(self):
         assert main(["gradcheck", "--d-block", "4"]) == 2

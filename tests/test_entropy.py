@@ -197,6 +197,13 @@ class TestNumericOracle:
         for r, h in zip((1e150, 1.0), got):
             assert h >= entropy_lower_bound(BoundParams.from_budget(r, 2)) - 1e-6
 
+    @pytest.mark.parametrize("r", [1e-200, 1e-320])
+    def test_underflowing_budget_runs_clean(self, r):
+        """A budget this small underflows a row's squared norm to 0, and the
+        projection used to warn of a division by zero."""
+        h = numeric_min_entropy(r, 4, restarts=2, iterations=5)
+        assert h >= entropy_lower_bound(BoundParams.from_budget(r, 4)) - 1e-6
+
     def test_value_is_the_best_along_the_trajectory(self):
         """One more iteration extends the same trajectories, so the best
         entropy seen can only fall, even when large steps make each

@@ -210,3 +210,32 @@ class TestIgnoreMask:
         g = naive_backward(e, c, x, 0.2, reduction=reduction, upstream=2.0,
                            ignore_mask=mask)
         assert np.all(g.grad_e.data == 0.0) and np.all(g.grad_c.data == 0.0)
+
+
+# logits beyond float64: z = [1e308, -1e308], so token 0's loss overflows
+OVERFLOWING = (DenseMatrix.from_array([[1e154]]),
+               DenseMatrix.from_array([[1e154, -1e154]]),
+               TokenSequence(np.array([1])))
+NAIVE_ENTRIES = {
+    "naive_forward": lambda e, c, x, **kw: naive_forward(e, c, x, 0.0, **kw),
+    "naive_backward": lambda e, c, x, **kw: naive_backward(e, c, x, 0.0, **kw),
+    "finite_diff_grad": lambda e, c, x, **kw: finite_diff_grad(e, c, x, 0.0, 1e-3, **kw),
+}
+
+
+class TestOneLossRule:
+    @pytest.mark.parametrize("entry", list(NAIVE_ENTRIES))
+    def test_non_finite_loss_names_the_token(self, entry):
+        """Every naive entry refuses through `loss_output`. The
+        finite-difference oracle used to fail on its own gradient with a
+        message about a non-finite matrix the caller never passed."""
+        with pytest.raises(ValueError, match="^loss of token 0 is not finite"):
+            NAIVE_ENTRIES[entry](*OVERFLOWING)
+
+    @pytest.mark.parametrize("entry", list(NAIVE_ENTRIES))
+    def test_ignored_overflowing_token_is_finite(self, entry):
+        out = NAIVE_ENTRIES[entry](*OVERFLOWING, ignore_mask=[True])
+        if isinstance(out, Gradients):
+            assert np.all(out.grad_e.data == 0.0) and np.all(out.grad_c.data == 0.0)
+        else:
+            assert out.total == 0.0 and np.all(out.per_token_loss == 0.0)

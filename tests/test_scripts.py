@@ -8,9 +8,9 @@ import sys
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(name, *args):
+def run_script(name, *args, timeout=300):
     proc = subprocess.run([sys.executable, str(SCRIPTS / name), *args],
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -34,3 +34,11 @@ def test_entropy_sweep():
 def test_run_bench():
     run_script("run_bench.py", "--n", "64", "--v", "512", "--d", "16",
                "--repetitions", "3", "--warmups", "0")
+
+
+def test_simplicity_check():
+    """Code lines per module, then the grid's call count and digest."""
+    out = run_script("simplicity_check.py", timeout=30).splitlines()
+    assert any(line.startswith("code_lines reference.py ") for line in out)
+    assert out[-2].startswith("calls ") and int(out[-2].split()[1]) > 0
+    assert out[-1].startswith("sha256 ") and len(out[-1].split()[1]) == 64
