@@ -3,10 +3,12 @@
 
 Prints the code lines of each `src/smoothce/*.py` (non-blank lines that
 are neither comments nor docstrings), then the number of engine calls in a
-fixed grid and one SHA-256 over every result they return. Run it on two
+fixed grid and one SHA-256 over every result they return, then a second
+SHA-256 over the entropy oracle's values on its own grid. Run it on two
 checkouts on the same host: equal digests mean the change kept every
-output, counter, peak and bound bit for bit. The digest depends on the
-host's BLAS kernels, so runs from different hosts do not compare.
+output, counter, peak and bound (or every oracle value) bit for bit. The
+engine digest depends on the host's BLAS kernels, so runs from different
+hosts do not compare.
 
 The grid:
 - shapes (n, v, d, N_B, V_B) (300, 5000, 48, 64, 512) and (64, 512, 32, 16,
@@ -18,6 +20,9 @@ The grid:
   the last two at filter 0 and 0.5 and upstream 1 and 0.5, plus
   `aux_bound_bytes` for each plan;
 - `finite_diff_grad` on a 3 x 5 x 2 instance with the same three masks.
+
+The oracle grid: `numeric_min_entropy` at v 2, 64, 256 and 1024, each over
+the radii 1e-200, 0.5, 4 and 1e150, with 4 restarts and 50 iterations.
 
 Usage:
     OPENBLAS_NUM_THREADS=1 python scripts/simplicity_check.py [ROOT]
@@ -44,12 +49,14 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from smoothce import (DenseMatrix, TokenSequence, blocked_backward,  # noqa: E402
                       blocked_forward, finite_diff_grad, loss_and_grad,
-                      naive_backward, naive_forward, plan_blocks, random_instance)
+                      naive_backward, naive_forward, numeric_min_entropy, plan_blocks,
+                      random_instance)
 from smoothce.blocked import aux_bound_bytes  # noqa: E402
 
 SHAPES = [(300, 5000, 48, 64, 512), (64, 512, 32, 16, 64),
           (4, 2, 1000, None, None), (0, 96, 8, None, None)]
 BETAS, REDUCTIONS, UPSTREAMS, FILTERS = (0.0, 0.1), ("sum", "mean"), (1.0, 0.5), (0.0, 0.5)
+ORACLE_VOCABS, ORACLE_RADII = (2, 64, 256, 1024), [1e-200, 0.5, 4.0, 1e150]
 
 
 def code_lines(path: pathlib.Path) -> int:
@@ -133,6 +140,10 @@ def main() -> int:
     print(f"OPENBLAS_NUM_THREADS {os.environ['OPENBLAS_NUM_THREADS']}")
     print(f"calls {calls}")
     print(f"sha256 {h.hexdigest()}")
+    h = hashlib.sha256()
+    for v in ORACLE_VOCABS:
+        feed(h, numeric_min_entropy(ORACLE_RADII, v, restarts=4, iterations=50))
+    print(f"oracle_sha256 {h.hexdigest()}")
     return 0
 
 

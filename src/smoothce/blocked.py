@@ -91,7 +91,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .memtrack import MemoryStats, TrackingAllocator
+from .memtrack import MemoryStats, TrackingAllocator, ufunc_buffer
 from .reference import Gradients, _validate, check_upstream, loss_output, token_weight
 from .tensors import (BlockPlan, DenseMatrix, TokenSequence,
                       plan_working_set_bytes, tiles_in_flight)
@@ -269,13 +269,6 @@ class _OneBlasThread:
 
 _ONE_BLAS_THREAD = _OneBlasThread()
 
-# numpy allocates its ufunc buffers (8192 elements per operand by default)
-# even for the same-dtype broadcast and strided in-place updates of the tile
-# work, where they hold nothing; 16 elements keeps them out of the peak.
-# numpy keeps the size per thread, so each worker thread sets its own and
-# the caller's is never touched.
-_UFUNC_BUFFER = 16
-
 
 class _Abandoned(Exception):
     """Another worker failed; this one stops without adding more."""
@@ -350,16 +343,18 @@ class _TileRunner:
         """Worker k: its token blocks, until another worker fails; the
         block functions add their processed and skipped tiles to `counts`."""
         nbk = self.eff.n_block
-        np.setbufsize(_UFUNC_BUFFER)
-        # overflowing logits are refused by each entry's own result check
-        np.seterr(over="ignore", invalid="ignore")
+        # the tile work's broadcasts and strided updates run at the small
+        # ufunc buffer, for speed and to keep it out of the peak; numpy keeps
+        # the size per thread, so the caller's is never touched. Overflowing
+        # logits are refused by each entry's own result check.
         try:
-            for i in range(k, -(-self.n // nbk), self.in_flight):
-                if self._failed:
-                    return
-                cols = slice(i * nbk, min((i + 1) * nbk, self.n))
-                for block_fn in block_fns:
-                    block_fn(alloc, i, cols, counts)
+            with ufunc_buffer(), np.errstate(over="ignore", invalid="ignore"):
+                for i in range(k, -(-self.n // nbk), self.in_flight):
+                    if self._failed:
+                        return
+                    cols = slice(i * nbk, min((i + 1) * nbk, self.n))
+                    for block_fn in block_fns:
+                        block_fn(alloc, i, cols, counts)
         except _Abandoned:
             pass
         except BaseException as exc:

@@ -10,11 +10,14 @@ front-ends that move R.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+from .memtrack import ufunc_buffer
 
 __all__ = [
     "BoundParams",
@@ -121,6 +124,10 @@ def shannon_entropy(prob: np.ndarray) -> float:
 # already exactly 0.
 _MAX_ORACLE_BUDGET = 1e150
 
+# the oracle's rows shorter than this keep the caller's ufunc buffer: their
+# broadcast copies cost less than the extra fills of a 16-element buffer
+_SMALL_BUFFER_ROWS = 128
+
 
 def numeric_min_entropy(r: float | Sequence[float], v: int, restarts: int = 64,
                         iterations: int = 5000, step: float = 0.1,
@@ -183,33 +190,39 @@ def _descend(u: np.ndarray, r_row: np.ndarray, iterations: int,
     """Projected gradient descent on the rows of u, in place; returns the
     least entropy each row reaches along its trajectory.
 
-    One step is about 20 numpy calls on u, two scratch arrays `work` and
-    `logp` of its shape and a few row vectors, and allocates no array data.
+    With z = u - max(u), e = exp(z), S = sum e and p = e / S, a row's
+    entropy is H = log S - sum p z, and since log p + H = z - sum p z, the
+    step u += c p (log p + H) needs one exp and no log p. A step is 11
+    passes over u (4 of them row broadcasts) on two scratch arrays `z` and
+    `e` of its shape and a few row vectors, and allocates no array data.
+    Rows of at least `_SMALL_BUFFER_ROWS` entries run at the small ufunc
+    buffer (see `memtrack.ufunc_buffer`); shorter rows keep the caller's.
     """
-    work = np.empty_like(u)
-    logp = np.empty_like(u)
-    m, s, h = (np.empty(len(u)) for _ in range(3))
+    z = np.empty_like(u)
+    e = np.empty_like(u)
+    m, s, q = (np.empty(len(u)) for _ in range(3))
     best = np.full(len(u), math.inf)
+    buffer = (ufunc_buffer() if u.shape[1] >= _SMALL_BUFFER_ROWS
+              else contextlib.nullcontext())
     # a budget small enough (about 1e-200) underflows a row's squared norm to
     # 0; r/0 = inf is clipped to 1 below, and a zero row needs no projection
-    with np.errstate(divide="ignore"):
+    with buffer, np.errstate(divide="ignore"):
         for t in range(1, iterations + 1):
             np.max(u, axis=1, out=m)
-            np.subtract(u, m[:, None], out=work)
-            np.exp(work, out=work)
-            np.sum(work, axis=1, out=s)
-            np.log(s, out=s)
-            s += m                                      # log Z
-            np.subtract(u, s[:, None], out=logp)
-            np.exp(logp, out=work)                      # p
-            np.einsum("ij,ij->i", work, logp, out=h)
-            np.negative(h, out=h)                       # entropy per row
-            np.minimum(best, h, out=best)
+            np.subtract(u, m[:, None], out=z)
+            np.exp(z, out=e)
+            np.sum(e, axis=1, out=s)                    # S
+            np.einsum("ij,ij->i", e, z, out=q)
+            q /= s                                      # sum p z
+            z -= q[:, None]                             # log p + H
+            np.log(s, out=m)
+            m -= q                                      # entropy per row
+            np.minimum(best, m, out=best)
             # u -= c * grad with grad = -p (log p + H)
-            logp += h[:, None]
-            logp *= work
-            logp *= step / math.sqrt(t)
-            u += logp
+            np.divide(step / math.sqrt(t), s, out=s)
+            e *= s[:, None]                             # c p
+            z *= e
+            u += z
             np.einsum("ij,ij->i", u, u, out=s)
             np.sqrt(s, out=s)
             np.divide(r_row, s, out=s)

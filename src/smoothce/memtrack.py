@@ -10,7 +10,7 @@ construction; O(D) and O(N) temporaries are not tracked.
 Nor are numpy's internal ufunc buffers. numpy allocates them even for
 same-dtype operations, up to 8192 elements per operand by default, for the
 broadcast `tile -= lse` and the online softmax merge. The engine runs its
-tile work with the buffer size at 16 elements, per worker thread, so they
+tile work under `ufunc_buffer`, at 16 elements per worker thread, so they
 stay a few hundred bytes. The GEMMs read the inputs in place and write
 into tracked tiles or straight into the gradients, so they add nothing;
 only without the accumulating BLAS kernel does a backward product pass
@@ -37,12 +37,35 @@ The allocator refuses no request: the tests compare the peak with
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["MemoryStats", "TrackingAllocator"]
+__all__ = ["MemoryStats", "TrackingAllocator", "ufunc_buffer"]
+
+# numpy's ufunc buffers hold 8192 elements per operand by default, and
+# numpy fills them even for same-dtype work. A broadcast operand with stride
+# 0, such as the row vector in `u - m[:, None]`, is copied into its buffer
+# whenever a row is shorter than the buffer: at 32 x 1024 that op takes
+# 33 µs at the default size and 11.5 µs at 16 elements (numpy 2.4, 2-vCPU
+# host). The buffers would also count in the engine's peak. 16 elements
+# avoid both costs.
+_UFUNC_BUFFER = 16
+
+
+@contextlib.contextmanager
+def ufunc_buffer():
+    """Run the block with numpy's ufunc buffer at 16 elements on this
+    thread, and give the thread its previous size back on exit, also when
+    the block raises. numpy keeps the size per thread (numpy 2 also ties it
+    to `errstate`); the restore does not rely on either."""
+    saved = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        yield
+    finally:
+        np.setbufsize(saved)
 
 
 @dataclass(frozen=True)

@@ -146,12 +146,14 @@ def naive_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float
     check_upstream(upstream)
     z, lse, o = _forward_arrays(Ea, Ca, xa, beta, v)
     loss_output(lse, o, reduction, keep)  # refuses what naive_forward refuses
-    # an ignored token's logits may overflow; its column is weighed by 0
+    # an ignored token's logits may overflow; its column is set to 0, since
+    # weighing it by 0 would keep a NaN
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.exp(z - lse)
     a[xa, np.arange(n)] -= 1.0 - beta
     a -= beta / v
-    a *= np.where(keep, token_weight(int(keep.sum()), reduction, upstream), 0.0)
+    a *= token_weight(int(keep.sum()), reduction, upstream)
+    a[:, ~keep] = 0.0
     grad_e = np.matmul(Ca, a, order="F")
     grad_c = np.matmul(Ea, a.T, order="F")
     return Gradients(DenseMatrix._wrap(grad_e), DenseMatrix._wrap(grad_c))

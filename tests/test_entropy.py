@@ -18,6 +18,7 @@ from smoothce.entropy import (
     normalized_gap,
     numeric_min_entropy,
     shannon_entropy,
+    _descend,
 )
 from smoothce.reductions import softmax
 from smoothce.tensors import DenseMatrix, plan_blocks, random_instance
@@ -237,6 +238,67 @@ class TestNumericOracle:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * rows * v * 8 + 64 * 1024
+
+    @pytest.mark.parametrize("v, inside", [(64, 4096), (256, 16)])
+    def test_caller_ufunc_buffer_is_restored(self, monkeypatch, v, inside):
+        """Rows of 128 entries or more descend at the small ufunc buffer,
+        shorter ones at the caller's; either way the caller gets its own
+        size back, also when the descent raises."""
+        seen = []
+
+        def failing_einsum(*args, **kwargs):
+            seen.append(np.getbufsize())
+            raise RuntimeError("einsum failed")
+
+        saved = np.setbufsize(4096)
+        try:
+            numeric_min_entropy(1.0, v, restarts=2, iterations=3)
+            assert np.getbufsize() == 4096
+            monkeypatch.setattr(np, "einsum", failing_einsum)
+            with pytest.raises(RuntimeError, match="einsum failed"):
+                numeric_min_entropy(1.0, v, restarts=2, iterations=3)
+            assert np.getbufsize() == 4096
+            assert seen == [inside]
+        finally:
+            np.setbufsize(saved)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("v", [2, 3, 100, 127, 128, 1000])
+    def test_row_lengths_around_the_buffer_run_clean(self, v):
+        """Rows on either side of the buffer rule, and rows that end part
+        way through a 16-element buffer."""
+        radii = [1e-200, 1.0, 1e150]
+        got = numeric_min_entropy(radii, v, restarts=3, iterations=20)
+        for r, h in zip(radii, got):
+            assert h >= entropy_lower_bound(BoundParams.from_budget(r, v)) - 1e-6
+
+    @pytest.mark.parametrize("v", [2, 64, 256, 1024])
+    def test_step_matches_a_two_exp_descent(self, v):
+        """The one-exp step agrees with the textbook step, which takes
+        log p = u - log Z and p = exp(log p), to rounding."""
+        radii = np.repeat([1e-200, 1.0, 4.0, 1e150], 3)
+        start = np.random.default_rng(5).standard_normal((radii.size, v))
+        start *= (radii / np.linalg.norm(start, axis=1))[:, None]
+        got = _descend(start.copy(), radii, 400, 0.1)
+        want = _two_exp_descent(start.copy(), radii, 400, 0.1)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _two_exp_descent(u, radii, iterations, step):
+    """Projected gradient descent on the entropy of each row's softmax,
+    written plainly; returns each row's least entropy along the way."""
+    best = np.full(len(u), math.inf)
+    with np.errstate(divide="ignore"):
+        for t in range(1, iterations + 1):
+            m = u.max(axis=1, keepdims=True)
+            log_z = m + np.log(np.exp(u - m).sum(axis=1, keepdims=True))
+            logp = u - log_z
+            p = np.exp(logp)
+            h = -(p * logp).sum(axis=1)
+            best = np.minimum(best, h)
+            u = u + step / math.sqrt(t) * p * (logp + h[:, None])
+            u *= np.minimum(radii / np.sqrt((u * u).sum(axis=1)), 1.0)[:, None]
+    return best
 
 
 class TestNormalizedGap:

@@ -239,3 +239,15 @@ class TestOneLossRule:
             assert np.all(out.grad_e.data == 0.0) and np.all(out.grad_c.data == 0.0)
         else:
             assert out.total == 0.0 and np.all(out.per_token_loss == 0.0)
+
+    def test_ignored_overflowing_column_beside_a_kept_token(self):
+        """The ignored token's softmax column is NaN. Weighing it by 0 kept
+        the NaN, and the backward refused its own gradient as a matrix
+        with non-finite entries while the forward returned 0."""
+        e = DenseMatrix.from_array([[1e155, 1.0]])
+        c = DenseMatrix.from_array([[1e155, -1e155]])
+        x = TokenSequence(np.array([1, 0]))
+        mask = [True, False]
+        assert naive_forward(e, c, x, 0.0, ignore_mask=mask).total == 0.0
+        g = naive_backward(e, c, x, 0.0, ignore_mask=mask)
+        assert np.all(g.grad_e.data == 0.0) and np.all(g.grad_c.data == 0.0)

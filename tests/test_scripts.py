@@ -37,8 +37,10 @@ def test_run_bench():
 
 
 def test_simplicity_check():
-    """Code lines per module, then the grid's call count and digest."""
+    """Code lines per module, then the engine grid's call count and digest,
+    then the oracle grid's digest."""
     out = run_script("simplicity_check.py", timeout=30).splitlines()
     assert any(line.startswith("code_lines reference.py ") for line in out)
-    assert out[-2].startswith("calls ") and int(out[-2].split()[1]) > 0
-    assert out[-1].startswith("sha256 ") and len(out[-1].split()[1]) == 64
+    assert out[-3].startswith("calls ") and int(out[-3].split()[1]) > 0
+    for line, key in zip(out[-2:], ("sha256", "oracle_sha256")):
+        assert line.split()[0] == key and len(line.split()[1]) == 64
