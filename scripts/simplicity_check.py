@@ -3,12 +3,13 @@
 
 Prints the code lines of each `src/smoothce/*.py` (non-blank lines that
 are neither comments nor docstrings), then the number of engine calls in a
-fixed grid and one SHA-256 over every result they return, then a second
-SHA-256 over the entropy oracle's values on its own grid. Run it on two
-checkouts on the same host: equal digests mean the change kept every
-output, counter, peak and bound (or every oracle value) bit for bit. The
-engine digest depends on the host's BLAS kernels, so runs from different
-hosts do not compare.
+fixed grid and one SHA-256 over every result they return, a second
+SHA-256 over the entropy oracle's values on its own grid, and a third over
+what fixed runs of the `calibrate` and `entropy --verify` commands write.
+Run it on two checkouts on the same host: equal digests mean the change
+kept every output, counter, peak and bound (or every oracle value, or
+every byte the commands write) bit for bit. The engine digest depends on
+the host's BLAS kernels, so runs from different hosts do not compare.
 
 The grid:
 - shapes (n, v, d, N_B, V_B) (300, 5000, 48, 64, 512) and (64, 512, 32, 16,
@@ -24,6 +25,14 @@ The grid:
 The oracle grid: `numeric_min_entropy` at v 2, 64, 256 and 1024, each over
 the radii 1e-200, 0.5, 4 and 1e150, with 4 restarts and 50 iterations.
 
+The command runs, each hashed by its exit code, stdout, stderr and every
+file it writes:
+- `calibrate` on a seeded 300 x 50 probs file and a seeded 400-record
+  confidence file, once per reliability scheme, with every metric that
+  applies; then, on the confidence file, `--metrics sce`, which must fail;
+- `entropy --verify` over d 1, 64, v 2, 16, 256 and rho 0, 1e-13, 4e-13,
+  0.5, 2, with 4 restarts and 50 iterations.
+
 Usage:
     OPENBLAS_NUM_THREADS=1 python scripts/simplicity_check.py [ROOT]
 
@@ -32,12 +41,16 @@ imported ahead of any installed copy. OPENBLAS_NUM_THREADS defaults to 1.
 """
 
 import ast
+import contextlib
 import dataclasses
 import hashlib
+import io
 import itertools
+import json
 import os
 import pathlib
 import sys
+import tempfile
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -52,11 +65,14 @@ from smoothce import (DenseMatrix, TokenSequence, blocked_backward,  # noqa: E40
                       naive_backward, naive_forward, numeric_min_entropy, plan_blocks,
                       random_instance)
 from smoothce.blocked import aux_bound_bytes  # noqa: E402
+from smoothce.cli import main as cli_main  # noqa: E402
 
 SHAPES = [(300, 5000, 48, 64, 512), (64, 512, 32, 16, 64),
           (4, 2, 1000, None, None), (0, 96, 8, None, None)]
 BETAS, REDUCTIONS, UPSTREAMS, FILTERS = (0.0, 0.1), ("sum", "mean"), (1.0, 0.5), (0.0, 0.5)
 ORACLE_VOCABS, ORACLE_RADII = (2, 64, 256, 1024), [1e-200, 0.5, 4.0, 1e150]
+ENTROPY_GRID = ["--d", "1,64", "--v", "2,16,256", "--rho", "0,1e-13,4e-13,0.5,2",
+                "--restarts", "4", "--iterations", "50"]
 
 
 def code_lines(path: pathlib.Path) -> int:
@@ -128,6 +144,54 @@ def grid():
         yield finite_diff_grad, (e, c, x, beta, 1e-4), dict(reduction=red, ignore_mask=mask)
 
 
+def write_records(tmp: pathlib.Path):
+    """A seeded probs-form file and a seeded confidence-form file."""
+    rng = np.random.default_rng(11)
+    logits = rng.normal(scale=3.0, size=(300, 50))
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    labels = rng.integers(0, 50, size=300)
+    probs_path, conf_path = tmp / "probs.jsonl", tmp / "conf.jsonl"
+    probs_path.write_text("".join(
+        json.dumps({"probs": row.tolist(), "label": int(k)}) + "\n"
+        for row, k in zip(probs, labels)))
+    conf = rng.random(400)
+    conf_path.write_text("".join(
+        json.dumps({"confidence": float(c), "correct": bool(rng.random() < c)}) + "\n"
+        for c in conf))
+    return probs_path, conf_path
+
+
+def cli_runs(tmp: pathlib.Path):
+    """Yield the argument list of each command run, in order."""
+    probs_path, conf_path = write_records(tmp)
+    for path, scheme in itertools.product((probs_path, conf_path),
+                                          ("equal_width", "equal_mass")):
+        yield ["calibrate", "--records", str(path), "--bins", "10",
+               "--out", str(tmp / "metrics.csv"), "--reliability-scheme", scheme,
+               "--reliability-csv", str(tmp / "reliability.csv")]
+    yield ["calibrate", "--records", str(probs_path), "--bins", "15", "--ace-empty", "zero"]
+    yield ["calibrate", "--records", str(conf_path), "--metrics", "sce"]
+    yield ["entropy", *ENTROPY_GRID, "--verify"]
+
+
+def cli_digest() -> str:
+    """SHA-256 over what each command run returns, prints and writes."""
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as name:
+        tmp = pathlib.Path(name)
+        for argv in cli_runs(tmp):
+            for out in tmp.glob("*.csv"):
+                out.unlink()
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = cli_main(argv)
+            feed(h, [rc, stdout.getvalue(), stderr.getvalue().replace(name, "TMP")])
+            for out in sorted(tmp.glob("*.csv")):
+                feed(h, [out.name, out.read_bytes()])
+    return h.hexdigest()
+
+
 def main() -> int:
     print(f"root {ROOT}")
     for path in sorted((ROOT / "src" / "smoothce").glob("*.py")):
@@ -144,6 +208,7 @@ def main() -> int:
     for v in ORACLE_VOCABS:
         feed(h, numeric_min_entropy(ORACLE_RADII, v, restarts=4, iterations=50))
     print(f"oracle_sha256 {h.hexdigest()}")
+    print(f"cli_sha256 {cli_digest()}")
     return 0
 
 

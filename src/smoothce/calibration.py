@@ -239,29 +239,20 @@ def bin_records(confidence, correct, m: int,
     return bins
 
 
-def _check_total(bins, n_total: int) -> None:
-    seen = sum(b.count for b in bins)
-    if seen != n_total:
-        raise ValueError(f"bins hold {seen} records, caller declared {n_total}")
-
-
-def ece(bins, n_total: int) -> float:
+def ece(bins) -> float:
     """Expected calibration error: the count-weighted mean absolute gap
-    between per-bin accuracy and per-bin confidence."""
-    _check_total(bins, n_total)
-    return sum(
-        (b.count / n_total) * abs(b.accuracy - b.mean_confidence)
-        for b in bins if b.count
-    )
+    between per-bin accuracy and per-bin confidence, over the records the
+    bins hold."""
+    n = sum(b.count for b in bins)
+    return sum((b.count / n) * abs(b.accuracy - b.mean_confidence)
+               for b in bins if b.count)
 
 
-def rms_ce(bins, n_total: int) -> float:
+def rms_ce(bins) -> float:
     """Root-mean-square calibration error; emphasizes large deviations."""
-    _check_total(bins, n_total)
-    return math.sqrt(sum(
-        (b.count / n_total) * (b.accuracy - b.mean_confidence) ** 2
-        for b in bins if b.count
-    ))
+    n = sum(b.count for b in bins)
+    return math.sqrt(sum((b.count / n) * (b.accuracy - b.mean_confidence) ** 2
+                         for b in bins if b.count))
 
 
 def _class_gaps(probs, labels, m: int, scheme: str):

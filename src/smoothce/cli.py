@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import statistics
@@ -24,8 +25,8 @@ import numpy as np
 
 from .blocked import (aux_bound_bytes, blocked_backward, blocked_forward,
                       loss_and_grad)
-from .calibration import (RecordError, ace, bin_records, ece, ingest_records,
-                          reliability_data, rms_ce, sce)
+from .calibration import (SCHEMES, RecordError, ace, bin_records, ece,
+                          ingest_records, reliability_data, rms_ce, sce)
 from .entropy import (BoundParams, effective_params, entropy_lower_bound,
                       normalized_gap, numeric_min_entropy)
 from .reference import finite_diff_grad, naive_backward, naive_forward
@@ -86,6 +87,7 @@ _nonnegative_int = _checked(int, lambda n: n >= 0, "a nonnegative integer")
 _positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
 _positive_float = _checked(float, lambda x: 0 < x < math.inf, "a finite positive number")
 _beta_arg = _checked(float, lambda x: 0 <= x <= 1, "a number in [0, 1]")
+_vocab_int = _checked(int, lambda n: n >= 2, "an integer >= 2")  # one class has no gradient
 
 
 def _open_out(path):
@@ -268,23 +270,20 @@ def cmd_calibrate(args) -> int:
     wanted = args.metrics or (
         ["ece", "rms_ce"] + (["sce", "ace"] if records.probs is not None else []))
 
-    n = len(records)
     m = args.bins
-    binned = {}
 
+    @functools.cache
     def bins_for(scheme):
-        if scheme not in binned:
-            binned[scheme] = bin_records(records.confidence, records.correct, m, scheme)
-        return binned[scheme]
+        return bin_records(records.confidence, records.correct, m, scheme)
 
+    # bin_records, sce and ace stay module names looked up at call time:
+    # the benchmark's tracer wraps them here
+    binned_metrics = {"ece": ece, "rms_ce": rms_ce}
     rows = []
     for name in wanted:
-        if name == "ece":
-            for scheme in ("equal_width", "equal_mass"):
-                rows.append(("ece", m, scheme, ece(bins_for(scheme), n)))
-        elif name == "rms_ce":
-            for scheme in ("equal_width", "equal_mass"):
-                rows.append(("rms_ce", m, scheme, rms_ce(bins_for(scheme), n)))
+        if name in binned_metrics:
+            rows += [(name, m, scheme, binned_metrics[name](bins_for(scheme)))
+                     for scheme in SCHEMES]
         elif name == "sce":
             rows.append(("sce", m, "equal_width",
                          sce(records.probs, records.labels, m)))
@@ -302,22 +301,19 @@ def cmd_calibrate(args) -> int:
 
 def cmd_entropy(args) -> int:
     rows = []
-    checks = []
     for d in args.d:
         for v in args.v:
             for rho in args.rho:
                 base = BoundParams(sigma_c=rho, sigma_h=1.0, d=d, v=v)
                 p = effective_params(base, args.temperature, args.softcap)
-                bound = entropy_lower_bound(p)
                 rows.append((d, v, rho, args.temperature, args.softcap,
-                             p.r, bound, normalized_gap(p)))
-                checks.append((p.r, v, bound))
+                             p.r, entropy_lower_bound(p), normalized_gap(p)))
     oracle = {}
     if args.verify:
         # one oracle call per v, over its distinct radii in grid order, all
         # before the table is written, so that a refused input leaves none
         radii: dict[int, dict[float, None]] = {}
-        for r_eff, v, _ in checks:
+        for _, v, *_, r_eff, _, _ in rows:
             if r_eff > 0:
                 radii.setdefault(v, {})[r_eff] = None
         for v, by_radius in radii.items():
@@ -328,7 +324,7 @@ def cmd_entropy(args) -> int:
                ("d", "v", "rho", "temperature", "softcap", "r_effective",
                 "bound", "normalized_gap"),
                rows)
-    for r_eff, v, bound in checks:
+    for _, v, *_, r_eff, bound, _ in rows:
         numeric = oracle.get((r_eff, v))
         if numeric is not None and numeric < bound - 1e-6:
             print(f"error: oracle entropy {numeric!r} undercuts the closed-form "
@@ -373,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("gradcheck", help="cross-check gradients against oracles")
     p.add_argument("--n", type=_positive_int, default=8)
-    p.add_argument("--v", type=_positive_int, default=64)
+    p.add_argument("--v", type=_vocab_int, default=64)
     p.add_argument("--d", type=_positive_int, default=8)
     p.add_argument("--beta", type=_beta_arg, default=0.1)
     p.add_argument("--seed", type=_int, default=1)
@@ -420,15 +416,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ace-empty", choices=("skip", "zero"), default="skip")
     p.add_argument("--out", default="-")
     p.add_argument("--reliability-csv", default=None)
-    p.add_argument("--reliability-scheme", choices=("equal_width", "equal_mass"),
-                   default="equal_width")
+    p.add_argument("--reliability-scheme", choices=SCHEMES, default="equal_width")
     p.set_defaults(func=cmd_calibrate)
 
     p = subs.add_parser("entropy", help="entropy-floor sweeps over (d, v, rho)")
     p.add_argument("--d", type=_list_arg(_positive_int, "positive integers"),
                    default=[1, 64])
-    p.add_argument("--v", default=[2, 16, 256], type=_list_arg(
-        _checked(int, lambda n: n >= 2, "an integer >= 2"), "integers >= 2"))
+    p.add_argument("--v", type=_list_arg(_vocab_int, "integers >= 2"), default=[2, 16, 256])
     p.add_argument("--rho", default=[0.0, 0.5, 2.0], type=_list_arg(
         _checked(float, lambda x: 0 <= x < math.inf, "a finite nonnegative number"),
         "finite nonnegative numbers"))

@@ -15,3 +15,21 @@ def grad_rel_err(got, want) -> float:
         rel_err(got.grad_e.data, want.grad_e.data),
         rel_err(got.grad_c.data, want.grad_c.data),
     )
+
+
+def conditioned_scales(e, c, x, beta, weight=1.0):
+    """The sizes that float64 sums can resolve in each gradient, computed
+    densely: (‖|C| (P + q) W‖_F, ‖|E| W (P + q)^T‖_F), where P is the
+    V x N softmax, q the smoothed targets (1-beta) [v == x_i] + beta/V and
+    W the token weights (a scalar or one per token). Near an optimum
+    P - q, and with it the gradient, is far smaller than these."""
+    emb, cls = e.data, c.data
+    v, n = cls.shape[1], emb.shape[1]
+    z = cls.T @ emb
+    p = np.exp(z - z.max(axis=0))
+    p /= p.sum(axis=0)
+    q = np.full((v, n), beta / v)
+    q[np.asarray(x.targets), np.arange(n)] += 1.0 - beta
+    pq = (p + q) * weight
+    return (float(np.linalg.norm(np.abs(cls) @ pq)),
+            float(np.linalg.norm(np.abs(emb) @ pq.T)))

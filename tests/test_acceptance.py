@@ -269,13 +269,13 @@ def test_criterion_9_calibration_metrics():
                       "< 0.02; SCE/ACE match brute force to 1e-12"):
         bins = bin_records(np.array([0.9, 0.8, 0.3, 0.1]),
                            np.array([True, False, True, False]), 2, "equal_width")
-        assert abs(ece(bins, 4) - 0.325) <= 1e-12
-        assert abs(rms_ce(bins, 4) - math.sqrt(0.10625)) <= 1e-12
+        assert abs(ece(bins) - 0.325) <= 1e-12
+        assert abs(rms_ce(bins) - math.sqrt(0.10625)) <= 1e-12
 
         rng = np.random.default_rng(99)
         conf = rng.uniform(0.0, 1.0, size=10_000)
         correct = rng.uniform(0.0, 1.0, size=10_000) < conf
-        assert ece(bin_records(conf, correct, 10), 10_000) < 0.02
+        assert ece(bin_records(conf, correct, 10)) < 0.02
 
         for n, k, m, seed in ((40, 3, 4, 0), (100, 5, 4, 1), (64, 2, 3, 2)):
             r2 = np.random.default_rng(seed)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import smoothce.blocked
 import smoothce.reference
-from _util import grad_rel_err, rel_err
+from _util import conditioned_scales, grad_rel_err, rel_err
 from smoothce.blocked import (
     aux_bound_bytes,
     blocked_backward,
@@ -1200,6 +1200,32 @@ class TestOneSweep:
         # the timings take no part in comparing stats
         assert replace(stats, phase_seconds={}) == stats
 
+    @pytest.fixture(scope="class")
+    def timed(self):
+        """A shape where each entry's call takes 20 ms or more on 2 vCPUs."""
+        e, c, x = random_instance(5, n=512, v=8192, d=64, scale=0.5)
+        plan = plan_blocks(512, 8192, 64, workers=2)
+        return e, c, x, blocked_forward(e, c, x, 0.1, plan)[0].lse
+
+    @pytest.mark.parametrize("call", ["blocked_forward", "blocked_backward",
+                                      "loss_and_grad"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_phase_seconds_cover_the_call(self, timed, call, workers):
+        """`runner` plus `outside` is between 0.9x and 1x the perf_counter
+        wall time around a call long enough for the entry's own overhead
+        to be under a tenth of it."""
+        e, c, x, lse = timed
+        plan = plan_blocks(512, 8192, 64, workers=workers)
+        runs = {"blocked_forward": lambda: blocked_forward(e, c, x, 0.1, plan),
+                "blocked_backward": lambda: blocked_backward(e, c, x, 0.1, plan, lse),
+                "loss_and_grad": lambda: loss_and_grad(e, c, x, 0.1, plan)}
+        t0 = time.perf_counter()
+        phases = runs[call]()[-1].phase_seconds
+        wall = time.perf_counter() - t0
+        assert set(phases) == {"runner", "outside"}
+        assert phases["runner"] >= 0 and phases["outside"] >= 0
+        assert 0.9 * wall <= phases["runner"] + phases["outside"] <= wall
+
 
 class TestInputs:
     """Both engines take the same inputs and refuse the same results."""
@@ -1315,3 +1341,51 @@ class TestInputs:
         for call in calls:
             with pytest.raises(TypeError, match="positional argument"):
                 call()
+
+
+CHECKPOINTS = (0, 1000, 2000, 3000, 4000)
+
+
+@pytest.fixture(scope="module")
+def descent():
+    """E at each checkpoint of a descent toward an optimum: n 64, v 512,
+    d 64, beta 0.1, scale 0.5; E takes steps of 0.5 along naive's grad_e
+    while C stays fixed. ‖grad_e‖ falls from about 3e1 to about 2e-9."""
+    e, c, x = random_instance(0, n=64, v=512, d=64, scale=0.5)
+    points = {}
+    for step in range(CHECKPOINTS[-1] + 1):
+        if step in CHECKPOINTS:
+            points[step] = e
+        grad_e = naive_backward(e, c, x, 0.1).grad_e.data
+        e = DenseMatrix.from_array(e.data - 0.5 * grad_e)
+    return points, c, x
+
+
+class TestConditionedContract:
+    """The blocked engine agrees with the naive one to 1e-12 of each
+    gradient's conditioned scale (see `conditioned_scales`), also near an
+    optimum, where a gap relative to the gradient itself grows past 1e-9
+    in both engines alike."""
+
+    @pytest.mark.parametrize("beta", [0.0, 0.1])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("step", CHECKPOINTS)
+    def test_gap_within_the_conditioned_scale(self, descent, step, workers, beta):
+        points, c, x = descent
+        e = points[step]
+        plan = plan_blocks(64, 512, 64, n_block=16, v_block=64, workers=workers)
+        got = loss_and_grad(e, c, x, beta, plan)[1]
+        want = naive_backward(e, c, x, beta)
+        scale_e, scale_c = conditioned_scales(e, c, x, beta)
+        assert np.linalg.norm(got.grad_e.data - want.grad_e.data) <= 1e-12 * scale_e
+        assert np.linalg.norm(got.grad_c.data - want.grad_c.data) <= 1e-12 * scale_c
+
+    def test_gradient_relative_gap_exceeds_1e_9_at_the_optimum(self, descent):
+        """Why the contract names a scale: at the last checkpoint the gap
+        relative to ‖grad_e‖ is far above 1e-9 (about 2e-5)."""
+        points, c, x = descent
+        e = points[CHECKPOINTS[-1]]
+        plan = plan_blocks(64, 512, 64, n_block=16, v_block=64, workers=1)
+        got = loss_and_grad(e, c, x, 0.1, plan)[1]
+        want = naive_backward(e, c, x, 0.1)
+        assert rel_err(got.grad_e.data, want.grad_e.data) > 1e-9

@@ -172,8 +172,8 @@ class TestBinning:
 class TestEceRms:
     def test_hand_enumeration(self):
         bins = bin_records(*FIXTURE, 2, "equal_width")
-        assert ece(bins, 4) == pytest.approx(0.325, abs=1e-12)
-        assert rms_ce(bins, 4) == pytest.approx(math.sqrt(0.10625), abs=1e-12)
+        assert ece(bins) == pytest.approx(0.325, abs=1e-12)
+        assert rms_ce(bins) == pytest.approx(math.sqrt(0.10625), abs=1e-12)
 
     def test_perfectly_calibrated_synthetic(self):
         """Constructed bins where confidence equals empirical accuracy."""
@@ -181,50 +181,45 @@ class TestEceRms:
         for conf, hits, total in ((0.25, 1, 4), (0.75, 3, 4)):
             pairs += [(conf, i < hits) for i in range(total)]
         bins = bin_records(*summaries(*pairs), 2, "equal_width")
-        assert ece(bins, len(pairs)) == pytest.approx(0.0, abs=1e-12)
-        assert rms_ce(bins, len(pairs)) == pytest.approx(0.0, abs=1e-12)
+        assert ece(bins) == pytest.approx(0.0, abs=1e-12)
+        assert rms_ce(bins) == pytest.approx(0.0, abs=1e-12)
 
     def test_all_wrong_full_confidence(self):
         records = summaries(*[(1.0, False)] * 5)
         bins = bin_records(*records, 3)
-        assert ece(bins, 5) == 1.0
-        assert rms_ce(bins, 5) == 1.0
+        assert ece(bins) == 1.0
+        assert rms_ce(bins) == 1.0
 
     def test_single_bin_rms_is_absolute_gap(self):
         records = summaries((0.8, True), (0.6, False))
         (b,) = bin_records(*records, 1)
         gap = abs(b.accuracy - b.mean_confidence)
-        assert rms_ce([b], 2) == pytest.approx(gap, abs=1e-15)
+        assert rms_ce([b]) == pytest.approx(gap, abs=1e-15)
 
     def test_rms_dominates_ece(self):
         rng = np.random.default_rng(0)
         conf, correct = rng.uniform(0, 1, 300), rng.integers(0, 2, 300).astype(bool)
         for m in (1, 5, 10):
             bins = bin_records(conf, correct, m)
-            assert rms_ce(bins, 300) >= ece(bins, 300) - 1e-12
-
-    def test_count_mismatch_rejected(self):
-        bins = bin_records(*FIXTURE, 2)
-        with pytest.raises(ValueError):
-            ece(bins, 5)
+            assert rms_ce(bins) >= ece(bins) - 1e-12
 
     def test_metrics_in_unit_interval(self):
         rng = np.random.default_rng(1)
         conf, correct = rng.uniform(0, 1, 200), rng.integers(0, 2, 200).astype(bool)
         bins = bin_records(conf, correct, 7)
-        assert 0.0 <= ece(bins, 200) <= 1.0
-        assert 0.0 <= rms_ce(bins, 200) <= 1.0
+        assert 0.0 <= ece(bins) <= 1.0
+        assert 0.0 <= rms_ce(bins) <= 1.0
 
     def test_permutation_and_duplication_invariance(self):
         rng = np.random.default_rng(2)
         conf, correct = rng.uniform(0, 1, 64), rng.integers(0, 2, 64).astype(bool)
-        base = ece(bin_records(conf, correct, 5), 64)
+        base = ece(bin_records(conf, correct, 5))
         order = np.arange(64)
         rng.shuffle(order)
         shuffled = bin_records(conf[order], correct[order], 5)
-        assert ece(shuffled, 64) == pytest.approx(base, abs=1e-15)
+        assert ece(shuffled) == pytest.approx(base, abs=1e-15)
         doubled = bin_records(np.tile(conf, 2), np.tile(correct, 2), 5)
-        assert ece(doubled, 128) == pytest.approx(base, abs=1e-15)
+        assert ece(doubled) == pytest.approx(base, abs=1e-15)
 
 
 class ProbsRecord(NamedTuple):

@@ -211,6 +211,14 @@ class TestGradcheck:
         out, err = capsys.readouterr()
         assert out == "" and flag in err
 
+    def test_two_class_vocabulary_passes(self, capsys):
+        """The smallest `--v` taken. One class is refused (see BAD_VALUES):
+        its loss and both gradients are exactly 0, so each relative error
+        divided rounding noise by rounding noise, and `--v 1` used to print
+        FAIL and exit 1."""
+        assert main(["gradcheck", "--v", "2"]) == 0
+        assert capsys.readouterr().out.endswith("PASS\n")
+
     @pytest.mark.parametrize("value", ["2", "1", "-0.5", "nan", "x"])
     def test_bad_filter_eps_is_usage_error_before_any_output(self, value, capsys):
         """An epsilon outside [0, 1) used to exit 1, and only after a full
@@ -698,11 +706,12 @@ class TestUsage:
 
     # every range-checked flag of each command, with a non-number (an
     # unknown name for the name lists) and a value out of its range (an
-    # empty list; for --seed, which takes any integer, a fraction)
+    # empty list; for --seed, which takes any integer, a fraction; for
+    # gradcheck's --v also the one-class vocabulary)
     ENGINE = {"--n-block": ("x", "0"), "--v-block": ("x", "-1"), "--threads": ("x", "0")}
     BAD_VALUES = {
         "loss": {"--beta": ("x", "1.5"), **ENGINE},
-        "gradcheck": {"--n": ("x", "0"), "--v": ("x", "0"), "--d": ("x", "0"),
+        "gradcheck": {"--n": ("x", "0"), "--v": ("x", "0", "1"), "--d": ("x", "0"),
                       "--beta": ("x", "-0.1"), "--seed": ("x", "1.5"),
                       "--scale": ("x", "0"), "--h": ("x", "0"),
                       "--tol-analytic": ("x", "-1"), "--tol-fd": ("x", "inf"),

@@ -38,9 +38,9 @@ def test_run_bench():
 
 def test_simplicity_check():
     """Code lines per module, then the engine grid's call count and digest,
-    then the oracle grid's digest."""
+    then the oracle grid's and the command runs' digests."""
     out = run_script("simplicity_check.py", timeout=30).splitlines()
     assert any(line.startswith("code_lines reference.py ") for line in out)
-    assert out[-3].startswith("calls ") and int(out[-3].split()[1]) > 0
-    for line, key in zip(out[-2:], ("sha256", "oracle_sha256")):
+    assert out[-4].startswith("calls ") and int(out[-4].split()[1]) > 0
+    for line, key in zip(out[-3:], ("sha256", "oracle_sha256", "cli_sha256")):
         assert line.split()[0] == key and len(line.split()[1]) == 64
