@@ -55,7 +55,11 @@ per-vocabulary-block turn counter. Every sum therefore runs in the same
 order as on one worker, and for given tile sizes results are
 bit-identical for any `replace(plan, workers=k)`. Every run holds numpy's
 OpenBLAS at one thread, so no GEMM's sum order depends on the host's BLAS
-threads, and BLAS threads do not compete with the workers.
+threads, and BLAS threads do not compete with the workers. A run has one
+stop path: a worker's error, a thread that fails to start or an interrupt
+stops every worker at its next token block or `grad_c` turn, and the call
+raises only once every started worker has ended and, after them, the BLAS
+thread count is restored.
 
 Every GEMM goes through `dgemm`, c = alpha a b + beta c on the ILP64
 `cblas_dgemm` of numpy's own OpenBLAS, with a transpose passed as a `.T`
@@ -305,7 +309,7 @@ class _TileRunner:
         self.in_flight = tiles_in_flight(self.n, self.eff.n_block, self.eff.workers)
         self._cond = threading.Condition()
         self._turns = [0] * -(-self.v // self.eff.v_block)
-        self._failed = False
+        self._error: BaseException | None = None
 
     def vocab_blocks(self):
         """(index, first entry, extent) of each vocabulary block, in order."""
@@ -330,8 +334,8 @@ class _TileRunner:
 
     def wait_turn(self, i: int, j: int) -> None:
         with self._cond:
-            self._cond.wait_for(lambda: self._turns[j] == i or self._failed)
-            if self._failed:
+            self._cond.wait_for(lambda: self._turns[j] == i or self._error is not None)
+            if self._error is not None:
                 raise _Abandoned
 
     def pass_turn(self, j: int) -> None:
@@ -339,9 +343,11 @@ class _TileRunner:
             self._turns[j] += 1
             self._cond.notify_all()
 
-    def _work(self, k, alloc, block_fns, counts, errors) -> None:
-        """Worker k: its token blocks, until another worker fails; the
-        block functions add their processed and skipped tiles to `counts`."""
+    def _work(self, k, alloc, block_fns, counts) -> None:
+        """Worker k: its token blocks, until a failure is recorded; the
+        block functions add their processed and skipped tiles to `counts`.
+        Its own failure is recorded, unless another came first (an
+        `_Abandoned` worker's always did)."""
         nbk = self.eff.n_block
         # the tile work's broadcasts and strided updates run at the small
         # ufunc buffer, for speed and to keep it out of the peak; numpy keeps
@@ -350,49 +356,51 @@ class _TileRunner:
         try:
             with ufunc_buffer(), np.errstate(over="ignore", invalid="ignore"):
                 for i in range(k, -(-self.n // nbk), self.in_flight):
-                    if self._failed:
+                    if self._error is not None:
                         return
                     cols = slice(i * nbk, min((i + 1) * nbk, self.n))
                     for block_fn in block_fns:
                         block_fn(alloc, i, cols, counts)
-        except _Abandoned:
-            pass
         except BaseException as exc:
-            errors.append(exc)
-            self._abandon()
+            self._abandon(exc)
 
-    def _abandon(self) -> None:
-        """Stop every worker at its next turn or token block."""
+    def _abandon(self, exc: BaseException) -> None:
+        """Keep the first failure and stop every worker at its next turn or
+        token block."""
         with self._cond:
-            self._failed = True
+            if self._error is None:
+                self._error = exc
             self._cond.notify_all()
 
     def run(self, *block_fns) -> None:
         """Run every token block through `block_fns` on `in_flight` worker
         threads, each with its own allocator; keep the tile counts, the sum
-        of the workers' peaks and the runner's wall time."""
+        of the workers' peaks and the runner's wall time. Whatever stops
+        the run (a worker's error, a failed start, an interrupt) stops
+        every worker, and the call raises only once every started worker
+        has ended and the BLAS thread count is restored."""
         start = time.perf_counter()
         # looked up in this module on each call: bench/tracer.py swaps
         # `blocked.TrackingAllocator` for a tracing one
         allocs = [TrackingAllocator() for _ in range(self.in_flight)]
         counts = [[0, 0] for _ in allocs]
-        errors: list[BaseException] = []
-        threads = [threading.Thread(target=self._work, args=(k, a, block_fns, c, errors),
+        threads = [threading.Thread(target=self._work, args=(k, a, block_fns, c),
                                     name=f"smoothce-tiles-{k}")
                    for k, (a, c) in enumerate(zip(allocs, counts))]
         with _ONE_BLAS_THREAD.held():
-            for t in threads:
-                t.start()
             try:
                 for t in threads:
-                    t.join()
-            except BaseException:  # interrupted: stop the workers first
-                self._abandon()
+                    t.start()
                 for t in threads:
                     t.join()
+            except BaseException as exc:  # a failed start or an interrupt
+                self._abandon(exc)
+                for t in threads:
+                    if t.is_alive():
+                        t.join()
                 raise
-        if errors:
-            raise errors[0]
+        if self._error is not None:
+            raise self._error
         self._totals = (sum(a.peak_bytes for a in allocs), sum(c[0] for c in counts),
                         sum(c[1] for c in counts))
         self._runner_seconds = time.perf_counter() - start

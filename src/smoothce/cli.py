@@ -2,11 +2,13 @@
 calibration reports, and entropy-floor sweeps.
 
 Exit codes: 0 success, 1 data or verification failure, 2 usage error.
-Every flag value is checked as it is parsed, by a type that `_checked`
-builds, so a bad value exits 2 naming the flag before any work or output;
-the command bodies check no flag of their own.
+Every flag value but a path is checked as it is parsed, by a type that
+`_checked` builds or by argparse `choices`, so a bad value exits 2 naming
+the flag before any work or output; the command bodies check no flag of
+their own. A path is checked when it is opened: a bad one exits 1.
 Every flag can also be supplied through `--config FILE` (one `key=value`
 per line, hyphen or underscore keys); command-line flags win over the file.
+Flags and config keys are spelled out in full: a prefix is a usage error.
 """
 
 from __future__ import annotations
@@ -351,12 +353,15 @@ def _add_engine(sub):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="smoothce",
+        prog="smoothce", allow_abbrev=False,
         description="Smoothed cross-entropy engines, calibration metrics, "
                     "and entropy-floor analysis.")
     subs = parser.add_subparsers(dest="command", required=True)
+    # argparse would take an unambiguous prefix for a flag, but
+    # `_expand_config` finds `--config` by its full name
+    add = functools.partial(subs.add_parser, allow_abbrev=False)
 
-    p = subs.add_parser("loss", help="compute a smoothed cross-entropy loss")
+    p = add("loss", help="compute a smoothed cross-entropy loss")
     p.add_argument("--embeddings", required=True, help="SCE1 matrix, D x N")
     p.add_argument("--classifier", required=True, help="SCE1 matrix, D x |V|")
     p.add_argument("--targets", required=True, help="SCE1 token sequence")
@@ -367,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine(p)
     p.set_defaults(func=cmd_loss)
 
-    p = subs.add_parser("gradcheck", help="cross-check gradients against oracles")
+    p = add("gradcheck", help="cross-check gradients against oracles")
     p.add_argument("--n", type=_positive_int, default=8)
     p.add_argument("--v", type=_vocab_int, default=64)
     p.add_argument("--d", type=_positive_int, default=8)
@@ -387,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine(p)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = subs.add_parser("bench", help="time and meter both engines")
+    p = add("bench", help="time and meter both engines")
     p.add_argument("--n", type=_positive_int, default=1024)
     p.add_argument("--v", type=_positive_int, default=16384)
     p.add_argument("--d", type=_positive_int, default=64)
@@ -407,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "byte-identical across reruns")
     p.set_defaults(func=cmd_bench)
 
-    p = subs.add_parser("calibrate", help="calibration metrics from JSONL records")
+    p = add("calibrate", help="calibration metrics from JSONL records")
     p.add_argument("--records", required=True)
     p.add_argument("--bins", type=_positive_int, default=10)
     p.add_argument("--metrics", type=_list_arg(_one_of(_METRICS), "metrics"),
@@ -419,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reliability-scheme", choices=SCHEMES, default="equal_width")
     p.set_defaults(func=cmd_calibrate)
 
-    p = subs.add_parser("entropy", help="entropy-floor sweeps over (d, v, rho)")
+    p = add("entropy", help="entropy-floor sweeps over (d, v, rho)")
     p.add_argument("--d", type=_list_arg(_positive_int, "positive integers"),
                    default=[1, 64])
     p.add_argument("--v", type=_list_arg(_vocab_int, "integers >= 2"), default=[2, 16, 256])
@@ -476,7 +481,7 @@ def _expand_config(argv: list[str]) -> list[str]:
                                     else f"--no-{key}")
                 else:
                     injected.append(f"--{key}={value}")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a decode error or a NUL in the path
         raise UsageError(f"cannot read config {cfg_path}: {exc}")
     return [sub] + injected + rest
 
@@ -484,17 +489,10 @@ def _expand_config(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = [os.fspath(arg) for arg in (sys.argv[1:] if argv is None else argv)]
     try:
-        argv = _expand_config(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
+        args = build_parser().parse_args(_expand_config(argv))
         return args.func(args)
+    except SystemExit as exc:  # argparse's: 0 after --help, else 2
+        return int(exc.code) if exc.code else 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

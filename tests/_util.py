@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import threading
+
 import numpy as np
 
 
@@ -33,3 +35,19 @@ def conditioned_scales(e, c, x, beta, weight=1.0):
     pq = (p + q) * weight
     return (float(np.linalg.norm(np.abs(cls) @ pq)),
             float(np.linalg.norm(np.abs(emb) @ pq.T)))
+
+
+def tile_threads() -> list[str]:
+    """Names of the blocked engine's worker threads that are alive."""
+    return sorted(t.name for t in threading.enumerate()
+                  if t.name.startswith("smoothce-tiles-"))
+
+
+def recording_blas_calls(log: list):
+    """A stand-in for `blocked._openblas_thread_calls`: its getter reads 4
+    threads, and its setter appends (count, live tile threads) to `log`,
+    so a test can see which workers were alive when a count was set."""
+    def set_(count):
+        log.append((count, tile_threads()))
+
+    return lambda: (lambda: 4, set_)

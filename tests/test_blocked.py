@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 import smoothce.blocked
 import smoothce.reference
-from _util import conditioned_scales, grad_rel_err, rel_err
+from _util import (conditioned_scales, grad_rel_err, recording_blas_calls, rel_err,
+                   tile_threads)
 from smoothce.blocked import (
     aux_bound_bytes,
     blocked_backward,
@@ -734,6 +735,25 @@ class TestStagedFallback:
         for other in results[1:]:
             assert all(np.array_equal(a, b) for a, b in zip(other, results[0]))
 
+    def test_token_weight_scales_the_staged_products(self, staged, medium):
+        """At `mean` and upstream 0.5 the token weight, each staged
+        product's alpha, is 0.5/64: the chunk is scaled after np.matmul
+        writes it."""
+        e, c, x, _, _ = medium
+        want_out = naive_forward(e, c, x, 0.1, reduction="mean")
+        want_g = naive_backward(e, c, x, 0.1, reduction="mean", upstream=0.5)
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64)
+        results = []
+        for workers in (1, 2, 3):
+            out, g, _ = run_bounded(lambda: loss_and_grad(
+                e, c, x, 0.1, replace(plan, workers=workers), reduction="mean",
+                upstream=0.5))
+            assert rel_err(out.total, want_out.total) <= 1e-9
+            assert grad_rel_err(g, want_g) <= 1e-9
+            results.append((out.per_token_loss, g.grad_e.data, g.grad_c.data))
+        for other in results[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(other, results[0]))
+
     def test_chunk_is_tracked(self, staged, medium):
         e, c, x, fwd, _ = medium
         plan = plan_blocks(64, 512, 32, n_block=16, v_block=64)
@@ -937,6 +957,83 @@ class TestRunner:
                                                  fwd[0.1].lse))
         assert get() == saved
 
+    def test_failed_start_stops_the_started_worker(self):
+        """The second worker's thread fails to start. The call raises that
+        error once the first worker has ended, and only then restores the
+        BLAS thread count. The first worker used to wait for a `grad_c`
+        turn that never came, so the process never exited; hence the
+        subprocess."""
+        code = (
+            "import threading\n"
+            "from smoothce import blocked, loss_and_grad, plan_blocks, random_instance\n"
+            "from _util import recording_blas_calls, tile_threads\n"
+            "log = []\n"
+            "blocked._openblas_thread_calls = recording_blas_calls(log)\n"
+            "start = threading.Thread.start\n"
+            "def failing_start(self):\n"
+            "    if self.name == 'smoothce-tiles-1':\n"
+            "        raise RuntimeError('injected start failure')\n"
+            "    start(self)\n"
+            "threading.Thread.start = failing_start\n"
+            "e, c, x = random_instance(7, n=64, v=512, d=16, scale=0.5)\n"
+            "plan = plan_blocks(64, 512, 16, n_block=8, v_block=64, workers=2)\n"
+            "try:\n"
+            "    loss_and_grad(e, c, x, 0.1, plan)\n"
+            "except RuntimeError as exc:\n"
+            "    assert str(exc) == 'injected start failure', exc\n"
+            "else:\n"
+            "    raise AssertionError('the call did not raise')\n"
+            "assert tile_threads() == [], tile_threads()\n"
+            "assert log == [(1, []), (4, [])], log\n"
+        )
+        proc = run_python(code, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_interrupt_stops_every_worker_before_it_is_raised(self, medium, monkeypatch):
+        """The first join is interrupted while the workers' first GEMMs
+        wait for it. The call re-raises the interrupt after every worker
+        has stopped, well short of the call's 3 x 64 GEMMs, and restores
+        the BLAS thread count after the last of them."""
+        e, c, x, _, _ = medium
+        plan = plan_blocks(64, 512, 32, n_block=8, v_block=64, workers=2)
+        log, gemms, interrupted = [], [], threading.Event()
+        original_dgemm, original_join = smoothce.blocked.dgemm, threading.Thread.join
+
+        def waiting_dgemm(*args, **kwargs):
+            assert interrupted.wait(60), "the join was never interrupted"
+            gemms.append(None)
+            return original_dgemm(*args, **kwargs)
+
+        def interrupted_join(self, timeout=None):
+            if self.name.startswith("smoothce-tiles-") and not interrupted.is_set():
+                interrupted.set()
+                raise KeyboardInterrupt
+            return original_join(self, timeout)
+
+        monkeypatch.setattr(smoothce.blocked, "_openblas_thread_calls",
+                            recording_blas_calls(log))
+        monkeypatch.setattr(smoothce.blocked, "dgemm", waiting_dgemm)
+        monkeypatch.setattr(threading.Thread, "join", interrupted_join)
+        with pytest.raises(KeyboardInterrupt):
+            run_bounded(lambda: loss_and_grad(e, c, x, 0.1, plan))
+        assert tile_threads() == []
+        assert log == [(1, []), (4, [])]
+        assert 0 < len(gemms) < 3 * 64
+
+
+def run_python(code: str, timeout: float) -> subprocess.CompletedProcess:
+    """`code` run by a fresh interpreter that imports this checkout's
+    smoothce and the tests' `_util`."""
+    paths = [str(Path(smoothce.__file__).resolve().parents[1]),
+             str(Path(__file__).resolve().parent)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (*paths, env.get("PYTHONPATH")) if p)
+    try:
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"the subprocess did not exit within {timeout} s")
+
 
 def test_engine_runs_without_scipy():
     """scipy is a test-only dependency: the engine imports and runs with
@@ -949,11 +1046,7 @@ def test_engine_runs_without_scipy():
         "out, g, _ = loss_and_grad(e, c, x, 0.1, plan_blocks(8, 64, 8))\n"
         "assert abs(out.total) < float('inf')\n"
     )
-    src = str(Path(smoothce.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python(code, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 

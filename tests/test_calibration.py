@@ -120,6 +120,32 @@ class TestIngestion:
         with pytest.raises(RecordError, match=":2"):
             ingest_records(p)
 
+    @pytest.mark.parametrize("line, message", [
+        ('{"probs": [[0.5], [0.25, 0.25]], "label": 0}', "probs must be a non-empty vector"),
+        ('{"probs": [], "label": 0}', "probs must be a non-empty vector"),
+        ('{"probs": [[0.5, 0.5]], "label": 0}', "probs must be a non-empty vector"),
+        ('{"probs": [1.5, -0.5], "label": 0}', r"probs entries must lie in \[0, 1\]"),
+        ('{"probs": [0.5, 0.5], "label": 1.0}', "label must be an integer"),
+        ('{"probs": [0.5, 0.5], "label": true}', "label must be an integer"),
+        ('{"confidence": "0.5", "correct": true}', "confidence must be a number"),
+        ('{"confidence": 0.5, "correct": 1}', "correct must be a boolean"),
+        ('[0.5, true]', "expected a JSON object"),
+        ('{"probs": [0.5, 0.5]}', "probs form requires a label"),
+        ('{"confidence": 0.5}', "confidence form requires correct"),
+        ('{"label": 0}', "need either probs or confidence"),
+    ], ids=["ragged", "empty", "nested", "outside", "float-label", "bool-label",
+            "text-confidence", "int-correct", "array", "no-label", "no-correct",
+            "neither"])
+    def test_refused_line_names_path_and_line(self, tmp_path, line, message):
+        """Each refusal is a RecordError that starts with `path:lineno:`,
+        here on the line after a valid one."""
+        p = tmp_path / "r.jsonl"
+        p.write_text('{"confidence": 0.5, "correct": true}\n' + line + "\n")
+        with pytest.raises(RecordError) as info:
+            ingest_records(p)
+        assert str(info.value).startswith(f"{p}:2: ")
+        assert info.match(message)
+
 
 class TestBinning:
     def test_single_bin_aggregates_everything(self):

@@ -314,6 +314,21 @@ class TestBench:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert len(rows) == 6 and all(float(r[7]) > 0 for r in rows)
 
+    def test_peak_over_its_ceiling_is_one_error_line(self, tmp_path, monkeypatch,
+                                                     capsys):
+        """A reported peak above `aux_bound_bytes` stops the run at that row
+        with exit 1, one stderr line and no CSV."""
+        monkeypatch.setattr(smoothce.cli, "aux_bound_bytes", lambda *args: 0)
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--n", "32", "--v", "128", "--d", "8", "--betas", "0",
+                "--out", str(out)]
+        assert main(argv) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.count("\n") == 1
+        assert err.startswith("error: blocked fwd peak ")
+        assert err.endswith(" bytes exceeds the 0-byte ceiling\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_deep_narrow_shape_stays_under_its_ceiling(self, tmp_path, threads):
         """At 4 x 2 x 1000 one token's D-vector is more than a tile's
@@ -452,6 +467,13 @@ class TestCalibrate:
         assert code == code_bad == 2
         assert stdout == "" and "argument --metrics" in err
         assert not out.exists()
+
+    def test_blank_file_is_a_data_error(self, tmp_path, capsys):
+        p = tmp_path / "blank.jsonl"
+        p.write_text("\n  \n")
+        assert main(["calibrate", "--records", str(p)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err == f"error: {p} holds no records\n"
 
     def test_bad_record_line_reported(self, tmp_path, capsys):
         p = tmp_path / "bad.jsonl"
@@ -655,6 +677,34 @@ class TestConfigAndEnv:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"usage error: cannot read config {cfg}: ")
 
+    def test_config_path_with_nul_is_usage_error(self, capsys):
+        """open() refuses such a path with ValueError, which used to end in
+        a traceback."""
+        assert main(["entropy", "--config", "run\0.cfg"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error: cannot read config ")
+
+    def test_abbreviated_config_flag_is_usage_error(self, calibration_file, tmp_path,
+                                                    capsys):
+        """argparse would take `--conf` for `--config`, which the config
+        expansion finds only by its full name, so the file was ignored."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bins=3\nmetrics=ece\n")
+        argv = ["calibrate", "--records", calibration_file]
+        assert main(argv + ["--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("ece,3,")
+        assert main(argv + ["--conf", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --conf" in err
+
+    def test_abbreviated_config_key_is_usage_error(self, calibration_file, tmp_path,
+                                                   capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bin=3\n")
+        assert main(["calibrate", "--records", calibration_file, "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --bin=3" in err
+
     def test_env_thread_fallback(self, instance_files, capsys, monkeypatch):
         monkeypatch.setenv("SCE_THREADS", "2")
         assert main(loss_args(instance_files, beta=0.1)) == 0
@@ -776,6 +826,14 @@ class TestUsage:
         stdout, err = capsys.readouterr()
         assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--skip"], ["gradcheck", "--tol-a", "1e-3"],
+        ["entropy", "--verif"], ["bench", "--rep", "3"]])
+    def test_flag_prefix_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"unrecognized arguments: {argv[1]}" in err
 
     def test_depth_block_flag_is_gone(self):
         assert main(["gradcheck", "--d-block", "4"]) == 2

@@ -105,6 +105,22 @@ class TestKlUniform:
             assert kl_uniform(p) == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("fn, arg, message", [
+    (softmax, [], "softmax needs a non-empty 1-D vector"),
+    (softmax, [[0.0, 1.0]], "softmax needs a non-empty 1-D vector"),
+    (softmax, [-math.inf, -math.inf], "softmax needs at least one finite logit"),
+    (softmax, [0.0, math.nan], "softmax needs at least one finite logit"),
+    (logit_distance, [], "logit_distance needs a non-empty 1-D vector"),
+    (logit_distance, [[1.0]], "logit_distance needs a non-empty 1-D vector"),
+    (kl_uniform, [], "kl_uniform needs a non-empty 1-D vector"),
+    (kl_uniform, [[0.5, 0.5]], "kl_uniform needs a non-empty 1-D vector"),
+], ids=["softmax-empty", "softmax-2d", "softmax-no-finite", "softmax-nan-max",
+        "distance-empty", "distance-2d", "kl-empty", "kl-2d"])
+def test_refused_vector(fn, arg, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fn(arg)
+
+
 class TestSandwichInequality:
     """The mean logit distance pinches KL-to-uniform within an additive
     log K: KL <= mean(d) <= KL + log K.

@@ -233,6 +233,12 @@ class TestOneLossRule:
             NAIVE_ENTRIES[entry](*OVERFLOWING)
 
     @pytest.mark.parametrize("entry", list(NAIVE_ENTRIES))
+    @pytest.mark.parametrize("mask", [[], [False, True]], ids=["short", "long"])
+    def test_mask_of_another_length_is_refused(self, entry, mask):
+        with pytest.raises(ValueError, match="^ignore_mask must have one flag per token$"):
+            NAIVE_ENTRIES[entry](*OVERFLOWING, ignore_mask=mask)
+
+    @pytest.mark.parametrize("entry", list(NAIVE_ENTRIES))
     def test_ignored_overflowing_token_is_finite(self, entry):
         out = NAIVE_ENTRIES[entry](*OVERFLOWING, ignore_mask=[True])
         if isinstance(out, Gradients):

@@ -109,6 +109,32 @@ class TestFileFormat:
         with pytest.raises(UnsupportedDtypeError):
             load_tokens(path)
 
+    def test_file_shorter_than_the_header(self, tmp_path):
+        path = tmp_path / "stub.sce1"
+        path.write_bytes(b"SCE1" + bytes(23))
+        with pytest.raises(TruncatedPayloadError,
+                           match=f"^{path}: file shorter than the 28-byte header$"):
+            load_matrix(path)
+
+    def test_unsupported_save_dtype(self, tmp_path):
+        path = tmp_path / "m.sce1"
+        with pytest.raises(ValueError, match="^unsupported save dtype 'f16'$"):
+            save_matrix(DenseMatrix.from_array([[1.0]]), path, dtype="f16")
+        assert not path.exists()
+
+    def test_token_file_needs_one_column(self, tmp_path):
+        path = tmp_path / "tok.sce1"
+        path.write_bytes(struct.pack("<4sB3xQQ4x", b"SCE1", 2, 2, 2) + bytes(16))
+        with pytest.raises(UnsupportedDtypeError,
+                           match=f"^{path}: token sequences require cols=1, got 2$"):
+            load_tokens(path)
+
+    def test_token_index_beyond_32_bits_is_not_saved(self, tmp_path):
+        path = tmp_path / "tok.sce1"
+        with pytest.raises(ValueError, match="^token indices do not fit in 32 bits$"):
+            save_tokens(TokenSequence(np.array([0, 2**32])), path)
+        assert not path.exists()
+
     def test_f32_widened_on_load(self, tmp_path):
         path = tmp_path / "f32.sce1"
         vals = np.array([[0.5, 1.25], [2.0, -3.75]])
@@ -229,6 +255,14 @@ class TestFileFormat:
 
 
 class TestContainers:
+    def test_from_array_needs_two_dimensions(self):
+        with pytest.raises(ValueError, match="^expected a 2-D array, got ndim=3$"):
+            DenseMatrix.from_array(np.zeros((2, 2, 2)))
+
+    def test_targets_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="^targets must be one-dimensional$"):
+            TokenSequence(np.zeros((2, 2), dtype=np.int64))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             DenseMatrix(2, 2, np.zeros((2, 3)))
