@@ -61,22 +61,31 @@ stops every worker at its next token block or `grad_c` turn, and the call
 raises only once every started worker has ended and, after them, the BLAS
 thread count is restored.
 
-Every GEMM goes through `dgemm`, c = alpha a b + beta c on the ILP64
-`cblas_dgemm` of numpy's own OpenBLAS, with a transpose passed as a `.T`
-view. A logit tile is written with beta 0; the backward adds its two
-products, with the uniform token weight as alpha, straight into the
-gradients with beta 1: C_panel P into `grad_e[:, token block]`, and
-E_panel P^T into `grad_c[:, vocab block]` inside that block's turn.
-Every `DenseMatrix` is column-major (F-ordered D x N and D x |V|:
-each token's and each vocabulary entry's D-vector is contiguous), so every
-operand is one contiguous panel or its `.T`. Only where numpy's BLAS
-exports no such symbol does an adding product go through a tracked
-full-depth chunk and a `+=` into the gradient.
+Every tile GEMM is c = alpha a b + beta c on the ILP64 `cblas_dgemm` of
+numpy's own OpenBLAS, made by one call of the module-level seam
+`_kernel_gemm(g, a, b, c)`: `g` holds the CBLAS arguments (order,
+transposes, extents, alpha, beta, leading dimensions), which `_gemm_args`
+resolves with `dgemm`'s own checks from the first views of each tile
+shape a call meets, and a, b, c are integer addresses: the base addresses
+of E, C and the gradients, taken on the calling thread, plus column
+offsets, or the worker's tile buffer. A logit tile is written with beta
+0; the backward adds its two products, with the uniform token weight as
+alpha, straight into the gradients with beta 1: C_panel P into
+`grad_e[:, token block]`, and E_panel P^T into `grad_c[:, vocab block]`
+inside that block's turn. Every `DenseMatrix` is column-major (F-ordered
+D x N and D x |V|: each token's and each vocabulary entry's D-vector is
+contiguous), so every operand is one contiguous panel or its transpose.
+`dgemm` is the checked array entry to the same kernel. Tile GEMMs go
+through it only where numpy's BLAS exports no such symbol, where an
+adding product goes through a tracked full-depth chunk and a `+=`, or
+while a wrapper replaces it, which then sees every tile GEMM as arrays.
 
-Every tile-sized buffer (the logit tile, the forward's one N_B row, and
-the forward's target gather chunk: as many tokens' D-vectors as fit in
-one tile's working set, at least one, held only while no tile is) flows
-through its worker's own TrackingAllocator, and the call's MemoryStats
+Every tile-sized buffer (the V_B x N_B tile buffer, one per token block
+and pass, whose first rows hold each vocabulary block's tile; the
+forward's one N_B row beside it; and the forward's target gather chunk:
+as many tokens' D-vectors as fit in one tile's working set, at least one,
+taken once the tile buffer is released) flows through its worker's own
+TrackingAllocator, and the call's MemoryStats
 report the sum of the workers' peaks, which thread timing cannot move;
 peak auxiliary bytes stay O(N_B*V_B) per tile in flight regardless of |V|
 (plus D*max(N_B, V_B) for a staged product chunk, and never below one
@@ -92,6 +101,7 @@ import math
 import threading
 import time
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,6 +184,23 @@ def _cblas_dgemm():
 _ROW_MAJOR, _COL_MAJOR, _NO_TRANS, _TRANS = 101, 102, 111, 112  # CBLAS enums
 
 
+class _Gemm(NamedTuple):
+    """The CBLAS arguments of c = alpha op(a) op(b) + beta c but the three
+    operand addresses; op(a) is m x k and op(b) k x n."""
+
+    order: int
+    trans_a: int
+    trans_b: int
+    m: int
+    n: int
+    k: int
+    alpha: float
+    lda: int
+    ldb: int
+    beta: float
+    ldc: int
+
+
 def _blas_layout(x, name: str) -> tuple[bool, int]:
     """(rows contiguous, leading dimension) under which BLAS reads the 2-D
     float64 array `x` in place: C-contiguous is row-major with leading
@@ -191,15 +218,10 @@ def _blas_layout(x, name: str) -> tuple[bool, int]:
                      f"(shape {x.shape}, strides {x.strides})")
 
 
-def dgemm(alpha, a, b, c, beta=0.0):
-    """c = alpha * a @ b + beta * c, in place; returns `c`.
-
-    The engine's only GEMM entry, on numpy's ILP64 `cblas_dgemm`. Each
-    operand is read in place exactly as passed (a transpose is a `.T`
-    view), so each must be C- or F-contiguous, and `c` must be writable;
-    anything else raises ValueError before BLAS is called. Without the
-    kernel, np.matmul writes `c`, so beta must be 0.
-    """
+def _gemm_args(alpha, a, b, c, beta) -> _Gemm:
+    """The arguments under which the kernel computes c = alpha a @ b + beta c,
+    reading each array in place as passed; ValueError for an operand it
+    cannot read and for a `c` it cannot write."""
     a_rows, lda = _blas_layout(a, "a")
     b_rows, ldb = _blas_layout(b, "b")
     c_rows, ldc = _blas_layout(c, "c")
@@ -208,23 +230,58 @@ def dgemm(alpha, a, b, c, beta=0.0):
     (m, k), (k2, p) = a.shape, b.shape
     if k != k2 or c.shape != (m, p):
         raise ValueError(f"dgemm shapes {a.shape} @ {b.shape} -> {c.shape} do not match")
-    kernel = _cblas_dgemm()
-    if kernel is None:
+    return _Gemm(_ROW_MAJOR if c_rows else _COL_MAJOR,
+                 _NO_TRANS if a_rows == c_rows else _TRANS,
+                 _NO_TRANS if b_rows == c_rows else _TRANS,
+                 m, p, k, alpha, lda, ldb, beta, ldc)
+
+
+def _address(x: np.ndarray) -> int:
+    """The address of x's first element, read from its array interface: an
+    `x.ctypes` lookup leaves allocations behind on every new thread."""
+    return x.__array_interface__["data"][0]
+
+
+def _columns(x: np.ndarray) -> tuple[int, int]:
+    """(address, column step in bytes) of a column-major matrix: column j
+    starts at address + j * step."""
+    return _address(x), x.strides[1]
+
+
+def _kernel_gemm(g: _Gemm, a: int, b: int, c: int) -> None:
+    """`g` on the operands at addresses a, b and c: the one call of numpy's
+    ILP64 `cblas_dgemm`, which every product made on the kernel passes,
+    each tile GEMM's and `dgemm`'s."""
+    order, trans_a, trans_b, m, n, k, alpha, lda, ldb, beta, ldc = g
+    _cblas_dgemm()(order, trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+
+
+def dgemm(alpha, a, b, c, beta=0.0):
+    """c = alpha * a @ b + beta * c, in place; returns `c`.
+
+    The checked array entry, on numpy's ILP64 `cblas_dgemm`. Each operand
+    is read in place exactly as passed (a transpose is a `.T` view), so
+    each must be C- or F-contiguous, and `c` must be writable; anything
+    else raises ValueError before BLAS is called. Without the kernel,
+    np.matmul writes `c`, so beta must be 0. The engine's tile GEMMs come
+    here only without the kernel, or while a wrapper replaces this name.
+    """
+    g = _gemm_args(alpha, a, b, c, beta)
+    if _cblas_dgemm() is None:
         if beta != 0.0:
             raise ValueError("dgemm accumulates (beta != 0) only on an ILP64 cblas_dgemm")
-        if c_rows:
+        if g.order == _ROW_MAJOR:
             np.matmul(a, b, out=c)
         else:
             np.matmul(b.T, a.T, out=c.T)
         if alpha != 1.0:
             c *= alpha
         return c
-    kernel(_ROW_MAJOR if c_rows else _COL_MAJOR,
-           _NO_TRANS if a_rows == c_rows else _TRANS,
-           _NO_TRANS if b_rows == c_rows else _TRANS,
-           m, p, k, alpha, a.ctypes.data, lda, b.ctypes.data, ldb,
-           beta, c.ctypes.data, ldc)
+    _kernel_gemm(g, _address(a), _address(b), _address(c))
     return c
+
+
+_DGEMM = dgemm  # the checked entry, told apart from a wrapper put in its place
 
 
 @functools.cache
@@ -278,18 +335,37 @@ class _Abandoned(Exception):
     """Another worker failed; this one stops without adding more."""
 
 
+class _Worker:
+    """One tile thread's tracked allocator and counters: tiles processed
+    and skipped by the filter, GEMMs and their flops. Only its thread
+    touches it until the runner sums the workers after the join."""
+
+    def __init__(self):
+        # looked up in this module on each call: bench/tracer.py swaps
+        # `blocked.TrackingAllocator` for a tracing one
+        self.alloc = TrackingAllocator()
+        self.processed = self.skipped = self.gemm_calls = self.gemm_flop = 0
+
+
 class _TileRunner:
     """One engine call: its checked inputs, its smoothing column u and its
     clamped plan, and the run of its token blocks on up to `eff.workers`
     threads in one fixed order of accumulation.
 
     Built from the entry's arguments, it starts the call's clock, runs
-    `_validate`, sums u (D x 1; 0.0 at beta 0, where nothing is summed) and
-    clamps the plan. `run(*block_fns)` hands each token block, as one
-    `cols` slice, to every block function in turn: a forward or a
-    backward over `vocab_blocks()`, or the two, so everything indexed by
-    token needs no lock. `stats()`, called after the finishers, makes the
-    call's MemoryStats.
+    `_validate`, sums u (D x 1; 0.0 at beta 0, where nothing is summed),
+    clamps the plan and takes the base addresses of E and C. `run(*block_fns)`
+    hands each token block, as one `cols` slice, to every block function
+    in turn: a forward or a backward over `vocab_blocks()`, or the two, so
+    everything indexed by token needs no lock. `stats()`, called after the
+    finishers, makes the call's MemoryStats.
+
+    Each tile GEMM goes through `gemm`. On the bound path (the kernel is
+    there and `dgemm` is the checked entry) it is one `_kernel_gemm` call
+    at integer addresses, with the CBLAS arguments `_gemm_args` resolved
+    from the first views of its tile shape: a call meets at most two
+    vocabulary and two token-block extents. Otherwise `dgemm` runs on the
+    views, so a wrapper put in its place sees every tile GEMM.
 
     Worker k runs token blocks k, k + in_flight, ... in index order. Sums
     over token blocks (into `grad_c`) go through `wait_turn`/`pass_turn`:
@@ -307,6 +383,10 @@ class _TileRunner:
         self.u = _smoothing_row(self.Ca, beta, self.v)[:, None] if beta else 0.0
         self.eff = plan.clamped(self.n, self.v)
         self.in_flight = tiles_in_flight(self.n, self.eff.n_block, self.eff.workers)
+        self.staged = _cblas_dgemm() is None
+        self.bound = not self.staged and dgemm is _DGEMM
+        self.e_columns, self.c_columns = _columns(self.Ea), _columns(self.Ca)
+        self._gemms: dict[tuple, _Gemm] = {}  # (GEMM, V extent, N extent) -> arguments
         self._cond = threading.Condition()
         self._turns = [0] * -(-self.v // self.eff.v_block)
         self._error: BaseException | None = None
@@ -317,11 +397,43 @@ class _TileRunner:
         for j, v0 in enumerate(range(0, self.v, vbk)):
             yield j, v0, min(vbk, self.v - v0)
 
-    def logit_tile(self, alloc, cols, v0: int, vb: int) -> np.ndarray:
-        """tile[v, i] = sum_d C[d, v0+v] * E[d, cols][i], in one full-depth
-        GEMM."""
-        tile = alloc.empty((vb, cols.stop - cols.start), order="C")
-        return dgemm(1.0, self.Ca[:, v0:v0 + vb].T, self.Ea[:, cols], tile)
+    def tile_buffer(self, alloc, cols) -> tuple[np.ndarray, int]:
+        """A C-ordered V_B x N_B buffer for the token block `cols` and its
+        address: each of the block's tiles is a view of its first rows."""
+        buf = alloc.empty((self.eff.v_block, cols.stop - cols.start), order="C")
+        return buf, _address(buf)
+
+    def gemm(self, worker: _Worker, key, views, a: int, b: int, c: int) -> None:
+        """One tile GEMM c = alpha a b + beta c, counted in `worker`:
+        `views()` gives (alpha, a, b, c, beta) as arrays, and `a`, `b`, `c`
+        are their addresses. Its arguments are resolved once per `key`.
+        Without the kernel an adding product goes through a tracked chunk
+        laid out like its output, dropped before the next is taken."""
+        g = self._gemms.get(key)
+        if g is None:  # two workers may both resolve it, to the same arguments
+            g = self._gemms[key] = _gemm_args(*views())
+        worker.gemm_calls += 1
+        worker.gemm_flop += 2 * g.m * g.n * g.k
+        if self.bound:
+            _kernel_gemm(g, a, b, c)
+            return
+        alpha, left, right, out, beta = views()
+        if not (self.staged and beta):
+            dgemm(alpha, left, right, out, beta=beta)
+            return
+        chunk = dgemm(alpha, left, right, worker.alloc.empty(out.shape))
+        out += chunk
+        worker.alloc.release(chunk)
+
+    def logit_tile(self, worker, buf, buf_at: int, cols, v0: int, vb: int) -> np.ndarray:
+        """buf[:vb] = C[:, v0:v0+vb].T E[:, cols], in one full-depth GEMM;
+        returns that view."""
+        tile = buf[:vb]
+        self.gemm(worker, ("tile", vb, tile.shape[1]),
+                  lambda: (1.0, self.Ca[:, v0:v0 + vb].T, self.Ea[:, cols], tile, 0.0),
+                  self.c_columns[0] + v0 * self.c_columns[1],
+                  self.e_columns[0] + cols.start * self.e_columns[1], buf_at)
+        return tile
 
     def target_rows(self, cols, out: np.ndarray) -> np.ndarray:
         """out = (1-beta) C[:, x[cols]] + u, the target columns g_i;
@@ -343,11 +455,10 @@ class _TileRunner:
             self._turns[j] += 1
             self._cond.notify_all()
 
-    def _work(self, k, alloc, block_fns, counts) -> None:
-        """Worker k: its token blocks, until a failure is recorded; the
-        block functions add their processed and skipped tiles to `counts`.
-        Its own failure is recorded, unless another came first (an
-        `_Abandoned` worker's always did)."""
+    def _work(self, k: int, worker: _Worker, block_fns) -> None:
+        """Worker k: its token blocks, until a failure is recorded. Its own
+        failure is recorded, unless another came first (an `_Abandoned`
+        worker's always did)."""
         nbk = self.eff.n_block
         # the tile work's broadcasts and strided updates run at the small
         # ufunc buffer, for speed and to keep it out of the peak; numpy keeps
@@ -360,7 +471,7 @@ class _TileRunner:
                         return
                     cols = slice(i * nbk, min((i + 1) * nbk, self.n))
                     for block_fn in block_fns:
-                        block_fn(alloc, i, cols, counts)
+                        block_fn(worker, i, cols)
         except BaseException as exc:
             self._abandon(exc)
 
@@ -374,19 +485,16 @@ class _TileRunner:
 
     def run(self, *block_fns) -> None:
         """Run every token block through `block_fns` on `in_flight` worker
-        threads, each with its own allocator; keep the tile counts, the sum
-        of the workers' peaks and the runner's wall time. Whatever stops
-        the run (a worker's error, a failed start, an interrupt) stops
-        every worker, and the call raises only once every started worker
-        has ended and the BLAS thread count is restored."""
+        threads, each with its own allocator and counters; keep the workers
+        and the runner's wall time.
+        Whatever stops the run (a worker's error, a failed start, an
+        interrupt) stops every worker, and the call raises only once every
+        started worker has ended and the BLAS thread count is restored."""
         start = time.perf_counter()
-        # looked up in this module on each call: bench/tracer.py swaps
-        # `blocked.TrackingAllocator` for a tracing one
-        allocs = [TrackingAllocator() for _ in range(self.in_flight)]
-        counts = [[0, 0] for _ in allocs]
-        threads = [threading.Thread(target=self._work, args=(k, a, block_fns, c),
+        workers = [_Worker() for _ in range(self.in_flight)]
+        threads = [threading.Thread(target=self._work, args=(k, w, block_fns),
                                     name=f"smoothce-tiles-{k}")
-                   for k, (a, c) in enumerate(zip(allocs, counts))]
+                   for k, w in enumerate(workers)]
         with _ONE_BLAS_THREAD.held():
             try:
                 for t in threads:
@@ -401,16 +509,19 @@ class _TileRunner:
                 raise
         if self._error is not None:
             raise self._error
-        self._totals = (sum(a.peak_bytes for a in allocs), sum(c[0] for c in counts),
-                        sum(c[1] for c in counts))
+        self._workers = workers
         self._runner_seconds = time.perf_counter() - start
 
     def stats(self) -> MemoryStats:
-        """The call's counters, with its wall time so far split into the
-        runner's and the rest."""
-        runner = self._runner_seconds
-        return MemoryStats(*self._totals, self.in_flight, {
-            "runner": runner, "outside": time.perf_counter() - self._start - runner})
+        """The call's counters, the workers' summed, with its wall time so
+        far split into the runner's and the rest."""
+        ws, runner = self._workers, self._runner_seconds
+        return MemoryStats(
+            sum(w.alloc.peak_bytes for w in ws), sum(w.processed for w in ws),
+            sum(w.skipped for w in ws), self.in_flight,
+            gemm_calls=sum(w.gemm_calls for w in ws), gemm_flop=sum(w.gemm_flop for w in ws),
+            phase_seconds={"runner": runner,
+                           "outside": time.perf_counter() - self._start - runner})
 
 
 def _forward_block(call: _TileRunner):
@@ -426,38 +537,43 @@ def _forward_block(call: _TileRunner):
     # fit in one tile's working set, at least one
     gather = max(1, plan_working_set_bytes(call.eff) // (8 * max(d, 1)))
 
-    def forward_tile(alloc, cols, v0, vb):
-        tile = call.logit_tile(alloc, cols, v0, vb)
-        m = alloc.empty(tile.shape[1])
+    def sweep(worker, cols):
+        """The block's online merge over every vocabulary block, in one tile
+        buffer and one N_B row, both released when it returns."""
+        alloc = worker.alloc
+        buf, buf_at = call.tile_buffer(alloc, cols)
+        m = alloc.empty(buf.shape[1])
         run_max, run_sum = lse[cols], o[cols]
-        # m = max(tile max, M); S *= exp(M - m); M = m; S += sum exp(tile - m)
-        np.max(tile, axis=0, out=m)
-        np.maximum(m, run_max, out=m)
-        run_max -= m
-        np.exp(run_max, out=run_max)
-        run_sum *= run_max
-        run_max[:] = m
-        tile -= m
-        np.exp(tile, out=tile)
-        np.sum(tile, axis=0, out=m)
-        run_sum += m
-        alloc.release(m)
-        alloc.release(tile)
-
-    def forward(alloc, i, cols, counts):
-        lse[cols] = -np.inf
-        o[cols] = 0.0
+        run_max[:] = -np.inf
+        run_sum[:] = 0.0
         for _, v0, vb in call.vocab_blocks():
-            forward_tile(alloc, cols, v0, vb)
-            counts[0] += 1
+            tile = call.logit_tile(worker, buf, buf_at, cols, v0, vb)
+            # m = max(tile max, M); S *= exp(M - m); M = m; S += sum exp(tile - m)
+            np.maximum.reduce(tile, axis=0, out=m)
+            np.maximum(m, run_max, out=m)
+            run_max -= m
+            np.exp(run_max, out=run_max)
+            run_sum *= run_max
+            run_max[:] = m
+            tile -= m
+            np.exp(tile, out=tile)
+            np.add.reduce(tile, axis=0, out=m)
+            run_sum += m
+            worker.processed += 1
+        alloc.release(m)
+        alloc.release(buf)
+
+    def forward(worker, i, cols):
+        sweep(worker, cols)
         run_sum = o[cols]
         np.log(run_sum, out=run_sum)
         lse[cols] += run_sum
+        alloc = worker.alloc
         for c0 in range(cols.start, cols.stop, gather):
             chunk = slice(c0, min(c0 + gather, cols.stop))
             g = call.target_rows(chunk, alloc.empty((d, chunk.stop - c0)))
             g *= Ea[:, chunk]
-            np.sum(g, axis=0, out=o[chunk])
+            np.add.reduce(g, axis=0, out=o[chunk])
             alloc.release(g)
             del g
 
@@ -479,49 +595,43 @@ def _backward_block(call: _TileRunner, lse, upstream: float, filter_epsilon: flo
     w = token_weight(n, call.reduction, upstream)
     grad_e = np.empty((d, n), order="F")
     grad_c = np.zeros((d, v), order="F") if n == 0 else np.empty((d, v), order="F")
+    (e_at, e_step), (c_at, c_step) = call.e_columns, call.c_columns
+    (ge_at, ge_step), (gc_at, gc_step) = _columns(grad_e), _columns(grad_c)
     # the uniform share of grad_c, -w beta/|V| per logit, as the column
     # that token block 0 starts each vocabulary block from
     c_start = -(beta / v) * w * Ea.sum(axis=1)[:, None] if beta else 0.0
-    staged = _cblas_dgemm() is None
 
-    def add_products(alloc, a, b, out):
-        """out += w a b: straight into `out`, or without the kernel through
-        a tracked chunk laid out like `out`, dropped at release so that the
-        next one is not held beside it."""
-        if not staged:
-            dgemm(w, a, b, out, beta=1.0)
-            return
-        chunk = dgemm(w, a, b, alloc.empty(out.shape))
-        out += chunk
-        alloc.release(chunk)
-        del chunk
-
-    def backward_tile(alloc, i, cols, j, v0, vb) -> bool:
-        """Adds one tile's softmax part; True if the filter skipped it. A
-        skipped tile still takes its `grad_c` turn, in which token block 0
-        starts the vocabulary block."""
-        tile = call.logit_tile(alloc, cols, v0, vb)
-        tile -= lse[cols]
-        skip = filter_epsilon > 0 and math.exp(float(tile.max())) < filter_epsilon
-        if not skip:
-            np.exp(tile, out=tile)
-            add_products(alloc, Ca[:, v0:v0 + vb], tile, grad_e[:, cols])
-        out_c = grad_c[:, v0:v0 + vb]
-        call.wait_turn(i, j)
-        if i == 0:
-            out_c[:] = c_start
-        if not skip:
-            add_products(alloc, Ea[:, cols], tile.T, out_c)
-        call.pass_turn(j)
-        alloc.release(tile)
-        return skip
-
-    def backward(alloc, i, cols, counts):
-        # the block's target columns, gathered straight into its gradient
+    def backward(worker, i, cols):
+        """The block's target columns, gathered straight into its gradient,
+        then its tiles. A skipped tile still takes its `grad_c` turn, in
+        which token block 0 starts the vocabulary block."""
         call.target_rows(cols, grad_e[:, cols])
         grad_e[:, cols] *= -w
+        alloc, nb, lse_b = worker.alloc, cols.stop - cols.start, lse[cols]
+        buf, buf_at = call.tile_buffer(alloc, cols)
+        e_col, ge_col = e_at + cols.start * e_step, ge_at + cols.start * ge_step
         for j, v0, vb in call.vocab_blocks():
-            counts[backward_tile(alloc, i, cols, j, v0, vb)] += 1
+            tile = call.logit_tile(worker, buf, buf_at, cols, v0, vb)
+            tile -= lse_b
+            skip = filter_epsilon > 0 and math.exp(float(tile.max())) < filter_epsilon
+            if not skip:
+                np.exp(tile, out=tile)
+                call.gemm(worker, ("grad_e", vb, nb),
+                          lambda: (w, Ca[:, v0:v0 + vb], tile, grad_e[:, cols], 1.0),
+                          c_at + v0 * c_step, buf_at, ge_col)
+            call.wait_turn(i, j)
+            if i == 0:
+                grad_c[:, v0:v0 + vb] = c_start
+            if not skip:
+                call.gemm(worker, ("grad_c", vb, nb),
+                          lambda: (w, Ea[:, cols], tile.T, grad_c[:, v0:v0 + vb], 1.0),
+                          e_col, buf_at, gc_at + v0 * gc_step)
+            call.pass_turn(j)
+            if skip:
+                worker.skipped += 1
+            else:
+                worker.processed += 1
+        alloc.release(buf)
 
     def gradients() -> Gradients:
         """Scatter the (1-beta) share of the target part into `grad_c`, in

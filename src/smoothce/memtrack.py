@@ -2,7 +2,8 @@
 
 Every tile-sized buffer the engine uses is requested through a
 TrackingAllocator, so the reported peak covers every auxiliary buffer that
-grows with the tile plan: the logit tile (`_TileRunner.logit_tile`), the
+grows with the tile plan: the tile buffer that holds each logit tile
+(`_TileRunner.tile_buffer`, one per token block and pass), the
 forward's one N_B row, the forward's target gather chunk, and without the
 accumulating BLAS kernel the staged product chunk. Inputs and returned outputs are excluded by
 construction; O(D) and O(N) temporaries are not tracked.
@@ -76,15 +77,19 @@ class MemoryStats:
     what the call held at any one moment, equal to it whenever the workers'
     tiles overlap, and independent of thread timing. `tiles_in_flight` is
     one tile per worker thread: the factor `aux_bound_bytes` multiplies the
-    tile working set by. `phase_seconds` splits the call's wall time into
-    `runner`, the tile runner's, and `outside`, the rest of the entry; it
-    takes no part in comparisons.
+    tile working set by. `gemm_calls` and `gemm_flop` (2 m n k each) count
+    the tile GEMMs the workers ran; they follow from the tile counters and
+    the shape, and take no part in comparisons. Nor does `phase_seconds`,
+    which splits the call's wall time into `runner`, the tile runner's, and
+    `outside`, the rest of the entry.
     """
 
     peak_auxiliary_bytes: int
     tiles_processed: int
     tiles_skipped_by_filter: int
     tiles_in_flight: int
+    gemm_calls: int = field(default=0, compare=False)
+    gemm_flop: int = field(default=0, compare=False)
     phase_seconds: dict[str, float] = field(default_factory=dict, compare=False)
 
 

@@ -1,6 +1,7 @@
 """Blocked engine against the naive oracle: tiling equivalence, gradient
 filtering, memory instrumentation, and determinism."""
 
+import gc
 import itertools
 import math
 import os
@@ -437,7 +438,7 @@ class TestMemory:
         starts its first GEMM only after the first worker has finished."""
         e, c, x = random_instance(3, n=64, v=512, d=16, scale=0.5)
         plan = plan_blocks(64, 512, 16, n_block=32, v_block=64, workers=2)
-        original = smoothce.blocked.dgemm
+        original = getattr(smoothce.blocked, gemm_seam())
         held = []
 
         def spy(*args, **kwargs):
@@ -449,7 +450,7 @@ class TestMemory:
                         assert not t.is_alive()
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(smoothce.blocked, "dgemm", spy)
+        monkeypatch.setattr(smoothce.blocked, gemm_seam(), spy)
         _, stats = run_bounded(lambda: blocked_forward(e, c, x, 0.1, plan))
         assert stats.peak_auxiliary_bytes == 2 * plan_working_set_bytes(plan) == 33_280
         assert held == ([None] if delay else [])
@@ -502,68 +503,178 @@ def blas_path(monkeypatch, path):
         pytest.skip("numpy's BLAS exports no ILP64 cblas_dgemm")
 
 
+def gemm_seam() -> str:
+    """The name in `smoothce.blocked` every tile GEMM passes: the one kernel
+    call, or `dgemm` where numpy's BLAS exports no ILP64 `cblas_dgemm`."""
+    return "dgemm" if smoothce.blocked._cblas_dgemm() is None else "_kernel_gemm"
+
+
+def operand_extent(g, which: str) -> tuple[int, int, int]:
+    """(outer extent, inner extent, leading dimension) of operand `which`
+    ("a", "b" or "c") as the kernel reads it under the arguments `g`."""
+    rows, cols, ld, trans = {"a": (g.m, g.k, g.lda, g.trans_a),
+                             "b": (g.k, g.n, g.ldb, g.trans_b),
+                             "c": (g.m, g.n, g.ldc, None)}[which]
+    if trans == smoothce.blocked._TRANS:
+        rows, cols = cols, rows
+    return (rows, cols, ld) if g.order == smoothce.blocked._ROW_MAJOR else (cols, rows, ld)
+
+
+def inside(address: int, g, which: str, arr: np.ndarray) -> bool:
+    """Whether every byte the kernel reads or writes of operand `which`,
+    starting at `address`, lies inside `arr`'s buffer."""
+    outer, inner, ld = operand_extent(g, which)
+    start = arr.__array_interface__["data"][0]
+    return start <= address and address + 8 * ((outer - 1) * ld + inner) <= start + arr.nbytes
+
+
 class TestGemmContract:
-    """Every GEMM goes through `smoothce.blocked.dgemm` and reads the inputs
-    in place: an operand is either a view of E or C, or the logit tile an
-    earlier call wrote, or its `.T`. A call either writes a fresh logit tile
-    (beta 0) or adds into a view of `grad_e` or `grad_c` (beta 1). The flop
-    total is the one the per-layer benchmark counts: the forward tile, its
+    """Every tile GEMM is one call of the kernel seam, `_kernel_gemm(g, a,
+    b, c)`: the bound CBLAS arguments `g` and the operands' addresses. It
+    reads the inputs in place: an operand lies inside E or C, or inside its
+    worker's tracked tile buffer, which an earlier call wrote. A call
+    either writes a logit tile into that buffer (beta 0) or adds into
+    `grad_e` or `grad_c` (beta 1). The flop total is the one the engine's
+    counters and the per-layer benchmark count: the forward tile, its
     backward recompute and the two backward products, each 2 n |V| d."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_operands_are_input_views_and_flops_add_up(self, monkeypatch, workers):
+    def test_operands_lie_in_the_inputs_and_flops_add_up(self, monkeypatch, workers):
+        blas_path(monkeypatch, "kernel")
         n, v, d = 64, 512, 32
         e, c, x = random_instance(12, n=n, v=v, d=d, scale=0.5)
         plan = plan_blocks(n, v, d, n_block=16, v_block=128)
-        calls = []
-        original = smoothce.blocked.dgemm
+        calls, buffers = [], {}
+        original = smoothce.blocked._kernel_gemm
 
-        def recorder(alpha, a, b, out, beta=0.0):
-            calls.append((a, b, out, beta))
-            return original(alpha, a, b, out, beta=beta)
+        def recorder(g, a, b, out):
+            calls.append((threading.current_thread().name, g, a, b, out))
+            original(g, a, b, out)
 
-        monkeypatch.setattr(smoothce.blocked, "dgemm", recorder)
-        _, g, stats = loss_and_grad(e, c, x, 0.1, replace(plan, workers=workers))
+        class Recording(TrackingAllocator):
+            """Keeps every buffer, so that no address is reused."""
 
-        grads = (g.grad_e.data, g.grad_c.data)
-        tiles = [out for _, _, out, beta in calls if beta == 0.0]
+            def empty(self, shape, order="F"):
+                arr = super().empty(shape, order)
+                buffers.setdefault(threading.current_thread().name, []).append(arr)
+                return arr
+
+        monkeypatch.setattr(smoothce.blocked, "_kernel_gemm", recorder)
+        monkeypatch.setattr(smoothce.blocked, "TrackingAllocator", Recording)
+        _, grads, stats = loss_and_grad(e, c, x, 0.1, replace(plan, workers=workers))
+
+        grad_e, grad_c = grads.grad_e.data, grads.grad_c.data
+        tiles = [g for _, g, *_ in calls if g.beta == 0.0]
         assert len(tiles) == stats.tiles_processed == 2 * 4 * 4
         # one GEMM per forward tile; per backward tile its recompute and one
         # full-depth GEMM per gradient
-        assert len(calls) == 16 + 3 * 16
+        assert len(calls) == 16 + 3 * 16 == stats.gemm_calls
         flop = 0
-        for a, b, out, beta in calls:
-            into_grads = any(np.shares_memory(out, gr) for gr in grads)
-            assert into_grads == (beta == 1.0)
-            if not into_grads:  # a tile: a fresh buffer shared with nothing
-                assert out.base is None and out.flags.c_contiguous
-            assert np.shares_memory(a, e.data) or np.shares_memory(a, c.data)
-            from_input = np.shares_memory(b, e.data) or np.shares_memory(b, c.data)
-            assert from_input or any(b is t or b.base is t for t in tiles)
-            (m, k), (k2, p) = a.shape, b.shape
-            assert k == k2 and out.shape == (m, p)
-            flop += 2 * m * p * k
-        assert flop == 4 * 2 * n * v * d
+        for name, g, a, b, out in calls:
+            assert name.startswith("smoothce-tiles-")
+            own = buffers[name]
+            if g.beta == 0.0:  # a logit tile, into this worker's buffer
+                assert inside(a, g, "a", c.data) and inside(b, g, "b", e.data)
+                assert any(inside(out, g, "c", buf) for buf in own)
+            else:  # a product of an input and this worker's tile, into a gradient
+                assert g.beta == 1.0
+                into_e, into_c = inside(out, g, "c", grad_e), inside(out, g, "c", grad_c)
+                assert into_e != into_c
+                assert inside(a, g, "a", c.data if into_e else e.data)
+                assert any(inside(b, g, "b", buf) for buf in own)
+            flop += 2 * g.m * g.n * g.k
+        assert flop == 4 * 2 * n * v * d == stats.gemm_flop
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("path", ["kernel", "staged"])
     def test_every_operand_is_contiguous(self, monkeypatch, medium, path, workers):
-        """No engine call relies on `dgemm` reading a strided operand."""
+        """No engine GEMM reads a strided operand: on the kernel each
+        leading dimension is its operand's inner extent, and without it
+        each `dgemm` operand is C- or F-contiguous."""
         blas_path(monkeypatch, path)
         e, c, x, _, bwd = medium
         plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, workers=workers)
-        operands = []
+        seen = []
+        original = getattr(smoothce.blocked, gemm_seam())
+
+        def recorder(*args, **kwargs):
+            seen.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(smoothce.blocked, gemm_seam(), recorder)
+        _, g, _ = run_bounded(lambda: loss_and_grad(e, c, x, 0.1, plan))
+        assert len(seen) == 32 + 3 * 32
+        if path == "kernel":
+            extents = [operand_extent(args[0], which) for args in seen for which in "abc"]
+            assert all(ld == max(1, inner) for _, inner, ld in extents)
+        else:
+            operands = [op for args in seen for op in args[1:4]]
+            assert all(op.flags.c_contiguous or op.flags.f_contiguous for op in operands)
+        assert grad_rel_err(g, bwd[0.1]) <= 1e-9
+
+    @pytest.mark.parametrize("n, v, d, n_block, v_block", [
+        (17, 129, 1, 16, 64),
+        (130, 257, 3, 129, 128),
+        (65, 65, 2, 64, 1),
+        (3, 40, 1, 1, 16),
+    ])
+    def test_bound_arguments_are_the_layouts_of_their_views(self, monkeypatch, n, v, d,
+                                                            n_block, v_block):
+        """Each tile GEMM's bound (order, transposes, leading dimensions)
+        are what `_blas_layout` picks for that GEMM's own views, at shapes
+        where an extent of 1 (a one-entry last vocabulary block, a
+        one-token block, d = 1) makes a view both C- and F-contiguous.
+        There another reading is valid too, and may give other bits: at
+        17 x 129 x 1, reading such a `b` column-major did. The views' own
+        layouts come from a wrapper in place of `dgemm`, through which
+        every tile GEMM then goes."""
+        blas_path(monkeypatch, "kernel")
+        e, c, x = random_instance(13, n=n, v=v, d=d, scale=0.5)
+        plan = plan_blocks(n, v, d, n_block=n_block, v_block=v_block, workers=1)
+        bound, chosen = [], []
+        seam, checked = smoothce.blocked._kernel_gemm, smoothce.blocked.dgemm
+
+        def binding(g, *addresses):
+            bound.append(g)
+            seam(g, *addresses)
+
+        def choosing(alpha, a, b, out, beta=0.0):
+            chosen.append(smoothce.blocked._gemm_args(alpha, a, b, out, beta))
+            return checked(alpha, a, b, out, beta=beta)
+
+        results = []
+        for name, spy in (("_kernel_gemm", binding), ("dgemm", choosing)):
+            with monkeypatch.context() as m:
+                m.setattr(smoothce.blocked, name, spy)
+                out, g, _ = loss_and_grad(e, c, x, 0.1, plan)
+            results.append((out.lse, out.o, g.grad_e.data, g.grad_c.data))
+        assert len(bound) == 4 * -(-n // n_block) * -(-v // v_block)
+        assert bound == chosen
+        assert all(np.array_equal(a, b) for a, b in zip(*results))
+
+    def test_a_replaced_dgemm_sees_every_tile_gemm(self, monkeypatch):
+        """While a wrapper replaces `dgemm` (the benchmark's tracer counts
+        and times GEMMs so), every tile GEMM goes through it as arrays, with
+        the bits of the bound path."""
+        blas_path(monkeypatch, "kernel")
+        n, v, d = 64, 512, 32
+        e, c, x = random_instance(12, n=n, v=v, d=d, scale=0.5)
+        plan = plan_blocks(n, v, d, n_block=16, v_block=128, workers=2)
+        want = loss_and_grad(e, c, x, 0.1, plan)
+        flop = []
         original = smoothce.blocked.dgemm
 
-        def recorder(alpha, a, b, out, beta=0.0):
-            operands.extend((a, b, out))
+        def wrapper(alpha, a, b, out, beta=0.0):
+            flop.append(2 * a.shape[0] * a.shape[1] * b.shape[1])
             return original(alpha, a, b, out, beta=beta)
 
-        monkeypatch.setattr(smoothce.blocked, "dgemm", recorder)
-        _, g, _ = run_bounded(lambda: loss_and_grad(e, c, x, 0.1, plan))
-        assert len(operands) == 3 * (32 + 3 * 32)
-        assert all(op.flags.c_contiguous or op.flags.f_contiguous for op in operands)
-        assert grad_rel_err(g, bwd[0.1]) <= 1e-9
+        monkeypatch.setattr(smoothce.blocked, "dgemm", wrapper)
+        got = loss_and_grad(e, c, x, 0.1, plan)
+        assert len(flop) == got[2].gemm_calls == want[2].gemm_calls == 4 * 4 * 4
+        assert sum(flop) == got[2].gemm_flop == 8 * n * v * d
+        assert np.array_equal(got[0].per_token_loss, want[0].per_token_loss)
+        assert np.array_equal(got[1].grad_e.data, want[1].grad_e.data)
+        assert np.array_equal(got[1].grad_c.data, want[1].grad_c.data)
 
     @pytest.mark.parametrize("path", ["kernel", "staged"])
     def test_storage_order_does_not_change_a_bit(self, monkeypatch, path):
@@ -600,6 +711,53 @@ class TestGemmContract:
                 results.append(arrays)
         for other in results[1:]:
             assert all(np.array_equal(a, b) for a, b in zip(other, results[0]))
+
+
+class TestGemmCounters:
+    """`MemoryStats.gemm_calls` and `gemm_flop`, summed over the workers,
+    against counts made without the engine: 2 n |V| d flops per pass over
+    the tiles (the forward's, the backward's recompute and each of its two
+    products), less each skipped tile's products."""
+
+    @pytest.mark.parametrize("path", ["kernel", "staged"])
+    def test_every_pass_counts_2nvd_on_any_tiling(self, monkeypatch, path):
+        blas_path(monkeypatch, path)
+        n, v, d = 50, 250, 12  # ragged blocks on both axes
+        e, c, x = random_instance(3, n=n, v=v, d=d, scale=0.5)
+        pairs = 4 * 8
+        for workers in (1, 2, 3):
+            plan = plan_blocks(n, v, d, n_block=16, v_block=32, workers=workers)
+            out, fstats = blocked_forward(e, c, x, 0.1, plan)
+            _, bstats = run_bounded(lambda: blocked_backward(e, c, x, 0.1, plan, out.lse))
+            _, _, stats = run_bounded(lambda: loss_and_grad(e, c, x, 0.1, plan))
+            assert (fstats.gemm_calls, fstats.gemm_flop) == (pairs, 2 * n * v * d)
+            assert (bstats.gemm_calls, bstats.gemm_flop) == (3 * pairs, 6 * n * v * d)
+            assert (stats.gemm_calls, stats.gemm_flop) == (4 * pairs, 8 * n * v * d)
+
+    @pytest.mark.parametrize("path", ["kernel", "staged"])
+    def test_a_skipped_tile_drops_its_two_products(self, monkeypatch, path):
+        blas_path(monkeypatch, path)
+        n, v, d = 48, 256, 16
+        e, c, x = random_instance(42, n=n, v=v, d=d, scale=6.0)
+        product = 2 * 16 * 32 * d  # one product of a full 32 x 16 tile
+        seen = set()
+        for workers in (1, 2, 3):
+            plan = plan_blocks(n, v, d, n_block=16, v_block=32, workers=workers)
+            _, _, stats = run_bounded(lambda: loss_and_grad(e, c, x, 0.1, plan,
+                                                            filter_epsilon=2.0 ** -12))
+            skipped = stats.tiles_skipped_by_filter
+            assert skipped > 0
+            assert stats.gemm_calls == 4 * 3 * 8 - 2 * skipped
+            assert stats.gemm_flop == 8 * n * v * d - 2 * skipped * product
+            seen.add((skipped, stats.gemm_calls, stats.gemm_flop))
+        assert len(seen) == 1
+
+    def test_counters_take_no_part_in_comparisons(self, medium):
+        e, c, x, _, _ = medium
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64)
+        stats = loss_and_grad(e, c, x, 0.1, plan)[2]
+        assert stats.gemm_calls > 0
+        assert replace(stats, gemm_calls=0, gemm_flop=0) == stats
 
 
 def laid_out(x, layout):
@@ -865,13 +1023,13 @@ class TestRunner:
         e, c, x, _, _ = medium
         plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, workers=workers)
         seen = []
-        original = smoothce.blocked.dgemm
+        original = getattr(smoothce.blocked, gemm_seam())
 
         def spy(*args, **kwargs):
             seen.append(get())
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(smoothce.blocked, "dgemm", spy)
+        monkeypatch.setattr(smoothce.blocked, gemm_seam(), spy)
         _, _, stats = loss_and_grad(e, c, x, 0.1, plan)
         assert stats.tiles_in_flight == workers
         assert seen and set(seen) == {1}
@@ -905,17 +1063,18 @@ class TestRunner:
         met, a_done = threading.Barrier(2, timeout=60), threading.Event()
         first = {"A": True, "B": True}
         seen = []
-        original = smoothce.blocked.dgemm
+        blas_path(monkeypatch, "kernel")
+        original = smoothce.blocked._kernel_gemm
 
-        def spy(alpha, a, b, out, **kwargs):
+        def spy(g, a, b, out):
             seen.append(get())
-            call = "B" if any(np.may_share_memory(op, m.data)
-                              for op in (a, b) for m in (eb, cb)) else "A"
+            call = "B" if any(inside(op, g, which, m.data) for op, which in ((a, "a"), (b, "b"))
+                              for m in (eb, cb)) else "A"
             if first.pop(call, False):
                 met.wait()
             elif call == "B":
                 assert a_done.wait(60), "call A did not end"
-            return original(alpha, a, b, out, **kwargs)
+            original(g, a, b, out)
 
         def call_a():
             try:
@@ -926,7 +1085,7 @@ class TestRunner:
         got_b = []
         thread_b = threading.Thread(target=lambda: got_b.append(
             loss_and_grad(eb, cb, xb, 0.1, plan)), daemon=True)
-        monkeypatch.setattr(smoothce.blocked, "dgemm", spy)
+        monkeypatch.setattr(smoothce.blocked, "_kernel_gemm", spy)
         thread_b.start()
         run_bounded(call_a)
         thread_b.join(120)
@@ -943,7 +1102,7 @@ class TestRunner:
         plan = plan_blocks(64, 512, 32, n_block=16, v_block=64)
         saved = get()
         calls = []
-        original = smoothce.blocked.dgemm
+        original = getattr(smoothce.blocked, gemm_seam())
 
         def failing(*args, **kwargs):
             calls.append(None)
@@ -951,7 +1110,7 @@ class TestRunner:
                 raise RuntimeError("injected")
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(smoothce.blocked, "dgemm", failing)
+        monkeypatch.setattr(smoothce.blocked, gemm_seam(), failing)
         with pytest.raises(RuntimeError, match="injected"):
             run_bounded(lambda: blocked_backward(e, c, x, 0.1, replace(plan, workers=3),
                                                  fwd[0.1].lse))
@@ -997,12 +1156,13 @@ class TestRunner:
         e, c, x, _, _ = medium
         plan = plan_blocks(64, 512, 32, n_block=8, v_block=64, workers=2)
         log, gemms, interrupted = [], [], threading.Event()
-        original_dgemm, original_join = smoothce.blocked.dgemm, threading.Thread.join
+        original_gemm = getattr(smoothce.blocked, gemm_seam())
+        original_join = threading.Thread.join
 
-        def waiting_dgemm(*args, **kwargs):
+        def waiting_gemm(*args, **kwargs):
             assert interrupted.wait(60), "the join was never interrupted"
             gemms.append(None)
-            return original_dgemm(*args, **kwargs)
+            return original_gemm(*args, **kwargs)
 
         def interrupted_join(self, timeout=None):
             if self.name.startswith("smoothce-tiles-") and not interrupted.is_set():
@@ -1012,13 +1172,66 @@ class TestRunner:
 
         monkeypatch.setattr(smoothce.blocked, "_openblas_thread_calls",
                             recording_blas_calls(log))
-        monkeypatch.setattr(smoothce.blocked, "dgemm", waiting_dgemm)
+        monkeypatch.setattr(smoothce.blocked, gemm_seam(), waiting_gemm)
         monkeypatch.setattr(threading.Thread, "join", interrupted_join)
         with pytest.raises(KeyboardInterrupt):
             run_bounded(lambda: loss_and_grad(e, c, x, 0.1, plan))
         assert tile_threads() == []
         assert log == [(1, []), (4, [])]
         assert 0 < len(gemms) < 3 * 64
+
+
+class TestWorkerThreads:
+    """A tile worker takes no `ndarray.ctypes` lookup: each one used to
+    leave allocations behind on its new thread, inside every call's
+    tracemalloc peak."""
+
+    def test_no_ctypes_lookup_on_a_worker_thread(self, medium):
+        try:
+            from numpy._core import _internal
+        except ImportError:  # numpy 1.x
+            from numpy.core import _internal
+        lookup = _internal._ctypes.__init__.__code__
+        e, c, x, _, _ = medium
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, workers=2)
+        seen = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is lookup:
+                seen.append(threading.current_thread().name)
+
+        threading.setprofile(profile)
+        try:
+            _, _, stats = loss_and_grad(e, c, x, 0.1, plan)
+        finally:
+            threading.setprofile(None)
+        assert stats.gemm_calls == 4 * 4 * 8 and seen == []
+
+    def test_calls_leave_no_allocation_behind(self, medium):
+        """What the engine's frames still hold after eight more 2-worker
+        calls, their outputs deleted, is under 2 KiB: CPython's free lists
+        keep a few hundred bytes (at most 592 in 20 runs on a 2-vCPU host),
+        where the `ctypes` lookups held 4-8 KB."""
+        e, c, x, _, _ = medium
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, workers=2)
+        engine = [tracemalloc.Filter(True, smoothce.blocked.__file__, all_frames=True)]
+
+        def call():
+            out = loss_and_grad(e, c, x, 0.1, plan)
+            del out
+            gc.collect()
+
+        call()
+        tracemalloc.start(64)
+        try:
+            call()
+            start = tracemalloc.take_snapshot().filter_traces(engine)
+            for _ in range(8):
+                call()
+            end = tracemalloc.take_snapshot().filter_traces(engine)
+        finally:
+            tracemalloc.stop()
+        assert sum(d.size_diff for d in end.compare_to(start, "filename")) < 2048
 
 
 def run_python(code: str, timeout: float) -> subprocess.CompletedProcess:
@@ -1133,7 +1346,7 @@ class TestOneSweep:
         pairs = 3 * 8
         with monkeypatch.context() as m:
             runs = count_calls(m, smoothce.blocked._TileRunner, "run")
-            gemms = count_calls(m, smoothce.blocked, "dgemm")
+            gemms = count_calls(m, smoothce.blocked, gemm_seam())
             out, g, stats = run_bounded(lambda: loss_and_grad(
                 e, c, x, beta, plan, filter_epsilon=eps, reduction=reduction))
         assert len(runs) == 1
@@ -1165,7 +1378,7 @@ class TestOneSweep:
         plan = plan_blocks(0, 96, 8, workers=workers)
         with monkeypatch.context() as m:
             runs = count_calls(m, smoothce.blocked._TileRunner, "run")
-            gemms = count_calls(m, smoothce.blocked, "dgemm")
+            gemms = count_calls(m, smoothce.blocked, gemm_seam())
             out, g, _ = loss_and_grad(e, c, x, 0.1, plan, reduction=reduction)
         assert len(runs) == 1 and gemms == []
         fwd, _ = blocked_forward(e, c, x, 0.1, plan, reduction=reduction)
@@ -1218,7 +1431,7 @@ class TestOneSweep:
         kw = dict(bad)
         beta = kw.pop("beta", 0.1)
         lse = kw.pop("lse", naive_forward(e, c, x, 0.1).lse)
-        gemms = count_calls(monkeypatch, smoothce.blocked, "dgemm")
+        gemms = count_calls(monkeypatch, smoothce.blocked, gemm_seam())
         with pytest.raises(ValueError):
             if call == "loss_and_grad":
                 loss_and_grad(e, c, x, beta, plan, **kw)
@@ -1396,6 +1609,7 @@ class TestInputs:
             with monkeypatch.context() as m:
                 m.setattr(smoothce.reference, "_forward_arrays", no_pass)
                 m.setattr(smoothce.blocked, "dgemm", no_pass)
+                m.setattr(smoothce.blocked, "_kernel_gemm", no_pass)
                 m.setattr(smoothce.blocked, "blocked_forward", no_pass)
                 with pytest.raises(ValueError, match="upstream must be finite"):
                     runs[call]()
