@@ -9,7 +9,9 @@ what fixed runs of the `calibrate` and `entropy --verify` commands write.
 Run it on two checkouts on the same host: equal digests mean the change
 kept every output, counter, peak and bound (or every oracle value, or
 every byte the commands write) bit for bit. The engine digest depends on
-the host's BLAS kernels, so runs from different hosts do not compare.
+the host's BLAS kernels, so runs from different hosts do not compare, and
+the oracle digest on numpy's `vecdot` loops, so the script prints numpy's
+version too.
 
 The grid:
 - shapes (n, v, d, N_B, V_B) (300, 5000, 48, 64, 512) and (64, 512, 32, 16,
@@ -202,6 +204,7 @@ def main() -> int:
         feed(h, fn(*args, **kwargs))
         calls += 1
     print(f"OPENBLAS_NUM_THREADS {os.environ['OPENBLAS_NUM_THREADS']}")
+    print(f"numpy {np.__version__}")
     print(f"calls {calls}")
     print(f"sha256 {h.hexdigest()}")
     h = hashlib.sha256()

@@ -148,10 +148,7 @@ def _smoothing_row(Ca, beta: float, v: int) -> np.ndarray:
 def _blas_library():
     """numpy's multiarray extension opened with ctypes, whose symbol lookup
     covers the BLAS it links; None if it cannot be opened."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath as umath
+    from numpy._core import _multiarray_umath as umath
     try:
         return ctypes.CDLL(umath.__file__)
     except OSError:

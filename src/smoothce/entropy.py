@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 
+def _is_integer(x) -> bool:
+    """x is a Python or numpy integer and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class BoundParams:
     """Inputs of the entropy floor: the classifier spectral norm sigma_c,
@@ -49,6 +54,9 @@ class BoundParams:
         for name, val in (("sigma_c", self.sigma_c), ("sigma_h", self.sigma_h)):
             if not 0 <= val < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, got {val}")
+        for name, size in (("d", self.d), ("v", self.v)):
+            if not _is_integer(size):
+                raise ValueError(f"{name} must be an integer, got {size!r}")
         if self.d < 1:
             raise ValueError(f"hidden size must be >= 1, got {self.d}")
         if self.v < 2:
@@ -156,12 +164,12 @@ def numeric_min_entropy(r: float | Sequence[float], v: int, restarts: int = 64,
     if not np.all((radii > 0) & (radii <= _MAX_ORACLE_BUDGET)):
         raise ValueError(f"r: norm budgets must lie in (0, {_MAX_ORACLE_BUDGET:g}], "
                          f"got {r!r}")
-    if v < 2:
-        raise ValueError(f"v: vocabulary size must be >= 2, got {v}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    for name, count, least in (("v: vocabulary size", v, 2), ("restarts", restarts, 1),
+                               ("iterations", iterations, 1)):
+        if not _is_integer(count):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
+        if count < least:
+            raise ValueError(f"{name} must be >= {least}, got {count}")
     if not 0 < step < math.inf:
         raise ValueError(f"step must be finite and positive, got {step}")
 
@@ -195,12 +203,16 @@ def _descend(u: np.ndarray, r_row: np.ndarray, iterations: int,
     step u += c p (log p + H) needs one exp and no log p. A step is 11
     passes over u (4 of them row broadcasts) on two scratch arrays `z` and
     `e` of its shape and a few row vectors, and allocates no array data.
+    Each of its four row reductions is one ufunc or gufunc call: the max
+    `np.maximum.reduce`, and S, sum e z and ||u||^2 by `np.vecdot`, S as
+    a dot with a row of ones.
     Rows of at least `_SMALL_BUFFER_ROWS` entries run at the small ufunc
     buffer (see `memtrack.ufunc_buffer`); shorter rows keep the caller's.
     """
     z = np.empty_like(u)
     e = np.empty_like(u)
     m, s, q = (np.empty(len(u)) for _ in range(3))
+    ones = np.ones(u.shape[1])
     best = np.full(len(u), math.inf)
     buffer = (ufunc_buffer() if u.shape[1] >= _SMALL_BUFFER_ROWS
               else contextlib.nullcontext())
@@ -208,11 +220,11 @@ def _descend(u: np.ndarray, r_row: np.ndarray, iterations: int,
     # 0; r/0 = inf is clipped to 1 below, and a zero row needs no projection
     with buffer, np.errstate(divide="ignore"):
         for t in range(1, iterations + 1):
-            np.max(u, axis=1, out=m)
+            np.maximum.reduce(u, axis=1, out=m)
             np.subtract(u, m[:, None], out=z)
             np.exp(z, out=e)
-            np.sum(e, axis=1, out=s)                    # S
-            np.einsum("ij,ij->i", e, z, out=q)
+            np.vecdot(e, ones, out=s)                   # S
+            np.vecdot(e, z, out=q)
             q /= s                                      # sum p z
             z -= q[:, None]                             # log p + H
             np.log(s, out=m)
@@ -223,7 +235,7 @@ def _descend(u: np.ndarray, r_row: np.ndarray, iterations: int,
             e *= s[:, None]                             # c p
             z *= e
             u += z
-            np.einsum("ij,ij->i", u, u, out=s)
+            np.vecdot(u, u, out=s)
             np.sqrt(s, out=s)
             np.divide(r_row, s, out=s)
             np.minimum(s, 1.0, out=s)

@@ -60,8 +60,8 @@ _UFUNC_BUFFER = 16
 def ufunc_buffer():
     """Run the block with numpy's ufunc buffer at 16 elements on this
     thread, and give the thread its previous size back on exit, also when
-    the block raises. numpy keeps the size per thread (numpy 2 also ties it
-    to `errstate`); the restore does not rely on either."""
+    the block raises. numpy keeps the size per thread (and ties it to
+    `errstate`); the restore does not rely on either."""
     saved = np.setbufsize(_UFUNC_BUFFER)
     try:
         yield

@@ -1187,10 +1187,7 @@ class TestWorkerThreads:
     tracemalloc peak."""
 
     def test_no_ctypes_lookup_on_a_worker_thread(self, medium):
-        try:
-            from numpy._core import _internal
-        except ImportError:  # numpy 1.x
-            from numpy.core import _internal
+        from numpy._core import _internal
         lookup = _internal._ctypes.__init__.__code__
         e, c, x, _, _ = medium
         plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, workers=2)

@@ -117,6 +117,17 @@ class TestClosedFormBound:
         with pytest.raises(ValueError):
             BoundParams(1.0, 1.0, 4, 1)
 
+    @pytest.mark.parametrize("d, v, name", [(1.5, 4, "d"), (4.0, 4, "d"), (True, 4, "d"),
+                                            (2, 4.5, "v"), (2, 4.0, "v"), (2, True, "v")])
+    def test_non_integer_sizes_are_refused(self, d, v, name):
+        """Such sizes used to give a floor, and d=True passed as 1."""
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            BoundParams(1.0, 1.0, d, v)
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        p = BoundParams(1.0, 1.0, np.int64(16), np.int32(64))
+        assert entropy_lower_bound(p) == entropy_lower_bound(BoundParams(1.0, 1.0, 16, 64))
+
 
 class TestMinimizer:
     def test_two_class_unit_budget(self):
@@ -186,6 +197,17 @@ class TestNumericOracle:
         # zero iterations used to return inf, which no floor can fail
         with pytest.raises(ValueError, match="^iterations "):
             numeric_min_entropy(1.0, 4, iterations=0)
+        # a float count used to raise numpy's TypeError mid-setup, and
+        # iterations=True ran one step
+        for v in (4.0, 4.5, True):
+            with pytest.raises(ValueError, match="^v: .*integer"):
+                numeric_min_entropy(1.0, v)
+        for restarts in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match="^restarts .*integer"):
+                numeric_min_entropy(1.0, 4, restarts=restarts)
+        for iterations in (10.0, True):
+            with pytest.raises(ValueError, match="^iterations .*integer"):
+                numeric_min_entropy(1.0, 4, iterations=iterations)
         # a negative step used to run gradient ascent
         for step in (-1.0, 0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="^step "):
@@ -222,14 +244,14 @@ class TestNumericOracle:
 
     @pytest.mark.parametrize("v", [2, 8, 1024])
     def test_batched_budgets_equal_single_calls(self, v):
-        radii = [0.5, 2.0, 8.0]
+        radii = [1e-200, 0.5, 2.0, 8.0, 1e150]
         batched = numeric_min_entropy(radii, v, restarts=6, iterations=150, seed=3)
         single = [numeric_min_entropy(r, v, restarts=6, iterations=150, seed=3)
                   for r in radii]
         assert batched == single
         assert isinstance(batched, list) and all(type(h) is float for h in batched)
         assert numeric_min_entropy((2.0,), v, restarts=6, iterations=150,
-                                   seed=3) == [single[1]]
+                                   seed=3) == [single[2]]
 
     def test_step_allocates_nothing_per_row(self):
         """The peak holds the iterate and two scratch arrays of its shape;
@@ -251,16 +273,16 @@ class TestNumericOracle:
         size back, also when the descent raises."""
         seen = []
 
-        def failing_einsum(*args, **kwargs):
+        def failing_vecdot(*args, **kwargs):
             seen.append(np.getbufsize())
-            raise RuntimeError("einsum failed")
+            raise RuntimeError("vecdot failed")
 
         saved = np.setbufsize(4096)
         try:
             numeric_min_entropy(1.0, v, restarts=2, iterations=3)
             assert np.getbufsize() == 4096
-            monkeypatch.setattr(np, "einsum", failing_einsum)
-            with pytest.raises(RuntimeError, match="einsum failed"):
+            monkeypatch.setattr(np, "vecdot", failing_vecdot)
+            with pytest.raises(RuntimeError, match="vecdot failed"):
                 numeric_min_entropy(1.0, v, restarts=2, iterations=3)
             assert np.getbufsize() == 4096
             assert seen == [inside]

@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
+
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -37,10 +39,11 @@ def test_run_bench():
 
 
 def test_simplicity_check():
-    """Code lines per module, then the engine grid's call count and digest,
-    then the oracle grid's and the command runs' digests."""
+    """Code lines per module, numpy's version, then the engine grid's call
+    count and digest, then the oracle grid's and the command runs' digests."""
     out = run_script("simplicity_check.py", timeout=30).splitlines()
     assert any(line.startswith("code_lines reference.py ") for line in out)
     assert out[-4].startswith("calls ") and int(out[-4].split()[1]) > 0
+    assert out[-5] == f"numpy {np.__version__}"
     for line, key in zip(out[-3:], ("sha256", "oracle_sha256", "cli_sha256")):
         assert line.split()[0] == key and len(line.split()[1]) == 64
