@@ -2,7 +2,7 @@
 """Code-line counts and a bit-identity digest of the engines' results.
 
 Prints the code lines of each `src/smoothce/*.py` (non-blank lines that
-are neither comments nor docstrings), then the number of engine calls in a
+are neither comments nor docstrings) and their total, then the number of engine calls in a
 fixed grid and one SHA-256 over every result they return, a second
 SHA-256 over the entropy oracle's values on its own grid, and a third over
 what fixed runs of the `calibrate` and `entropy --verify` commands write.
@@ -196,8 +196,12 @@ def cli_digest() -> str:
 
 def main() -> int:
     print(f"root {ROOT}")
+    total = 0
     for path in sorted((ROOT / "src" / "smoothce").glob("*.py")):
-        print(f"code_lines {path.name} {code_lines(path)}")
+        lines = code_lines(path)
+        total += lines
+        print(f"code_lines {path.name} {lines}")
+    print(f"code_lines total {total}")
     h = hashlib.sha256()
     calls = 0
     for fn, args, kwargs in grid():

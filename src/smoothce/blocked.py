@@ -105,6 +105,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._args import real
 from .memtrack import MemoryStats, TrackingAllocator, ufunc_buffer
 from .reference import Gradients, _validate, check_upstream, loss_output, token_weight
 from .tensors import (BlockPlan, DenseMatrix, TokenSequence,
@@ -585,8 +586,7 @@ def _backward_block(call: _TileRunner, lse, upstream: float, filter_epsilon: flo
     (1-beta) share of `grad_c` after the runner. Its options are refused
     before any gradient is allocated."""
     check_upstream(upstream)
-    if not 0.0 <= filter_epsilon < 1.0:
-        raise ValueError(f"filter epsilon must lie in [0, 1), got {filter_epsilon}")
+    real(filter_epsilon, "filter_epsilon", lambda f: 0.0 <= f < 1.0, "lie in [0, 1)")
     Ea, Ca, beta, n, v, d = call.Ea, call.Ca, call.beta, call.n, call.v, call.d
     # every token weighs the same, so the weight is the products' alpha
     w = token_weight(n, call.reduction, upstream)

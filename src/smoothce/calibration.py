@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._args import integer, real
+
 __all__ = [
     "CalibrationSet",
     "BinStats",
@@ -97,18 +99,15 @@ def _probs_row(probs, label, where: str) -> np.ndarray:
         raise RecordError(f"{where}: probs entries must be numbers, not booleans")
     if abs(float(p.sum()) - 1.0) > 1e-6:
         raise RecordError(f"{where}: probs sum to {float(p.sum())}, expected 1")
-    if not isinstance(label, int) or isinstance(label, bool):
-        raise RecordError(f"{where}: label must be an integer")
+    integer(label, f"{where}: label", error=RecordError)
     if not 0 <= label < p.size:
         raise RecordError(f"{where}: label {label} out of range for {p.size} classes")
     return p
 
 
 def _check_summary(confidence, correct, where: str) -> None:
-    if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
-        raise RecordError(f"{where}: confidence must be a number")
-    if not 0.0 <= confidence <= 1.0:
-        raise RecordError(f"{where}: confidence {confidence} outside [0, 1]")
+    real(confidence, f"{where}: confidence", lambda c: 0.0 <= c <= 1.0, "lie in [0, 1]",
+         RecordError)
     if not isinstance(correct, bool):
         raise RecordError(f"{where}: correct must be a boolean")
 
@@ -164,10 +163,9 @@ def _check_inputs(values, per_record, m: int, classes: bool):
     values and outcomes as arrays. A record holds one confidence and one
     0/1 correct flag, or with `classes` one probability row and one integer
     label in [0, k). Every value must be finite and lie in [0, 1]."""
-    if m < 1:
-        raise ValueError(f"bin count must be >= 1, got {m}")
+    integer(m, "m: bin count", 1)
     if m > 2**53:  # beyond it float64's v * m no longer tells every bin apart
-        raise ValueError(f"bin count must be at most 2**53, got {m}")
+        raise ValueError(f"m: bin count must be at most 2**53, got {m}")
     if values is None or per_record is None:
         raise ValueError("class-wise metrics need probs and a label on every record")
     what = "probabilities" if classes else "confidences"

@@ -27,13 +27,13 @@ import numpy as np
 
 from .blocked import (aux_bound_bytes, blocked_backward, blocked_forward,
                       loss_and_grad)
-from .calibration import (SCHEMES, RecordError, ace, bin_records, ece,
-                          ingest_records, reliability_data, rms_ce, sce)
+from .calibration import (SCHEMES, ace, bin_records, ece, ingest_records,
+                          reliability_data, rms_ce, sce)
 from .entropy import (BoundParams, effective_params, entropy_lower_bound,
                       normalized_gap, numeric_min_entropy)
 from .reference import finite_diff_grad, naive_backward, naive_forward
-from .tensors import (InvalidPlanError, MatrixFileError, load_matrix,
-                      load_tokens, plan_blocks, random_instance)
+from .tensors import (MatrixFileError, load_matrix, load_tokens, plan_blocks,
+                      random_instance)
 
 __all__ = ["main", "entry"]
 
@@ -496,8 +496,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (MatrixFileError, RecordError, InvalidPlanError, ValueError,
-            OSError, MemoryError, OverflowError) as exc:
+    except (MatrixFileError, ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._args import integer, positive, real
 from .memtrack import ufunc_buffer
 
 __all__ = [
@@ -32,9 +33,8 @@ __all__ = [
 ]
 
 
-def _is_integer(x) -> bool:
-    """x is a Python or numpy integer and not a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+def _finite_nonnegative(x) -> bool:
+    return 0 <= x < math.inf
 
 
 @dataclass(frozen=True)
@@ -51,16 +51,10 @@ class BoundParams:
     r: float = field(init=False)
 
     def __post_init__(self):
-        for name, val in (("sigma_c", self.sigma_c), ("sigma_h", self.sigma_h)):
-            if not 0 <= val < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative, got {val}")
-        for name, size in (("d", self.d), ("v", self.v)):
-            if not _is_integer(size):
-                raise ValueError(f"{name} must be an integer, got {size!r}")
-        if self.d < 1:
-            raise ValueError(f"hidden size must be >= 1, got {self.d}")
-        if self.v < 2:
-            raise ValueError(f"vocabulary size must be >= 2, got {self.v}")
+        for name in ("sigma_c", "sigma_h"):
+            real(getattr(self, name), name, _finite_nonnegative, "be finite and nonnegative")
+        integer(self.d, "d", 1)
+        integer(self.v, "v", 2)
         object.__setattr__(self, "rho", self.sigma_c * self.sigma_h)
         object.__setattr__(self, "r", self.rho * math.sqrt(self.d))
         if self.r == math.inf:
@@ -73,16 +67,17 @@ class BoundParams:
         budget p.r = sigma_c * sqrt(d) is r up to those two roundings:
         within 2 ulp of r in theory, within 1 ulp in seeded draws up to
         d = 5000, and exactly r at d = 1."""
-        if not 0 <= r < math.inf:
-            raise ValueError(f"norm budget must be finite and nonnegative, got {r}")
+        real(r, "r: norm budget", _finite_nonnegative, "be finite and nonnegative")
+        integer(d, "d", 1)
         return cls(sigma_c=r / math.sqrt(d), sigma_h=1.0, d=d, v=v)
 
 
 def norm_bound(sigma_c: float, sigma_h: float, d: int) -> float:
     """Largest possible ||C^T h||_2 when ||C||_2 = sigma_c and every entry
     of h is bounded by sigma_h: sigma_c * sigma_h * sqrt(d)."""
-    if not (sigma_c > 0 and sigma_h > 0 and d > 0):
-        raise ValueError("norm_bound needs strictly positive inputs")
+    for name, val in (("sigma_c", sigma_c), ("sigma_h", sigma_h)):
+        positive(val, name)
+    integer(d, "d", 1)
     return sigma_c * sigma_h * math.sqrt(d)
 
 
@@ -158,20 +153,18 @@ def numeric_min_entropy(r: float | Sequence[float], v: int, restarts: int = 64,
     bit. See `_descend` for the step and its memory. Each budget must lie
     in (0, 1e150].
     """
-    radii = np.asarray(r, dtype=np.float64)
-    if radii.ndim > 1 or radii.size == 0:
+    budgets = [r] if np.ndim(r) == 0 else list(r)
+    if np.ndim(r) > 1 or not budgets:
         raise ValueError(f"r must be one norm budget or a non-empty 1-D sequence, got {r!r}")
-    if not np.all((radii > 0) & (radii <= _MAX_ORACLE_BUDGET)):
-        raise ValueError(f"r: norm budgets must lie in (0, {_MAX_ORACLE_BUDGET:g}], "
-                         f"got {r!r}")
-    for name, count, least in (("v: vocabulary size", v, 2), ("restarts", restarts, 1),
-                               ("iterations", iterations, 1)):
-        if not _is_integer(count):
-            raise ValueError(f"{name} must be an integer, got {count!r}")
-        if count < least:
-            raise ValueError(f"{name} must be >= {least}, got {count}")
-    if not 0 < step < math.inf:
-        raise ValueError(f"step must be finite and positive, got {step}")
+    for rk in budgets:
+        real(rk, "r: norm budget", lambda x: 0 < x <= _MAX_ORACLE_BUDGET,
+             f"lie in (0, {_MAX_ORACLE_BUDGET:g}]")
+    radii = np.asarray(budgets, dtype=np.float64)
+    integer(v, "v: vocabulary size", 2)
+    integer(restarts, "restarts", 1)
+    integer(iterations, "iterations", 1)
+    positive(step, "step")
+    integer(seed, "seed", 0)
 
     rng = np.random.default_rng(seed)
     start = rng.standard_normal((restarts, v))
@@ -181,7 +174,6 @@ def numeric_min_entropy(r: float | Sequence[float], v: int, restarts: int = 64,
         spikes = rng.integers(0, v, size=n_spiky)
         start[np.arange(n_spiky), spikes] += 1.0
     norms = np.linalg.norm(start, axis=1, keepdims=True)
-    radii = radii.ravel()
     u = np.empty((radii.size * restarts, v))
     for k, rk in enumerate(radii.tolist()):
         np.multiply(start, rk / norms, out=u[k * restarts:(k + 1) * restarts])
@@ -264,8 +256,8 @@ def effective_params(p: BoundParams, temperature: float | None = None,
     budget into sigma_h.
     """
     for name, val in (("temperature", temperature), ("softcap", softcap)):
-        if val is not None and not 0 < val < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {val}")
+        if val is not None:
+            positive(val, name)
     r_new = p.r
     if softcap is not None:
         r_new = min(r_new, softcap * math.sqrt(p.v))

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from ._args import positive
+
 __all__ = [
     "lse_columns",
     "softmax",
@@ -34,8 +36,7 @@ def softmax(z, temperature: float = 1.0) -> np.ndarray:
     Invariant to adding a constant to all logits; -inf entries map to
     probability zero. At least one entry must be finite.
     """
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    positive(temperature, "temperature")
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1 or z.size == 0:
         raise ValueError("softmax needs a non-empty 1-D vector")

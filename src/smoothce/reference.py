@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._args import positive, real
 from .reductions import lse_columns
 from .tensors import DenseMatrix, TokenSequence
 
@@ -61,8 +62,7 @@ def _validate(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
     if len(x) != n:
         raise ValueError(f"{len(x)} targets for {n} token columns")
     x.check_vocab(v)
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    real(beta, "beta", lambda b: 0.0 <= b <= 1.0, "lie in [0, 1]")
     if reduction not in REDUCTIONS:
         raise ValueError(f"reduction must be one of {REDUCTIONS}, got {reduction!r}")
     # without a mask every token is kept: a zero-stride view, not an N-array
@@ -106,8 +106,7 @@ def loss_output(lse: np.ndarray, o: np.ndarray, reduction: str, keep) -> LossOut
 def check_upstream(upstream: float) -> None:
     """Refuse a non-finite upstream gradient before any pass runs: it
     would make every gradient entry non-finite."""
-    if not math.isfinite(upstream):
-        raise ValueError(f"upstream must be finite, got {upstream}")
+    real(upstream, "upstream", math.isfinite, "be finite")
 
 
 def _forward_arrays(Ea, Ca, xa, beta: float, v: int):
@@ -165,8 +164,7 @@ def finite_diff_grad(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
 
     Costs 2*D*(N+|V|) full forward passes; intended for small instances only.
     """
-    if not 0 < h < np.inf:
-        raise ValueError(f"step h must be finite and positive, got {h}")
+    positive(h, "h")
     Ea, Ca, xa, n, v, d, keep = _validate(E, C, x, beta, reduction, ignore_mask)
 
     def total(e_arr, c_arr) -> float:

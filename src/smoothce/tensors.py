@@ -21,12 +21,13 @@ still writes through.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+from ._args import integer, positive
 
 __all__ = [
     "DenseMatrix",
@@ -98,10 +99,8 @@ class DenseMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        for name in ("rows", "cols"):
-            size = getattr(self, name)
-            if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {size!r}")
+        integer(self.rows, "rows")
+        integer(self.cols, "cols")
         a = np.asarray(self.data)
         if a.dtype.kind not in "iuf":
             raise ValueError(f"matrix data must be real numbers, got dtype {a.dtype}")
@@ -182,14 +181,10 @@ class BlockPlan:
     workers: int | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
-        for name in ("n_block", "v_block", "workers"):
-            size = getattr(self, name)
-            if name == "workers" and size is None:
-                continue
-            if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
-                raise InvalidPlanError(f"{name} must be an integer, got {size!r}")
-            if size < 1:
-                raise InvalidPlanError(f"{name} must be >= 1, got {size}")
+        integer(self.n_block, "n_block", 1, InvalidPlanError)
+        integer(self.v_block, "v_block", 1, InvalidPlanError)
+        if self.workers is not None:
+            integer(self.workers, "workers", 1, InvalidPlanError)
 
     def clamped(self, n: int, v: int) -> "BlockPlan":
         """Effective plan for concrete extents: each tile size capped at its
@@ -360,7 +355,7 @@ def _splitmix64_at(seed: int, counters: np.ndarray, *, out=None,
     allocated when not given."""
     z = np.add(counters, np.uint64(1), out=out)
     z *= _SM64_GAMMA
-    z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    z += np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)  # an np.int64 cannot hold the mask
     shifted = np.empty_like(z) if scratch is None else scratch
     for shift, mix in ((30, _SM64_MIX1), (27, _SM64_MIX2), (31, None)):
         np.right_shift(z, np.uint64(shift), out=shifted)
@@ -441,10 +436,10 @@ def random_instance(seed: int, n: int, v: int, d: int, scale: float):
     deviation `scale`, which must be finite and positive; everything is a
     pure function of the arguments.
     """
-    if n < 1 or v < 1 or d < 1:
-        raise ValueError("n, v, d must all be >= 1")
-    if not 0 < scale < math.inf:
-        raise ValueError(f"scale must be finite and positive, got {scale}")
+    integer(seed, "seed")
+    for name, size in (("n", n), ("v", v), ("d", d)):
+        integer(size, name, 1)
+    positive(scale, "scale")
     e = _gaussian_f(seed, 0, d, n, scale)
     c = _gaussian_f(seed, d * n, d, v, scale)
     u = _uniform01(splitmix64(seed, d * (n + v), n))
@@ -520,8 +515,9 @@ def tiles_in_flight(n: int, n_block: int, workers: int | None = None) -> int:
             workers = len(os.sched_getaffinity(0))
         except AttributeError:  # no affinity call on this platform
             workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    integer(n, "n", 0)
+    integer(n_block, "n_block", 1)
+    integer(workers, "workers", 1)
     return min(workers, -(-n // n_block))
 
 
@@ -541,16 +537,17 @@ def plan_blocks(
     Defaults are clamped to the extents. Then V_B is halved, down to N_B,
     until the logit tiles of all tiles in flight fit that of one serial
     tile, so more workers do not multiply the working set. Explicit
-    overrides are clamped but never shrunk. Only a negative extent is
-    refused: an empty one (n, v or d = 0) gets one-wide blocks, and the
-    engines are the one place that refuses an empty classifier.
+    overrides are clamped but never shrunk. The extents must be integers
+    >= 0, and the tile sizes and worker count, when given, integers >= 1
+    (else InvalidPlanError). An empty extent (n, v or d = 0) gets one-wide
+    blocks: the engines are the one place that refuses an empty classifier.
 
     `d_block` is accepted and ignored: every backward product runs at full
     depth. It stays only because `bench/test_bench.py` still passes it; the
     first change allowed to edit `bench/` (ROADMAP item 1) drops both.
     """
-    if min(n, v, d) < 0:
-        raise ValueError(f"need n, v, d >= 0, got n={n}, v={v}, d={d}")
+    for name, size in (("n", n), ("v", v), ("d", d)):
+        integer(size, name, 0)
     plan = BlockPlan(_BASE_BLOCKS[0] if n_block is None else n_block,
                      _BASE_BLOCKS[1] if v_block is None else v_block,
                      workers=workers).clamped(n, v)

@@ -37,6 +37,34 @@ def conditioned_scales(e, c, x, beta, weight=1.0):
             float(np.linalg.norm(np.abs(emb) @ pq.T)))
 
 
+def chunked_loss_grad(emb, cls, targets, beta, chunk=256):
+    """lse, o and the summed loss's gradients (grad_e, grad_c) of a D x N
+    embedding array, a D x V classifier array and N targets, in plain
+    numpy and without the engines: `chunk` tokens at a time over the full
+    vocabulary, so one V x chunk logit block is the largest buffer."""
+    d, n = emb.shape
+    v = cls.shape[1]
+    lse, o = np.empty(n), np.empty(n)
+    grad_e, grad_c = np.empty((d, n)), np.zeros((d, v))
+    for j0 in range(0, n, chunk):
+        cols = slice(j0, j0 + chunk)
+        t = np.asarray(targets[cols])
+        k = np.arange(t.size)
+        z = cls.T @ emb[:, cols]
+        o[cols] = (1.0 - beta) * z[t, k] + (beta / v) * z.sum(axis=0)
+        top = z.max(axis=0)
+        z -= top
+        np.exp(z, out=z)
+        total = z.sum(axis=0)
+        lse[cols] = top + np.log(total)
+        z /= total  # the softmax, then p - (1-beta) [v == x_i] - beta/V
+        z[t, k] -= 1.0 - beta
+        z -= beta / v
+        grad_e[:, cols] = cls @ z
+        grad_c += emb[:, cols] @ z.T
+    return lse, o, grad_e, grad_c
+
+
 def tile_threads() -> list[str]:
     """Names of the blocked engine's worker threads that are alive."""
     return sorted(t.name for t in threading.enumerate()

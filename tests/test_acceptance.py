@@ -18,12 +18,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _util import grad_rel_err
+from _util import chunked_loss_grad, grad_rel_err, rel_err
 from test_calibration import brute_force_ace, brute_force_sce, columns, probs_record
 from smoothce.blocked import (
     aux_bound_bytes,
     blocked_backward,
     blocked_forward,
+    loss_and_grad,
 )
 from smoothce.calibration import (
     ace,
@@ -173,6 +174,18 @@ def test_criterion_4_memory_ceiling():
         assert naive_logit_bytes >= 2 * 1024 ** 3
         worst_blocked = max(st.peak_auxiliary_bytes for st in (s0, s1, sb))
         assert naive_logit_bytes / worst_blocked >= 100.0
+
+
+def test_results_at_the_memory_ceiling_shape():
+    """Criterion 4's shape, where the naive engine cannot run: loss_and_grad
+    on the default plan agrees with an independent chunked reference."""
+    n, v, d = 4096, 65536, 128
+    e, c, x = random_instance(4, n, v, d, scale=0.02)
+    out, grads, _ = loss_and_grad(e, c, x, 0.1, plan_blocks(n, v, d))
+    want = chunked_loss_grad(e.data, c.data, x.targets, 0.1)
+    got = (out.lse, out.o, grads.grad_e.data, grads.grad_c.data)
+    for name, g, w in zip(("lse", "o", "grad_e", "grad_c"), got, want):
+        assert rel_err(g, w) <= 1e-9, name
 
 
 def test_criterion_5_smoothing_decomposition(grid_runs):

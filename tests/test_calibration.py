@@ -412,7 +412,7 @@ class TestLibraryInputs:
         end in an OverflowError."""
         for call in (lambda: bin_records([0.5, 0.2], [True, False], m),
                      lambda: ace(PAIR, [0, 1], m)):
-            with pytest.raises(ValueError, match=r"^bin count must be at most 2\*\*53"):
+            with pytest.raises(ValueError, match=r"^m: bin count must be at most 2\*\*53"):
                 call()
 
 

@@ -55,7 +55,7 @@ class TestNormBound:
 class TestClosedFormBound:
     @pytest.mark.parametrize("d", [0, -3])
     def test_hidden_size_below_one_is_refused(self, d):
-        with pytest.raises(ValueError, match=f"^hidden size must be >= 1, got {d}$"):
+        with pytest.raises(ValueError, match=f"^d must be >= 1, got {d}$"):
             BoundParams(sigma_c=1.0, sigma_h=1.0, d=d, v=4)
 
     def test_zero_budget_is_max_entropy(self):

@@ -166,7 +166,7 @@ class TestFiniteDifferences:
     def test_bad_step_rejected(self):
         e, c, x = tiny_instance()
         for bad in (0.0, np.inf, np.nan):
-            with pytest.raises(ValueError, match="step h"):
+            with pytest.raises(ValueError, match="h must be finite and positive"):
                 finite_diff_grad(e, c, x, 0.1, h=bad)
 
 

@@ -612,8 +612,8 @@ class TestPlanning:
         assert tiles_in_flight(0, plan.n_block, 2) == 0
         assert plan_blocks(0, 0, 4, workers=2) == BlockPlan(1, 1, workers=2)
         assert plan_blocks(0, 16, 0, workers=2) == BlockPlan(1, 16, workers=2)
-        for n, v, d in ((-1, 16, 4), (0, -1, 4), (0, 16, -1)):
-            with pytest.raises(ValueError, match="need n, v, d >= 0"):
+        for n, v, d, name in ((-1, 16, 4, "n"), (0, -1, 4, "v"), (0, 16, -1, "d")):
+            with pytest.raises(ValueError, match=f"{name} must be >= 0, got -1"):
                 plan_blocks(n, v, d)
 
     @pytest.mark.parametrize("n, v, d", [(1024, 16384, 64), (256, 65536, 128),
