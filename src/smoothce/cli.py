@@ -437,8 +437,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action=_BOOL, default=False,
                    help="run the projected-gradient oracle and fail if it "
                         "undercuts the bound")
-    p.add_argument("--restarts", type=_positive_int, default=16)
-    p.add_argument("--iterations", type=_positive_int, default=1500)
+    p.add_argument("--restarts", type=_positive_int, default=16,
+                   help="random starting points the oracle descends from, "
+                        "per radius")
+    p.add_argument("--iterations", type=_positive_int, default=1500,
+                   help="cap on the oracle's descent steps per start; a "
+                        "start stops sooner once its best entropy has "
+                        "stalled for 50 steps")
     p.add_argument("--oracle-seed", type=_nonnegative_int, default=0)
     p.set_defaults(func=cmd_entropy)
 

@@ -131,9 +131,15 @@ _MAX_ORACLE_BUDGET = 1e150
 # broadcast copies cost less than the extra fills of a 16-element buffer
 _SMALL_BUFFER_ROWS = 128
 
+# the oracle's early exit: every _STALL_WINDOW steps, each row whose best
+# entropy fell by no more than a relative _STALL_TOLERANCE over the window
+# stops descending
+_STALL_WINDOW = 50
+_STALL_TOLERANCE = 1e-15
+
 
 def numeric_min_entropy(r: float | Sequence[float], v: int, restarts: int = 64,
-                        iterations: int = 5000, step: float = 0.1,
+                        iterations: int = 5000, step: float = 4.0,
                         seed: int = 0) -> float | list[float]:
     """Minimum softmax entropy over ||u||_2 <= r found by projected gradient
     descent with random restarts; an oracle independent of the closed form.
@@ -141,20 +147,28 @@ def numeric_min_entropy(r: float | Sequence[float], v: int, restarts: int = 64,
     `r` is one budget or a 1-D sequence of budgets; the result is a float
     for a scalar and a list in the same order otherwise. Every budget starts
     from the same seeded `restarts` directions, scaled onto its own sphere,
-    and all len(r) * restarts rows descend together with step schedule
-    step/sqrt(t), each projected back onto its ball every iteration. A
-    budget's value is the best entropy seen anywhere along its rows'
-    trajectories. Half the restarts begin at generic points of the sphere,
-    half at spiky points concentrated on one random coordinate, so flat
-    near-uniform basins at large v cannot trap every trajectory.
+    and all len(r) * restarts rows descend together. Each step moves a row
+    step * r / (1 + r) along its normalised negative gradient and projects
+    it back onto its ball. A budget's value is the best entropy seen
+    anywhere along its rows' trajectories. Half the restarts begin at
+    generic points of the sphere, half at spiky points concentrated on one
+    random coordinate, so flat near-uniform basins at large v cannot trap
+    every trajectory.
 
-    Rows never mix, so a budget's value does not depend on which others
-    share the call: a batched call equals the single-budget calls bit for
-    bit. See `_descend` for the step and its memory. Each budget must lie
-    in (0, 1e150].
+    `iterations` is a cap: every 50 steps, each row whose best entropy fell
+    by no more than a relative 1e-15 over those steps stops, and the call
+    returns once every row has stopped. A row's stop depends on its own
+    trajectory alone, so a batched call equals the single-budget calls bit
+    for bit, and a call with one more iteration extends the same
+    trajectories. See `_descend` for the step and its memory. Each budget
+    must lie in (0, 1e150].
     """
-    budgets = [r] if np.ndim(r) == 0 else list(r)
-    if np.ndim(r) > 1 or not budgets:
+    try:
+        ndim = np.ndim(r)
+    except ValueError:  # a ragged nesting
+        ndim = 2
+    budgets = [r] if ndim == 0 else list(r)
+    if ndim > 1 or not budgets:
         raise ValueError(f"r must be one norm budget or a non-empty 1-D sequence, got {r!r}")
     for rk in budgets:
         real(rk, "r: norm budget", lambda x: 0 < x <= _MAX_ORACLE_BUDGET,
@@ -182,30 +196,51 @@ def numeric_min_entropy(r: float | Sequence[float], v: int, restarts: int = 64,
 
     best = _descend(u, r_row, iterations, step)
     per_budget = best.reshape(radii.size, restarts).min(axis=1).tolist()
-    return per_budget if np.ndim(r) else per_budget[0]
+    return per_budget if ndim else per_budget[0]
 
 
 def _descend(u: np.ndarray, r_row: np.ndarray, iterations: int,
              step: float) -> np.ndarray:
-    """Projected gradient descent on the rows of u, in place; returns the
-    least entropy each row reaches along its trajectory.
+    """Projected gradient descent on the rows of u, in place, for at most
+    `iterations` steps; returns the least entropy each row reaches along its
+    trajectory.
 
     With z = u - max(u), e = exp(z), S = sum e and p = e / S, a row's
     entropy is H = log S - sum p z, and since log p + H = z - sum p z, the
-    step u += c p (log p + H) needs one exp and no log p. A step is 11
-    passes over u (4 of them row broadcasts) on two scratch arrays `z` and
-    `e` of its shape and a few row vectors, and allocates no array data.
-    Each of its four row reductions is one ufunc or gufunc call: the max
-    `np.maximum.reduce`, and S, sum e z and ||u||^2 by `np.vecdot`, S as
-    a dot with a row of ones.
+    negative gradient p (log p + H) needs one exp and no log p. A step moves
+    a row of budget r by step * r / (1 + r) along that gradient's direction,
+    so 1/S cancels: with g = e (z - sum p z), u += (step * r / (1 + r)) g / ||g||,
+    and then u is projected back onto its ball. The move shrinks with small
+    budgets, where the ball is only r across, and stops growing with large
+    ones, where the entropy's curvature along the sphere grows like r and a
+    move of order r would overshoot the minimum and stall. A row whose
+    ||g||^2 underflows to 0 (a budget or an entropy below about 1e-160)
+    does not move.
+
+    A step is 12 passes over u (4 of them row broadcasts) on two scratch
+    arrays `z` and `e` of its shape and a few row vectors, and allocates no
+    array data. Each of its five row reductions is one ufunc or gufunc call:
+    the max `np.maximum.reduce`, and S, sum e z, ||g||^2 and ||u||^2 by
+    `np.vecdot`, S as a dot with a row of ones.
+
+    Every `_STALL_WINDOW` steps, each row whose best entropy fell by no more
+    than a relative `_STALL_TOLERANCE` over the window stops: its best is
+    kept, and the live rows move to the front of u (by way of `z`) and of
+    the row vectors, so later steps run on leading views; the check
+    allocates row vectors only. The call returns once no row is live.
     Rows of at least `_SMALL_BUFFER_ROWS` entries run at the small ufunc
     buffer (see `memtrack.ufunc_buffer`); shorter rows keep the caller's.
     """
-    z = np.empty_like(u)
-    e = np.empty_like(u)
-    m, s, q = (np.empty(len(u)) for _ in range(3))
+    rows = len(u)
+    # the iterate, its scratch arrays and the step's row vectors; each step
+    # runs on their leading views over the live rows
+    full = (u, np.empty_like(u), np.empty_like(u), *(np.empty(rows) for _ in range(3)),
+            np.empty(rows, dtype=bool))
+    u, z, e, m, s, q, moving = full
     ones = np.ones(u.shape[1])
-    best = np.full(len(u), math.inf)
+    move = step * r_row / (1.0 + r_row)
+    best, prev = np.full(rows, math.inf), np.full(rows, math.inf)
+    row_id, found = np.arange(rows), np.empty(rows)
     buffer = (ufunc_buffer() if u.shape[1] >= _SMALL_BUFFER_ROWS
               else contextlib.nullcontext())
     # a budget small enough (about 1e-200) underflows a row's squared norm to
@@ -222,17 +257,34 @@ def _descend(u: np.ndarray, r_row: np.ndarray, iterations: int,
             np.log(s, out=m)
             m -= q                                      # entropy per row
             np.minimum(best, m, out=best)
-            # u -= c * grad with grad = -p (log p + H)
-            np.divide(step / math.sqrt(t), s, out=s)
-            e *= s[:, None]                             # c p
-            z *= e
+            z *= e                                      # g = S p (log p + H)
+            np.vecdot(z, z, out=s)
+            np.sqrt(s, out=s)
+            np.greater(s, 0.0, out=moving)
+            np.divide(move, s, out=s, where=moving)     # stays 0 where ||g|| is
+            z *= s[:, None]
             u += z
             np.vecdot(u, u, out=s)
             np.sqrt(s, out=s)
             np.divide(r_row, s, out=s)
             np.minimum(s, 1.0, out=s)
             u *= s[:, None]                             # back onto the ball
-    return best
+            if t % _STALL_WINDOW:
+                continue
+            found[row_id] = best
+            live = best < prev * (1.0 - _STALL_TOLERANCE)
+            n = np.count_nonzero(live)
+            if n == 0:
+                break
+            # mode "clip" writes straight into `out`; "raise" would buffer a
+            # copy of the live rows
+            np.take(u, np.flatnonzero(live), axis=0, out=full[1][:n], mode="clip")
+            full[0][:n] = full[1][:n]
+            u, z, e, m, s, q, moving = (a[:n] for a in full)
+            r_row, move, best, row_id = (a[live] for a in (r_row, move, best, row_id))
+            prev = best.copy()
+    found[row_id] = best
+    return found
 
 
 def normalized_gap(p: BoundParams) -> float:

@@ -77,6 +77,8 @@ ENTRIES = {
                               lambda a: numeric_min_entropy(a, 4, 2, 3)),
     "numeric_min_entropy-r-list": ("r: norm budget", NUMBER, 1.0,
                                    lambda a: numeric_min_entropy([1.0, a], 4, 2, 3)),
+    "numeric_min_entropy-r-ragged": ("r", ([[1.0], [1.0, 2.0]], [1.0, [2.0]]), None,
+                                     lambda a: numeric_min_entropy(a, 4, 2, 3)),
     "numeric_min_entropy-v": ("v: vocabulary size", COUNT, 4,
                               lambda a: numeric_min_entropy(1.0, a, 2, 3)),
     "numeric_min_entropy-restarts": ("restarts", COUNT, 2,

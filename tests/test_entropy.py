@@ -160,6 +160,20 @@ class TestMinimizer:
                     assert h == pytest.approx(entropy_lower_bound(p), abs=1e-9)
 
 
+@pytest.fixture
+def exp_rows(monkeypatch):
+    """The row count of each `np.exp` call: one call per descent step, over
+    the rows still descending."""
+    rows, exp = [], np.exp
+
+    def counting_exp(x, out=None):
+        rows.append(len(x))
+        return exp(x, out=out)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    return rows
+
+
 class TestNumericOracle:
     def test_vanishing_budget_recovers_log_v(self):
         got = numeric_min_entropy(1e-7, 5, restarts=8, iterations=200)
@@ -243,28 +257,61 @@ class TestNumericOracle:
         assert values[-1] < values[0]
 
     @pytest.mark.parametrize("v", [2, 8, 1024])
-    def test_batched_budgets_equal_single_calls(self, v):
-        radii = [1e-200, 0.5, 2.0, 8.0, 1e150]
-        batched = numeric_min_entropy(radii, v, restarts=6, iterations=150, seed=3)
-        single = [numeric_min_entropy(r, v, restarts=6, iterations=150, seed=3)
-                  for r in radii]
-        assert batched == single
-        assert isinstance(batched, list) and all(type(h) is float for h in batched)
-        assert numeric_min_entropy((2.0,), v, restarts=6, iterations=150,
-                                   seed=3) == [single[2]]
+    def test_batched_budgets_equal_single_calls(self, v, exp_rows):
+        """Under the larger cap the rows of these budgets stop in different
+        windows, and each stop moves the live rows to the front; no row's
+        value moves. Under the smaller one, rows still descending are cut
+        off too."""
+        radii = [1e-200, 0.5, 2.0, 8.0, 30.0, 1e150]
+        for iterations in (150, 600):
+            exp_rows.clear()
+            batched = numeric_min_entropy(radii, v, restarts=6, iterations=iterations,
+                                          seed=3)
+            assert len(set(exp_rows)) >= (2 if iterations == 150 else 4)
+            single = [numeric_min_entropy(r, v, restarts=6, iterations=iterations, seed=3)
+                      for r in radii]
+            assert batched == single
+            assert isinstance(batched, list) and all(type(h) is float for h in batched)
+            assert numeric_min_entropy((2.0,), v, restarts=6, iterations=iterations,
+                                       seed=3) == [single[2]]
 
-    def test_step_allocates_nothing_per_row(self):
+    def test_iterations_is_a_cap(self, exp_rows):
+        """A call returns once every row has stalled, so a larger cap changes
+        nothing; below that, each step of the cap extends the trajectories,
+        across the stall checks too."""
+        caps = (49, 50, 51, 99, 100, 101, 1000, 5000)
+        values = [numeric_min_entropy([1.0, 30.0], 16, restarts=4, iterations=k)
+                  for k in caps]
+        for a, b in zip(values, values[1:]):
+            assert b[0] <= a[0] and b[1] <= a[1]
+        assert values[-1] == values[-2]
+        exp_rows.clear()
+        numeric_min_entropy([1.0, 30.0], 16, restarts=4, iterations=5000)
+        assert len(exp_rows) < 1000 and len(exp_rows) % 50 == 0
+
+    def test_a_row_that_never_stalls_runs_every_iteration(self, exp_rows):
+        """A tiny step keeps the best entropy falling by far more than the
+        stall tolerance, so the rows run to the cap, one exp per step."""
+        numeric_min_entropy(1.0, 16, restarts=2, iterations=301, step=1e-6)
+        assert exp_rows == [2] * 301
+
+    def test_step_allocates_nothing_per_row(self, exp_rows):
         """The peak holds the iterate and two scratch arrays of its shape;
-        the step used to peak at about 8 such arrays."""
+        the step used to peak at about 8 such arrays. Moving the live rows
+        to the front, once others have stopped, allocates none either."""
         rows, v = 16, 1024
         numeric_min_entropy(1.0, v, restarts=rows, iterations=3)
-        tracemalloc.start()
-        try:
-            numeric_min_entropy(1.0, v, restarts=rows, iterations=20)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * rows * v * 8 + 64 * 1024
+        exp_rows.clear()
+        numeric_min_entropy([1e-200, 30.0], v, restarts=rows // 2, iterations=300)
+        assert exp_rows[0] == rows and 0 < exp_rows[-1] < rows
+        for r, restarts, iterations in ((1.0, rows, 20), ([1e-200, 30.0], rows // 2, 300)):
+            tracemalloc.start()
+            try:
+                numeric_min_entropy(r, v, restarts=restarts, iterations=iterations)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * rows * v * 8 + 64 * 1024
 
     @pytest.mark.parametrize("v, inside", [(64, 4096), (256, 16)])
     def test_caller_ufunc_buffer_is_restored(self, monkeypatch, v, inside):
@@ -302,30 +349,68 @@ class TestNumericOracle:
     @pytest.mark.parametrize("v", [2, 64, 256, 1024])
     def test_step_matches_a_two_exp_descent(self, v):
         """The one-exp step agrees with the textbook step, which takes
-        log p = u - log Z and p = exp(log p), to rounding."""
+        log p = u - log Z and p = exp(log p), to rounding, and so do the
+        rows' stops: at step 0.1 the 1e-200 and 1e150 rows stop and the
+        others run to the cap, at the default step every row stops."""
         radii = np.repeat([1e-200, 1.0, 4.0, 1e150], 3)
         start = np.random.default_rng(5).standard_normal((radii.size, v))
         start *= (radii / np.linalg.norm(start, axis=1))[:, None]
-        got = _descend(start.copy(), radii, 400, 0.1)
-        want = _two_exp_descent(start.copy(), radii, 400, 0.1)
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        for step in (0.1, 4.0):
+            got = _descend(start.copy(), radii, 400, step)
+            want = _two_exp_descent(start.copy(), radii, 400, step)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def _two_exp_descent(u, radii, iterations, step):
     """Projected gradient descent on the entropy of each row's softmax,
-    written plainly; returns each row's least entropy along the way."""
+    written plainly, one row at a time: each step moves the row
+    step * r / (1 + r) along its normalised negative gradient, and the row
+    stops once its best entropy fell by no more than a relative 1e-15 over
+    the last 50 steps. Returns each row's least entropy along the way."""
     best = np.full(len(u), math.inf)
     with np.errstate(divide="ignore"):
-        for t in range(1, iterations + 1):
-            m = u.max(axis=1, keepdims=True)
-            log_z = m + np.log(np.exp(u - m).sum(axis=1, keepdims=True))
-            logp = u - log_z
-            p = np.exp(logp)
-            h = -(p * logp).sum(axis=1)
-            best = np.minimum(best, h)
-            u = u + step / math.sqrt(t) * p * (logp + h[:, None])
-            u *= np.minimum(radii / np.sqrt((u * u).sum(axis=1)), 1.0)[:, None]
+        for i, r in enumerate(radii):
+            row, prev = u[i], math.inf
+            for t in range(1, iterations + 1):
+                m = row.max()
+                logp = row - (m + np.log(np.exp(row - m).sum()))
+                p = np.exp(logp)
+                h = -(p * logp).sum()
+                best[i] = min(best[i], h)
+                grad = -p * (logp + h)
+                norm = np.sqrt(grad @ grad)
+                if norm > 0:
+                    row = row - step * r / (1 + r) * grad / norm
+                row = row * min(r / np.sqrt(row @ row), 1.0)
+                if t % 50 == 0:
+                    if best[i] >= prev * (1 - 1e-15):
+                        break
+                    prev = best[i]
     return best
+
+
+class TestOracleTightness:
+    """The oracle reaches the closed-form floor, not only stays above it:
+    within 1e-9 of the floor, relative, on both of the repo's grids."""
+
+    def test_criterion_7_grid(self):
+        radii = (0.5, 2.0, 8.0)
+        for v in (8, 64, 1024):
+            for r, h in zip(radii, numeric_min_entropy(radii, v)):
+                floor = entropy_lower_bound(BoundParams.from_budget(r, v))
+                assert abs(h - floor) <= 1e-9 * floor, f"v={v} r={r}"
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_analysis_grid(self, seed):
+        """The bench's `analysis` sweep: d 16 and 64, v 256 and 1024, rho
+        0.5, 16 restarts and 1500 iterations."""
+        for v in (256, 1024):
+            params = [BoundParams(0.5, 1.0, d, v) for d in (16, 64)]
+            got = numeric_min_entropy([p.r for p in params], v, restarts=16,
+                                      iterations=1500, seed=seed)
+            for p, h in zip(params, got):
+                floor = entropy_lower_bound(p)
+                assert abs(h - floor) <= 1e-9 * floor, f"v={v} d={p.d}"
 
 
 class TestNormalizedGap:
