@@ -3,7 +3,9 @@
 
 Prints the code lines of each `src/smoothce/*.py` (non-blank lines that
 are neither comments nor docstrings) and their total, then the number of engine calls in a
-fixed grid and one SHA-256 over every result they return, a second
+fixed grid, the tracked allocations they make (`alloc_calls`: every buffer
+the engine's `TrackingAllocator` hands out, counted by a subclass put in its
+place) and one SHA-256 over every result they return, a second
 SHA-256 over the entropy oracle's values on its own grid, and a third over
 what fixed runs of the `calibrate` and `entropy --verify` commands write.
 Run it on two checkouts on the same host: equal digests mean the change
@@ -66,6 +68,7 @@ from smoothce import (DenseMatrix, TokenSequence, blocked_backward,  # noqa: E40
                       blocked_forward, finite_diff_grad, loss_and_grad,
                       naive_backward, naive_forward, numeric_min_entropy, plan_blocks,
                       random_instance)
+import smoothce.blocked  # noqa: E402
 from smoothce.blocked import aux_bound_bytes  # noqa: E402
 from smoothce.cli import main as cli_main  # noqa: E402
 
@@ -203,13 +206,21 @@ def main() -> int:
         print(f"code_lines {path.name} {lines}")
     print(f"code_lines total {total}")
     h = hashlib.sha256()
-    calls = 0
+    calls, allocs = 0, []
+
+    class CountingAllocator(smoothce.blocked.TrackingAllocator):
+        def empty(self, shape, order="F"):
+            allocs.append(None)  # one atomic append per buffer, on any worker
+            return super().empty(shape, order)
+
+    smoothce.blocked.TrackingAllocator = CountingAllocator
     for fn, args, kwargs in grid():
         feed(h, fn(*args, **kwargs))
         calls += 1
     print(f"OPENBLAS_NUM_THREADS {os.environ['OPENBLAS_NUM_THREADS']}")
     print(f"numpy {np.__version__}")
     print(f"calls {calls}")
+    print(f"alloc_calls {len(allocs)}")
     print(f"sha256 {h.hexdigest()}")
     h = hashlib.sha256()
     for v in ORACLE_VOCABS:

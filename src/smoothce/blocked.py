@@ -32,7 +32,7 @@ q_i = (1-beta) e_{x_i} + beta/|V| enters the loss and both gradients
 linearly. Seen from the embedding side it is the D-vector
 g_i = (1-beta) C[:, x_i] + u, with u = (beta/|V|) sum_v C[:, v]
 (`_smoothing_row`, summed once per call and only when beta > 0). The
-forward gathers a chunk of the block's g_i at a time into one tracked
+forward gathers a chunk of the block's g_i at a time into its block's
 buffer for the target score o_i = g_i . E_i; the backward gathers the
 block's C[:, x_i] straight into `grad_e`, which starts at -w g_i before
 the backward tiles add into it. Each `grad_c`
@@ -80,17 +80,19 @@ through it only where numpy's BLAS exports no such symbol, where an
 adding product goes through a tracked full-depth chunk and a `+=`, or
 while a wrapper replaces it, which then sees every tile GEMM as arrays.
 
-Every tile-sized buffer (the V_B x N_B tile buffer, one per token block
-and pass, whose first rows hold each vocabulary block's tile; the
-forward's one N_B row beside it; and the forward's target gather chunk:
-as many tokens' D-vectors as fit in one tile's working set, at least one,
-taken once the tile buffer is released) flows through its worker's own
-TrackingAllocator, and the call's MemoryStats
+Each token block takes one tracked buffer per pass from its worker's own
+TrackingAllocator. The forward's holds max(N_B (V_B + 1), D) floats
+(`_block_words`): its first V_B x N_B words are the C-ordered tile buffer,
+whose first rows hold each vocabulary block's tile, the next N_B the
+merge row m, and after the block's last tile the same words hold the
+target gather chunks, as many tokens' D-vectors as fit and at least one.
+The backward's is the V_B x N_B tile buffer alone. The call's MemoryStats
 report the sum of the workers' peaks, which thread timing cannot move;
 peak auxiliary bytes stay O(N_B*V_B) per tile in flight regardless of |V|
-(plus D*max(N_B, V_B) for a staged product chunk, and never below one
-D-vector). The returned outputs and O(D) temporaries are not tracked; the
-running sum S lives in the `o` output until the block's lse is finished.
+(plus D*max(N_B, V_B) for a staged product chunk), and `aux_bound_bytes`
+is that rule for a full token block times the tiles in flight. The
+returned outputs and O(D) temporaries are not tracked; the running sum S
+lives in the `o` output until the block's lse is finished.
 """
 
 from __future__ import annotations
@@ -105,29 +107,36 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._args import real
+from ._args import integer, real
 from .memtrack import MemoryStats, TrackingAllocator, ufunc_buffer
 from .reference import Gradients, _validate, check_upstream, loss_output, token_weight
-from .tensors import (BlockPlan, DenseMatrix, TokenSequence,
-                      plan_working_set_bytes, tiles_in_flight)
+from .tensors import BlockPlan, DenseMatrix, TokenSequence, tiles_in_flight
 
 __all__ = ["blocked_forward", "blocked_backward", "loss_and_grad",
            "aux_bound_bytes"]
 
 
+def _block_words(nb: int, v_block: int, d: int) -> int:
+    """Floats in the forward's one tracked buffer for a token block of nb
+    tokens: its V_B x N_B logit tiles and its N_B merge row, which after
+    the last tile hold the target gather chunks, at least one token's
+    D-vector. The backward's tile buffer is the first V_B x N_B of them."""
+    return max(nb * (v_block + 1), d)
+
+
 def aux_bound_bytes(plan: BlockPlan, n: int, v: int, d: int) -> int:
     """Ceiling for the peak auxiliary bytes of one engine call on `plan`:
-    the tile working set times the tiles in flight (one per plan worker, at
-    most one per token block). Without the accumulating kernel each tile
-    also holds one staged D-row product chunk. A worker's share is at least
-    one token's D-vector: the forward's smallest target gather, never held
-    beside a tile."""
+    one full token block's forward buffer (`_block_words`) per tile in
+    flight (one per plan worker, at most one per token block). Without the
+    accumulating kernel each tile also holds one staged D-row product
+    chunk. The extents must be integers >= 0, as `plan_blocks` takes them."""
+    for name, size in (("n", n), ("v", v), ("d", d)):
+        integer(size, name, 0)
     eff = plan.clamped(n, v)
-    per_tile = plan_working_set_bytes(eff)
+    words = _block_words(eff.n_block, eff.v_block, d)
     if _cblas_dgemm() is None:
-        per_tile += 8 * d * max(eff.n_block, eff.v_block)
-    per_tile = max(per_tile, 8 * d)
-    return tiles_in_flight(n, eff.n_block, eff.workers) * per_tile
+        words += d * max(eff.n_block, eff.v_block)
+    return 8 * tiles_in_flight(n, eff.n_block, eff.workers) * words
 
 
 _SUM_CHUNK = 1024  # vocabulary entries per gemv of the smoothing row
@@ -395,10 +404,10 @@ class _TileRunner:
         for j, v0 in enumerate(range(0, self.v, vbk)):
             yield j, v0, min(vbk, self.v - v0)
 
-    def tile_buffer(self, alloc, cols) -> tuple[np.ndarray, int]:
-        """A C-ordered V_B x N_B buffer for the token block `cols` and its
-        address: each of the block's tiles is a view of its first rows."""
-        buf = alloc.empty((self.eff.v_block, cols.stop - cols.start), order="C")
+    def tile_buffer(self, alloc, words: int) -> tuple[np.ndarray, int]:
+        """A tracked buffer of `words` floats and its address: each of a
+        token block's tiles is a C-ordered view of its first words."""
+        buf = alloc.empty(words)
         return buf, _address(buf)
 
     def gemm(self, worker: _Worker, key, views, a: int, b: int, c: int) -> None:
@@ -424,9 +433,9 @@ class _TileRunner:
         worker.alloc.release(chunk)
 
     def logit_tile(self, worker, buf, buf_at: int, cols, v0: int, vb: int) -> np.ndarray:
-        """buf[:vb] = C[:, v0:v0+vb].T E[:, cols], in one full-depth GEMM;
-        returns that view."""
-        tile = buf[:vb]
+        """The vb x N_B C-ordered view of buf's first words = C[:, v0:v0+vb].T
+        E[:, cols], in one full-depth GEMM; returns that view."""
+        tile = buf[:vb * (cols.stop - cols.start)].reshape(vb, -1)
         self.gemm(worker, ("tile", vb, tile.shape[1]),
                   lambda: (1.0, self.Ca[:, v0:v0 + vb].T, self.Ea[:, cols], tile, 0.0),
                   self.c_columns[0] + v0 * self.c_columns[1],
@@ -528,19 +537,17 @@ def _forward_block(call: _TileRunner):
     target score o_i = g_i . E_i, with g_i = (1-beta) C[:, x_i] + u. The
     finisher is `loss_output` on lse, o and the call's `keep`, which
     refuses a token whose loss is not finite and reduces."""
-    Ea, d = call.Ea, call.d
+    Ea, d, vbk = call.Ea, call.d, call.eff.v_block
     # o holds a token block's running sum S until its lse is finished
     lse, o = np.empty(call.n), np.empty(call.n)
-    # target columns are gathered a chunk of tokens at a time: as many as
-    # fit in one tile's working set, at least one
-    gather = max(1, plan_working_set_bytes(call.eff) // (8 * max(d, 1)))
 
-    def sweep(worker, cols):
-        """The block's online merge over every vocabulary block, in one tile
-        buffer and one N_B row, both released when it returns."""
-        alloc = worker.alloc
-        buf, buf_at = call.tile_buffer(alloc, cols)
-        m = alloc.empty(buf.shape[1])
+    def forward(worker, i, cols):
+        """The block's online merge, then its target score, in one tracked
+        buffer: the tiles and the N_B row m, then as many tokens' target
+        columns at a time as fit, at least one."""
+        nb = cols.stop - cols.start
+        buf, buf_at = call.tile_buffer(worker.alloc, _block_words(nb, vbk, d))
+        m = buf[vbk * nb:(vbk + 1) * nb]
         run_max, run_sum = lse[cols], o[cols]
         run_max[:] = -np.inf
         run_sum[:] = 0.0
@@ -558,22 +565,15 @@ def _forward_block(call: _TileRunner):
             np.add.reduce(tile, axis=0, out=m)
             run_sum += m
             worker.processed += 1
-        alloc.release(m)
-        alloc.release(buf)
-
-    def forward(worker, i, cols):
-        sweep(worker, cols)
-        run_sum = o[cols]
         np.log(run_sum, out=run_sum)
-        lse[cols] += run_sum
-        alloc = worker.alloc
+        run_max += run_sum  # lse = M + log S
+        gather = max(1, buf.size // max(d, 1))
         for c0 in range(cols.start, cols.stop, gather):
-            chunk = slice(c0, min(c0 + gather, cols.stop))
-            g = call.target_rows(chunk, alloc.empty((d, chunk.stop - c0)))
-            g *= Ea[:, chunk]
-            np.add.reduce(g, axis=0, out=o[chunk])
-            alloc.release(g)
-            del g
+            k = min(gather, cols.stop - c0)
+            g = call.target_rows(slice(c0, c0 + k), buf[:d * k].reshape((d, k), order="F"))
+            g *= Ea[:, c0:c0 + k]
+            np.add.reduce(g, axis=0, out=o[c0:c0 + k])
+        worker.alloc.release(buf)
 
     return lse, functools.partial(loss_output, lse, o, call.reduction, call.keep), forward
 
@@ -605,7 +605,7 @@ def _backward_block(call: _TileRunner, lse, upstream: float, filter_epsilon: flo
         call.target_rows(cols, grad_e[:, cols])
         grad_e[:, cols] *= -w
         alloc, nb, lse_b = worker.alloc, cols.stop - cols.start, lse[cols]
-        buf, buf_at = call.tile_buffer(alloc, cols)
+        buf, buf_at = call.tile_buffer(alloc, call.eff.v_block * nb)
         e_col, ge_col = e_at + cols.start * e_step, ge_at + cols.start * ge_step
         for j, v0, vb in call.vocab_blocks():
             tile = call.logit_tile(worker, buf, buf_at, cols, v0, vb)

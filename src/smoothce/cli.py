@@ -414,7 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("calibrate", help="calibration metrics from JSONL records")
     p.add_argument("--records", required=True)
-    p.add_argument("--bins", type=_positive_int, default=10)
+    # beyond 2**53 float64 no longer tells every bin apart
+    p.add_argument("--bins", type=_checked(int, lambda m: 1 <= m <= 2**53,
+                                           "an integer in [1, 2**53]"), default=10)
     p.add_argument("--metrics", type=_list_arg(_one_of(_METRICS), "metrics"),
                    default=None,
                    help="comma list from ece,rms_ce,sce,ace (default: all applicable)")

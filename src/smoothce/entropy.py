@@ -95,7 +95,7 @@ def entropy_lower_bound(p: BoundParams) -> float:
     v = p.v
     gamma = math.exp(-p.r * math.sqrt(v / (v - 1.0)))
     denom = 1.0 + (v - 1.0) * gamma
-    return math.log(denom) + p.r * gamma * math.sqrt(v * (v - 1.0)) / denom
+    return math.log1p((v - 1.0) * gamma) + p.r * gamma * math.sqrt(v * (v - 1.0)) / denom
 
 
 def minimizer_logits(p: BoundParams) -> tuple[float, float]:

@@ -2,11 +2,12 @@
 
 Every tile-sized buffer the engine uses is requested through a
 TrackingAllocator, so the reported peak covers every auxiliary buffer that
-grows with the tile plan: the tile buffer that holds each logit tile
-(`_TileRunner.tile_buffer`, one per token block and pass), the
-forward's one N_B row, the forward's target gather chunk, and without the
-accumulating BLAS kernel the staged product chunk. Inputs and returned outputs are excluded by
-construction; O(D) and O(N) temporaries are not tracked.
+grows with the tile plan: one buffer per token block and pass
+(`_TileRunner.tile_buffer`), which holds the block's logit tiles and, in
+the forward, its merge row and then its target gather chunks, and without
+the accumulating BLAS kernel the staged product chunk. Inputs and
+returned outputs are excluded by construction; O(D) and O(N) temporaries
+are not tracked.
 
 Nor are numpy's internal ufunc buffers. numpy allocates them even for
 same-dtype operations, up to 8192 elements per operand by default, for the
@@ -17,11 +18,11 @@ into tracked tiles or straight into the gradients, so they add nothing;
 only without the accumulating BLAS kernel does a backward product pass
 through a tracked full-depth chunk and a `+=`.
 
-The forward's target score, after a token block's forward sweep,
-gathers its target columns (`_TileRunner.target_rows`) through the
-allocator too, in chunks no larger than one tile's working set (at least
-one token), while no tile is held. The backward gathers its target
-columns straight into `grad_e`. Beside the outputs they need only O(D)
+The forward's target score, after a token block's last tile, gathers its
+target columns (`_TileRunner.target_rows`) into the same buffer, as many
+tokens at a time as fit (at least one: the buffer is never smaller than
+one D-vector). The backward gathers its target columns straight into
+`grad_e`. Beside the outputs they need only O(D)
 vectors: the smoothing row u, which the call's runner holds, and the
 `grad_c` start column. The forward's running sum lives in the `o`
 output, and the ordered `grad_c` target scatter after the tiles needs

@@ -45,7 +45,6 @@ __all__ = [
     "save_tokens",
     "random_instance",
     "plan_blocks",
-    "plan_working_set_bytes",
     "tiles_in_flight",
 ]
 
@@ -491,19 +490,8 @@ def _gaussian_f(seed: int, start: int, rows: int, cols: int, scale: float) -> np
 # block planning
 
 # Default tile sizes (N_B, V_B) before clamping: BLAS-friendly tiles whose
-# one-tile working set is 525 312 bytes.
+# forward buffer, 8 N_B (V_B + 1) bytes at D <= N_B (V_B + 1), is 525 312 bytes.
 _BASE_BLOCKS = (128, 512)
-
-_WORD = 8  # engine buffers are float64
-
-
-def plan_working_set_bytes(plan: BlockPlan) -> int:
-    """Transient bytes the blocked engine needs for one in-flight tile:
-    the V_B x N_B logit tile and the forward's one N_B scratch row for the
-    online softmax merge. The backward adds its products straight into the
-    gradients."""
-    nb, vb = plan.n_block, plan.v_block
-    return _WORD * nb * (vb + 1)
 
 
 def tiles_in_flight(n: int, n_block: int, workers: int | None = None) -> int:

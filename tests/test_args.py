@@ -16,6 +16,7 @@ from smoothce import (BlockPlan, BoundParams, DenseMatrix, ace, bin_records,
                       ingest_records, loss_and_grad, naive_backward, naive_forward,
                       norm_bound, numeric_min_entropy, plan_blocks, random_instance, sce,
                       softmax)
+from smoothce.blocked import aux_bound_bytes
 from smoothce.calibration import RecordError
 from smoothce.tensors import InvalidPlanError, tiles_in_flight
 
@@ -59,6 +60,9 @@ ENTRIES = {
                             InvalidPlanError),
     "plan_blocks-workers": ("workers", COUNT, 2, lambda a: plan_blocks(8, 8, 4, workers=a),
                             InvalidPlanError),
+    "aux_bound_bytes-n": ("n", COUNT, 4, lambda a: aux_bound_bytes(PLAN, a, 8, 3)),
+    "aux_bound_bytes-v": ("v", COUNT, 8, lambda a: aux_bound_bytes(PLAN, 4, a, 3)),
+    "aux_bound_bytes-d": ("d", COUNT, 3, lambda a: aux_bound_bytes(PLAN, 4, 8, a)),
     "BoundParams-sigma_c": ("sigma_c", NUMBER, 1.0, lambda a: BoundParams(a, 1.0, 4, 4)),
     "BoundParams-sigma_h": ("sigma_h", NUMBER, 1.0, lambda a: BoundParams(1.0, a, 4, 4)),
     "BoundParams-d": ("d", COUNT, 4, lambda a: BoundParams(1.0, 1.0, a, 4)),
@@ -136,6 +140,15 @@ def test_refusals_name_the_argument(entry, tmp_path, monkeypatch):
         assert re.match(re.escape(name) + " must ", str(caught.value)), str(caught.value)
     if good is not None:  # numpy scalars pass where Python ones do
         call(np.int64(good) if bad_values is COUNT else np.float64(good))
+
+
+@pytest.mark.parametrize("name, args", [("n", (-1, 8, 3)), ("v", (4, -3, 3)),
+                                        ("d", (4, 8, -5))])
+def test_the_ceiling_refuses_a_negative_extent(name, args):
+    """Like `plan_blocks`; a negative d used to give a ceiling, and a
+    negative v one of 128 bytes."""
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -"):
+        aux_bound_bytes(PLAN, *args)
 
 
 def test_the_bool_of_a_record_is_its_correct_flag(tmp_path, monkeypatch):

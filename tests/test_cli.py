@@ -432,6 +432,19 @@ class TestCalibrate:
         assert lines[0] == "lo,hi,count,mean_confidence,accuracy,gap"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("bins", [2**53 + 1, 10**30], ids=["2**53+1", "1e30"])
+    def test_bin_count_beyond_float64_is_usage_error(self, calibration_file, tmp_path,
+                                                      capsys, bins):
+        """The library refuses m > 2**53; the flag used to pass it and
+        fail with exit 1 after the records were read."""
+        out = tmp_path / "metrics.csv"
+        argv = ["calibrate", "--records", calibration_file, "--out", str(out),
+                "--bins", str(bins)]
+        assert main(argv) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "argument --bins" in err
+        assert not out.exists()
+
     def test_sce_without_probs_names_missing_field(self, calibration_file, capsys):
         argv = ["calibrate", "--records", calibration_file, "--metrics", "sce"]
         assert main(argv) == 1
@@ -812,17 +825,13 @@ class TestUsage:
 
     HUGE = "1" + "0" * 400
 
-    @pytest.mark.parametrize("sub, flag, value", [
-        ("calibrate", "--bins", "1" + "0" * 30),
-        ("entropy", "--d", HUGE),
-        ("entropy", "--v", HUGE),
-    ], ids=["calibrate-bins", "entropy-d", "entropy-v"])
-    def test_huge_integer_is_one_error_line(self, sub, flag, value, calibration_file,
-                                            tmp_path, capsys):
-        """Each of these used to end in an OverflowError traceback."""
+    @pytest.mark.parametrize("flag", ["--d", "--v"], ids=["entropy-d", "entropy-v"])
+    def test_huge_integer_is_one_error_line(self, flag, tmp_path, capsys):
+        """Each of these used to end in an OverflowError traceback. A huge
+        `--bins` is refused as it is parsed
+        (`test_bin_count_beyond_float64_is_usage_error`)."""
         out = tmp_path / "out.csv"
-        argv = {"calibrate": ["calibrate", "--records", calibration_file]}.get(sub, [sub])
-        assert main(argv + ["--out", str(out), flag, value]) == 1
+        assert main(["entropy", "--out", str(out), flag, self.HUGE]) == 1
         stdout, err = capsys.readouterr()
         assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()

@@ -68,6 +68,17 @@ class TestClosedFormBound:
         p = BoundParams(sigma_c=1.0, sigma_h=1.0, d=1, v=2)
         assert entropy_lower_bound(p) == pytest.approx(0.4942, abs=5e-5)
 
+    @pytest.mark.parametrize("r, v, exact", [(64.0, 8, 9.3893274830549346e-28),
+                                              (40.0, 2, 1.558760454884333e-23),
+                                              (30.0, 64, 1.4527178164808827e-10)])
+    def test_tiny_floor_keeps_its_first_term(self, r, v, exact):
+        """Where (v-1) gamma is below 1e-16, log(1 + (v-1) gamma) rounds to
+        0 and the floor read up to 1.7% low; log1p keeps the term. `exact`
+        is the floor to 17 digits from 60-digit arithmetic."""
+        p = BoundParams.from_budget(r, v)
+        assert p.r == r
+        assert entropy_lower_bound(p) == pytest.approx(exact, rel=1e-13, abs=0)
+
     def test_monotone_in_rho_and_d(self):
         bounds_rho = [entropy_lower_bound(BoundParams(r, 1.0, 16, 64))
                       for r in (0.1, 0.5, 1.0, 2.0, 4.0)]

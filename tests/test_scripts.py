@@ -40,14 +40,15 @@ def test_run_bench():
 
 def test_simplicity_check():
     """Code lines per module and their total, numpy's version, then the
-    engine grid's call count and digest, then the oracle grid's and the
-    command runs' digests."""
+    engine grid's call count, its tracked allocations and its digest, then
+    the oracle grid's and the command runs' digests."""
     out = run_script("simplicity_check.py", timeout=30).splitlines()
     assert any(line.startswith("code_lines reference.py ") for line in out)
     counts = [line.split() for line in out if line.startswith("code_lines ")]
     assert counts[-1][1] == "total"
     assert int(counts[-1][2]) == sum(int(c[2]) for c in counts[:-1])
-    assert out[-4].startswith("calls ") and int(out[-4].split()[1]) > 0
-    assert out[-5] == f"numpy {np.__version__}"
+    assert out[-5].startswith("calls ") and int(out[-5].split()[1]) > 0
+    assert out[-4].startswith("alloc_calls ") and int(out[-4].split()[1]) > 0
+    assert out[-6] == f"numpy {np.__version__}"
     for line, key in zip(out[-3:], ("sha256", "oracle_sha256", "cli_sha256")):
         assert line.split()[0] == key and len(line.split()[1]) == 64

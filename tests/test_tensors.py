@@ -29,7 +29,6 @@ from smoothce.tensors import (
     load_tokens,
     normal_icdf,
     plan_blocks,
-    plan_working_set_bytes,
     random_instance,
     save_matrix,
     save_tokens,
@@ -563,16 +562,17 @@ class TestPlanning:
 
     def test_default_working_set_fits_budget(self):
         plan = plan_blocks(4096, 65536, 256)
-        assert plan_working_set_bytes(plan) <= 4 * 1024 * 1024
+        assert 8 * plan.n_block * (plan.v_block + 1) <= 4 * 1024 * 1024
 
     def test_working_set_figures_quoted_in_the_docs(self):
-        """One serial default tile holds the logit tile plus one N_B row;
-        at 256 x 65536 x 128 two workers hold two half-width tiles."""
+        """One serial default token block's forward buffer holds the logit
+        tile plus one N_B row, 8 N_B (V_B + 1) bytes; at 256 x 65536 x 128
+        two workers hold two half-width ones."""
         serial = plan_blocks(1024, 16384, 64, workers=1)
-        assert plan_working_set_bytes(serial) == 8 * 128 * (512 + 1) == 525_312
+        assert 8 * serial.n_block * (serial.v_block + 1) == 8 * 128 * (512 + 1) == 525_312
         pool = plan_blocks(256, 65536, 128, workers=2)
         in_flight = tiles_in_flight(256, pool.n_block, 2)
-        assert in_flight * plan_working_set_bytes(pool) == 526_336
+        assert in_flight * 8 * pool.n_block * (pool.v_block + 1) == 526_336
 
     def test_zero_override_rejected(self):
         with pytest.raises(InvalidPlanError):
