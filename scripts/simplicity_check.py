@@ -7,10 +7,11 @@ fixed grid, the tracked allocations they make (`alloc_calls`: every buffer
 the engine's `TrackingAllocator` hands out, counted by a subclass put in its
 place) and one SHA-256 over every result they return, a second
 SHA-256 over the entropy oracle's values on its own grid, and a third over
-what fixed runs of the `calibrate` and `entropy --verify` commands write.
+what fixed runs of the `calibrate` and `entropy --verify` commands write
+and what the command line prints for help and usage errors.
 Run it on two checkouts on the same host: equal digests mean the change
 kept every output, counter, peak and bound (or every oracle value, or
-every byte the commands write) bit for bit. The engine digest depends on
+every byte the commands write or print) bit for bit. The engine digest depends on
 the host's BLAS kernels, so runs from different hosts do not compare, and
 the oracle digest on numpy's `vecdot` loops, so the script prints numpy's
 version too.
@@ -35,7 +36,10 @@ file it writes:
   confidence file, once per reliability scheme, with every metric that
   applies; then, on the confidence file, `--metrics sce`, which must fail;
 - `entropy --verify` over d 1, 64, v 2, 16, 256 and rho 0, 1e-13, 4e-13,
-  0.5, 2, with 4 restarts and 50 iterations.
+  0.5, 2, with 4 restarts and 50 iterations;
+- `--help` and each command's `--help`, no command and an unknown one, and
+  one unrecognized flag per command (after its required flags), under
+  COLUMNS=80 so that the help text wraps the same on any terminal.
 
 Usage:
     OPENBLAS_NUM_THREADS=1 python scripts/simplicity_check.py [ROOT]
@@ -57,6 +61,7 @@ import sys
 import tempfile
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ["COLUMNS"] = "80"  # argparse wraps help at the terminal width
 
 import numpy as np  # noqa: E402
 
@@ -76,6 +81,7 @@ SHAPES = [(300, 5000, 48, 64, 512), (64, 512, 32, 16, 64),
           (4, 2, 1000, None, None), (0, 96, 8, None, None)]
 BETAS, REDUCTIONS, UPSTREAMS, FILTERS = (0.0, 0.1), ("sum", "mean"), (1.0, 0.5), (0.0, 0.5)
 ORACLE_VOCABS, ORACLE_RADII = (2, 64, 256, 1024), [1e-200, 0.5, 4.0, 1e150]
+COMMANDS = ("loss", "gradcheck", "bench", "calibrate", "entropy")
 ENTROPY_GRID = ["--d", "1,64", "--v", "2,16,256", "--rho", "0,1e-13,4e-13,0.5,2",
                 "--restarts", "4", "--iterations", "50"]
 
@@ -178,6 +184,14 @@ def cli_runs(tmp: pathlib.Path):
     yield ["calibrate", "--records", str(probs_path), "--bins", "15", "--ace-empty", "zero"]
     yield ["calibrate", "--records", str(conf_path), "--metrics", "sce"]
     yield ["entropy", *ENTROPY_GRID, "--verify"]
+    yield ["--help"]
+    yield []
+    yield ["nope"]
+    required = {"loss": ["--embeddings", "e", "--classifier", "c", "--targets", "t"],
+                "calibrate": ["--records", "r"]}
+    for command in COMMANDS:
+        yield [command, "--help"]
+        yield [command, *required.get(command, []), "--nope"]
 
 
 def cli_digest() -> str:

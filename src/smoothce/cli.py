@@ -8,7 +8,12 @@ the flag before any work or output; the command bodies check no flag of
 their own. A path is checked when it is opened: a bad one exits 1.
 Every flag can also be supplied through `--config FILE` (one `key=value`
 per line, hyphen or underscore keys); command-line flags win over the file.
-Flags and config keys are spelled out in full: a prefix is a usage error.
+A `true` or `false` value means a boolean only for a boolean flag; for any
+other flag it is the flag's value. Flags and config keys are spelled out in
+full: a prefix is a usage error.
+Each call builds only its own command's parser. The command list is built
+only for help and command errors: `--help`, a missing or unknown command,
+and unrecognized arguments, which it reports in its own usage words.
 """
 
 from __future__ import annotations
@@ -351,17 +356,7 @@ def _add_engine(sub):
                           "results are bit-identical for any count")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="smoothce", allow_abbrev=False,
-        description="Smoothed cross-entropy engines, calibration metrics, "
-                    "and entropy-floor analysis.")
-    subs = parser.add_subparsers(dest="command", required=True)
-    # argparse would take an unambiguous prefix for a flag, but
-    # `_expand_config` finds `--config` by its full name
-    add = functools.partial(subs.add_parser, allow_abbrev=False)
-
-    p = add("loss", help="compute a smoothed cross-entropy loss")
+def _loss_flags(p):
     p.add_argument("--embeddings", required=True, help="SCE1 matrix, D x N")
     p.add_argument("--classifier", required=True, help="SCE1 matrix, D x |V|")
     p.add_argument("--targets", required=True, help="SCE1 token sequence")
@@ -370,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reduction", choices=("sum", "mean"), default="sum")
     p.add_argument("--per-token-csv", default=None)
     _add_engine(p)
-    p.set_defaults(func=cmd_loss)
 
-    p = add("gradcheck", help="cross-check gradients against oracles")
+
+def _gradcheck_flags(p):
     p.add_argument("--n", type=_positive_int, default=8)
     p.add_argument("--v", type=_vocab_int, default=64)
     p.add_argument("--d", type=_positive_int, default=8)
@@ -390,9 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_checked(float, lambda x: 0 <= x < 1, "a number in [0, 1)"))
     p.add_argument("--skip-fd", action=_BOOL, default=False)
     _add_engine(p)
-    p.set_defaults(func=cmd_gradcheck)
 
-    p = add("bench", help="time and meter both engines")
+
+def _bench_flags(p):
     p.add_argument("--n", type=_positive_int, default=1024)
     p.add_argument("--v", type=_positive_int, default=16384)
     p.add_argument("--d", type=_positive_int, default=64)
@@ -410,9 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deterministic", action=_BOOL, default=True,
                    help="leave wall times empty so that every output is "
                         "byte-identical across reruns")
-    p.set_defaults(func=cmd_bench)
 
-    p = add("calibrate", help="calibration metrics from JSONL records")
+
+def _calibrate_flags(p):
     p.add_argument("--records", required=True)
     # beyond 2**53 float64 no longer tells every bin apart
     p.add_argument("--bins", type=_checked(int, lambda m: 1 <= m <= 2**53,
@@ -424,9 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.add_argument("--reliability-csv", default=None)
     p.add_argument("--reliability-scheme", choices=SCHEMES, default="equal_width")
-    p.set_defaults(func=cmd_calibrate)
 
-    p = add("entropy", help="entropy-floor sweeps over (d, v, rho)")
+
+def _entropy_flags(p):
     p.add_argument("--d", type=_list_arg(_positive_int, "positive integers"),
                    default=[1, 64])
     p.add_argument("--v", type=_list_arg(_vocab_int, "integers >= 2"), default=[2, 16, 256])
@@ -447,29 +442,60 @@ def build_parser() -> argparse.ArgumentParser:
                         "start stops sooner once its best entropy has "
                         "stalled for 50 steps")
     p.add_argument("--oracle-seed", type=_nonnegative_int, default=0)
-    p.set_defaults(func=cmd_entropy)
 
-    for p in subs.choices.values():
-        p.add_argument("--config", help="key=value file mirroring every flag")
+
+# name -> (its help in the command list, adds its flags, runs it)
+_COMMANDS = {
+    "loss": ("compute a smoothed cross-entropy loss", _loss_flags, cmd_loss),
+    "gradcheck": ("cross-check gradients against oracles", _gradcheck_flags, cmd_gradcheck),
+    "bench": ("time and meter both engines", _bench_flags, cmd_bench),
+    "calibrate": ("calibration metrics from JSONL records", _calibrate_flags, cmd_calibrate),
+    "entropy": ("entropy-floor sweeps over (d, v, rho)", _entropy_flags, cmd_entropy),
+}
+
+
+def _with_flags(parser, name: str) -> argparse.ArgumentParser:
+    _COMMANDS[name][1](parser)
+    parser.add_argument("--config", help="key=value file mirroring every flag")
     return parser
 
 
-def _expand_config(argv: list[str]) -> list[str]:
-    """Turn `--config FILE` into synthesized flags ahead of the user's, so
-    explicit flags override file values."""
-    if not argv:
-        return argv
-    sub, rest = argv[0], argv[1:]
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """One command's parser: its flags and `--config`, nothing else."""
+    # argparse would take an unambiguous prefix for a flag, but
+    # `_expand_config` finds `--config` by its full name
+    return _with_flags(argparse.ArgumentParser(prog=f"smoothce {name}",
+                                               allow_abbrev=False), name)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command list, each command with its flags, so that help and
+    command errors read as they would with every parser built."""
+    parser = argparse.ArgumentParser(
+        prog="smoothce", allow_abbrev=False,
+        description="Smoothed cross-entropy engines, calibration metrics, "
+                    "and entropy-floor analysis.")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _with_flags(subs.add_parser(name, help=help_text, allow_abbrev=False), name)
+    return parser
+
+
+def _expand_config(flags: list[str], parser) -> list[str]:
+    """Turn `--config FILE` among a command's `flags` into synthesized
+    flags ahead of the user's, so explicit flags override file values.
+    A `true` or `false` line becomes `--key` or `--no-key` for a boolean
+    flag of `parser`; any other line becomes `--key=value`."""
     cfg_path = None
-    for i, tok in enumerate(rest):
-        if tok == "--config" and i + 1 < len(rest):
-            cfg_path = rest[i + 1]
+    for i, tok in enumerate(flags):
+        if tok == "--config" and i + 1 < len(flags):
+            cfg_path = flags[i + 1]
             break
         if tok.startswith("--config="):
             cfg_path = tok.split("=", 1)[1]
             break
     if cfg_path is None:
-        return argv
+        return flags
     injected: list[str] = []
     try:
         with open(cfg_path, "r", encoding="utf-8") as fh:
@@ -483,21 +509,31 @@ def _expand_config(argv: list[str]) -> list[str]:
                         f"{cfg_path}:{lineno}: expected key=value, got {line!r}")
                 key = key.strip().replace("_", "-")
                 value = value.strip()
-                if value.lower() in ("true", "false"):
+                action = parser._option_string_actions.get(f"--{key}")
+                if isinstance(action, _BOOL) and value.lower() in ("true", "false"):
                     injected.append(f"--{key}" if value.lower() == "true"
                                     else f"--no-{key}")
                 else:
                     injected.append(f"--{key}={value}")
     except (OSError, ValueError) as exc:  # a decode error or a NUL in the path
         raise UsageError(f"cannot read config {cfg_path}: {exc}")
-    return [sub] + injected + rest
+    return injected + flags
 
 
 def main(argv=None) -> int:
     argv = [os.fspath(arg) for arg in (sys.argv[1:] if argv is None else argv)]
     try:
-        args = build_parser().parse_args(_expand_config(argv))
-        return args.func(args)
+        name = argv[0] if argv else None
+        if name in _COMMANDS:
+            parser = _command_parser(name)
+            args, extra = parser.parse_known_args(_expand_config(argv[1:], parser))
+            if extra:
+                build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+        else:
+            parser = build_parser()
+            args = parser.parse_args(argv[:1] + _expand_config(argv[1:], parser))
+            name = args.command
+        return _COMMANDS[name][2](args)
     except SystemExit as exc:  # argparse's: 0 after --help, else 2
         return int(exc.code) if exc.code else 0
     except UsageError as exc:

@@ -677,6 +677,25 @@ class TestConfigAndEnv:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert all(r[0] == "blocked" for r in rows)
 
+    def test_config_true_is_a_path_for_a_path_flag(self, tmp_path, monkeypatch):
+        """`true`/`false` mean a boolean only for a boolean flag: `out=True`
+        used to become a bare `--out` and exit 2."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("out=True\nd=1\nv=2\n")
+        assert main(["entropy", "--config", "run.cfg"]) == 0
+        assert (tmp_path / "True").read_text().startswith("d,v,rho,")
+
+    def test_config_false_is_a_path_for_a_path_flag(self, calibration_file, tmp_path,
+                                                    monkeypatch, capsys):
+        """`records=false` used to become an unknown `--no-records`."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "false").write_bytes(Path(calibration_file).read_bytes())
+        (tmp_path / "run.cfg").write_text("records=false\n")
+        assert main(["calibrate", "--config", "run.cfg"]) == 0
+        from_config = capsys.readouterr()
+        assert main(["calibrate", "--records", calibration_file]) == 0
+        assert capsys.readouterr() == from_config
+
     def test_bad_config_line_is_usage_error(self, instance_files, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("this line has no equals sign\n")
@@ -849,3 +868,71 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+
+COMMAND_LIST = "{loss,gradcheck,bench,calibrate,entropy}"
+CALIBRATE_HELP = """\
+usage: smoothce calibrate [-h] --records RECORDS [--bins BINS]
+                          [--metrics METRICS] [--ace-empty {skip,zero}]
+                          [--out OUT] [--reliability-csv RELIABILITY_CSV]
+                          [--reliability-scheme {equal_width,equal_mass}]
+                          [--config CONFIG]
+
+options:
+  -h, --help            show this help message and exit
+  --records RECORDS
+  --bins BINS
+  --metrics METRICS     comma list from ece,rms_ce,sce,ace (default: all
+                        applicable)
+  --ace-empty {skip,zero}
+  --out OUT
+  --reliability-csv RELIABILITY_CSV
+  --reliability-scheme {equal_width,equal_mass}
+  --config CONFIG       key=value file mirroring every flag
+"""
+
+
+class TestParsers:
+    """Each call builds only its command's parser; the command list speaks
+    for help, a missing or unknown command and unrecognized arguments."""
+
+    @pytest.mark.parametrize("argv, code, out, err", [
+        ([], 2, "", f"usage: smoothce [-h] {COMMAND_LIST} ...\nsmoothce: error: "
+                    "the following arguments are required: command\n"),
+        (["nope"], 2, "", f"usage: smoothce [-h] {COMMAND_LIST} ...\nsmoothce: error: "
+                          "argument command: invalid choice: 'nope' (choose from "
+                          "'loss', 'gradcheck', 'bench', 'calibrate', 'entropy')\n"),
+        (["gradcheck", "--skip"], 2, "", f"usage: smoothce [-h] {COMMAND_LIST} ...\n"
+                                         "smoothce: error: unrecognized arguments: --skip\n"),
+        (["calibrate", "--help"], 0, CALIBRATE_HELP, ""),
+    ])
+    def test_top_level_text(self, argv, code, out, err, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(argv) == code
+        assert capsys.readouterr() == (out, err)
+
+    FLAGS = {
+        "entropy": ["-h", "--d", "--v", "--rho", "--temperature", "--softcap", "--out",
+                    "--verify", "--restarts", "--iterations", "--oracle-seed", "--config"],
+        "calibrate": ["-h", "--records", "--bins", "--metrics", "--ace-empty", "--out",
+                      "--reliability-csv", "--reliability-scheme", "--config"],
+    }
+
+    @pytest.mark.parametrize("sub", FLAGS)
+    def test_each_call_adds_only_its_commands_flags(self, sub, calibration_file, tmp_path,
+                                                    monkeypatch):
+        added = []
+        real = argparse.ArgumentParser.add_argument
+
+        def spy(self, *names, **kwargs):
+            added.append(names[0])
+            return real(self, *names, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+        argv = {"entropy": ["entropy", "--d", "1", "--v", "2"],
+                "calibrate": ["calibrate", "--records", calibration_file]}[sub]
+        argv += ["--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 0
+        assert added == self.FLAGS[sub]
+        assert main(argv) == 0  # no parser outlives its call
+        assert added == self.FLAGS[sub] * 2
