@@ -5,7 +5,7 @@ Prints the code lines of each `src/smoothce/*.py` (non-blank lines that
 are neither comments nor docstrings) and their total, then the number of engine calls in a
 fixed grid, the tracked allocations they make (`alloc_calls`: every buffer
 the engine's `TrackingAllocator` hands out, counted by a subclass put in its
-place) and one SHA-256 over every result they return, a second
+place; one per worker per call, each taken before the workers start) and one SHA-256 over every result they return, a second
 SHA-256 over the entropy oracle's values on its own grid, and a third over
 what fixed runs of the `calibrate` and `entropy --verify` commands write
 and what the command line prints for help and usage errors.
@@ -224,7 +224,7 @@ def main() -> int:
 
     class CountingAllocator(smoothce.blocked.TrackingAllocator):
         def empty(self, shape, order="F"):
-            allocs.append(None)  # one atomic append per buffer, on any worker
+            allocs.append(None)  # one per buffer, all on the calling thread
             return super().empty(shape, order)
 
     smoothce.blocked.TrackingAllocator = CountingAllocator

@@ -22,9 +22,9 @@ its tokens and returns its block function with the finisher that makes
 its result. The forward's finisher is `reference.loss_output` on the
 call's kept-token flags (all true: the blocked engine takes no mask), the
 one loss rule every naive entry ends or refuses through too.
-`call.run(*block_fns)` hands each token block, as one `cols` slice, to the
-block functions in turn: `blocked_forward` and `blocked_backward` pass
-one, and `loss_and_grad` both. `call.stats()`, after the finishers, makes
+`call.run(words, *block_fns)` hands each token block, as one `cols` slice,
+to the block functions in turn: `blocked_forward` and `blocked_backward`
+pass one, and `loss_and_grad` both; `words` sizes the workers' buffers. `call.stats()`, after the finishers, makes
 the call's MemoryStats.
 
 The tiles never see the target. The smoothed target
@@ -68,7 +68,7 @@ transposes, extents, alpha, beta, leading dimensions), which `_gemm_args`
 resolves with `dgemm`'s own checks from the first views of each tile
 shape a call meets, and a, b, c are integer addresses: the base addresses
 of E, C and the gradients, taken on the calling thread, plus column
-offsets, or the worker's tile buffer. A logit tile is written with beta
+offsets, or the worker's buffer. A logit tile is written with beta
 0; the backward adds its two products, with the uniform token weight as
 alpha, straight into the gradients with beta 1: C_panel P into
 `grad_e[:, token block]`, and E_panel P^T into `grad_c[:, vocab block]`
@@ -77,22 +77,30 @@ D x N and D x |V|: each token's and each vocabulary entry's D-vector is
 contiguous), so every operand is one contiguous panel or its transpose.
 `dgemm` is the checked array entry to the same kernel. Tile GEMMs go
 through it only where numpy's BLAS exports no such symbol, where an
-adding product goes through a tracked full-depth chunk and a `+=`, or
+adding product goes through a staged full-depth chunk and a `+=`, or
 while a wrapper replaces it, which then sees every tile GEMM as arrays.
 
-Each token block takes one tracked buffer per pass from its worker's own
-TrackingAllocator. The forward's holds max(N_B (V_B + 1), D) floats
-(`_block_words`): its first V_B x N_B words are the C-ordered tile buffer,
-whose first rows hold each vocabulary block's tile, the next N_B the
-merge row m, and after the block's last tile the same words hold the
+Each worker holds one tracked buffer for the whole call. The runner
+takes them all from one TrackingAllocator on the calling thread before
+any worker starts, each sized for its worker's first token block, the
+largest it runs, and drops them once the workers have joined, before
+the finishers run; no tile thread allocates. The forward and
+`loss_and_grad` size it by `_block_words`: max(N_B (V_B + 1), D) floats
+on the kernel path. Its first V_B x N_B words are the C-ordered tile
+buffer, whose first rows hold each vocabulary block's tile, the next N_B
+the merge row m, and after the block's last tile the same words hold the
 target gather chunks, as many tokens' D-vectors as fit and at least one.
-The backward's is the V_B x N_B tile buffer alone. The call's MemoryStats
-report the sum of the workers' peaks, which thread timing cannot move;
-peak auxiliary bytes stay O(N_B*V_B) per tile in flight regardless of |V|
-(plus D*max(N_B, V_B) for a staged product chunk), and `aux_bound_bytes`
-is that rule for a full token block times the tiles in flight. The
-returned outputs and O(D) temporaries are not tracked; the running sum S
-lives in the `o` output until the block's lse is finished.
+`blocked_backward` sizes it by `_tile_words`, the V_B x N_B tile buffer
+alone. Without the kernel each staged product chunk, D x N_B or D x V_B,
+is the view that ends the buffer, after the tile, and both rules count
+D max(N_B, V_B) words for it beside the tile; in `_block_words` it
+shares them with the merge row. The call's peak is the buffers' sum,
+which thread timing cannot move: O(N_B*V_B) per tile in flight
+regardless of |V|, and `aux_bound_bytes` is `_block_words` for a full
+token block times the tiles in flight, the peak itself whenever every
+worker's first block is full. The returned outputs and O(D) temporaries
+are not tracked; the running sum S lives in the `o` output until the
+block's lse is finished.
 """
 
 from __future__ import annotations
@@ -116,27 +124,34 @@ __all__ = ["blocked_forward", "blocked_backward", "loss_and_grad",
            "aux_bound_bytes"]
 
 
+def _tile_words(nb: int, v_block: int, d: int) -> int:
+    """Floats in a worker's tracked buffer for `blocked_backward` alone,
+    for a token block of nb tokens: its V_B x N_B logit tiles and, without
+    the accumulating kernel, the staged D x max(N_B, V_B) product chunk
+    that ends the buffer, after the tile."""
+    return nb * v_block + (d * max(nb, v_block) if _cblas_dgemm() is None else 0)
+
+
 def _block_words(nb: int, v_block: int, d: int) -> int:
-    """Floats in the forward's one tracked buffer for a token block of nb
-    tokens: its V_B x N_B logit tiles and its N_B merge row, which after
-    the last tile hold the target gather chunks, at least one token's
-    D-vector. The backward's tile buffer is the first V_B x N_B of them."""
-    return max(nb * (v_block + 1), d)
+    """Floats in a worker's tracked buffer for the forward and
+    `loss_and_grad`, for a token block of nb tokens: the backward's
+    (`_tile_words`), or the tiles and the N_B merge row after them if more,
+    which after the last tile hold the target gather chunks, at least one
+    token's D-vector. The merge row and the staged chunk share words: only
+    the forward holds the one, only the backward the other."""
+    return max(_tile_words(nb, v_block, d), nb * (v_block + 1), d)
 
 
 def aux_bound_bytes(plan: BlockPlan, n: int, v: int, d: int) -> int:
     """Ceiling for the peak auxiliary bytes of one engine call on `plan`:
-    one full token block's forward buffer (`_block_words`) per tile in
-    flight (one per plan worker, at most one per token block). Without the
-    accumulating kernel each tile also holds one staged D-row product
-    chunk. The extents must be integers >= 0, as `plan_blocks` takes them."""
+    one full token block's buffer (`_block_words`) per tile in flight (one
+    per plan worker, at most one per token block). The extents must be
+    integers >= 0, as `plan_blocks` takes them."""
     for name, size in (("n", n), ("v", v), ("d", d)):
         integer(size, name, 0)
     eff = plan.clamped(n, v)
-    words = _block_words(eff.n_block, eff.v_block, d)
-    if _cblas_dgemm() is None:
-        words += d * max(eff.n_block, eff.v_block)
-    return 8 * tiles_in_flight(n, eff.n_block, eff.workers) * words
+    return (8 * tiles_in_flight(n, eff.n_block, eff.workers)
+            * _block_words(eff.n_block, eff.v_block, d))
 
 
 _SUM_CHUNK = 1024  # vocabulary entries per gemv of the smoothing row
@@ -343,14 +358,15 @@ class _Abandoned(Exception):
 
 
 class _Worker:
-    """One tile thread's tracked allocator and counters: tiles processed
-    and skipped by the filter, GEMMs and their flops. Only its thread
-    touches it until the runner sums the workers after the join."""
+    """One tile thread's tracked buffer, with its address, and its
+    counters: tiles processed and skipped by the filter, GEMMs and their
+    flops. The runner takes the buffer before the thread starts, sized for
+    the worker's first token block, its largest; each of its token blocks'
+    tiles, merge row, target gather chunks and staged product chunks is a
+    view of it. Only its thread touches it until the join."""
 
-    def __init__(self):
-        # looked up in this module on each call: bench/tracer.py swaps
-        # `blocked.TrackingAllocator` for a tracing one
-        self.alloc = TrackingAllocator()
+    def __init__(self, buf: np.ndarray):
+        self.buf, self.buf_at = buf, _address(buf)
         self.processed = self.skipped = self.gemm_calls = self.gemm_flop = 0
 
 
@@ -361,10 +377,11 @@ class _TileRunner:
 
     Built from the entry's arguments, it starts the call's clock, runs
     `_validate`, sums u (D x 1; 0.0 at beta 0, where nothing is summed),
-    clamps the plan and takes the base addresses of E and C. `run(*block_fns)`
-    hands each token block, as one `cols` slice, to every block function
-    in turn: a forward or a backward over `vocab_blocks()`, or the two, so
-    everything indexed by token needs no lock. `stats()`, called after the
+    clamps the plan and takes the base addresses of E and C.
+    `run(words, *block_fns)` hands each token block, as one `cols` slice,
+    to every block function in turn: a forward or a backward over
+    `vocab_blocks()`, or the two, so everything indexed by token needs no
+    lock. `stats()`, called after the
     finishers, makes the call's MemoryStats.
 
     Each tile GEMM goes through `gemm`. On the bound path (the kernel is
@@ -404,18 +421,13 @@ class _TileRunner:
         for j, v0 in enumerate(range(0, self.v, vbk)):
             yield j, v0, min(vbk, self.v - v0)
 
-    def tile_buffer(self, alloc, words: int) -> tuple[np.ndarray, int]:
-        """A tracked buffer of `words` floats and its address: each of a
-        token block's tiles is a C-ordered view of its first words."""
-        buf = alloc.empty(words)
-        return buf, _address(buf)
-
     def gemm(self, worker: _Worker, key, views, a: int, b: int, c: int) -> None:
         """One tile GEMM c = alpha a b + beta c, counted in `worker`:
         `views()` gives (alpha, a, b, c, beta) as arrays, and `a`, `b`, `c`
         are their addresses. Its arguments are resolved once per `key`.
-        Without the kernel an adding product goes through a tracked chunk
-        laid out like its output, dropped before the next is taken."""
+        Without the kernel an adding product goes through a staged chunk
+        laid out like its output: the view that ends the worker's buffer,
+        after the tile."""
         g = self._gemms.get(key)
         if g is None:  # two workers may both resolve it, to the same arguments
             g = self._gemms[key] = _gemm_args(*views())
@@ -428,18 +440,18 @@ class _TileRunner:
         if not (self.staged and beta):
             dgemm(alpha, left, right, out, beta=beta)
             return
-        chunk = dgemm(alpha, left, right, worker.alloc.empty(out.shape))
-        out += chunk
-        worker.alloc.release(chunk)
+        buf = worker.buf
+        out += dgemm(alpha, left, right, buf[buf.size - out.size:].reshape(out.shape, order="F"))
 
-    def logit_tile(self, worker, buf, buf_at: int, cols, v0: int, vb: int) -> np.ndarray:
-        """The vb x N_B C-ordered view of buf's first words = C[:, v0:v0+vb].T
-        E[:, cols], in one full-depth GEMM; returns that view."""
-        tile = buf[:vb * (cols.stop - cols.start)].reshape(vb, -1)
+    def logit_tile(self, worker: _Worker, cols, v0: int, vb: int) -> np.ndarray:
+        """The vb x N_B C-ordered view of the first words of the worker's
+        buffer = C[:, v0:v0+vb].T E[:, cols], in one full-depth GEMM;
+        returns that view."""
+        tile = worker.buf[:vb * (cols.stop - cols.start)].reshape(vb, -1)
         self.gemm(worker, ("tile", vb, tile.shape[1]),
                   lambda: (1.0, self.Ca[:, v0:v0 + vb].T, self.Ea[:, cols], tile, 0.0),
                   self.c_columns[0] + v0 * self.c_columns[1],
-                  self.e_columns[0] + cols.start * self.e_columns[1], buf_at)
+                  self.e_columns[0] + cols.start * self.e_columns[1], worker.buf_at)
         return tile
 
     def target_rows(self, cols, out: np.ndarray) -> np.ndarray:
@@ -490,15 +502,24 @@ class _TileRunner:
                 self._error = exc
             self._cond.notify_all()
 
-    def run(self, *block_fns) -> None:
+    def run(self, words, *block_fns) -> None:
         """Run every token block through `block_fns` on `in_flight` worker
-        threads, each with its own allocator and counters; keep the workers
-        and the runner's wall time.
+        threads, each with its own buffer and counters; keep the workers,
+        the peak and the runner's wall time. One tracked allocator hands
+        out the buffers on this thread before any worker starts, each of
+        `words(nb, V_B, D)` floats for the worker's first block of nb
+        tokens, and they are dropped once the workers have joined, before
+        the finishers run.
         Whatever stops the run (a worker's error, a failed start, an
         interrupt) stops every worker, and the call raises only once every
         started worker has ended and the BLAS thread count is restored."""
         start = time.perf_counter()
-        workers = [_Worker() for _ in range(self.in_flight)]
+        nbk, vbk = self.eff.n_block, self.eff.v_block
+        # looked up here on each call: bench/tracer.py swaps
+        # `blocked.TrackingAllocator` for a counting one
+        alloc = TrackingAllocator()
+        workers = [_Worker(alloc.empty(words(min(nbk, self.n - k * nbk), vbk, self.d)))
+                   for k in range(self.in_flight)]
         threads = [threading.Thread(target=self._work, args=(k, w, block_fns),
                                     name=f"smoothce-tiles-{k}")
                    for k, w in enumerate(workers)]
@@ -514,17 +535,20 @@ class _TileRunner:
                     if t.is_alive():
                         t.join()
                 raise
+        for w in workers:
+            alloc.release(w.buf)
+            w.buf = None
         if self._error is not None:
             raise self._error
-        self._workers = workers
+        self._workers, self._peak = workers, alloc.peak_bytes
         self._runner_seconds = time.perf_counter() - start
 
     def stats(self) -> MemoryStats:
-        """The call's counters, the workers' summed, with its wall time so
-        far split into the runner's and the rest."""
+        """The call's peak and counters, the workers' summed, with its wall
+        time so far split into the runner's and the rest."""
         ws, runner = self._workers, self._runner_seconds
         return MemoryStats(
-            sum(w.alloc.peak_bytes for w in ws), sum(w.processed for w in ws),
+            self._peak, sum(w.processed for w in ws),
             sum(w.skipped for w in ws), self.in_flight,
             gemm_calls=sum(w.gemm_calls for w in ws), gemm_flop=sum(w.gemm_flop for w in ws),
             phase_seconds={"runner": runner,
@@ -545,14 +569,13 @@ def _forward_block(call: _TileRunner):
         """The block's online merge, then its target score, in one tracked
         buffer: the tiles and the N_B row m, then as many tokens' target
         columns at a time as fit, at least one."""
-        nb = cols.stop - cols.start
-        buf, buf_at = call.tile_buffer(worker.alloc, _block_words(nb, vbk, d))
+        nb, buf = cols.stop - cols.start, worker.buf
         m = buf[vbk * nb:(vbk + 1) * nb]
         run_max, run_sum = lse[cols], o[cols]
         run_max[:] = -np.inf
         run_sum[:] = 0.0
         for _, v0, vb in call.vocab_blocks():
-            tile = call.logit_tile(worker, buf, buf_at, cols, v0, vb)
+            tile = call.logit_tile(worker, cols, v0, vb)
             # m = max(tile max, M); S *= exp(M - m); M = m; S += sum exp(tile - m)
             np.maximum.reduce(tile, axis=0, out=m)
             np.maximum(m, run_max, out=m)
@@ -573,7 +596,6 @@ def _forward_block(call: _TileRunner):
             g = call.target_rows(slice(c0, c0 + k), buf[:d * k].reshape((d, k), order="F"))
             g *= Ea[:, c0:c0 + k]
             np.add.reduce(g, axis=0, out=o[c0:c0 + k])
-        worker.alloc.release(buf)
 
     return lse, functools.partial(loss_output, lse, o, call.reduction, call.keep), forward
 
@@ -604,11 +626,10 @@ def _backward_block(call: _TileRunner, lse, upstream: float, filter_epsilon: flo
         which token block 0 starts the vocabulary block."""
         call.target_rows(cols, grad_e[:, cols])
         grad_e[:, cols] *= -w
-        alloc, nb, lse_b = worker.alloc, cols.stop - cols.start, lse[cols]
-        buf, buf_at = call.tile_buffer(alloc, call.eff.v_block * nb)
+        nb, lse_b, buf_at = cols.stop - cols.start, lse[cols], worker.buf_at
         e_col, ge_col = e_at + cols.start * e_step, ge_at + cols.start * ge_step
         for j, v0, vb in call.vocab_blocks():
-            tile = call.logit_tile(worker, buf, buf_at, cols, v0, vb)
+            tile = call.logit_tile(worker, cols, v0, vb)
             tile -= lse_b
             skip = filter_epsilon > 0 and math.exp(float(tile.max())) < filter_epsilon
             if not skip:
@@ -628,7 +649,6 @@ def _backward_block(call: _TileRunner, lse, upstream: float, filter_epsilon: flo
                 worker.skipped += 1
             else:
                 worker.processed += 1
-        alloc.release(buf)
 
     def gradients() -> Gradients:
         """Scatter the (1-beta) share of the target part into `grad_c`, in
@@ -652,7 +672,7 @@ def blocked_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: floa
     """
     call = _TileRunner(E, C, x, beta, plan, reduction)
     _, loss, forward = _forward_block(call)
-    call.run(forward)
+    call.run(_block_words, forward)
     return loss(), call.stats()
 
 
@@ -675,7 +695,7 @@ def blocked_backward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: flo
     if not np.isfinite(lse).all():
         raise ValueError("lse must be finite")
     gradients, backward = _backward_block(call, lse, upstream, filter_epsilon)
-    call.run(backward)
+    call.run(_tile_words, backward)
     return gradients(), call.stats()
 
 
@@ -690,5 +710,5 @@ def loss_and_grad(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
     call = _TileRunner(E, C, x, beta, plan, reduction)
     lse, loss, forward = _forward_block(call)
     gradients, backward = _backward_block(call, lse, upstream, filter_epsilon)
-    call.run(forward, backward)
+    call.run(_block_words, forward, backward)
     return loss(), gradients(), call.stats()

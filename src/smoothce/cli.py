@@ -7,10 +7,13 @@ Every flag value but a path is checked as it is parsed, by a type that
 the flag before any work or output; the command bodies check no flag of
 their own. A path is checked when it is opened: a bad one exits 1.
 Every flag can also be supplied through `--config FILE` (one `key=value`
-per line, hyphen or underscore keys); command-line flags win over the file.
-A `true` or `false` value means a boolean only for a boolean flag; for any
-other flag it is the flag's value. Flags and config keys are spelled out in
-full: a prefix is a usage error.
+per line, hyphen or underscore keys). Every `--config` is read, in the
+order given: a later file overrides an earlier one, and command-line flags
+win over both. A file cannot name another (`config=` is a usage error).
+A `true` or `false` value means a boolean only for a boolean flag (`true`
+the key's own flag, `false` its other one); for any other flag it is the
+flag's value. Flags and config keys are spelled out in full: a prefix is
+a usage error.
 Each call builds only its own command's parser. The command list is built
 only for help and command errors: `--help`, a missing or unknown command,
 and unrecognized arguments, which it reports in its own usage words.
@@ -481,22 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _expand_config(flags: list[str], parser) -> list[str]:
-    """Turn `--config FILE` among a command's `flags` into synthesized
-    flags ahead of the user's, so explicit flags override file values.
-    A `true` or `false` line becomes `--key` or `--no-key` for a boolean
-    flag of `parser`; any other line becomes `--key=value`."""
-    cfg_path = None
-    for i, tok in enumerate(flags):
-        if tok == "--config" and i + 1 < len(flags):
-            cfg_path = flags[i + 1]
-            break
-        if tok.startswith("--config="):
-            cfg_path = tok.split("=", 1)[1]
-            break
-    if cfg_path is None:
-        return flags
-    injected: list[str] = []
+def _config_flags(cfg_path: str, parser) -> list[str]:
+    """The flags one config file stands for. A `true` or `false` line for
+    a boolean flag of `parser` becomes the key's own option string or the
+    flag's other one (`no-verify=false` is `--verify`); any other line
+    becomes `--key=value`. A `config` line is refused: files do not nest."""
+    flags: list[str] = []
     try:
         with open(cfg_path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -504,19 +497,31 @@ def _expand_config(flags: list[str], parser) -> list[str]:
                 if not line or line.startswith("#"):
                     continue
                 key, sep, value = line.partition("=")
-                if not sep:
-                    raise UsageError(
-                        f"{cfg_path}:{lineno}: expected key=value, got {line!r}")
-                key = key.strip().replace("_", "-")
-                value = value.strip()
-                action = parser._option_string_actions.get(f"--{key}")
+                key, value = f"--{key.strip().replace('_', '-')}", value.strip()
+                if not sep or key == "--config":
+                    what = "a config file cannot name another" if sep else "expected key=value"
+                    raise UsageError(f"{cfg_path}:{lineno}: {what}, got {line!r}")
+                action = parser._option_string_actions.get(key)
                 if isinstance(action, _BOOL) and value.lower() in ("true", "false"):
-                    injected.append(f"--{key}" if value.lower() == "true"
-                                    else f"--no-{key}")
+                    flags.append(key if value.lower() == "true" else
+                                 next(s for s in action.option_strings if s != key))
                 else:
-                    injected.append(f"--{key}={value}")
+                    flags.append(f"{key}={value}")
     except (OSError, ValueError) as exc:  # a decode error or a NUL in the path
         raise UsageError(f"cannot read config {cfg_path}: {exc}")
+    return flags
+
+
+def _expand_config(flags: list[str], parser) -> list[str]:
+    """Put the flags of every `--config FILE` among a command's `flags`,
+    file by file in the order given, ahead of the user's, so that a later
+    file overrides an earlier one and explicit flags override both."""
+    injected: list[str] = []
+    for i, tok in enumerate(flags):
+        if tok == "--config" and i + 1 < len(flags):
+            injected += _config_flags(flags[i + 1], parser)
+        elif tok.startswith("--config="):
+            injected += _config_flags(tok.split("=", 1)[1], parser)
     return injected + flags
 
 

@@ -2,10 +2,12 @@
 
 Every tile-sized buffer the engine uses is requested through a
 TrackingAllocator, so the reported peak covers every auxiliary buffer that
-grows with the tile plan: one buffer per token block and pass
-(`_TileRunner.tile_buffer`), which holds the block's logit tiles and, in
-the forward, its merge row and then its target gather chunks, and without
-the accumulating BLAS kernel the staged product chunk. Inputs and
+grows with the tile plan: one buffer per worker per call, which each of
+the worker's token blocks reuses for its logit tiles and, in the forward,
+its merge row and then its target gather chunks, and without the
+accumulating BLAS kernel for the staged product chunk that ends it.
+`_TileRunner.run` takes every buffer from one allocator on the calling
+thread before any worker starts, so no tile thread allocates. Inputs and
 returned outputs are excluded by construction; O(D) and O(N) temporaries
 are not tracked.
 
@@ -16,7 +18,7 @@ tile work under `ufunc_buffer`, at 16 elements per worker thread, so they
 stay a few hundred bytes. The GEMMs read the inputs in place and write
 into tracked tiles or straight into the gradients, so they add nothing;
 only without the accumulating BLAS kernel does a backward product pass
-through a tracked full-depth chunk and a `+=`.
+through a full-depth chunk of the tracked buffer and a `+=`.
 
 The forward's target score, after a token block's last tile, gathers its
 target columns (`_TileRunner.target_rows`) into the same buffer, as many
@@ -30,9 +32,9 @@ one D-vector at a time.
 
 A buffer is counted from the moment `empty` has allocated it to
 `release` (a request numpy cannot meet counts nothing); the engine drops
-its last reference at `release`, so an allocator's peak is what was
-actually held.
-Each engine worker has its own allocator; a call reports their sum.
+its last reference at `release`, once the workers have joined and before
+the call's finishers run, so an allocator's peak is what was actually
+held: the sum of the call's buffers.
 The allocator refuses no request: the tests compare the peak with
 `tracemalloc`, which also sees buffers that bypass it.
 """
@@ -74,13 +76,13 @@ def ufunc_buffer():
 class MemoryStats:
     """Auxiliary-memory and tiling counters for one engine call.
 
-    `peak_auxiliary_bytes` sums the worker threads' own peaks: never below
-    what the call held at any one moment, equal to it whenever the workers'
-    tiles overlap, and independent of thread timing. `tiles_in_flight` is
-    one tile per worker thread: the factor `aux_bound_bytes` multiplies the
-    tile working set by. `gemm_calls` and `gemm_flop` (2 m n k each) count
-    the tile GEMMs the workers ran; they follow from the tile counters and
-    the shape, and take no part in comparisons. Nor does `phase_seconds`,
+    `peak_auxiliary_bytes` is what the call's one allocator held at most:
+    every worker thread's buffer, all taken before any worker starts, so
+    it does not depend on thread timing. `tiles_in_flight` is one tile per
+    worker thread, and one buffer: the factor `aux_bound_bytes` multiplies
+    the buffer of a full token block by. `gemm_calls` and `gemm_flop`
+    (2 m n k each) count the tile GEMMs the workers ran; they follow from
+    the tile counters and the shape, and take no part in comparisons. Nor does `phase_seconds`,
     which splits the call's wall time into `runner`, the tile runner's, and
     `outside`, the rest of the entry.
     """

@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -410,16 +411,14 @@ class TestMemory:
         (512, 8192, 64, (None, None, None)),
     ])
     def test_deterministic_bound_is_tight(self, n, v, d, blocks):
-        """The serial ceiling is the reported peak: the forward's buffer
-        for a full token block. Only without the accumulating kernel,
-        where the backward's tile and staged chunk set the peak, does it
-        overshoot, by the one N_B row that only the forward holds."""
+        """The serial ceiling is the reported peak: the one buffer of a
+        full token block, on either BLAS path (without the accumulating
+        kernel the staged chunk shares its words with the merge row)."""
         e, c, x = random_instance(11, n=n, v=v, d=d, scale=0.5)
         plan = plan_blocks(n, v, d, *blocks)
         _, _, stats = loss_and_grad(e, c, x, 0.1, replace(plan, workers=1))
         bound = aux_bound_bytes(replace(plan, workers=1), n, v, d)
-        slack = 8 * plan.n_block if smoothce.blocked._cblas_dgemm() is None else 0
-        assert bound - stats.peak_auxiliary_bytes == slack
+        assert stats.peak_auxiliary_bytes == bound
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_peak_within_tiles_in_flight(self, medium, workers):
@@ -434,36 +433,104 @@ class TestMemory:
         assert ceiling == aux_bound_bytes(replace(plan, workers=workers), 64, 512, 32)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_one_tracked_buffer_per_token_block_and_pass(self, monkeypatch, medium, workers):
-        """On the kernel path each token block's forward takes one tracked
-        buffer of N_B (V_B + 1) floats, shared by its tiles, its merge row
-        and its target gather, and its backward one V_B x N_B tile buffer;
-        the short last block (16 of 64 tokens at N_B 48) takes less."""
-        blas_path(monkeypatch, "kernel")
+    @pytest.mark.parametrize("path", ["kernel", "staged"])
+    def test_one_tracked_buffer_per_worker_per_call(self, monkeypatch, medium, path, workers):
+        """A call takes one tracked buffer per worker, all on the calling
+        thread, in worker order, from one allocator, each sized for that
+        worker's first token block. At N_B 48 the forward's and
+        `loss_and_grad`'s hold N_B (V_B + 1) floats and `blocked_backward`'s
+        V_B x N_B on the kernel path; without it both hold the tile and a
+        staged D x max(N_B, V_B) chunk. Worker 1's first block is the short
+        one, 16 of 64 tokens; a third worker has no block and no buffer."""
+        blas_path(monkeypatch, path)
         e, c, x, fwd, _ = medium
         plan = plan_blocks(64, 512, 32, n_block=48, v_block=100, workers=workers)
-        sizes = []
+        taken = []
 
         class Counting(TrackingAllocator):
             def empty(self, shape, order="F"):
                 arr = super().empty(shape, order)
-                sizes.append(arr.size)
+                taken.append((threading.current_thread().name, id(self), arr.size))
                 return arr
 
         monkeypatch.setattr(smoothce.blocked, "TrackingAllocator", Counting)
-        forward, backward = [48 * 101, 16 * 101], [100 * 48, 100 * 16]
-        blocked_forward(e, c, x, 0.1, plan)
-        assert sorted(sizes) == sorted(forward)
-        sizes.clear()
-        blocked_backward(e, c, x, 0.1, plan, fwd[0.1].lse)
-        assert sorted(sizes) == sorted(backward)
-        sizes.clear()
-        loss_and_grad(e, c, x, 0.1, plan)
-        assert sorted(sizes) == sorted(forward + backward)
+        forward, backward = {"kernel": ([48 * 101, 16 * 101], [100 * 48, 100 * 16]),
+                             "staged": ([4800 + 3200, 1600 + 3200],) * 2}[path]
+        for call, want in ((lambda: blocked_forward(e, c, x, 0.1, plan), forward),
+                           (lambda: blocked_backward(e, c, x, 0.1, plan, fwd[0.1].lse),
+                            backward),
+                           (lambda: loss_and_grad(e, c, x, 0.1, plan), forward)):
+            taken.clear()
+            stats = call()[-1]
+            assert len(taken) == stats.tiles_in_flight == min(workers, 2)
+            assert {name for name, _, _ in taken} == {"MainThread"}
+            assert len({alloc for _, alloc, _ in taken}) == 1
+            assert [size for *_, size in taken] == want[:len(taken)]
+            assert stats.peak_auxiliary_bytes == 8 * sum(want[:len(taken)])
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("path", ["kernel", "staged"])
+    @pytest.mark.parametrize("n, v, d, n_block, v_block", [
+        (64, 512, 32, 16, 100),
+        (8, 6, 300, 2, 4),
+    ])
+    def test_peak_is_the_bound_at_full_first_blocks(self, monkeypatch, path, workers,
+                                                    n, v, d, n_block, v_block):
+        """When every worker's first token block is full, the forward's and
+        `loss_and_grad`'s peak is `aux_bound_bytes` exactly, on either BLAS
+        path: one full block's buffer per worker, held at once. The second
+        shape is deep and narrow, so one D-vector sets the buffer."""
+        blas_path(monkeypatch, path)
+        e, c, x = random_instance(14, n=n, v=v, d=d, scale=0.5)
+        plan = plan_blocks(n, v, d, n_block=n_block, v_block=v_block, workers=workers)
+        bound = aux_bound_bytes(plan, n, v, d)
+        _, fstats = run_bounded(lambda: blocked_forward(e, c, x, 0.1, plan))
+        _, _, stats = run_bounded(lambda: loss_and_grad(e, c, x, 0.1, plan))
+        assert fstats.peak_auxiliary_bytes == stats.peak_auxiliary_bytes == bound
+        assert stats.tiles_in_flight == workers
+
+    @pytest.mark.parametrize("entry", ["forward", "backward", "loss_and_grad"])
+    @pytest.mark.parametrize("path", ["kernel", "staged"])
+    def test_no_tracked_buffer_outlives_the_workers(self, monkeypatch, medium, entry, path):
+        """The runner drops every worker's buffer once the workers have
+        joined: none is alive when a finisher (`loss_output` or the
+        backward's `Gradients`) runs, and the allocator holds nothing."""
+        blas_path(monkeypatch, path)
+        e, c, x, fwd, _ = medium
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, workers=2)
+        buffers, allocators, finished = [], [], []
+
+        class Watching(TrackingAllocator):
+            def __init__(self):
+                super().__init__()
+                allocators.append(self)
+
+            def empty(self, shape, order="F"):
+                arr = super().empty(shape, order)
+                buffers.append(weakref.ref(arr))
+                return arr
+
+        def watched(finisher):
+            def run(*args, **kwargs):
+                finished.append([ref() is None for ref in buffers])
+                assert all(a.current_bytes == 0 for a in allocators)
+                return finisher(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(smoothce.blocked, "TrackingAllocator", Watching)
+        monkeypatch.setattr(smoothce.blocked, "loss_output",
+                            watched(smoothce.blocked.loss_output))
+        monkeypatch.setattr(smoothce.blocked, "Gradients", watched(smoothce.blocked.Gradients))
+        calls = {"forward": lambda: blocked_forward(e, c, x, 0.1, plan),
+                 "backward": lambda: blocked_backward(e, c, x, 0.1, plan, fwd[0.1].lse),
+                 "loss_and_grad": lambda: loss_and_grad(e, c, x, 0.1, plan)}
+        run_bounded(calls[entry])
+        assert len(buffers) == 2
+        assert finished == [[True, True]] * (2 if entry == "loss_and_grad" else 1)
 
     @pytest.mark.parametrize("delay", [False, True])
     def test_peak_does_not_depend_on_thread_timing(self, monkeypatch, delay):
-        """Each worker owns its token blocks and counts its own peak, so the
+        """Every worker's buffer is taken before any worker starts, so the
         reported peak is two tile working sets even when the second worker
         starts its first GEMM only after the first worker has finished."""
         e, c, x = random_instance(3, n=64, v=512, d=16, scale=0.5)
@@ -574,7 +641,7 @@ class TestGemmContract:
         n, v, d = 64, 512, 32
         e, c, x = random_instance(12, n=n, v=v, d=d, scale=0.5)
         plan = plan_blocks(n, v, d, n_block=16, v_block=128)
-        calls, buffers = [], {}
+        calls, buffers = [], []
         original = smoothce.blocked._kernel_gemm
 
         def recorder(g, a, b, out):
@@ -582,11 +649,13 @@ class TestGemmContract:
             original(g, a, b, out)
 
         class Recording(TrackingAllocator):
-            """Keeps every buffer, so that no address is reused."""
+            """Keeps every buffer, in worker order, so that no address is
+            reused; each is taken on the calling thread."""
 
             def empty(self, shape, order="F"):
                 arr = super().empty(shape, order)
-                buffers.setdefault(threading.current_thread().name, []).append(arr)
+                assert threading.current_thread() is threading.main_thread()
+                buffers.append(arr)
                 return arr
 
         monkeypatch.setattr(smoothce.blocked, "_kernel_gemm", recorder)
@@ -594,6 +663,7 @@ class TestGemmContract:
         _, grads, stats = loss_and_grad(e, c, x, 0.1, replace(plan, workers=workers))
 
         grad_e, grad_c = grads.grad_e.data, grads.grad_c.data
+        assert len(buffers) == stats.tiles_in_flight == workers
         tiles = [g for _, g, *_ in calls if g.beta == 0.0]
         assert len(tiles) == stats.tiles_processed == 2 * 4 * 4
         # one GEMM per forward tile; per backward tile its recompute and one
@@ -602,16 +672,16 @@ class TestGemmContract:
         flop = 0
         for name, g, a, b, out in calls:
             assert name.startswith("smoothce-tiles-")
-            own = buffers[name]
+            own = buffers[int(name.rsplit("-", 1)[1])]
             if g.beta == 0.0:  # a logit tile, into this worker's buffer
                 assert inside(a, g, "a", c.data) and inside(b, g, "b", e.data)
-                assert any(inside(out, g, "c", buf) for buf in own)
+                assert inside(out, g, "c", own)
             else:  # a product of an input and this worker's tile, into a gradient
                 assert g.beta == 1.0
                 into_e, into_c = inside(out, g, "c", grad_e), inside(out, g, "c", grad_c)
                 assert into_e != into_c
                 assert inside(a, g, "a", c.data if into_e else e.data)
-                assert any(inside(b, g, "b", buf) for buf in own)
+                assert inside(b, g, "b", own)
             flop += 2 * g.m * g.n * g.k
         assert flop == 4 * 2 * n * v * d == stats.gemm_flop
 
@@ -896,8 +966,9 @@ class TestKernel:
 
 class TestStagedFallback:
     """Where numpy's BLAS exports no ILP64 `cblas_dgemm`, each backward
-    product goes through a tracked full-depth chunk and a `+=`; the bound
-    counts that chunk only there."""
+    product goes through a staged full-depth chunk and a `+=`: a view that
+    ends the worker's one buffer, after the tile. `_block_words` counts
+    the chunk only there, in the words the forward's merge row uses."""
 
     @pytest.fixture
     def staged(self, monkeypatch):
@@ -916,8 +987,11 @@ class TestStagedFallback:
                                        rtol=1e-9)
             assert grad_rel_err(g, bwd[0.1]) <= 1e-9
             bound = aux_bound_bytes(replace(plan, workers=workers), 64, 512, 32)
-            per_tile = 8 * nb * (vb + 1) + 8 * 32 * max(nb, vb)
+            per_tile = 8 * max(nb * (vb + 1), nb * vb + 32 * max(nb, vb))
             assert bound == stats.tiles_in_flight * per_tile
+            # 8 N_B bytes per tile under the ceiling that counted the merge
+            # row beside the staged chunk
+            assert per_tile == 8 * nb * (vb + 1) + 8 * 32 * max(nb, vb) - 8 * nb
             assert 0 < stats.peak_auxiliary_bytes <= bound
             results.append((out.per_token_loss, g.grad_e.data, g.grad_c.data))
         for other in results[1:]:

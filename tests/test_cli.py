@@ -696,6 +696,50 @@ class TestConfigAndEnv:
         assert main(["calibrate", "--records", calibration_file]) == 0
         assert capsys.readouterr() == from_config
 
+    def test_every_config_file_is_read_in_order(self, tmp_path, monkeypatch, capsys):
+        """Only the first `--config` used to be read: a second file holding
+        `d=xx` was ignored and the call exited 0."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.cfg").write_text("d=1\nv=2\nrho=0.5\n")
+        (tmp_path / "b.cfg").write_text("d=xx\n")
+        assert main(["entropy", "--config", "a.cfg", "--config", "b.cfg"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "argument --d: expected a positive integer, got 'xx'" in err
+        # a later file overrides an earlier one, and flags override both
+        (tmp_path / "b.cfg").write_text("v=16\nrho=2\n")
+        assert main(["entropy", "--config", "a.cfg", "--config=b.cfg", "--rho", "0"]) == 0
+        assert [line.split(",")[:3] for line in capsys.readouterr().out.splitlines()[1:]] \
+            == [["1", "16", "0.0"]]
+
+    @pytest.mark.parametrize("value, verified", [("false", True), ("true", False)])
+    def test_negated_boolean_config_key(self, tmp_path, monkeypatch, value, verified):
+        """`no-verify=false` means `--verify` and `no-verify=true` means
+        `--no-verify`; the first used to become `--no-no-verify` and exit 2."""
+        calls = []
+        monkeypatch.setattr("smoothce.cli.numeric_min_entropy",
+                            lambda radii, *args, **kwargs: calls.append(radii) or
+                            [math.inf] * len(radii))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"no-verify={value}\nd=1\nv=2\nrho=0.5\n")
+        argv = ["entropy", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 0
+        assert len(calls) == int(verified)
+        calls.clear()
+        assert main(argv + ["--no-verify" if verified else "--verify"]) == 0
+        assert len(calls) == int(not verified)
+
+    def test_config_key_in_a_config_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        """A `config=` line used to be dropped without reading the file it
+        names, and the call exited 0."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.cfg").write_text("d=1\nconfig=b.cfg\n")
+        (tmp_path / "b.cfg").write_text("d=xx\n")
+        assert main(["entropy", "--config", "a.cfg"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("usage error: a.cfg:2: a config file cannot name another, "
+                       "got 'config=b.cfg'\n")
+
     def test_bad_config_line_is_usage_error(self, instance_files, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("this line has no equals sign\n")
