@@ -55,7 +55,16 @@ per-vocabulary-block turn counter. Every sum therefore runs in the same
 order as on one worker, and for given tile sizes results are
 bit-identical for any `replace(plan, workers=k)`. Every run holds numpy's
 OpenBLAS at one thread, so no GEMM's sum order depends on the host's BLAS
-threads, and BLAS threads do not compete with the workers. A run has one
+threads, and BLAS threads do not compete with the workers. With more than
+one worker, each worker first pins its own thread to one CPU: of the CPUs
+the calling thread may run on, read once per call (the read that also
+gives the default worker count), worker k takes the k-th, cycling. Left
+unpinned, Linux often ran both workers of a short call on one CPU while
+the other idled, so a call ran at one worker's pace. A pin only places a
+thread, and the turns fix every sum's order, so no result depends on it.
+The caller's own affinity is never changed; a pin the OS refuses leaves
+its worker unpinned, and where `os.sched_setaffinity` does not exist
+nothing is pinned. A run has one
 stop path: a worker's error, a thread that fails to start or an interrupt
 stops every worker at its next token block or `grad_c` turn, and the call
 raises only once every started worker has ended and, after them, the BLAS
@@ -108,9 +117,10 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import os
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import NamedTuple
 
 import numpy as np
@@ -118,7 +128,7 @@ import numpy as np
 from ._args import integer, real
 from .memtrack import MemoryStats, TrackingAllocator, ufunc_buffer
 from .reference import Gradients, _validate, check_upstream, loss_output, token_weight
-from .tensors import BlockPlan, DenseMatrix, TokenSequence, tiles_in_flight
+from .tensors import BlockPlan, DenseMatrix, TokenSequence, _allowed_cpus, tiles_in_flight
 
 __all__ = ["blocked_forward", "blocked_backward", "loss_and_grad",
            "aux_bound_bytes"]
@@ -360,14 +370,17 @@ class _Abandoned(Exception):
 class _Worker:
     """One tile thread's tracked buffer, with its address, and its
     counters: tiles processed and skipped by the filter, GEMMs and their
-    flops. The runner takes the buffer before the thread starts, sized for
-    the worker's first token block, its largest; each of its token blocks'
-    tiles, merge row, target gather chunks and staged product chunks is a
-    view of it. Only its thread touches it until the join."""
+    flops, the CPU its thread was pinned to (None: not pinned) and the
+    thread's CPU time. The runner takes the buffer before the thread
+    starts, sized for the worker's first token block, its largest; each of
+    its token blocks' tiles, merge row, target gather chunks and staged
+    product chunks is a view of it. Only its thread touches it until the
+    join."""
 
     def __init__(self, buf: np.ndarray):
         self.buf, self.buf_at = buf, _address(buf)
         self.processed = self.skipped = self.gemm_calls = self.gemm_flop = 0
+        self.cpu, self.cpu_seconds = None, 0.0
 
 
 class _TileRunner:
@@ -406,7 +419,6 @@ class _TileRunner:
         self.beta, self.reduction = beta, reduction
         self.u = _smoothing_row(self.Ca, beta, self.v)[:, None] if beta else 0.0
         self.eff = plan.clamped(self.n, self.v)
-        self.in_flight = tiles_in_flight(self.n, self.eff.n_block, self.eff.workers)
         self.staged = _cblas_dgemm() is None
         self.bound = not self.staged and dgemm is _DGEMM
         self.e_columns, self.c_columns = _columns(self.Ea), _columns(self.Ca)
@@ -474,10 +486,16 @@ class _TileRunner:
             self._turns[j] += 1
             self._cond.notify_all()
 
-    def _work(self, k: int, worker: _Worker, block_fns) -> None:
-        """Worker k: its token blocks, until a failure is recorded. Its own
+    def _work(self, k: int, worker: _Worker, block_fns, cpu: int | None) -> None:
+        """Worker k: pinned to `cpu` unless it is None or the pin is
+        refused, then its token blocks, until a failure is recorded. Its own
         failure is recorded, unless another came first (an `_Abandoned`
         worker's always did)."""
+        if cpu is not None:
+            with suppress(OSError):  # a refused pin leaves the worker unpinned
+                os.sched_setaffinity(0, (cpu,))
+                worker.cpu = cpu
+        start = time.thread_time()
         nbk = self.eff.n_block
         # the tile work's broadcasts and strided updates run at the small
         # ufunc buffer, for speed and to keep it out of the peak; numpy keeps
@@ -493,6 +511,8 @@ class _TileRunner:
                         block_fn(worker, i, cols)
         except BaseException as exc:
             self._abandon(exc)
+        finally:
+            worker.cpu_seconds = time.thread_time() - start
 
     def _abandon(self, exc: BaseException) -> None:
         """Keep the first failure and stop every worker at its next turn or
@@ -505,24 +525,30 @@ class _TileRunner:
     def run(self, words, *block_fns) -> None:
         """Run every token block through `block_fns` on `in_flight` worker
         threads, each with its own buffer and counters; keep the workers,
-        the peak and the runner's wall time. One tracked allocator hands
-        out the buffers on this thread before any worker starts, each of
-        `words(nb, V_B, D)` floats for the worker's first block of nb
-        tokens, and they are dropped once the workers have joined, before
-        the finishers run.
+        the peak and the runner's wall time. The CPUs this thread may run
+        on are read once: they give the default worker count, and with
+        more than one worker, worker k is pinned to the k-th of them,
+        cycling. One tracked allocator hands out the buffers on this
+        thread before any worker starts, each of `words(nb, V_B, D)` floats
+        for the worker's first block of nb tokens, and they are dropped
+        once the workers have joined, before the finishers run.
         Whatever stops the run (a worker's error, a failed start, an
         interrupt) stops every worker, and the call raises only once every
         started worker has ended and the BLAS thread count is restored."""
         start = time.perf_counter()
         nbk, vbk = self.eff.n_block, self.eff.v_block
+        cpus = _allowed_cpus()
+        self.in_flight = tiles_in_flight(self.n, nbk, self.eff.workers or len(cpus))
+        pin = self.in_flight > 1 and hasattr(os, "sched_setaffinity")
         # looked up here on each call: bench/tracer.py swaps
         # `blocked.TrackingAllocator` for a counting one
         alloc = TrackingAllocator()
         workers = [_Worker(alloc.empty(words(min(nbk, self.n - k * nbk), vbk, self.d)))
                    for k in range(self.in_flight)]
-        threads = [threading.Thread(target=self._work, args=(k, w, block_fns),
-                                    name=f"smoothce-tiles-{k}")
-                   for k, w in enumerate(workers)]
+        threads = [threading.Thread(
+            target=self._work, name=f"smoothce-tiles-{k}",
+            args=(k, w, block_fns, cpus[k % len(cpus)] if pin else None))
+            for k, w in enumerate(workers)]
         with _ONE_BLAS_THREAD.held():
             try:
                 for t in threads:
@@ -544,15 +570,18 @@ class _TileRunner:
         self._runner_seconds = time.perf_counter() - start
 
     def stats(self) -> MemoryStats:
-        """The call's peak and counters, the workers' summed, with its wall
-        time so far split into the runner's and the rest."""
+        """The call's peak and counters, the workers' summed, each worker's
+        pinned CPU, and its wall time so far split into the runner's and the
+        rest, beside the workers' summed CPU time."""
         ws, runner = self._workers, self._runner_seconds
         return MemoryStats(
             self._peak, sum(w.processed for w in ws),
             sum(w.skipped for w in ws), self.in_flight,
             gemm_calls=sum(w.gemm_calls for w in ws), gemm_flop=sum(w.gemm_flop for w in ws),
+            worker_cpus=tuple(w.cpu for w in ws),
             phase_seconds={"runner": runner,
-                           "outside": time.perf_counter() - self._start - runner})
+                           "outside": time.perf_counter() - self._start - runner,
+                           "worker_cpu": sum(w.cpu_seconds for w in ws)})
 
 
 def _forward_block(call: _TileRunner):

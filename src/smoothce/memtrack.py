@@ -82,9 +82,15 @@ class MemoryStats:
     worker thread, and one buffer: the factor `aux_bound_bytes` multiplies
     the buffer of a full token block by. `gemm_calls` and `gemm_flop`
     (2 m n k each) count the tile GEMMs the workers ran; they follow from
-    the tile counters and the shape, and take no part in comparisons. Nor does `phase_seconds`,
-    which splits the call's wall time into `runner`, the tile runner's, and
-    `outside`, the rest of the entry.
+    the tile counters and the shape, and take no part in comparisons. Nor
+    does `worker_cpus`, the CPU each worker thread was pinned to, in worker
+    order (None for a worker that was not: a one-worker call, a platform
+    without `os.sched_setaffinity`, or a refused pin). Nor does
+    `phase_seconds`, which splits the call's wall time into `runner`, the
+    tile runner's, and `outside`, the rest of the entry, and adds
+    `worker_cpu`, the CPU time the worker threads used, summed: about
+    `runner` when the workers shared one CPU, up to `tiles_in_flight` times
+    it when each ran on its own.
     """
 
     peak_auxiliary_bytes: int
@@ -93,6 +99,7 @@ class MemoryStats:
     tiles_in_flight: int
     gemm_calls: int = field(default=0, compare=False)
     gemm_flop: int = field(default=0, compare=False)
+    worker_cpus: tuple[int | None, ...] = field(default=(), compare=False)
     phase_seconds: dict[str, float] = field(default_factory=dict, compare=False)
 
 

@@ -268,7 +268,9 @@ def load_matrix(path) -> DenseMatrix:
         out = np.empty((rows, cols), order="F")
         step = _block_rows(cols, dtype.itemsize)
         buf = np.empty(min(step, rows) * cols, dtype=dtype)
-        for r0 in range(0, rows, step):
+        # an empty payload has nothing to read: a zero-column file may
+        # declare any row count, and the loop would run rows / step times
+        for r0 in range(0, rows if out.size else 0, step):
             r1 = min(r0 + step, rows)
             block = buf[:(r1 - r0) * cols]
             if fh.readinto(block) != block.nbytes:
@@ -494,15 +496,22 @@ def _gaussian_f(seed: int, start: int, rows: int, cols: int, scale: float) -> np
 _BASE_BLOCKS = (128, 512)
 
 
+def _allowed_cpus() -> list[int]:
+    """The ids of the CPUs the calling thread may run on, sorted: the one
+    read behind the default worker count and the engine's worker pins.
+    Where the platform has no affinity call, 0 .. cpu_count - 1."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return list(range(os.cpu_count() or 1))
+
+
 def tiles_in_flight(n: int, n_block: int, workers: int | None = None) -> int:
     """Tiles the blocked engine holds at once: one per worker thread, with
     no more workers than token blocks. `workers=None` means every CPU this
     process may run on."""
     if workers is None:
-        try:
-            workers = len(os.sched_getaffinity(0))
-        except AttributeError:  # no affinity call on this platform
-            workers = os.cpu_count() or 1
+        workers = len(_allowed_cpus())
     integer(n, "n", 0)
     integer(n_block, "n_block", 1)
     integer(workers, "workers", 1)

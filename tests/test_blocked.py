@@ -1335,6 +1335,125 @@ class TestWorkerThreads:
         assert sum(d.size_diff for d in end.compare_to(start, "filename")) < 2048
 
 
+def worker_cpu_in_range(stats) -> bool:
+    """0 CPU seconds without a worker, else above 0 and at most
+    `tiles_in_flight` times the runner's wall time, with a millisecond of
+    slack for the clocks' reads."""
+    cpu, runner = stats.phase_seconds["worker_cpu"], stats.phase_seconds["runner"]
+    if stats.tiles_in_flight == 0:
+        return cpu == 0
+    return 0 < cpu <= stats.tiles_in_flight * runner + 1e-3
+
+
+def can_pin() -> bool:
+    return hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+@pytest.mark.skipif(not can_pin(), reason="needs os.sched_setaffinity and 2 or more CPUs")
+class TestWorkerPins:
+    """With more than one worker, each worker pins its own thread to one of
+    the CPUs the calling thread may run on, worker k to the k-th, cycling;
+    the caller's affinity is never changed, and no bit depends on where a
+    worker ran."""
+
+    @staticmethod
+    def read_by_workers(monkeypatch) -> dict:
+        """Each worker thread's affinities, as read on that thread inside
+        the forward's block function, by worker index."""
+        seen = {}
+        original = smoothce.blocked._forward_block
+
+        def spying(call):
+            lse, loss, forward = original(call)
+
+            def block(worker, i, cols):
+                k = int(threading.current_thread().name.rsplit("-", 1)[1])
+                seen.setdefault(k, set()).add(frozenset(os.sched_getaffinity(0)))
+                forward(worker, i, cols)
+            return lse, loss, block
+
+        monkeypatch.setattr(smoothce.blocked, "_forward_block", spying)
+        return seen
+
+    @staticmethod
+    def bits(result):
+        out, g, _ = result
+        return out.lse, out.o, out.per_token_loss, g.grad_e.data, g.grad_c.data
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_k_runs_on_the_kth_allowed_cpu(self, monkeypatch, medium, workers):
+        e, c, x, _, _ = medium
+        allowed = sorted(os.sched_getaffinity(0))
+        seen = self.read_by_workers(monkeypatch)
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, workers=workers)
+        stats = loss_and_grad(e, c, x, 0.1, plan)[2]
+        want = tuple(allowed[k % len(allowed)] for k in range(workers))
+        assert seen == {k: {frozenset({cpu})} for k, cpu in enumerate(want)}
+        assert stats.worker_cpus == want
+        if workers == 2:
+            assert len(set(stats.worker_cpus)) == 2
+
+    def test_the_callers_affinity_is_never_changed(self, medium):
+        e, c, x, _, _ = medium
+        before = os.sched_getaffinity(0)
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, workers=2)
+        assert loss_and_grad(e, c, x, 0.1, plan)[2].worker_cpus != (None, None)
+        assert os.sched_getaffinity(0) == before
+        one = loss_and_grad(e, c, x, 0.1, replace(plan, workers=1))[2]
+        assert one.worker_cpus == (None,)
+        assert os.sched_getaffinity(0) == before
+        # finite logits near +-1e308 with the target at the low one: the
+        # loss is not finite, and the call raises after its workers ran
+        wide = (DenseMatrix.from_array(np.full((1, 2), 1e154)),
+                DenseMatrix.from_array(np.array([[1e154, -1e154]])),
+                TokenSequence(np.array([1, 1])))
+        with pytest.raises(ValueError, match="not finite"):
+            loss_and_grad(*wide, 0.1, plan_blocks(2, 2, 1, n_block=1, v_block=1, workers=2))
+        assert os.sched_getaffinity(0) == before
+
+    def test_a_caller_on_one_cpu_keeps_every_worker_there(self, monkeypatch, medium):
+        """Run on a helper thread that pins itself, so the test's own thread
+        is never pinned: every worker lands on the caller's one CPU, the
+        bits match an unrestricted call, and a default plan, whose worker
+        count comes from the same read, runs one unpinned worker."""
+        e, c, x, _, _ = medium
+        allowed = sorted(os.sched_getaffinity(0))
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, workers=3)
+        want = loss_and_grad(e, c, x, 0.1, plan)
+        seen = self.read_by_workers(monkeypatch)
+
+        def restricted():
+            os.sched_setaffinity(0, {allowed[0]})
+            return (loss_and_grad(e, c, x, 0.1, plan),
+                    loss_and_grad(e, c, x, 0.1, replace(plan, workers=None))[2])
+
+        got, default = run_bounded(restricted)
+        assert seen == {k: {frozenset({allowed[0]})} for k in range(3)}
+        assert got[2].worker_cpus == (allowed[0],) * 3
+        assert all(np.array_equal(a, b) for a, b in zip(self.bits(got), self.bits(want)))
+        assert default.tiles_in_flight == 1 and default.worker_cpus == (None,)
+        assert os.sched_getaffinity(0) == set(allowed)
+
+    @pytest.mark.parametrize("how", ["refused", "missing"])
+    def test_an_unpinned_worker_gives_the_same_bits(self, monkeypatch, medium, how):
+        """A pin that raises OSError leaves its worker unpinned, and a
+        platform without the call pins nothing; either way the call goes on
+        to the same bits."""
+        e, c, x, _, _ = medium
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, workers=2)
+        want = loss_and_grad(e, c, x, 0.1, plan)
+        assert want[2].worker_cpus != (None, None)
+        if how == "refused":
+            def refuse(pid, cpus):
+                raise OSError(22, "Invalid argument")
+            monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        else:
+            monkeypatch.delattr(os, "sched_setaffinity")
+        got = loss_and_grad(e, c, x, 0.1, plan)
+        assert got[2].worker_cpus == (None, None)
+        assert all(np.array_equal(a, b) for a, b in zip(self.bits(got), self.bits(want)))
+
+
 def run_python(code: str, timeout: float) -> subprocess.CompletedProcess:
     """`code` run by a fresh interpreter that imports this checkout's
     smoothce and the tests' `_util`."""
@@ -1588,7 +1707,9 @@ class TestOneSweep:
     @pytest.mark.parametrize("n", [64, 0])
     def test_phase_seconds_split_the_wall_time(self, monkeypatch, medium, call, n):
         """`runner` and `outside` are checked against perf_counter around
-        the call; no ratio is asserted."""
+        the call; no ratio is asserted. `worker_cpu` is the workers' CPU
+        time: none without a worker, else above 0 and at most what every
+        worker busy through the whole runner would use."""
         e, c, x, fwd, _ = medium
         lse = fwd[0.1].lse
         if n == 0:
@@ -1604,9 +1725,10 @@ class TestOneSweep:
         wall = time.perf_counter() - t0
         assert len(runners) == 1
         phases = stats.phase_seconds
-        assert set(phases) == {"runner", "outside"}
+        assert set(phases) == {"runner", "outside", "worker_cpu"}
         assert phases["runner"] >= 0 and phases["outside"] >= 0
         assert phases["runner"] + phases["outside"] <= wall
+        assert worker_cpu_in_range(stats)
         # the timings take no part in comparing stats
         assert replace(stats, phase_seconds={}) == stats
 
@@ -1630,11 +1752,13 @@ class TestOneSweep:
                 "blocked_backward": lambda: blocked_backward(e, c, x, 0.1, plan, lse),
                 "loss_and_grad": lambda: loss_and_grad(e, c, x, 0.1, plan)}
         t0 = time.perf_counter()
-        phases = runs[call]()[-1].phase_seconds
+        stats = runs[call]()[-1]
         wall = time.perf_counter() - t0
-        assert set(phases) == {"runner", "outside"}
+        phases = stats.phase_seconds
+        assert set(phases) == {"runner", "outside", "worker_cpu"}
         assert phases["runner"] >= 0 and phases["outside"] >= 0
         assert 0.9 * wall <= phases["runner"] + phases["outside"] <= wall
+        assert worker_cpu_in_range(stats)
 
 
 class TestInputs:

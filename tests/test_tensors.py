@@ -5,6 +5,7 @@ import hashlib
 import math
 import os
 import struct
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -229,6 +230,17 @@ class TestFileFormat:
         path.write_bytes(struct.pack("<4sB3xQQ4x", b"SCE1", 1, 2**40, 2**20) + bytes(8))
         with pytest.raises(TruncatedPayloadError, match="header declares"):
             load_matrix(path)
+
+    def test_zero_columns_read_nothing_whatever_the_rows(self, tmp_path):
+        """A 2**55 x 0 header has an empty payload, which passes the size
+        check; loading it reads nothing, where a loop over its row blocks
+        would run 2**35 times."""
+        path = tmp_path / "wide.sce1"
+        path.write_bytes(struct.pack("<4sB3xQQ4x", b"SCE1", 1, 2**55, 0))
+        t0 = time.perf_counter()
+        m = load_matrix(path)
+        assert time.perf_counter() - t0 < 1.0
+        assert m.data.shape == (2**55, 0)
 
     @pytest.mark.parametrize("dtype", ["f64", "f32"])
     def test_file_io_peak_is_the_matrix_plus_one_block(self, tmp_path, dtype):
@@ -649,3 +661,20 @@ class TestPlanning:
         assert tiles_in_flight(200, 128, None) == min(cpus, 2)
         with pytest.raises(ValueError):
             tiles_in_flight(8, 4, 0)
+
+    def test_one_reader_of_the_allowed_cpus(self, monkeypatch):
+        """The default worker count is the number of CPUs the calling thread
+        may run on, read by the helper the engine's pins use, and every CPU
+        where the platform has no affinity call."""
+        cpus = tensors._allowed_cpus()
+        assert cpus == sorted(cpus) and len(set(cpus)) == len(cpus) >= 1
+        assert all(type(c) is int for c in cpus)
+        assert tiles_in_flight(10**6, 1, None) == len(cpus)
+        monkeypatch.setattr(tensors, "_allowed_cpus", lambda: [5, 9, 11])
+        assert tiles_in_flight(10**6, 1, None) == 3
+        monkeypatch.undo()
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert tensors._allowed_cpus() == list(range(6))
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert tensors._allowed_cpus() == [0]
