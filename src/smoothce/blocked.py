@@ -55,18 +55,22 @@ per-vocabulary-block turn counter. Every sum therefore runs in the same
 order as on one worker, and for given tile sizes results are
 bit-identical for any `replace(plan, workers=k)`. Every run holds numpy's
 OpenBLAS at one thread, so no GEMM's sum order depends on the host's BLAS
-threads, and BLAS threads do not compete with the workers. With more than
-one worker, each worker first pins its own thread to one CPU: of the CPUs
-the calling thread may run on, read once per call (the read that also
-gives the default worker count), worker k takes the k-th, cycling. Left
-unpinned, Linux often ran both workers of a short call on one CPU while
-the other idled, so a call ran at one worker's pace. A pin only places a
+threads, and BLAS threads do not compete with the workers. When a call
+runs one worker on each CPU the calling thread may run on, two or more
+(the default plan does, for enough token blocks), each worker first pins
+its own thread to its own CPU: of those CPUs, read once per call (the
+read that also gives the default worker count), worker k takes the k-th.
+Left unpinned, Linux often ran both workers of a short call on one CPU
+while the other idled, so a call ran at one worker's pace. Any other
+worker count runs unpinned, as the scheduler places it: more workers
+than CPUs would leave a CPU idle under the fixed split, and fewer would
+put every overlapping call on the same lowest CPUs. A pin only places a
 thread, and the turns fix every sum's order, so no result depends on it.
 The caller's own affinity is never changed; a pin the OS refuses leaves
 its worker unpinned, and where `os.sched_setaffinity` does not exist
-nothing is pinned. A run has one
-stop path: a worker's error, a thread that fails to start or an interrupt
-stops every worker at its next token block or `grad_c` turn, and the call
+nothing is pinned. A run has one stop path: a worker's error, a thread
+that fails to start or an interrupt stops every worker at its next token
+block or `grad_c` turn, and the call
 raises only once every started worker has ended and, after them, the BLAS
 thread count is restored.
 
@@ -490,18 +494,19 @@ class _TileRunner:
         """Worker k: pinned to `cpu` unless it is None or the pin is
         refused, then its token blocks, until a failure is recorded. Its own
         failure is recorded, unless another came first (an `_Abandoned`
-        worker's always did)."""
-        if cpu is not None:
-            with suppress(OSError):  # a refused pin leaves the worker unpinned
-                os.sched_setaffinity(0, (cpu,))
-                worker.cpu = cpu
-        start = time.thread_time()
+        worker's always did); the CPU time is kept only by a worker that
+        finished, the only kind a returning call reports."""
         nbk = self.eff.n_block
         # the tile work's broadcasts and strided updates run at the small
         # ufunc buffer, for speed and to keep it out of the peak; numpy keeps
         # the size per thread, so the caller's is never touched. Overflowing
         # logits are refused by each entry's own result check.
         try:
+            if cpu is not None:
+                with suppress(OSError):  # a refused pin leaves the worker unpinned
+                    os.sched_setaffinity(0, (cpu,))
+                    worker.cpu = cpu
+            start = time.thread_time()
             with ufunc_buffer(), np.errstate(over="ignore", invalid="ignore"):
                 for i in range(k, -(-self.n // nbk), self.in_flight):
                     if self._error is not None:
@@ -509,10 +514,9 @@ class _TileRunner:
                     cols = slice(i * nbk, min((i + 1) * nbk, self.n))
                     for block_fn in block_fns:
                         block_fn(worker, i, cols)
+            worker.cpu_seconds = time.thread_time() - start
         except BaseException as exc:
             self._abandon(exc)
-        finally:
-            worker.cpu_seconds = time.thread_time() - start
 
     def _abandon(self, exc: BaseException) -> None:
         """Keep the first failure and stop every worker at its next turn or
@@ -526,12 +530,12 @@ class _TileRunner:
         """Run every token block through `block_fns` on `in_flight` worker
         threads, each with its own buffer and counters; keep the workers,
         the peak and the runner's wall time. The CPUs this thread may run
-        on are read once: they give the default worker count, and with
-        more than one worker, worker k is pinned to the k-th of them,
-        cycling. One tracked allocator hands out the buffers on this
-        thread before any worker starts, each of `words(nb, V_B, D)` floats
-        for the worker's first block of nb tokens, and they are dropped
-        once the workers have joined, before the finishers run.
+        on are read once: they give the default worker count, and when
+        the call runs one worker on each of them, two or more, worker k
+        is pinned to the k-th. One tracked allocator hands out the buffers
+        on this thread before any worker starts, each of `words(nb, V_B, D)`
+        floats for the worker's first block of nb tokens, and they are
+        dropped once the workers have joined, before the finishers run.
         Whatever stops the run (a worker's error, a failed start, an
         interrupt) stops every worker, and the call raises only once every
         started worker has ended and the BLAS thread count is restored."""
@@ -539,7 +543,10 @@ class _TileRunner:
         nbk, vbk = self.eff.n_block, self.eff.v_block
         cpus = _allowed_cpus()
         self.in_flight = tiles_in_flight(self.n, nbk, self.eff.workers or len(cpus))
-        pin = self.in_flight > 1 and hasattr(os, "sched_setaffinity")
+        # one worker per allowed CPU, or none pinned: with more workers than
+        # CPUs a fixed split would idle a CPU, and with fewer, overlapping
+        # calls would all take the lowest CPUs
+        pin = self.in_flight == len(cpus) > 1 and hasattr(os, "sched_setaffinity")
         # looked up here on each call: bench/tracer.py swaps
         # `blocked.TrackingAllocator` for a counting one
         alloc = TrackingAllocator()
@@ -547,7 +554,7 @@ class _TileRunner:
                    for k in range(self.in_flight)]
         threads = [threading.Thread(
             target=self._work, name=f"smoothce-tiles-{k}",
-            args=(k, w, block_fns, cpus[k % len(cpus)] if pin else None))
+            args=(k, w, block_fns, cpus[k] if pin else None))
             for k, w in enumerate(workers)]
         with _ONE_BLAS_THREAD.held():
             try:

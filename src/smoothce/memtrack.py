@@ -84,8 +84,9 @@ class MemoryStats:
     (2 m n k each) count the tile GEMMs the workers ran; they follow from
     the tile counters and the shape, and take no part in comparisons. Nor
     does `worker_cpus`, the CPU each worker thread was pinned to, in worker
-    order (None for a worker that was not: a one-worker call, a platform
-    without `os.sched_setaffinity`, or a refused pin). Nor does
+    order (None for a worker that was not: a call whose worker count is not
+    the count of CPUs the caller may run on, two or more, a platform without
+    `os.sched_setaffinity`, or a refused pin). Nor does
     `phase_seconds`, which splits the call's wall time into `runner`, the
     tile runner's, and `outside`, the rest of the entry, and adds
     `worker_cpu`, the CPU time the worker threads used, summed: about

@@ -1349,12 +1349,28 @@ def can_pin() -> bool:
     return hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) >= 2
 
 
+# taken at import, so that a test which patches or deletes the call can
+# still restrict its helper thread
+_SET_AFFINITY = getattr(os, "sched_setaffinity", None)
+
+
+def on_cpus(cpus, fn):
+    """fn() on a helper thread that first restricts itself to `cpus`, so
+    the test's own thread is never pinned."""
+    def restricted():
+        _SET_AFFINITY(0, set(cpus))
+        return fn()
+    return run_bounded(restricted)
+
+
 @pytest.mark.skipif(not can_pin(), reason="needs os.sched_setaffinity and 2 or more CPUs")
 class TestWorkerPins:
-    """With more than one worker, each worker pins its own thread to one of
-    the CPUs the calling thread may run on, worker k to the k-th, cycling;
-    the caller's affinity is never changed, and no bit depends on where a
-    worker ran."""
+    """A call that runs one worker on each CPU the calling thread may run
+    on, two or more, pins worker k to the k-th of those CPUs; any other
+    worker count runs unpinned. The caller's affinity is never changed,
+    and no bit depends on where a worker ran. Each test that expects a pin
+    runs its calls on a helper thread restricted to two CPUs, so it holds
+    on hosts of any size."""
 
     @staticmethod
     def read_by_workers(monkeypatch) -> dict:
@@ -1380,56 +1396,82 @@ class TestWorkerPins:
         out, g, _ = result
         return out.lse, out.o, out.per_token_loss, g.grad_e.data, g.grad_c.data
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_worker_k_runs_on_the_kth_allowed_cpu(self, monkeypatch, medium, workers):
+    @pytest.mark.parametrize("workers", [2, None, 3])
+    def test_only_one_worker_per_allowed_cpu_is_pinned(self, monkeypatch, medium, workers):
+        """On a caller restricted to two CPUs, 2 workers, as the default
+        plan gives, run worker k on the k-th CPU, and 3 run unpinned: under
+        the fixed split of token blocks, 3 pinned on 2 CPUs would leave one
+        idle for a third of the run."""
         e, c, x, _, _ = medium
-        allowed = sorted(os.sched_getaffinity(0))
+        two = sorted(os.sched_getaffinity(0))[:2]
         seen = self.read_by_workers(monkeypatch)
         plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, workers=workers)
-        stats = loss_and_grad(e, c, x, 0.1, plan)[2]
-        want = tuple(allowed[k % len(allowed)] for k in range(workers))
-        assert seen == {k: {frozenset({cpu})} for k, cpu in enumerate(want)}
-        assert stats.worker_cpus == want
-        if workers == 2:
-            assert len(set(stats.worker_cpus)) == 2
+        stats = on_cpus(two, lambda: loss_and_grad(e, c, x, 0.1, plan))[2]
+        if workers == 3:
+            assert seen == {k: {frozenset(two)} for k in range(3)}
+            assert stats.worker_cpus == (None,) * 3
+        else:
+            assert seen == {k: {frozenset({cpu})} for k, cpu in enumerate(two)}
+            assert stats.worker_cpus == tuple(two)
+
+    def test_fewer_workers_than_cpus_run_unpinned(self, monkeypatch, medium):
+        """2 workers where 3 or more CPUs are allowed run unpinned, so that
+        overlapping calls are not all held on the lowest CPUs. Where only 2
+        are allowed, the runner's read is made to report a third."""
+        e, c, x, _, _ = medium
+        allowed = sorted(os.sched_getaffinity(0))
+        if len(allowed) < 3:
+            monkeypatch.setattr(smoothce.blocked, "_allowed_cpus",
+                                lambda: allowed + [allowed[-1] + 1])
+        seen = self.read_by_workers(monkeypatch)
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, workers=2)
+        assert loss_and_grad(e, c, x, 0.1, plan)[2].worker_cpus == (None, None)
+        assert seen == {k: {frozenset(allowed)} for k in range(2)}
 
     def test_the_callers_affinity_is_never_changed(self, medium):
+        """After a pinned call, a one-worker call and a pinned call that
+        raises, the calling thread may run where it could before."""
         e, c, x, _, _ = medium
         before = os.sched_getaffinity(0)
+        two = sorted(before)[:2]
         plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, workers=2)
-        assert loss_and_grad(e, c, x, 0.1, plan)[2].worker_cpus != (None, None)
-        assert os.sched_getaffinity(0) == before
-        one = loss_and_grad(e, c, x, 0.1, replace(plan, workers=1))[2]
-        assert one.worker_cpus == (None,)
-        assert os.sched_getaffinity(0) == before
         # finite logits near +-1e308 with the target at the low one: the
         # loss is not finite, and the call raises after its workers ran
         wide = (DenseMatrix.from_array(np.full((1, 2), 1e154)),
                 DenseMatrix.from_array(np.array([[1e154, -1e154]])),
                 TokenSequence(np.array([1, 1])))
-        with pytest.raises(ValueError, match="not finite"):
-            loss_and_grad(*wide, 0.1, plan_blocks(2, 2, 1, n_block=1, v_block=1, workers=2))
+
+        def calls():
+            stats, after = [], []
+            stats.append(loss_and_grad(e, c, x, 0.1, plan)[2])
+            after.append(os.sched_getaffinity(0))
+            stats.append(loss_and_grad(e, c, x, 0.1, replace(plan, workers=1))[2])
+            after.append(os.sched_getaffinity(0))
+            with pytest.raises(ValueError, match="not finite"):
+                loss_and_grad(*wide, 0.1, plan_blocks(2, 2, 1, n_block=1, v_block=1, workers=2))
+            after.append(os.sched_getaffinity(0))
+            return stats, after
+
+        (pinned, one), after = on_cpus(two, calls)
+        assert pinned.worker_cpus == tuple(two) and one.worker_cpus == (None,)
+        assert after == [set(two)] * 3
         assert os.sched_getaffinity(0) == before
 
     def test_a_caller_on_one_cpu_keeps_every_worker_there(self, monkeypatch, medium):
-        """Run on a helper thread that pins itself, so the test's own thread
-        is never pinned: every worker lands on the caller's one CPU, the
-        bits match an unrestricted call, and a default plan, whose worker
-        count comes from the same read, runs one unpinned worker."""
+        """A caller restricted to one CPU pins nothing, and its workers
+        inherit its one CPU: every worker runs there, the bits match an
+        unrestricted call, and a default plan, whose worker count comes
+        from the same read, runs one worker."""
         e, c, x, _, _ = medium
         allowed = sorted(os.sched_getaffinity(0))
         plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, workers=3)
         want = loss_and_grad(e, c, x, 0.1, plan)
         seen = self.read_by_workers(monkeypatch)
-
-        def restricted():
-            os.sched_setaffinity(0, {allowed[0]})
-            return (loss_and_grad(e, c, x, 0.1, plan),
-                    loss_and_grad(e, c, x, 0.1, replace(plan, workers=None))[2])
-
-        got, default = run_bounded(restricted)
-        assert seen == {k: {frozenset({allowed[0]})} for k in range(3)}
-        assert got[2].worker_cpus == (allowed[0],) * 3
+        got, default = on_cpus(allowed[:1], lambda: (
+            loss_and_grad(e, c, x, 0.1, plan),
+            loss_and_grad(e, c, x, 0.1, replace(plan, workers=None))[2]))
+        assert seen == {k: {frozenset(allowed[:1])} for k in range(3)}
+        assert got[2].worker_cpus == (None,) * 3
         assert all(np.array_equal(a, b) for a, b in zip(self.bits(got), self.bits(want)))
         assert default.tiles_in_flight == 1 and default.worker_cpus == (None,)
         assert os.sched_getaffinity(0) == set(allowed)
@@ -1440,18 +1482,33 @@ class TestWorkerPins:
         platform without the call pins nothing; either way the call goes on
         to the same bits."""
         e, c, x, _, _ = medium
+        two = sorted(os.sched_getaffinity(0))[:2]
         plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, workers=2)
-        want = loss_and_grad(e, c, x, 0.1, plan)
-        assert want[2].worker_cpus != (None, None)
+        want = on_cpus(two, lambda: loss_and_grad(e, c, x, 0.1, plan))
+        assert want[2].worker_cpus == tuple(two)
         if how == "refused":
             def refuse(pid, cpus):
                 raise OSError(22, "Invalid argument")
             monkeypatch.setattr(os, "sched_setaffinity", refuse)
         else:
             monkeypatch.delattr(os, "sched_setaffinity")
-        got = loss_and_grad(e, c, x, 0.1, plan)
+        got = on_cpus(two, lambda: loss_and_grad(e, c, x, 0.1, plan))
         assert got[2].worker_cpus == (None, None)
         assert all(np.array_equal(a, b) for a, b in zip(self.bits(got), self.bits(want)))
+
+    def test_a_failed_pin_stops_the_call(self, monkeypatch, medium):
+        """A pin that raises something other than OSError is the worker's
+        error, like any other: the call raises it, with no entry unfilled."""
+        e, c, x, _, _ = medium
+        two = sorted(os.sched_getaffinity(0))[:2]
+
+        def broken(pid, cpus):
+            raise ValueError("broken pin")
+
+        monkeypatch.setattr(os, "sched_setaffinity", broken)
+        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, workers=2)
+        with pytest.raises(ValueError, match="broken pin"):
+            on_cpus(two, lambda: loss_and_grad(e, c, x, 0.1, plan))
 
 
 def run_python(code: str, timeout: float) -> subprocess.CompletedProcess:
