@@ -2,8 +2,11 @@
 """Code-line counts and a bit-identity digest of the engines' results.
 
 Prints the code lines of each `src/smoothce/*.py` (non-blank lines that
-are neither comments nor docstrings) and their total, then the number of engine calls in a
-fixed grid, the tracked allocations they make (`alloc_calls`: every buffer
+are neither comments nor docstrings) and their total; the options of each
+command (its parser's actions other than `--help`, so `--config` counts)
+and their total; the places in `src/smoothce` that read the environment
+(`os.environ` or `os.getenv`, found in the syntax tree); then the number
+of engine calls in a fixed grid, the tracked allocations they make (`alloc_calls`: every buffer
 the engine's `TrackingAllocator` hands out, counted by a subclass put in its
 place; one per worker per call, each taken before the workers start) and one SHA-256 over every result they return, a second
 SHA-256 over the entropy oracle's values on its own grid, and a third over
@@ -48,6 +51,7 @@ ROOT is a checkout (default: the one holding this script); its `src` is
 imported ahead of any installed copy. OPENBLAS_NUM_THREADS defaults to 1.
 """
 
+import argparse
 import ast
 import contextlib
 import dataclasses
@@ -75,7 +79,7 @@ from smoothce import (DenseMatrix, TokenSequence, blocked_backward,  # noqa: E40
                       random_instance)
 import smoothce.blocked  # noqa: E402
 from smoothce.blocked import aux_bound_bytes  # noqa: E402
-from smoothce.cli import main as cli_main  # noqa: E402
+from smoothce.cli import build_parser, main as cli_main  # noqa: E402
 
 SHAPES = [(300, 5000, 48, 64, 512), (64, 512, 32, 16, 64),
           (4, 2, 1000, None, None), (0, 96, 8, None, None)]
@@ -97,6 +101,21 @@ def code_lines(path: pathlib.Path) -> int:
             docstrings.update(range(first.lineno, first.end_lineno + 1))
     return sum(1 for no, line in enumerate(text.splitlines(), 1)
                if line.strip() and not line.strip().startswith("#") and no not in docstrings)
+
+
+def env_reads(path: pathlib.Path) -> int:
+    """`os.environ` and `os.getenv` expressions in a module."""
+    return sum(1 for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+               and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+
+def option_counts() -> dict[str, int]:
+    """Each command's options: its parser's actions other than `--help`."""
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return {name: sum(not isinstance(a, argparse._HelpAction) for a in sub._actions)
+            for name, sub in subs.choices.items()}
 
 
 def feed(h, value) -> None:
@@ -213,12 +232,18 @@ def cli_digest() -> str:
 
 def main() -> int:
     print(f"root {ROOT}")
-    total = 0
+    total = reads = 0
     for path in sorted((ROOT / "src" / "smoothce").glob("*.py")):
         lines = code_lines(path)
         total += lines
+        reads += env_reads(path)
         print(f"code_lines {path.name} {lines}")
     print(f"code_lines total {total}")
+    options = option_counts()
+    for name, count in options.items():
+        print(f"options {name} {count}")
+    print(f"options total {sum(options.values())}")
+    print(f"env_reads {reads}")
     h = hashlib.sha256()
     calls, allocs = 0, []
 

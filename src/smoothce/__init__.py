@@ -25,7 +25,7 @@ from .blocked import (
     blocked_backward,
     loss_and_grad,
 )
-from .memtrack import MemoryStats, TrackingAllocator
+from .memtrack import MemoryStats
 from .calibration import (
     CalibrationSet,
     BinStats,

@@ -46,10 +46,10 @@ It touches only the softmax part, so skipped tiles can never drop the
 target part, whose magnitude does not shrink with the probabilities.
 
 The plan is the one place a call's worker count is set: one `_TileRunner`
-runs a call's token blocks on `plan.workers` threads (None: every CPU this
-process may run on). Of k workers, worker w runs token blocks w, w + k,
-w + 2k, ... in index order, each through its vocabulary blocks in index
-order. Per-token state (lse, o, `grad_e` columns) needs no locks, and each
+runs a call's token blocks on `plan.workers` threads, a count fixed when
+the plan was made (see `BlockPlan`). Of k workers, worker w runs token
+blocks w, w + k, w + 2k, ... in index order, each through its vocabulary
+blocks in index order. Per-token state (lse, o, `grad_e` columns) needs no locks, and each
 `grad_c[:, v-block]` takes its products in token-block order through a
 per-vocabulary-block turn counter. Every sum therefore runs in the same
 order as on one worker, and for given tile sizes results are
@@ -58,8 +58,8 @@ OpenBLAS at one thread, so no GEMM's sum order depends on the host's BLAS
 threads, and BLAS threads do not compete with the workers. When a call
 runs one worker on each CPU the calling thread may run on, two or more
 (the default plan does, for enough token blocks), each worker first pins
-its own thread to its own CPU: of those CPUs, read once per call (the
-read that also gives the default worker count), worker k takes the k-th.
+its own thread to its own CPU: of those CPUs, read once per call, worker
+k takes the k-th.
 Left unpinned, Linux often ran both workers of a short call on one CPU
 while the other idled, so a call ran at one worker's pace. Any other
 worker count runs unpinned, as the scheduler places it: more workers
@@ -93,10 +93,11 @@ through it only where numpy's BLAS exports no such symbol, where an
 adding product goes through a staged full-depth chunk and a `+=`, or
 while a wrapper replaces it, which then sees every tile GEMM as arrays.
 
-Each worker holds one tracked buffer for the whole call. The runner
-takes them all from one TrackingAllocator on the calling thread before
-any worker starts, each sized for its worker's first token block, the
-largest it runs, and drops them once the workers have joined, before
+Each worker holds one buffer for the whole call. The runner takes them
+all on the calling thread before any worker starts, through
+`TrackingAllocator.empty` (a seam that tests and the bench tracer
+replace to count them), each sized for its worker's first token block,
+the largest it runs, and drops them once the workers have joined, before
 the finishers run; no tile thread allocates. The forward and
 `loss_and_grad` size it by `_block_words`: max(N_B (V_B + 1), D) floats
 on the kernel path. Its first V_B x N_B words are the C-ordered tile
@@ -107,9 +108,10 @@ target gather chunks, as many tokens' D-vectors as fit and at least one.
 alone. Without the kernel each staged product chunk, D x N_B or D x V_B,
 is the view that ends the buffer, after the tile, and both rules count
 D max(N_B, V_B) words for it beside the tile; in `_block_words` it
-shares them with the merge row. The call's peak is the buffers' sum,
-which thread timing cannot move: O(N_B*V_B) per tile in flight
-regardless of |V|, and `aux_bound_bytes` is `_block_words` for a full
+shares them with the merge row. The call's peak is the sum of the
+buffers' `nbytes`, all held from before the first worker starts until
+the last one ends, so thread timing cannot move it: O(N_B*V_B) per tile
+in flight regardless of |V|, and `aux_bound_bytes` is `_block_words` for a full
 token block times the tiles in flight, the peak itself whenever every
 worker's first block is full. The returned outputs and O(D) temporaries
 are not tracked; the running sum S lives in the `o` output until the
@@ -423,6 +425,7 @@ class _TileRunner:
         self.beta, self.reduction = beta, reduction
         self.u = _smoothing_row(self.Ca, beta, self.v)[:, None] if beta else 0.0
         self.eff = plan.clamped(self.n, self.v)
+        self.in_flight = tiles_in_flight(self.n, self.eff.n_block, self.eff.workers)
         self.staged = _cblas_dgemm() is None
         self.bound = not self.staged and dgemm is _DGEMM
         self.e_columns, self.c_columns = _columns(self.Ea), _columns(self.Ca)
@@ -530,19 +533,18 @@ class _TileRunner:
         """Run every token block through `block_fns` on `in_flight` worker
         threads, each with its own buffer and counters; keep the workers,
         the peak and the runner's wall time. The CPUs this thread may run
-        on are read once: they give the default worker count, and when
-        the call runs one worker on each of them, two or more, worker k
-        is pinned to the k-th. One tracked allocator hands out the buffers
-        on this thread before any worker starts, each of `words(nb, V_B, D)`
-        floats for the worker's first block of nb tokens, and they are
-        dropped once the workers have joined, before the finishers run.
+        on are read once, only to pin: when the call runs one worker on
+        each of them, two or more, worker k is pinned to the k-th. The
+        buffers are taken on this thread before any worker starts, each of
+        `words(nb, V_B, D)` floats for the worker's first block of nb
+        tokens; the peak is their sum, and they are dropped once the
+        workers have joined, before the finishers run.
         Whatever stops the run (a worker's error, a failed start, an
         interrupt) stops every worker, and the call raises only once every
         started worker has ended and the BLAS thread count is restored."""
         start = time.perf_counter()
         nbk, vbk = self.eff.n_block, self.eff.v_block
         cpus = _allowed_cpus()
-        self.in_flight = tiles_in_flight(self.n, nbk, self.eff.workers or len(cpus))
         # one worker per allowed CPU, or none pinned: with more workers than
         # CPUs a fixed split would idle a CPU, and with fewer, overlapping
         # calls would all take the lowest CPUs
@@ -552,6 +554,7 @@ class _TileRunner:
         alloc = TrackingAllocator()
         workers = [_Worker(alloc.empty(words(min(nbk, self.n - k * nbk), vbk, self.d)))
                    for k in range(self.in_flight)]
+        peak = sum(w.buf.nbytes for w in workers)
         threads = [threading.Thread(
             target=self._work, name=f"smoothce-tiles-{k}",
             args=(k, w, block_fns, cpus[k] if pin else None))
@@ -569,11 +572,10 @@ class _TileRunner:
                         t.join()
                 raise
         for w in workers:
-            alloc.release(w.buf)
             w.buf = None
         if self._error is not None:
             raise self._error
-        self._workers, self._peak = workers, alloc.peak_bytes
+        self._workers, self._peak = workers, peak
         self._runner_seconds = time.perf_counter() - start
 
     def stats(self) -> MemoryStats:

@@ -134,16 +134,10 @@ def _grad_error(got, want) -> float:
 # subcommands
 
 def _make_plan(args, n, v, d):
-    """The engine plan, on `--threads` workers, else SCE_THREADS, else every
-    available CPU; the plan is the only place the worker count goes."""
-    workers, env = args.threads, os.environ.get("SCE_THREADS")
-    if workers is None and env:
-        try:
-            workers = _positive_int(env)
-        except argparse.ArgumentTypeError as exc:
-            raise UsageError(f"SCE_THREADS: {exc}")
+    """The engine plan, on `--threads` workers, else every CPU this process
+    may run on; the plan is the only place the worker count goes."""
     return plan_blocks(n, v, d, n_block=args.n_block, v_block=args.v_block,
-                       workers=workers)
+                       workers=args.threads)
 
 
 def cmd_loss(args) -> int:
@@ -157,7 +151,7 @@ def cmd_loss(args) -> int:
     else:
         out = naive_forward(emb, cls, tgt, args.beta, reduction=args.reduction)
     # the CSV first, so that a path it cannot write leaves no total behind
-    if args.per_token_csv:
+    if args.per_token_csv is not None:
         rows = [(i, out.lse[i], out.o[i], out.per_token_loss[i])
                 for i in range(len(out.per_token_loss))]
         _write_csv(args.per_token_csv, ("token", "lse", "o", "loss"), rows)
@@ -302,7 +296,7 @@ def cmd_calibrate(args) -> int:
                          ace(records.probs, records.labels, m, args.ace_empty)))
 
     _write_csv(args.out, ("metric", "bins", "scheme", "value"), rows)
-    if args.reliability_csv:
+    if args.reliability_csv is not None:
         _write_csv(args.reliability_csv,
                    ("lo", "hi", "count", "mean_confidence", "accuracy", "gap"),
                    reliability_data(bins_for(args.reliability_scheme)))
@@ -354,9 +348,9 @@ def _add_engine(sub):
     sub.add_argument("--v-block", type=_positive_int, default=None)
     sub.add_argument("--threads", type=_positive_int, default=None,
                      help="threads the engine computes on, each running "
-                          "BLAS on one thread (falls back to SCE_THREADS, "
-                          "then every available CPU); for given tile sizes "
-                          "results are bit-identical for any count")
+                          "BLAS on one thread (default: every available "
+                          "CPU); for given tile sizes results are "
+                          "bit-identical for any count")
 
 
 def _loss_flags(p):

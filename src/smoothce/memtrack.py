@@ -1,48 +1,30 @@
-"""Allocation instrumentation for the blocked engine.
+"""Memory counters for the blocked engine, the seam its buffers are taken
+through, and the ufunc-buffer setting its tile work runs under.
 
-Every tile-sized buffer the engine uses is requested through a
-TrackingAllocator, so the reported peak covers every auxiliary buffer that
-grows with the tile plan: one buffer per worker per call, which each of
-the worker's token blocks reuses for its logit tiles and, in the forward,
-its merge row and then its target gather chunks, and without the
-accumulating BLAS kernel for the staged product chunk that ends it.
-`_TileRunner.run` takes every buffer from one allocator on the calling
-thread before any worker starts, so no tile thread allocates. Inputs and
-returned outputs are excluded by construction; O(D) and O(N) temporaries
-are not tracked.
+`MemoryStats` is what an engine call reports. Its peak is the sum of the
+call's worker buffers, one per worker per call, all taken through
+`TrackingAllocator.empty` on the calling thread before any worker starts
+and held until the workers have joined: the tile work allocates nothing
+else that grows with the plan. `TrackingAllocator` keeps no count of its
+own; it stays so that tests and the bench tracer can put a counting
+subclass in its place. Inputs and returned outputs are excluded by
+construction; O(D) and O(N) temporaries are not counted.
 
 Nor are numpy's internal ufunc buffers. numpy allocates them even for
 same-dtype operations, up to 8192 elements per operand by default, for the
 broadcast `tile -= lse` and the online softmax merge. The engine runs its
 tile work under `ufunc_buffer`, at 16 elements per worker thread, so they
 stay a few hundred bytes. The GEMMs read the inputs in place and write
-into tracked tiles or straight into the gradients, so they add nothing;
-only without the accumulating BLAS kernel does a backward product pass
-through a full-depth chunk of the tracked buffer and a `+=`.
-
-The forward's target score, after a token block's last tile, gathers its
-target columns (`_TileRunner.target_rows`) into the same buffer, as many
-tokens at a time as fit (at least one: the buffer is never smaller than
-one D-vector). The backward gathers its target columns straight into
-`grad_e`. Beside the outputs they need only O(D)
-vectors: the smoothing row u, which the call's runner holds, and the
-`grad_c` start column. The forward's running sum lives in the `o`
-output, and the ordered `grad_c` target scatter after the tiles needs
-one D-vector at a time.
-
-A buffer is counted from the moment `empty` has allocated it to
-`release` (a request numpy cannot meet counts nothing); the engine drops
-its last reference at `release`, once the workers have joined and before
-the call's finishers run, so an allocator's peak is what was actually
-held: the sum of the call's buffers.
-The allocator refuses no request: the tests compare the peak with
-`tracemalloc`, which also sees buffers that bypass it.
+into the worker's buffer or straight into the gradients, so they add
+nothing; only without the accumulating BLAS kernel does a backward product
+pass through a full-depth chunk of the buffer and a `+=`. The tests
+compare the peak with `tracemalloc`, which also sees every allocation
+that bypasses the buffers.
 """
 
 from __future__ import annotations
 
 import contextlib
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,9 +58,9 @@ def ufunc_buffer():
 class MemoryStats:
     """Auxiliary-memory and tiling counters for one engine call.
 
-    `peak_auxiliary_bytes` is what the call's one allocator held at most:
-    every worker thread's buffer, all taken before any worker starts, so
-    it does not depend on thread timing. `tiles_in_flight` is one tile per
+    `peak_auxiliary_bytes` is the sum of the call's worker buffers, all
+    taken before any worker starts and held until every worker has ended,
+    so it does not depend on thread timing. `tiles_in_flight` is one tile per
     worker thread, and one buffer: the factor `aux_bound_bytes` multiplies
     the buffer of a full token block by. `gemm_calls` and `gemm_flop`
     (2 m n k each) count the tile GEMMs the workers ran; they follow from
@@ -105,22 +87,7 @@ class MemoryStats:
 
 
 class TrackingAllocator:
-    """Hands out float64 scratch arrays while tracking current and peak bytes."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.current_bytes = 0
-        self.peak_bytes = 0
+    """Hands out the engine's float64 worker buffers."""
 
     def empty(self, shape, order: str = "F") -> np.ndarray:
-        """A float64 array of `shape`, counted once numpy has allocated it."""
-        arr = np.empty(shape, dtype=np.float64, order=order)
-        with self._lock:
-            self.current_bytes += arr.nbytes
-            if self.current_bytes > self.peak_bytes:
-                self.peak_bytes = self.current_bytes
-        return arr
-
-    def release(self, arr: np.ndarray) -> None:
-        with self._lock:
-            self.current_bytes -= arr.nbytes
+        return np.empty(shape, dtype=np.float64, order=order)

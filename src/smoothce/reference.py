@@ -65,12 +65,17 @@ def _validate(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
     real(beta, "beta", lambda b: 0.0 <= b <= 1.0, "lie in [0, 1]")
     if reduction not in REDUCTIONS:
         raise ValueError(f"reduction must be one of {REDUCTIONS}, got {reduction!r}")
-    # without a mask every token is kept: a zero-stride view, not an N-array
-    keep = (np.broadcast_to(True, (n,)) if ignore_mask is None
-            else ~np.asarray(ignore_mask, dtype=bool))
-    if keep.shape != (n,):
+    if ignore_mask is None:
+        # every token is kept: a zero-stride view, not an N-array
+        return E.data, C.data, x.targets, n, v, d, np.broadcast_to(True, (n,))
+    mask = np.asarray(ignore_mask)
+    if mask.shape != (n,):
         raise ValueError("ignore_mask must have one flag per token")
-    return E.data, C.data, x.targets, n, v, d, keep
+    # bool() would read a flag of 2 or 0.5 as "ignore"
+    if mask.dtype != bool and not (mask.dtype.kind in "iu"
+                                   and np.all((mask == 0) | (mask == 1))):
+        raise ValueError("ignore_mask must hold booleans or the integers 0 and 1")
+    return E.data, C.data, x.targets, n, v, d, mask == 0
 
 
 def token_weight(n_kept: int, reduction: str, upstream: float) -> float:
@@ -124,8 +129,9 @@ def naive_forward(E: DenseMatrix, C: DenseMatrix, x: TokenSequence, beta: float,
 
     Per token i the loss is lse_i - o_i where
     o_i = (1-beta) * z[x_i, i] + (beta/|V|) * sum_v z[v, i]; tokens flagged in
-    `ignore_mask` contribute zero loss and are excluded from `mean`. A
-    kept token whose loss is not finite raises ValueError.
+    `ignore_mask` (one bool, or integer 0 or 1, per token) contribute zero
+    loss and are excluded from `mean`. A kept token whose loss is not
+    finite raises ValueError.
     """
     Ea, Ca, xa, n, v, d, keep = _validate(E, C, x, beta, reduction, ignore_mask)
     _, lse, o = _forward_arrays(Ea, Ca, xa, beta, v)

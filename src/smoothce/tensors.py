@@ -171,9 +171,11 @@ class TokenSequence:
 class BlockPlan:
     """Tile sizes and worker count for one blocked-engine call. The tile
     sizes fix the order of every sum, so results depend on them; the
-    worker count (None: every CPU this process may run on at call time)
-    sets only the tiles in flight, so for given tile sizes results are
-    bit-identical for any count. The count is keyword-only."""
+    worker count sets only the tiles in flight, so for given tile sizes
+    results are bit-identical for any count. The count is keyword-only;
+    None becomes the number of CPUs the thread that builds the plan may
+    run on, so every plan holds an integer and a call runs the count its
+    plan was made for, on whichever thread it runs."""
 
     n_block: int
     v_block: int
@@ -182,8 +184,9 @@ class BlockPlan:
     def __post_init__(self):
         integer(self.n_block, "n_block", 1, InvalidPlanError)
         integer(self.v_block, "v_block", 1, InvalidPlanError)
-        if self.workers is not None:
-            integer(self.workers, "workers", 1, InvalidPlanError)
+        if self.workers is None:
+            object.__setattr__(self, "workers", len(_allowed_cpus()))
+        integer(self.workers, "workers", 1, InvalidPlanError)
 
     def clamped(self, n: int, v: int) -> "BlockPlan":
         """Effective plan for concrete extents: each tile size capped at its
@@ -506,12 +509,9 @@ def _allowed_cpus() -> list[int]:
         return list(range(os.cpu_count() or 1))
 
 
-def tiles_in_flight(n: int, n_block: int, workers: int | None = None) -> int:
+def tiles_in_flight(n: int, n_block: int, workers: int) -> int:
     """Tiles the blocked engine holds at once: one per worker thread, with
-    no more workers than token blocks. `workers=None` means every CPU this
-    process may run on."""
-    if workers is None:
-        workers = len(_allowed_cpus())
+    no more workers than token blocks."""
     integer(n, "n", 0)
     integer(n_block, "n_block", 1)
     integer(workers, "workers", 1)
@@ -528,8 +528,9 @@ def plan_blocks(
     workers: int | None = None,
 ) -> BlockPlan:
     """Plan an N-token, |V|-vocabulary, D-dimensional instance run on
-    `workers` threads (None: every available CPU at call time); the plan
-    carries that count to the engine.
+    `workers` threads (None: every CPU the calling thread may run on, read
+    once by `BlockPlan`); the plan carries that count to the engine, so V_B
+    is halved for the count the engine runs.
 
     Defaults are clamped to the extents. Then V_B is halved, down to N_B,
     until the logit tiles of all tiles in flight fit that of one serial
@@ -550,7 +551,7 @@ def plan_blocks(
                      workers=workers).clamped(n, v)
     nb, vb = plan.n_block, plan.v_block
     if n_block is None and v_block is None:
-        in_flight, serial_vb = tiles_in_flight(n, nb, workers), vb
+        in_flight, serial_vb = tiles_in_flight(n, nb, plan.workers), vb
         while vb // 2 >= nb and in_flight * vb > serial_vb:
             vb //= 2
     return replace(plan, v_block=vb)

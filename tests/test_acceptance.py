@@ -305,7 +305,6 @@ def test_criterion_9_calibration_metrics():
 def run_cli(argv, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    env.pop("SCE_THREADS", None)
     proc = subprocess.run(
         [sys.executable, "-m", "smoothce", *argv],
         capture_output=True, cwd=cwd, env=env, timeout=300)

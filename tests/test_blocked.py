@@ -494,17 +494,13 @@ class TestMemory:
     def test_no_tracked_buffer_outlives_the_workers(self, monkeypatch, medium, entry, path):
         """The runner drops every worker's buffer once the workers have
         joined: none is alive when a finisher (`loss_output` or the
-        backward's `Gradients`) runs, and the allocator holds nothing."""
+        backward's `Gradients`) runs."""
         blas_path(monkeypatch, path)
         e, c, x, fwd, _ = medium
         plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, workers=2)
-        buffers, allocators, finished = [], [], []
+        buffers, finished = [], []
 
         class Watching(TrackingAllocator):
-            def __init__(self):
-                super().__init__()
-                allocators.append(self)
-
             def empty(self, shape, order="F"):
                 arr = super().empty(shape, order)
                 buffers.append(weakref.ref(arr))
@@ -513,7 +509,6 @@ class TestMemory:
         def watched(finisher):
             def run(*args, **kwargs):
                 finished.append([ref() is None for ref in buffers])
-                assert all(a.current_bytes == 0 for a in allocators)
                 return finisher(*args, **kwargs)
             return run
 
@@ -567,28 +562,6 @@ class TestMemory:
         _, s1 = blocked_forward(e, c, x, 0.1, plan)
         assert abs(s0.peak_auxiliary_bytes - s1.peak_auxiliary_bytes) <= \
             0.01 * max(s0.peak_auxiliary_bytes, s1.peak_auxiliary_bytes)
-
-    def test_allocator_tracks_peak(self):
-        alloc = TrackingAllocator()
-        a = alloc.empty((10, 10))
-        b = alloc.empty((10, 10))
-        alloc.release(a)
-        c_buf = alloc.empty((5,))
-        alloc.release(b)
-        alloc.release(c_buf)
-        assert alloc.peak_bytes == 2 * 800
-        assert alloc.current_bytes == 0
-
-    def test_allocator_counts_only_what_it_allocated(self):
-        """A request numpy cannot meet (8 PiB, beyond any address space)
-        leaves the counters as they were."""
-        alloc = TrackingAllocator()
-        held = alloc.empty(4)
-        with pytest.raises(MemoryError):
-            alloc.empty((1 << 30, 1 << 20))
-        assert alloc.current_bytes == alloc.peak_bytes == 32
-        alloc.release(held)
-        assert alloc.current_bytes == 0
 
 
 def blas_path(monkeypatch, path):
@@ -1399,14 +1372,14 @@ class TestWorkerPins:
     @pytest.mark.parametrize("workers", [2, None, 3])
     def test_only_one_worker_per_allowed_cpu_is_pinned(self, monkeypatch, medium, workers):
         """On a caller restricted to two CPUs, 2 workers, as the default
-        plan gives, run worker k on the k-th CPU, and 3 run unpinned: under
-        the fixed split of token blocks, 3 pinned on 2 CPUs would leave one
-        idle for a third of the run."""
+        plan made there gives, run worker k on the k-th CPU, and 3 run
+        unpinned: under the fixed split of token blocks, 3 pinned on 2 CPUs
+        would leave one idle for a third of the run."""
         e, c, x, _, _ = medium
         two = sorted(os.sched_getaffinity(0))[:2]
         seen = self.read_by_workers(monkeypatch)
-        plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, workers=workers)
-        stats = on_cpus(two, lambda: loss_and_grad(e, c, x, 0.1, plan))[2]
+        stats = on_cpus(two, lambda: loss_and_grad(e, c, x, 0.1, plan_blocks(
+            64, 512, 32, n_block=16, v_block=64, workers=workers)))[2]
         if workers == 3:
             assert seen == {k: {frozenset(two)} for k in range(3)}
             assert stats.worker_cpus == (None,) * 3
@@ -1460,8 +1433,7 @@ class TestWorkerPins:
     def test_a_caller_on_one_cpu_keeps_every_worker_there(self, monkeypatch, medium):
         """A caller restricted to one CPU pins nothing, and its workers
         inherit its one CPU: every worker runs there, the bits match an
-        unrestricted call, and a default plan, whose worker count comes
-        from the same read, runs one worker."""
+        unrestricted call, and a default plan made there runs one worker."""
         e, c, x, _, _ = medium
         allowed = sorted(os.sched_getaffinity(0))
         plan = plan_blocks(64, 512, 32, n_block=16, v_block=64, workers=3)
@@ -1475,6 +1447,24 @@ class TestWorkerPins:
         assert all(np.array_equal(a, b) for a, b in zip(self.bits(got), self.bits(want)))
         assert default.tiles_in_flight == 1 and default.worker_cpus == (None,)
         assert os.sched_getaffinity(0) == set(allowed)
+
+    def test_a_plan_keeps_the_count_of_the_thread_that_made_it(self, medium):
+        """The default worker count is read once, on the thread that makes
+        the plan: V_B is halved for the count the engine runs, and a plan
+        made on two CPUs runs its 2 workers, unpinned, on a thread allowed
+        one, to the bits of an unrestricted run. The engine used to read
+        the count again on the thread that ran the call."""
+        e, c, x, _, _ = medium
+        allowed = sorted(os.sched_getaffinity(0))
+        one = on_cpus(allowed[:1], lambda: plan_blocks(256, 65536, 128))
+        two = on_cpus(allowed[:2], lambda: plan_blocks(256, 65536, 128))
+        assert (one.workers, one.v_block) == (1, 512)
+        assert (two.workers, two.v_block) == (2, 256)
+        plan = on_cpus(allowed[:2], lambda: plan_blocks(64, 512, 32, n_block=16, v_block=64))
+        want = loss_and_grad(e, c, x, 0.1, plan)
+        got = on_cpus(allowed[:1], lambda: loss_and_grad(e, c, x, 0.1, plan))
+        assert got[2].tiles_in_flight == 2 and got[2].worker_cpus == (None, None)
+        assert all(np.array_equal(a, b) for a, b in zip(self.bits(got), self.bits(want)))
 
     @pytest.mark.parametrize("how", ["refused", "missing"])
     def test_an_unpinned_worker_gives_the_same_bits(self, monkeypatch, medium, how):

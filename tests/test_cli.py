@@ -1,5 +1,5 @@
 """Command-line surface: exit codes, output formats, engine agreement,
-config files, and the environment fallback."""
+and config files."""
 
 import argparse
 import dataclasses
@@ -782,24 +782,15 @@ class TestConfigAndEnv:
         assert out == "" and "unrecognized arguments: --bin=3" in err
 
     def test_env_thread_fallback(self, instance_files, capsys, monkeypatch):
-        monkeypatch.setenv("SCE_THREADS", "2")
+        """There is no environment fallback: only `--threads` (or its config
+        key) sets the worker count. SCE_THREADS=many used to exit 2; it is
+        not read, and the total is the one without it."""
+        monkeypatch.delenv("SCE_THREADS", raising=False)
         assert main(loss_args(instance_files, beta=0.1)) == 0
-        threaded = total_from(capsys)
-        monkeypatch.delenv("SCE_THREADS")
-        assert main(loss_args(instance_files, beta=0.1)) == 0
-        assert threaded == pytest.approx(total_from(capsys), rel=1e-9)
-
-    def test_bad_env_threads_is_usage_error(self, instance_files, monkeypatch):
+        want = total_from(capsys)
         monkeypatch.setenv("SCE_THREADS", "many")
-        assert main(loss_args(instance_files)) == 2
-
-    @pytest.mark.parametrize("value", ["-3", "0"])
-    def test_env_threads_below_one_is_usage_error(self, instance_files, value,
-                                                  monkeypatch, capsys):
-        """Like `--threads`, SCE_THREADS takes positive integers only."""
-        monkeypatch.setenv("SCE_THREADS", value)
-        assert main(loss_args(instance_files)) == 2
-        assert "SCE_THREADS" in capsys.readouterr().err
+        assert main(loss_args(instance_files, beta=0.1)) == 0
+        assert total_from(capsys) == want
 
 
 class TestUsage:
@@ -808,6 +799,19 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert main(["loss", "--beta", "0.1"]) == 2
+
+    @pytest.mark.parametrize("command, flag", [("loss", "--per-token-csv"),
+                                               ("calibrate", "--reliability-csv"),
+                                               ("calibrate", "--out")])
+    def test_empty_output_path_is_refused(self, instance_files, calibration_file, capsys,
+                                          command, flag):
+        """An empty path cannot be opened, so it exits 1 like any other
+        such path. `--per-token-csv ''` and `--reliability-csv ''` used to
+        exit 0 and write nothing, while `--out ''` exited 1."""
+        argv = (loss_args(instance_files) if command == "loss"
+                else ["calibrate", "--records", calibration_file])
+        assert main(argv + [flag, ""]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_engine_flags_only_where_they_act(self, calibration_file, tmp_path):
         """calibrate and entropy run no engine, so they take neither flag."""

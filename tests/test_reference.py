@@ -233,9 +233,17 @@ class TestOneLossRule:
             NAIVE_ENTRIES[entry](*OVERFLOWING)
 
     @pytest.mark.parametrize("entry", list(NAIVE_ENTRIES))
-    @pytest.mark.parametrize("mask", [[], [False, True]], ids=["short", "long"])
-    def test_mask_of_another_length_is_refused(self, entry, mask):
-        with pytest.raises(ValueError, match="^ignore_mask must have one flag per token$"):
+    @pytest.mark.parametrize("mask, message", [
+        ([], "must have one flag per token$"),
+        ([False, True], "must have one flag per token$"),
+        ([2], "must hold booleans or the integers 0 and 1$"),
+        ([0.5], "must hold booleans or the integers 0 and 1$"),
+    ], ids=["short", "long", "two", "half"])
+    def test_mask_of_another_length_is_refused(self, entry, mask, message):
+        """A mask of another length, or one holding a value other than a
+        bool or an integer 0 or 1, is refused. A flag of 2 or 0.5 used to
+        be read as True, so token 0 was silently ignored."""
+        with pytest.raises(ValueError, match="^ignore_mask " + message):
             NAIVE_ENTRIES[entry](*OVERFLOWING, ignore_mask=mask)
 
     @pytest.mark.parametrize("entry", list(NAIVE_ENTRIES))

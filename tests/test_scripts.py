@@ -39,14 +39,21 @@ def test_run_bench():
 
 
 def test_simplicity_check():
-    """Code lines per module and their total, numpy's version, then the
-    engine grid's call count, its tracked allocations and its digest, then
-    the oracle grid's and the command runs' digests."""
+    """Code lines per module and their total, each command's options and
+    their total, the environment reads, numpy's version, then the engine
+    grid's call count, its tracked allocations and its digest, then the
+    oracle grid's and the command runs' digests."""
     out = run_script("simplicity_check.py", timeout=30).splitlines()
     assert any(line.startswith("code_lines reference.py ") for line in out)
     counts = [line.split() for line in out if line.startswith("code_lines ")]
     assert counts[-1][1] == "total"
     assert int(counts[-1][2]) == sum(int(c[2]) for c in counts[:-1])
+    options = [line.split() for line in out if line.startswith("options ")]
+    assert [o[1] for o in options] == ["loss", "gradcheck", "bench", "calibrate",
+                                       "entropy", "total"]
+    assert all(int(o[2]) > 0 for o in options)
+    assert int(options[-1][2]) == sum(int(o[2]) for o in options[:-1])
+    assert sum(line.startswith("env_reads ") for line in out) == 1
     assert out[-5].startswith("calls ") and int(out[-5].split()[1]) > 0
     assert out[-4].startswith("alloc_calls ") and int(out[-4].split()[1]) > 0
     assert out[-6] == f"numpy {np.__version__}"

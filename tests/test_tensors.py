@@ -658,20 +658,20 @@ class TestPlanning:
         assert tiles_in_flight(200, 128, 8) == 2
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
             else os.cpu_count()
-        assert tiles_in_flight(200, 128, None) == min(cpus, 2)
+        assert tiles_in_flight(200, 128, BlockPlan(1, 1).workers) == min(cpus, 2)
         with pytest.raises(ValueError):
             tiles_in_flight(8, 4, 0)
 
     def test_one_reader_of_the_allowed_cpus(self, monkeypatch):
-        """The default worker count is the number of CPUs the calling thread
-        may run on, read by the helper the engine's pins use, and every CPU
-        where the platform has no affinity call."""
+        """The default worker count is the number of CPUs the thread that
+        builds the plan may run on, read by the helper the engine's pins
+        use, and every CPU where the platform has no affinity call."""
         cpus = tensors._allowed_cpus()
         assert cpus == sorted(cpus) and len(set(cpus)) == len(cpus) >= 1
         assert all(type(c) is int for c in cpus)
-        assert tiles_in_flight(10**6, 1, None) == len(cpus)
+        assert tiles_in_flight(10**6, 1, BlockPlan(1, 1).workers) == len(cpus)
         monkeypatch.setattr(tensors, "_allowed_cpus", lambda: [5, 9, 11])
-        assert tiles_in_flight(10**6, 1, None) == 3
+        assert tiles_in_flight(10**6, 1, BlockPlan(1, 1).workers) == 3
         monkeypatch.undo()
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
